@@ -109,17 +109,35 @@ def _bench_dir() -> Path:
     return Path(__file__).resolve().parent.parent
 
 
+def _git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args],
+        cwd=Path(__file__).resolve().parent,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+
+
 def _git_commit() -> str:
+    """Short hash of HEAD, suffixed ``-dirty`` when tracked files differ from it.
+
+    A run on uncommitted changes measured code HEAD does not hold, so it must
+    not be credited to HEAD.  The trajectory files themselves are ignored:
+    the first benchmark of a run rewrites one, which must not mark the rest
+    of the run dirty.
+    """
     try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
+        commit = _git("rev-parse", "--short", "HEAD").strip()
+        status = _git("status", "--porcelain", "--untracked-files=no")
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
+    # Porcelain lines are "XY <path>", paths relative to the repository root.
+    dirty = any(
+        not (line[3:].startswith("BENCH_") and line.endswith(".json"))
+        for line in status.splitlines()
+    )
+    return f"{commit}-dirty" if dirty else commit
 
 
 def _flush(benchmark: str) -> None:

@@ -31,13 +31,13 @@ expensive (section 5.8 of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 from repro.cost.platform import Platform
 from repro.graph.scenario import DTYPE_ITEMSIZE, ConvScenario
 from repro.layouts.transforms import LayoutTransform
 from repro.multiobj.vector import CostVector
-from repro.primitives.base import ConvPrimitive, PrimitiveFamily
+from repro.primitives.base import ConvPrimitive, PrimitiveFamily, PrimitiveTraits
 
 #: Modelled per-layer top-1 accuracy loss (fraction) of running one
 #: convolution below fp32.  A proxy, not a measurement: the values encode the
@@ -127,34 +127,57 @@ class AnalyticalCostModel:
 
     # -- primitives -----------------------------------------------------------------
 
-    def primitive_cost(
-        self, primitive: ConvPrimitive, scenario: ConvScenario, threads: int = 1
-    ) -> float:
-        """Modelled execution time (seconds) of one primitive on one scenario.
+    def price_layer(
+        self,
+        primitives: Sequence[ConvPrimitive],
+        scenario: ConvScenario,
+        threads: int = 1,
+    ) -> List[Tuple[float, float, float, float]]:
+        """Price every primitive of one layer: the single analytical formula.
 
-        Batched scenarios are priced with per-image working sets (a minibatch
-        streams its images through the same blocked loops and scratch
-        buffers) but whole-batch totals for arithmetic, traffic and footprint.
-        Fixed per-call setup — dispatch, packing, kernel transforms — is
-        charged once per invocation, so a batch amortizes it: this is what
-        lets transform/GEMM-heavy families overtake the direct loops as the
-        batch grows.
+        Returns one ``(time_s, workspace_bytes, energy_j, accuracy_loss)``
+        tuple per primitive, in order.  The scenario invariants (tensor bytes,
+        quantize traffic, cache sizes, precision rate) are derived once per
+        call, and time and energy share each primitive's operation count,
+        workspace, traffic and footprint tier.  Every other per-primitive
+        query of this model is a view over this method.
+
+        **Time.**  Batched scenarios are priced with per-image working sets
+        (a minibatch streams its images through the same blocked loops and
+        scratch buffers) but whole-batch totals for arithmetic, traffic and
+        footprint.  Fixed per-call setup — dispatch, packing, kernel
+        transforms — is charged once per invocation, so a batch amortizes it:
+        this is what lets transform/GEMM-heavy families overtake the direct
+        loops as the batch grows.
+
+        **Workspace** is the peak per-image scratch footprint, at the
+        scenario's precision — int8 scratch is a quarter of the fp32
+        footprint, one of quantized inference's classic wins on
+        memory-constrained parts.
+
+        **Energy** is operations times a per-flop energy plus memory traffic
+        times a per-byte energy whose tier follows the same footprint
+        classification as the bandwidth model.  Threads do not change the
+        energy: the same work is done, merely faster.
+
+        **Accuracy loss** (additive top-1 fraction) is zero at fp32.  The
+        Winograd family pays :data:`WINOGRAD_INT8_PENALTY` times the base int8
+        loss: its fractional tile transforms run over the quantized operands,
+        amplifying the rounding noise (the alternative — declining int8
+        outright — would hide a real, sometimes-worth-it trade-off from the
+        frontier).
         """
         if threads < 1:
             raise ValueError("threads must be >= 1")
         platform = self.platform
         params = self.parameters
-        traits = primitive.traits()
         batch = scenario.batch
         per_image = scenario.per_image
 
-        ops = primitive.arithmetic_ops(scenario)
         # Bytes per element at the scenario's precision: fp16/int8 halve or
         # quarter every byte count below, which is the memory-side half of
         # the quantization win (the lane-packing half is priced at `peak`).
         itemsize = float(scenario.itemsize)
-        # Per-image scratch footprint (buffers are reused across the batch).
-        workspace_bytes = itemsize * primitive.workspace_elements(per_image)
         # Whole-batch tensor bytes; the kernel is shared across the batch.
         tensor_bytes = itemsize * (
             scenario.input_elements() + scenario.output_elements() + scenario.kernel_elements()
@@ -165,43 +188,9 @@ class AnalyticalCostModel:
             + per_image.output_elements()
             + per_image.kernel_elements()
         )
-
-        # ---- effective SIMD throughput --------------------------------------
+        conversion_bytes = self._conversion_bytes(scenario)
         simt = platform.has_feature("simt")
-        plain_loops = primitive.family in (PrimitiveFamily.DIRECT, PrimitiveFamily.SUM2D)
-        if simt:
-            # SIMT machines map any variant across the full machine width at
-            # compile time, so the CPU-oriented per-variant vector factor is
-            # irrelevant — but plain loop nests still occupy the lanes poorly
-            # (divergent, uncoalesced inner loops), which is what pushes the
-            # selector toward the GEMM/transform families even at batch 1.
-            if plain_loops:
-                lanes = 1.0 + (platform.vector_width - 1.0) * params.direct_vector_efficiency
-            else:
-                lanes = platform.vector_width * params.simt_lane_efficiency
-        else:
-            lanes = min(primitive.vector_factor, platform.vector_width)
-            if plain_loops:
-                # Plain loop nests only extract a fraction of the nominal SIMD width.
-                lanes = 1.0 + (lanes - 1.0) * params.direct_vector_efficiency
-            elif (
-                platform.has_feature("avx512")
-                and platform.vector_width > 8
-                and primitive.vector_factor >= 8
-            ):
-                # 256-bit GEMM-shaped kernels are recompiled to the full
-                # 512-bit width on AVX-512 parts (the paper's VF is a proxy
-                # for "written for wide SIMD", not a hard register width).
-                lanes = platform.vector_width * params.wide_recompile_efficiency
-        # Wide-vector execution derates the sustained clock on
-        # frequency-throttling parts (AVX-512 license-based downclocking) —
-        # which also derates the big-tile Winograd variants' advantage there.
-        frequency = platform.frequency_ghz
-        if lanes > 8.0 and platform.wide_vector_derating != 1.0:
-            frequency *= platform.wide_vector_derating
-        peak = frequency * platform.fma_per_cycle * 2.0 * lanes * 1e9
-        if not simt and primitive.vector_factor > platform.vector_width:
-            peak *= params.vector_emulation_penalty
+        wide_recompile = platform.has_feature("avx512") and platform.vector_width > 8
         # Precision lane packing: the same vector registers hold 2x fp16 or
         # 4x int8 elements, but only where the ISA has the arithmetic to
         # exploit it (``fp16-fast`` packed-half math; ``vnni``/``dotprod``
@@ -210,83 +199,179 @@ class AnalyticalCostModel:
         # the selector further toward the GEMM/transform families.  Without
         # the feature the narrow operands compute at the fp32 rate and only
         # the memory traffic shrinks.
-        if not plain_loops:
-            peak *= self._precision_rate(scenario.dtype)
-
-        # ---- utilization ------------------------------------------------------
-        utilization = self._utilization(primitive, scenario)
-
-        # Small layers cannot amortize call / packing overheads.
-        work_scale = ops / (ops + params.small_work_flops)
-        utilization *= 0.25 + 0.75 * work_scale
-
-        # Cache pressure: working sets that overflow the last-level cache force
-        # the inner kernels to run at memory speed part of the time.  The
-        # pressure is per image — a batch streams image working sets through
-        # the cache one after another, it does not hold them all at once.
+        precision_rate = self._precision_rate(scenario.dtype)
         llc = platform.last_level_cache_bytes()
-        pressure = params.cache_pressure * (workspace_bytes + 0.5 * tensor_bytes_image) / llc
-        if simt:
-            # Latency hiding by oversubscription: capacity misses cost far
-            # less than on a CPU, where the inner loops stall on them.
-            pressure *= params.simt_pressure_relief
-        utilization /= 1.0 + pressure
-
-        # Inner working-set pressure: the per-core cache must hold whatever the
-        # innermost stage keeps live (e.g. 2D Winograd's per-tile transformed
-        # slabs); overflowing it stalls the inner loops on every pass.  SIMT
-        # machines have no such private capacity cliff — tiles are staged
-        # through shared memory and misses overlap with other warps.
-        inner_bytes = itemsize * primitive.inner_working_set_elements(per_image)
         per_core = platform.per_core_cache_bytes()
-        if inner_bytes > per_core and not simt:
-            utilization /= 1.0 + params.inner_cache_pressure * (inner_bytes / per_core - 1.0)
-
-        compute_seconds = ops / (peak * max(utilization, 1e-3))
-
-        # ---- memory time -------------------------------------------------------
-        # Tensor traffic covers the whole batch already; the per-image
-        # workspace is written and read once per image.  The bandwidth tier is
-        # chosen from the *per-image* footprint, consistent with the streaming
-        # assumption above: a batch passes one image's working set through the
-        # cache at a time, so growing the batch scales the traffic linearly
-        # without demoting the whole layer to DRAM bandwidth.
-        traffic_bytes = tensor_bytes + params.workspace_traffic_weight * workspace_bytes * batch
-        traffic_bytes += self._conversion_bytes(scenario)
-        footprint = tensor_bytes_image + workspace_bytes
-        if footprint <= platform.per_core_cache_bytes():
-            bandwidth = platform.cache_bandwidth_gbps
-        elif footprint <= llc:
-            bandwidth = 0.6 * platform.cache_bandwidth_gbps
-        else:
-            bandwidth = platform.dram_bandwidth_gbps
-        memory_seconds = traffic_bytes / (bandwidth * 1e9)
-
-        # ---- threading ----------------------------------------------------------
         threads = min(threads, platform.cores)
-        if threads > 1:
-            speedup = 1.0 + (threads - 1) * traits.parallel_efficiency
-            compute_seconds /= speedup
-            memory_seconds /= platform.mt_bandwidth_scaling
-
-        # ---- fixed overhead -------------------------------------------------------
-        # Transform- and GEMM-based families dispatch once per channel group
-        # (patch-matrix construction, Winograd/FFT transforms are all set up
-        # per group), so grouped and depthwise scenarios multiply their
-        # per-call overhead; the direct loop nests fold grouping into the
-        # channel loop and are charged once.
         scalar_peak = platform.peak_gflops_per_core(1) * 1e9
-        if plain_loops:
-            call_count = 1
-        else:
-            call_count = scenario.groups
-        overhead_seconds = traits.per_call_overhead_ops * call_count / scalar_peak
-        # Device-shaped platforms pay a fixed driver/queue latency per kernel
-        # launch (once per dispatch, regardless of batch — the batch rides in
-        # the same launch), which is what makes small layers launch-bound.
-        overhead_seconds += platform.launch_overhead_s * call_count
+        base_loss = DTYPE_ACCURACY_LOSS[scenario.dtype]
+        is_int8 = scenario.dtype == "int8"
 
-        return max(compute_seconds, memory_seconds) + overhead_seconds
+        priced: List[Tuple[float, float, float, float]] = []
+        for primitive in primitives:
+            traits = primitive.traits()
+            ops = primitive.arithmetic_ops(scenario)
+            # Per-image scratch footprint (buffers are reused across the batch).
+            workspace_bytes = itemsize * primitive.workspace_elements(per_image)
+
+            # ---- effective SIMD throughput ----------------------------------
+            plain_loops = primitive.family in (PrimitiveFamily.DIRECT, PrimitiveFamily.SUM2D)
+            if simt:
+                # SIMT machines map any variant across the full machine width
+                # at compile time, so the CPU-oriented per-variant vector
+                # factor is irrelevant — but plain loop nests still occupy the
+                # lanes poorly (divergent, uncoalesced inner loops), which is
+                # what pushes the selector toward the GEMM/transform families
+                # even at batch 1.
+                if plain_loops:
+                    lanes = 1.0 + (platform.vector_width - 1.0) * params.direct_vector_efficiency
+                else:
+                    lanes = platform.vector_width * params.simt_lane_efficiency
+            else:
+                lanes = min(primitive.vector_factor, platform.vector_width)
+                if plain_loops:
+                    # Plain loop nests only extract a fraction of the nominal SIMD width.
+                    lanes = 1.0 + (lanes - 1.0) * params.direct_vector_efficiency
+                elif wide_recompile and primitive.vector_factor >= 8:
+                    # 256-bit GEMM-shaped kernels are recompiled to the full
+                    # 512-bit width on AVX-512 parts (the paper's VF is a
+                    # proxy for "written for wide SIMD", not a hard register
+                    # width).
+                    lanes = platform.vector_width * params.wide_recompile_efficiency
+            # Wide-vector execution derates the sustained clock on
+            # frequency-throttling parts (AVX-512 license-based downclocking)
+            # — which also derates the big-tile Winograd variants' advantage
+            # there.
+            frequency = platform.frequency_ghz
+            if lanes > 8.0 and platform.wide_vector_derating != 1.0:
+                frequency *= platform.wide_vector_derating
+            peak = frequency * platform.fma_per_cycle * 2.0 * lanes * 1e9
+            if not simt and primitive.vector_factor > platform.vector_width:
+                peak *= params.vector_emulation_penalty
+            if not plain_loops:
+                peak *= precision_rate
+
+            # ---- utilization --------------------------------------------------
+            utilization = self._utilization(primitive, traits, scenario)
+
+            # Small layers cannot amortize call / packing overheads.
+            work_scale = ops / (ops + params.small_work_flops)
+            utilization *= 0.25 + 0.75 * work_scale
+
+            # Cache pressure: working sets that overflow the last-level cache
+            # force the inner kernels to run at memory speed part of the time.
+            # The pressure is per image — a batch streams image working sets
+            # through the cache one after another, it does not hold them all
+            # at once.
+            pressure = params.cache_pressure * (workspace_bytes + 0.5 * tensor_bytes_image) / llc
+            if simt:
+                # Latency hiding by oversubscription: capacity misses cost far
+                # less than on a CPU, where the inner loops stall on them.
+                pressure *= params.simt_pressure_relief
+            utilization /= 1.0 + pressure
+
+            # Inner working-set pressure: the per-core cache must hold whatever
+            # the innermost stage keeps live (e.g. 2D Winograd's per-tile
+            # transformed slabs); overflowing it stalls the inner loops on
+            # every pass.  SIMT machines have no such private capacity cliff —
+            # tiles are staged through shared memory and misses overlap with
+            # other warps.
+            inner_bytes = itemsize * primitive.inner_working_set_elements(per_image)
+            if inner_bytes > per_core and not simt:
+                utilization /= 1.0 + params.inner_cache_pressure * (inner_bytes / per_core - 1.0)
+
+            compute_seconds = ops / (peak * max(utilization, 1e-3))
+
+            # ---- memory time and energy tier ----------------------------------
+            # Tensor traffic covers the whole batch already; the per-image
+            # workspace is written and read once per image.  The bandwidth
+            # (and energy) tier is chosen from the *per-image* footprint,
+            # consistent with the streaming assumption above: a batch passes
+            # one image's working set through the cache at a time, so growing
+            # the batch scales the traffic linearly without demoting the whole
+            # layer to DRAM bandwidth.
+            traffic_bytes = tensor_bytes + params.workspace_traffic_weight * workspace_bytes * batch
+            traffic_bytes += conversion_bytes
+            footprint = tensor_bytes_image + workspace_bytes
+            if footprint <= per_core:
+                bandwidth = platform.cache_bandwidth_gbps
+                per_byte_pj = params.energy_per_cache_byte_pj
+            elif footprint <= llc:
+                bandwidth = 0.6 * platform.cache_bandwidth_gbps
+                per_byte_pj = params.energy_per_llc_byte_pj
+            else:
+                bandwidth = platform.dram_bandwidth_gbps
+                per_byte_pj = params.energy_per_dram_byte_pj
+            memory_seconds = traffic_bytes / (bandwidth * 1e9)
+
+            # ---- threading ------------------------------------------------------
+            if threads > 1:
+                speedup = 1.0 + (threads - 1) * traits.parallel_efficiency
+                compute_seconds /= speedup
+                memory_seconds /= platform.mt_bandwidth_scaling
+
+            # ---- fixed overhead ---------------------------------------------------
+            # Transform- and GEMM-based families dispatch once per channel
+            # group (patch-matrix construction, Winograd/FFT transforms are
+            # all set up per group), so grouped and depthwise scenarios
+            # multiply their per-call overhead; the direct loop nests fold
+            # grouping into the channel loop and are charged once.
+            call_count = 1 if plain_loops else scenario.groups
+            overhead_seconds = traits.per_call_overhead_ops * call_count / scalar_peak
+            # Device-shaped platforms pay a fixed driver/queue latency per
+            # kernel launch (once per dispatch, regardless of batch — the
+            # batch rides in the same launch), which is what makes small
+            # layers launch-bound.
+            overhead_seconds += platform.launch_overhead_s * call_count
+
+            loss = base_loss
+            if is_int8 and primitive.family is PrimitiveFamily.WINOGRAD:
+                loss *= WINOGRAD_INT8_PENALTY
+            priced.append(
+                (
+                    max(compute_seconds, memory_seconds) + overhead_seconds,
+                    workspace_bytes,
+                    1e-12 * (ops * params.energy_per_flop_pj + traffic_bytes * per_byte_pj),
+                    loss,
+                )
+            )
+        return priced
+
+    def primitive_cost(
+        self, primitive: ConvPrimitive, scenario: ConvScenario, threads: int = 1
+    ) -> float:
+        """Modelled execution time (seconds) of one primitive on one scenario."""
+        return self.price_layer((primitive,), scenario, threads)[0][0]
+
+    def primitive_workspace_bytes(
+        self, primitive: ConvPrimitive, scenario: ConvScenario
+    ) -> float:
+        """Peak per-invocation scratch footprint (bytes) of one primitive."""
+        return self.price_layer((primitive,), scenario)[0][1]
+
+    def primitive_energy(
+        self, primitive: ConvPrimitive, scenario: ConvScenario, threads: int = 1
+    ) -> float:
+        """Energy proxy (joules) of one primitive invocation."""
+        return self.price_layer((primitive,), scenario, threads)[0][2]
+
+    def primitive_accuracy_loss(
+        self, primitive: ConvPrimitive, scenario: ConvScenario
+    ) -> float:
+        """Modelled accuracy loss (additive top-1 fraction) of one layer."""
+        return self.price_layer((primitive,), scenario)[0][3]
+
+    def primitive_cost_vector(
+        self, primitive: ConvPrimitive, scenario: ConvScenario, threads: int = 1
+    ) -> CostVector:
+        """The (time, workspace, energy, accuracy) vector of one primitive."""
+        time_s, workspace, energy, loss = self.price_layer((primitive,), scenario, threads)[0]
+        return CostVector(
+            time_ms=1e3 * time_s,
+            peak_workspace_bytes=workspace,
+            energy_proxy_j=energy,
+            accuracy_proxy=loss,
+        )
 
     def _precision_rate(self, dtype: str) -> float:
         """Arithmetic-rate multiplier the platform's ISA grants a precision."""
@@ -316,26 +401,11 @@ class AnalyticalCostModel:
         boundary_elements = scenario.input_elements() + scenario.output_elements()
         return (fp32_bytes + float(scenario.itemsize)) * boundary_elements
 
-    def primitive_accuracy_loss(
-        self, primitive: ConvPrimitive, scenario: ConvScenario
+    def _utilization(
+        self, primitive: ConvPrimitive, traits: PrimitiveTraits, scenario: ConvScenario
     ) -> float:
-        """Modelled accuracy loss (additive top-1 fraction) of one layer.
-
-        Zero at fp32.  The Winograd family pays :data:`WINOGRAD_INT8_PENALTY`
-        times the base int8 loss: its fractional tile transforms run over the
-        quantized operands, amplifying the rounding noise (the alternative —
-        declining int8 outright — would hide a real, sometimes-worth-it
-        trade-off from the frontier).
-        """
-        loss = DTYPE_ACCURACY_LOSS[scenario.dtype]
-        if scenario.dtype == "int8" and primitive.family is PrimitiveFamily.WINOGRAD:
-            loss *= WINOGRAD_INT8_PENALTY
-        return loss
-
-    def _utilization(self, primitive: ConvPrimitive, scenario: ConvScenario) -> float:
         """Fraction of peak the variant achieves, before size/cache effects."""
         params = self.parameters
-        traits = primitive.traits()
         locality = traits.locality
         family = primitive.family
 
@@ -373,67 +443,7 @@ class AnalyticalCostModel:
         loop_util = params.loop_efficiency_base + params.loop_efficiency_locality * locality
         return traits.gemm_fraction * gemm_util + (1.0 - traits.gemm_fraction) * loop_util
 
-    # -- multi-objective costs --------------------------------------------------------
-
-    def primitive_workspace_bytes(
-        self, primitive: ConvPrimitive, scenario: ConvScenario
-    ) -> float:
-        """Peak per-invocation scratch footprint of one primitive, in bytes.
-
-        Per image, matching the streaming assumption of :meth:`primitive_cost`
-        (a batch reuses one image's buffers), at the scenario's precision —
-        int8 scratch is a quarter of the fp32 footprint, one of quantized
-        inference's classic wins on memory-constrained parts.
-        """
-        return float(scenario.itemsize) * primitive.workspace_elements(scenario.per_image)
-
-    def primitive_energy(
-        self, primitive: ConvPrimitive, scenario: ConvScenario, threads: int = 1
-    ) -> float:
-        """Energy proxy (joules) of one primitive invocation.
-
-        Operations times a per-flop energy plus memory traffic times a
-        per-byte energy whose tier follows the same footprint classification
-        as the bandwidth model.  Threads do not change the energy: the same
-        work is done, merely faster.
-        """
-        params = self.parameters
-        platform = self.platform
-        per_image = scenario.per_image
-        itemsize = float(scenario.itemsize)
-        ops = primitive.arithmetic_ops(scenario)
-        workspace_bytes = itemsize * primitive.workspace_elements(per_image)
-        tensor_bytes = itemsize * (
-            scenario.input_elements() + scenario.output_elements() + scenario.kernel_elements()
-        )
-        tensor_bytes_image = itemsize * (
-            per_image.input_elements()
-            + per_image.output_elements()
-            + per_image.kernel_elements()
-        )
-        traffic_bytes = (
-            tensor_bytes + params.workspace_traffic_weight * workspace_bytes * scenario.batch
-        )
-        traffic_bytes += self._conversion_bytes(scenario)
-        footprint = tensor_bytes_image + workspace_bytes
-        if footprint <= platform.per_core_cache_bytes():
-            per_byte_pj = params.energy_per_cache_byte_pj
-        elif footprint <= platform.last_level_cache_bytes():
-            per_byte_pj = params.energy_per_llc_byte_pj
-        else:
-            per_byte_pj = params.energy_per_dram_byte_pj
-        return 1e-12 * (ops * params.energy_per_flop_pj + traffic_bytes * per_byte_pj)
-
-    def primitive_cost_vector(
-        self, primitive: ConvPrimitive, scenario: ConvScenario, threads: int = 1
-    ) -> CostVector:
-        """The (time, workspace, energy, accuracy) vector of one primitive."""
-        return CostVector(
-            time_ms=1e3 * self.primitive_cost(primitive, scenario, threads=threads),
-            peak_workspace_bytes=self.primitive_workspace_bytes(primitive, scenario),
-            energy_proxy_j=self.primitive_energy(primitive, scenario, threads=threads),
-            accuracy_proxy=self.primitive_accuracy_loss(primitive, scenario),
-        )
+    # -- layout transformations -------------------------------------------------------
 
     def transform_energy(
         self,
@@ -451,8 +461,6 @@ class AnalyticalCostModel:
         """
         bytes_moved = float(DTYPE_ITEMSIZE[dtype]) * batch * transform.element_traffic(*shape)
         return 1e-12 * bytes_moved * self.parameters.energy_per_dram_byte_pj
-
-    # -- layout transformations -------------------------------------------------------
 
     def transform_cost(
         self,

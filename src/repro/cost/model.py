@@ -20,7 +20,14 @@ from repro.primitives.base import ConvPrimitive
 
 
 class CostModel(Protocol):
-    """Anything that can price primitives and layout transformations."""
+    """Anything that can price primitives and layout transformations.
+
+    A model may additionally offer ``price_layer(primitives, scenario,
+    threads)`` returning one ``(time, workspace, energy, accuracy)`` tuple per
+    primitive (see :meth:`~repro.cost.analytical.AnalyticalCostModel.price_layer`).
+    :func:`~repro.cost.tables.build_cost_tables` then prices each layer in one
+    call and records energy and accuracy; without it those tables stay zero.
+    """
 
     def primitive_cost(
         self, primitive: ConvPrimitive, scenario: ConvScenario, threads: int = 1

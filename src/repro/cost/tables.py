@@ -172,46 +172,57 @@ def build_cost_tables(
     }
     shapes = network.infer_shapes()
 
-    # The scalar time tables are what the paper ships; the workspace and
-    # energy tables extend them into cost *vectors*.  Workspace is a property
-    # of the primitive alone; energy needs model support (the analytical
-    # model provides it, the wall-clock profiler does not — its tables carry
-    # zero energy, which the frontier treats as "objective not modelled").
-    energy_fn = getattr(cost_model, "primitive_energy", None)
-    transform_energy_fn = getattr(cost_model, "transform_energy", None)
-    accuracy_fn = getattr(cost_model, "primitive_accuracy_loss", None)
+    # The scalar time tables are what the paper ships; the workspace, energy
+    # and accuracy tables extend them into cost *vectors*.  A model with a
+    # fused ``price_layer`` (the analytical model) prices all four at once;
+    # any other model (the wall-clock profiler, the ablation wrappers) prices
+    # time only — workspace is a property of the primitive alone, and the
+    # energy and accuracy tables stay zero, which the frontier treats as
+    # "objective not modelled".
+    price_layer = getattr(cost_model, "price_layer", None)
 
+    def price(layer_name: str, scenario: ConvScenario) -> Tuple[Dict[str, float], ...]:
+        primitives = library.applicable(scenario, platform=platform)
+        if not primitives:
+            raise ValueError(
+                f"no primitive in the library supports layer {layer_name!r} "
+                f"[{scenario.describe()}]"
+            )
+        if price_layer is not None:
+            rows = price_layer(primitives, scenario, threads)
+        else:
+            itemsize = float(scenario.itemsize)
+            rows = [
+                (
+                    cost_model.primitive_cost(primitive, scenario, threads=threads),
+                    itemsize * primitive.workspace_elements(scenario.per_image),
+                    0.0,
+                    0.0,
+                )
+                for primitive in primitives
+            ]
+        names = [primitive.name for primitive in primitives]
+        return tuple(dict(zip(names, column)) for column in zip(*rows))
+
+    # Layers sharing a scenario (ResNet's repeated blocks, VGG's stacked
+    # 3x3s) are priced once per call; each twin gets its own dict copies.
+    priced: Dict[ConvScenario, Tuple[Dict[str, float], ...]] = {}
     node_costs: Dict[str, Dict[str, float]] = {}
     node_workspace: Dict[str, Dict[str, float]] = {}
     node_energy: Dict[str, Dict[str, float]] = {}
     node_accuracy: Dict[str, Dict[str, float]] = {}
     for layer_name, scenario in scenarios.items():
-        per_primitive: Dict[str, float] = {}
-        per_workspace: Dict[str, float] = {}
-        per_energy: Dict[str, float] = {}
-        per_accuracy: Dict[str, float] = {}
-        for primitive in library.applicable(scenario, platform=platform):
-            per_primitive[primitive.name] = cost_model.primitive_cost(
-                primitive, scenario, threads=threads
-            )
-            per_workspace[primitive.name] = float(
-                scenario.itemsize
-            ) * primitive.workspace_elements(scenario.per_image)
-            per_energy[primitive.name] = (
-                energy_fn(primitive, scenario, threads=threads) if energy_fn else 0.0
-            )
-            per_accuracy[primitive.name] = (
-                accuracy_fn(primitive, scenario) if accuracy_fn else 0.0
-            )
-        if not per_primitive:
-            raise ValueError(
-                f"no primitive in the library supports layer {layer_name!r} "
-                f"[{scenario.describe()}]"
-            )
-        node_costs[layer_name] = per_primitive
-        node_workspace[layer_name] = per_workspace
-        node_energy[layer_name] = per_energy
-        node_accuracy[layer_name] = per_accuracy
+        layer_tables = priced.get(scenario)
+        if layer_tables is None:
+            layer_tables = priced[scenario] = price(layer_name, scenario)
+        else:
+            layer_tables = tuple(dict(table) for table in layer_tables)
+        (
+            node_costs[layer_name],
+            node_workspace[layer_name],
+            node_energy[layer_name],
+            node_accuracy[layer_name],
+        ) = layer_tables
 
     # Every distinct producer-output shape needs one all-pairs DT solution.
     edge_shapes = {shapes[edge.producer] for edge in network.edges()}
@@ -227,20 +238,25 @@ def build_cost_tables(
         )
         dt_paths[shape] = paths
         dt_costs[shape] = {pair: path.cost for pair, path in paths.items()}
+        # Each direct transform's energy is computed once per shape; every
+        # chain then sums its hops in order.  Hops are the graph's own edge
+        # objects, so they are keyed by identity (hashing a transform hashes
+        # both of its layouts).
+        hop_energy: Dict[int, float] = {}
         energies: Dict[Tuple[str, str], float] = {}
         for pair, path in paths.items():
             if not path.reachable:
                 energies[pair] = float("inf")
-            elif transform_energy_fn is None or path.chain is None:
+            elif price_layer is None or path.chain is None:
                 energies[pair] = 0.0
             else:
-                energies[pair] = sum(
-                    (
-                        transform_energy_fn(hop, shape, batch=batch)
-                        for hop in path.chain.transforms
-                    ),
-                    0.0,
-                )
+                hops = path.chain.transforms
+                for hop in hops:
+                    if id(hop) not in hop_energy:
+                        hop_energy[id(hop)] = cost_model.transform_energy(
+                            hop, shape, batch=batch
+                        )
+                energies[pair] = sum((hop_energy[id(hop)] for hop in hops), 0.0)
         dt_energy[shape] = energies
 
     return CostTables(

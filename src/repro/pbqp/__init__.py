@@ -21,7 +21,7 @@ paper uses (Scholz & Eckstein / Hames & Scholz):
 
 from repro.pbqp.graph import PBQPGraph, PBQPNode, PBQPEdge
 from repro.pbqp.solution import PBQPSolution
-from repro.pbqp.solver import PBQPSolver, SolverStats
+from repro.pbqp.solver import InfeasibleProblemError, PBQPSolver, SolverStats
 from repro.pbqp.bruteforce import brute_force_solve
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "PBQPEdge",
     "PBQPSolution",
     "PBQPSolver",
+    "InfeasibleProblemError",
     "SolverStats",
     "brute_force_solve",
 ]

@@ -57,6 +57,14 @@ def _count_solve() -> None:
         _SOLVE_COUNT += 1
 
 
+class InfeasibleProblemError(ValueError):
+    """The PBQP instance has no finite-cost assignment.
+
+    Raised by the exact core search when every branch is pruned against an
+    infinite bound, instead of returning an arbitrary assignment.
+    """
+
+
 @dataclass
 class SolverStats:
     """Counters describing one solver run (used by the overhead experiment)."""
@@ -168,7 +176,8 @@ class PBQPSolver:
         concrete early and the bound is tight.  The lower bound for the
         remaining nodes is the sum of their minimum node costs plus, for every
         edge with at least one undecided endpoint, the minimum compatible
-        entry of its cost matrix.
+        entry of its cost matrix.  Raises :class:`InfeasibleProblemError` when
+        no assignment of the core has a finite cost.
         """
         node_order = sorted(core.node_ids, key=core.degree, reverse=True)
         edges = core.edges()
@@ -230,9 +239,10 @@ class PBQPSolver:
 
         search(0)
         if not best_assignment and node_order:
-            # Every branch was pruned against an infinite bound: the instance
-            # has no finite-cost solution; return an arbitrary assignment.
-            best_assignment = {nid: 0 for nid in node_order}
+            # Every branch was pruned against an infinite bound.
+            raise InfeasibleProblemError(
+                f"the {len(node_order)}-node irreducible core has no finite-cost assignment"
+            )
         return best_assignment
 
     # -- back-propagation --------------------------------------------------------------

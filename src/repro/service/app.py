@@ -548,6 +548,10 @@ class PlannerRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-planner/1"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate writes; with Nagle's algorithm on,
+    # the body waits for the client's delayed ACK of the headers (~40 ms per
+    # response on a kept-alive connection).
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------------
 

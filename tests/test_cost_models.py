@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from repro.cost.analytical import AnalyticalCostModel, ModelParameters
-from repro.cost.platform import PLATFORMS, arm_cortex_a57, intel_haswell
+from repro.cost.platform import PLATFORMS, arm_cortex_a57, intel_haswell, list_platforms
 from repro.cost.profiler import WallClockProfiler
 from repro.cost.tables import build_cost_tables
+from repro.experiments.ablation import ScaledTransformCostModel
 from repro.graph.scenario import ConvScenario
 from repro.layouts.layout import CHW, CHW8c, HWC
 from repro.layouts.transforms import LayoutTransform
+from repro.models import MODEL_BUILDERS, build_model
 
 
 @pytest.fixture(scope="module")
@@ -198,3 +200,145 @@ class TestCostTables:
     def test_invalid_threads(self, tiny_network, library, dt_graph, intel_cost_model):
         with pytest.raises(ValueError):
             build_cost_tables(tiny_network, library, dt_graph, intel_cost_model, threads=0)
+
+
+# -- the fused table build ------------------------------------------------------------
+
+PAPER_PLATFORMS = ("intel-haswell", "arm-cortex-a57")
+
+
+@pytest.fixture(scope="module")
+def zoo():
+    return {name: build_model(name) for name in MODEL_BUILDERS}
+
+
+def reference_tables(network, library, dt_graph, model, threads=1, batch=1, dtype="fp32"):
+    """Per-layer, per-primitive pricing through the single-primitive queries."""
+    node = {}
+    for layer, scenario in network.conv_scenarios().items():
+        scenario = scenario.with_batch(batch).with_dtype(dtype)
+        node[layer] = {
+            primitive.name: (
+                model.primitive_cost(primitive, scenario, threads=threads),
+                float(scenario.itemsize) * primitive.workspace_elements(scenario.per_image),
+                model.primitive_energy(primitive, scenario, threads=threads),
+                model.primitive_accuracy_loss(primitive, scenario),
+            )
+            for primitive in library.applicable(scenario, platform=model.platform)
+        }
+    shapes = network.infer_shapes()
+    dt_energy = {}
+    for shape in {shapes[edge.producer] for edge in network.edges()}:
+        paths = dt_graph.all_pairs_shortest_paths(
+            shape,
+            cost_fn=lambda transform, s: model.transform_cost(
+                transform, s, threads=threads, batch=batch, dtype=dtype
+            ),
+        )
+        dt_energy[shape] = {
+            pair: float("inf")
+            if path.chain is None
+            else sum(
+                (model.transform_energy(hop, shape, batch=batch) for hop in path.chain.transforms),
+                0.0,
+            )
+            for pair, path in paths.items()
+        }
+    return node, dt_energy
+
+
+def assert_tables_match_reference(tables, reference):
+    node, dt_energy = reference
+    built = {
+        layer: {
+            name: (
+                tables.node_costs[layer][name],
+                tables.node_workspace[layer][name],
+                tables.node_energy[layer][name],
+                tables.node_accuracy[layer][name],
+            )
+            for name in tables.node_costs[layer]
+        }
+        for layer in tables.node_costs
+    }
+    # Exact equality, key order included: the fused build must not move a
+    # single ulp (stored tables stay valid without a provider version bump).
+    assert list(built) == list(node)
+    for layer in node:
+        assert list(built[layer].items()) == list(node[layer].items()), layer
+    assert tables.dt_energy == dt_energy
+
+
+class TestFusedTableBuild:
+    """``build_cost_tables`` prices each distinct scenario once through
+    ``price_layer``; its tables must equal per-primitive pricing exactly."""
+
+    @pytest.mark.parametrize("dtype", ["fp32", "fp16", "int8"])
+    @pytest.mark.parametrize("platform_name", PAPER_PLATFORMS)
+    @pytest.mark.parametrize("network_name", sorted(MODEL_BUILDERS))
+    def test_zoo_tables_equal_per_primitive_pricing(
+        self, zoo, library, dt_graph, network_name, platform_name, dtype
+    ):
+        model = AnalyticalCostModel(PLATFORMS[platform_name])
+        network = zoo[network_name]
+        tables = build_cost_tables(network, library, dt_graph, model, dtype=dtype)
+        assert_tables_match_reference(
+            tables, reference_tables(network, library, dt_graph, model, dtype=dtype)
+        )
+
+    @pytest.mark.parametrize("platform_name", list_platforms())
+    def test_every_registered_platform_fp32(self, zoo, library, dt_graph, platform_name):
+        # Covers the simt, avx512 recompile and wide-vector derating branches.
+        model = AnalyticalCostModel(PLATFORMS[platform_name])
+        for network_name in ("alexnet", "googlenet", "mobilenet_v2"):
+            network = zoo[network_name]
+            tables = build_cost_tables(network, library, dt_graph, model)
+            assert_tables_match_reference(
+                tables, reference_tables(network, library, dt_graph, model)
+            )
+
+    @pytest.mark.parametrize("platform_name", PAPER_PLATFORMS)
+    def test_batched_multithreaded_tables(self, zoo, library, dt_graph, platform_name):
+        model = AnalyticalCostModel(PLATFORMS[platform_name])
+        network = zoo["resnet18"]
+        tables = build_cost_tables(network, library, dt_graph, model, threads=4, batch=4)
+        assert_tables_match_reference(
+            tables, reference_tables(network, library, dt_graph, model, threads=4, batch=4)
+        )
+
+    def test_twin_layers_get_their_own_dicts(self, zoo, library, dt_graph, intel_cost_model):
+        network = zoo["resnet50"]
+        tables = build_cost_tables(network, library, dt_graph, intel_cost_model)
+        by_scenario = {}
+        for layer, scenario in tables.scenarios.items():
+            by_scenario.setdefault(scenario, []).append(layer)
+        twins = [layers for layers in by_scenario.values() if len(layers) > 1]
+        assert twins
+        for first, *others in twins:
+            for other in others:
+                for table in (
+                    tables.node_costs,
+                    tables.node_workspace,
+                    tables.node_energy,
+                    tables.node_accuracy,
+                ):
+                    assert table[other] == table[first]
+                    assert table[other] is not table[first]
+
+    def test_model_without_price_layer_still_builds(
+        self, tiny_network, library, dt_graph, intel, intel_cost_model
+    ):
+        scaled = ScaledTransformCostModel(intel_cost_model, 2.0)
+        assert not hasattr(scaled, "price_layer")
+        tables = build_cost_tables(tiny_network, library, dt_graph, scaled, platform=intel)
+        analytical = build_cost_tables(tiny_network, library, dt_graph, intel_cost_model)
+        assert tables.node_costs == analytical.node_costs
+        assert tables.node_workspace == analytical.node_workspace
+        # Energy and accuracy are not modelled without ``price_layer``.
+        for table in (tables.node_energy, tables.node_accuracy):
+            assert table.keys() == analytical.node_costs.keys()
+            assert all(value == 0.0 for costs in table.values() for value in costs.values())
+        for shape, energies in tables.dt_energy.items():
+            for pair, energy in energies.items():
+                reachable = tables.dt_paths[shape][pair].reachable
+                assert energy == (0.0 if reachable else float("inf"))

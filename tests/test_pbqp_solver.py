@@ -11,7 +11,7 @@ from repro.pbqp.bruteforce import brute_force_solve
 from repro.pbqp.graph import PBQPGraph
 from repro.pbqp.reductions import apply_r0, apply_r1, apply_r2, apply_rn
 from repro.pbqp.solution import PBQPSolution
-from repro.pbqp.solver import PBQPSolver
+from repro.pbqp.solver import InfeasibleProblemError, PBQPSolver
 
 
 def random_graph(rng, num_nodes, edge_probability=0.5, max_alternatives=4):
@@ -125,6 +125,31 @@ class TestSolverSmallInstances:
         solution = PBQPSolver().solve(graph)
         assert math.isfinite(solution.cost)
         assert solution.cost == pytest.approx(5.0)
+
+    def test_infeasible_core_raises(self):
+        """A 4-clique (irreducible: every degree is 3) whose edges are all
+        infinite has no finite assignment; the solver must say so rather
+        than return an arbitrary one."""
+        graph = PBQPGraph()
+        nodes = [graph.add_node([0.0, 1.0]) for _ in range(4)]
+        for i, u in enumerate(nodes):
+            for v in nodes[i + 1 :]:
+                graph.add_edge(u, v, np.full((2, 2), math.inf))
+        with pytest.raises(InfeasibleProblemError, match="no finite-cost assignment"):
+            PBQPSolver().solve(graph)
+
+    def test_partially_infinite_core_still_solved(self):
+        """Infinite entries that leave one finite assignment are not infeasible."""
+        graph = PBQPGraph()
+        nodes = [graph.add_node([0.0, 1.0]) for _ in range(4)]
+        allow_ones = np.array([[math.inf, math.inf], [math.inf, 0.0]])
+        for i, u in enumerate(nodes):
+            for v in nodes[i + 1 :]:
+                graph.add_edge(u, v, allow_ones)
+        solution = PBQPSolver().solve(graph)
+        assert solution.optimal
+        assert solution.cost == 4.0
+        assert set(solution.assignment.values()) == {1}
 
     def test_solution_verify(self):
         graph = PBQPGraph()

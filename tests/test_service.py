@@ -8,8 +8,11 @@ direct :meth:`Session.plan` calls, and warm requests perform zero PBQP solves
 (proved by the process-wide solve counter, not by timing).
 """
 
+import http.client
 import json
+import statistics
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -146,6 +149,30 @@ class TestPlanEndpoint:
             client.plan("alexnet", "arm-cortex-a57", strategy="mkldnn")
         assert excinfo.value.status == 400
         assert excinfo.value.code == "strategy_not_applicable"
+
+
+class TestKeepAlive:
+    def test_kept_alive_connection_does_not_stall(self, service):
+        """Twenty warm plans on one HTTP/1.1 connection stay far below the
+        ~40 ms a Nagle / delayed-ACK stall adds to every response."""
+        _, client = service
+        client.plan("alexnet", "intel-haswell")  # warm the document cache
+        connection = http.client.HTTPConnection(client.host, client.port, timeout=30)
+        body = json.dumps({"model": "alexnet", "platform": "intel-haswell"})
+        latencies_ms = []
+        try:
+            for _ in range(20):
+                start = time.perf_counter()
+                connection.request(
+                    "POST", "/v1/plan", body=body, headers={"Content-Type": "application/json"}
+                )
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["from_cache"] is True
+                latencies_ms.append(1e3 * (time.perf_counter() - start))
+        finally:
+            connection.close()
+        assert statistics.median(latencies_ms) < 20.0
 
 
 class TestValidation:
