@@ -31,6 +31,17 @@ minimizes then equals the cost the executor pays, mixed-target fan-outs
 included, and the auxiliary node folds away under the ordinary R1/R2
 reductions (the aux simply takes over the producer's adjacency), so the
 solver stays exact on the paper's graphs.
+
+Every edge matrix is an array gather rather than one dictionary lookup per
+cell.  Within one :meth:`PBQPSelector.build_pbqp` call each tensor shape's
+conversion costs become a dense ``L x L`` array over the DT graph's layouts,
+and each node records which layout every alternative produces and consumes
+as index arrays; a plain edge matrix is then ``D[np.ix_(out, in)]``.  A
+fan-out chain cost sums the subset's columns in a fixed left-to-right order
+(``0.0 + a + b + ...``), never a matrix product (``inf * 0`` is NaN, and BLAS
+may reorder the sum), so the encoded graph is bit-identical to the per-cell
+formulation.  The dense arrays live only for the call: gated and scalarized
+tables are new objects, so nothing is memoized across calls.
 """
 
 from __future__ import annotations
@@ -38,14 +49,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.core.legalize import finalize_plan
 from repro.core.plan import NetworkPlan
 from repro.cost.analytical import AnalyticalCostModel
 from repro.cost.model import CostModel
 from repro.cost.platform import Platform
-from repro.cost.tables import CostTables, build_cost_tables
+from repro.cost.tables import CostTables, Shape, build_cost_tables
 from repro.graph.layer import LayerKind
 from repro.graph.network import Network
 from repro.layouts.dt_graph import DTGraph
@@ -192,24 +205,50 @@ class PBQPSelector:
         """
         network = context.network
         tables = context.tables
-        layouts = context.dt_graph.layouts
+        wildcard_labels = context.dt_graph.layout_names
+        names = wildcard_labels + ([] if CHW.name in wildcard_labels else [CHW.name])
+        position = {name: index for index, name in enumerate(names)}
+        wildcard = np.arange(len(wildcard_labels))
+
+        dense: Dict[Shape, np.ndarray] = {}
+
+        def dt_matrix(shape: Shape) -> np.ndarray:
+            """The shape's conversion costs as an L x L array over ``names``."""
+            matrix = dense.get(shape)
+            if matrix is None:
+                costs = tables.dt_costs[shape]
+                matrix = np.array([[costs[(src, dst)] for dst in names] for src in names])
+                dense[shape] = matrix
+            return matrix
 
         graph = PBQPGraph()
         node_of_layer: Dict[str, int] = {}
         id_to_layer: Dict[int, str] = {}
+        # Layout index (into ``names``) of each alternative's output/input.
+        out_index: Dict[str, np.ndarray] = {}
+        in_index: Dict[str, np.ndarray] = {}
 
         for layer in network.topological_order():
             if layer.is_convolution:
                 costs = tables.node_costs[layer.name]
                 labels = sorted(costs)
                 vector = [costs[name] for name in labels]
+                primitives = [context.library.get(name) for name in labels]
+                out_index[layer.name] = np.array(
+                    [position[p.output_layout.name] for p in primitives]
+                )
+                in_index[layer.name] = np.array(
+                    [position[p.input_layout.name] for p in primitives]
+                )
             elif layer.kind is LayerKind.INPUT:
                 # The network input arrives in the canonical layout.
                 labels = [CHW.name]
                 vector = [0.0]
+                out_index[layer.name] = in_index[layer.name] = np.array([position[CHW.name]])
             else:
-                labels = [layout.name for layout in layouts]
+                labels = wildcard_labels
                 vector = [0.0] * len(labels)
+                out_index[layer.name] = in_index[layer.name] = wildcard
             node_id = graph.add_node(vector, name=layer.name, labels=labels)
             node_of_layer[layer.name] = node_id
             id_to_layer[node_id] = layer.name
@@ -217,101 +256,87 @@ class PBQPSelector:
         for edge in network.edges():
             if len(network.consumers_of(edge.producer)) >= 2:
                 continue  # priced once through the producer's conversion node below
-            producer = network.layer(edge.producer)
-            consumer = network.layer(edge.consumer)
-            shape = tables.shapes[edge.producer]
-            out_layouts = self._alternative_layouts(context, producer, output=True)
-            in_layouts = self._alternative_layouts(context, consumer, output=False)
-            matrix = [
-                [
-                    tables.dt_costs[shape][(src.name, dst.name)]
-                    for dst in in_layouts
-                ]
-                for src in out_layouts
+            matrix = dt_matrix(tables.shapes[edge.producer])[
+                np.ix_(out_index[edge.producer], in_index[edge.consumer])
             ]
             graph.add_edge(node_of_layer[edge.producer], node_of_layer[edge.consumer], matrix)
 
+        # A fan-out producer's conversions are priced once per distinct target
+        # layout through an auxiliary node whose alternatives are the candidate
+        # *sets* of target layouts (every non-empty subset, up to the fan-out
+        # width, of the layouts some consumer can demand).  The producer->aux
+        # matrix charges each layout in the set once -- the executor's
+        # deduplicated cost -- and each aux->consumer matrix is 0 where the set
+        # covers the consumer's input layout and infinite where it does not.
         for layer in network.topological_order():
             consumers = network.consumers_of(layer.name)
-            if len(consumers) >= 2:
-                self._add_fanout_conversion_node(
-                    context, graph, node_of_layer, layer, consumers
-                )
+            if len(consumers) < 2:
+                continue
+            targets = sorted(
+                {names[index] for name in consumers for index in in_index[name]}
+            )
+            # A set of k consumers demands at most k distinct layouts, so
+            # larger subsets are never selectable and need not be encoded.
+            groups = [
+                np.array(list(itertools.combinations(range(len(targets)), size)))
+                for size in range(1, min(len(consumers), len(targets)) + 1)
+            ]
+            subsets = [[targets[i] for i in row] for group in groups for row in group]
+            aux_id = graph.add_node(
+                [0.0] * len(subsets),
+                name=f"{layer.name}::conversions",
+                labels=["+".join(combo) for combo in subsets],
+            )
+            target_index = np.array([position[name] for name in targets])
+            rows = dt_matrix(tables.shapes[layer.name])[
+                np.ix_(out_index[layer.name], target_index)
+            ]
+            chain_blocks, member_blocks = [], []
+            for group in groups:
+                # Fold each subset's chain costs left to right: 0.0 + a + b + ...
+                block = np.zeros((rows.shape[0], group.shape[0]))
+                for column in group.T:
+                    block = block + rows[:, column]
+                chain_blocks.append(block)
+                member = np.zeros((group.shape[0], len(names)), dtype=bool)
+                np.put_along_axis(member, target_index[group], True, axis=1)
+                member_blocks.append(member)
+            graph.add_edge(node_of_layer[layer.name], aux_id, np.hstack(chain_blocks))
+            membership = np.vstack(member_blocks)
+            for name in consumers:
+                compatibility = np.where(membership[:, in_index[name]], 0.0, math.inf)
+                graph.add_edge(aux_id, node_of_layer[name], compatibility)
 
         return graph, id_to_layer
 
-    def _add_fanout_conversion_node(
-        self,
+    # -- decoding ---------------------------------------------------------------------
+
+    @staticmethod
+    def decode_assignment(
         context: SelectionContext,
         graph: PBQPGraph,
-        node_of_layer: Dict[str, int],
-        producer,
-        consumers: Sequence[str],
-    ) -> None:
-        """Price a fan-out producer's conversions once per distinct target layout.
+        id_to_layer: Dict[int, str],
+        assignment: Dict[int, int],
+    ) -> Tuple[Dict[str, str], Dict[str, Layout]]:
+        """Split a PBQP assignment into per-layer decisions.
 
-        The auxiliary node's alternatives are the candidate *sets* of target
-        layouts (every non-empty subset, up to the fan-out width, of the
-        layouts some consumer can demand).  The producer→aux matrix charges
-        the dt-graph chain cost of each layout in the set exactly once — the
-        executor's deduplicated cost — and each aux→consumer matrix is 0
-        where the set covers the consumer's demanded input layout and
-        infinite where it does not, so a minimizing assignment picks exactly
-        the distinct targets the consumers chose.
+        Returns the primitive name of every convolution layer and the layout
+        adopted by every other layer; auxiliary conversion nodes are skipped.
         """
-        tables = context.tables
-        network = context.network
-        shape = tables.shapes[producer.name]
-        out_layouts = self._alternative_layouts(context, producer, output=True)
-        consumer_in_layouts = {
-            name: self._alternative_layouts(context, network.layer(name), output=False)
-            for name in consumers
-        }
-        targets = sorted(
-            {layout.name for layouts in consumer_in_layouts.values() for layout in layouts}
-        )
-        # A set of k consumers demands at most k distinct layouts, so larger
-        # subsets are never selectable and need not be encoded.
-        subsets = [
-            combo
-            for size in range(1, min(len(consumers), len(targets)) + 1)
-            for combo in itertools.combinations(targets, size)
-        ]
-        aux_id = graph.add_node(
-            [0.0] * len(subsets),
-            name=f"{producer.name}::conversions",
-            labels=["+".join(combo) for combo in subsets],
-        )
-        chain_costs = [
-            [
-                sum(tables.dt_costs[shape][(src.name, dst)] for dst in combo)
-                for combo in subsets
-            ]
-            for src in out_layouts
-        ]
-        graph.add_edge(node_of_layer[producer.name], aux_id, chain_costs)
-        covered = [frozenset(combo) for combo in subsets]
-        for name in consumers:
-            compatibility = [
-                [
-                    0.0 if layout.name in cover else math.inf
-                    for layout in consumer_in_layouts[name]
-                ]
-                for cover in covered
-            ]
-            graph.add_edge(aux_id, node_of_layer[name], compatibility)
-
-    def _alternative_layouts(
-        self, context: SelectionContext, layer, output: bool
-    ) -> List[Layout]:
-        """The layout implied by each alternative of a layer's PBQP node."""
-        if layer.is_convolution:
-            labels = sorted(context.tables.node_costs[layer.name])
-            primitives = [context.library.get(name) for name in labels]
-            return [p.output_layout if output else p.input_layout for p in primitives]
-        if layer.kind is LayerKind.INPUT:
-            return [CHW]
-        return context.dt_graph.layouts
+        conv_primitives: Dict[str, str] = {}
+        wildcard_layouts: Dict[str, Layout] = {}
+        layout_by_name = {layout.name: layout for layout in context.dt_graph.layouts}
+        layout_by_name.setdefault(CHW.name, CHW)
+        for node_id, index in assignment.items():
+            layer_name = id_to_layer.get(node_id)
+            if layer_name is None:
+                continue  # auxiliary conversion node, not a layer decision
+            label = graph.node(node_id).label_of(index)
+            if context.network.layer(layer_name).is_convolution:
+                conv_primitives[layer_name] = label
+            else:
+                wildcard_layouts[layer_name] = layout_by_name[label]
+        return conv_primitives, wildcard_layouts
 
     # -- solving ---------------------------------------------------------------------
 
@@ -319,23 +344,9 @@ class PBQPSelector:
         """Solve the selection problem and return the legalized plan."""
         graph, id_to_layer = self.build_pbqp(context)
         solution = self.solver.solve(graph)
-
-        conv_primitives: Dict[str, str] = {}
-        wildcard_layouts: Dict[str, Layout] = {}
-        layout_by_name = {layout.name: layout for layout in context.dt_graph.layouts}
-        layout_by_name.setdefault(CHW.name, CHW)
-
-        for node_id, index in solution.assignment.items():
-            layer_name = id_to_layer.get(node_id)
-            if layer_name is None:
-                continue  # auxiliary conversion node, not a layer decision
-            layer = context.network.layer(layer_name)
-            label = graph.node(node_id).label_of(index)
-            if layer.is_convolution:
-                conv_primitives[layer_name] = label
-            else:
-                wildcard_layouts[layer_name] = layout_by_name[label]
-
+        conv_primitives, wildcard_layouts = self.decode_assignment(
+            context, graph, id_to_layer, solution.assignment
+        )
         plan = finalize_plan(context, "pbqp", conv_primitives, wildcard_layouts)
         stats = self.solver.last_stats
         plan.metadata.update(

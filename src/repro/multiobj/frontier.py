@@ -43,7 +43,6 @@ from repro.core.selector import PBQPSelector, SelectionContext
 from repro.core.strategies import applicable_strategies
 from repro.cost.serialize import plan_from_dict, plan_to_dict
 from repro.layouts.dt_graph import DTGraph
-from repro.layouts.layout import CHW, Layout
 from repro.multiobj.pareto import (
     _pareto_front,
     knee_index,
@@ -51,6 +50,7 @@ from repro.multiobj.pareto import (
     min_time_under_index,
 )
 from repro.multiobj.vector import OBJECTIVES, CostVector
+from repro.pbqp.solver import InfeasibleProblemError
 
 FRONTIER_FORMAT = "repro/frontier/v1"
 
@@ -291,22 +291,14 @@ def _solve_with_tables(
     """
     selector = PBQPSelector()
     graph, id_to_layer = selector.build_pbqp(modified)
-    solution = selector.solver.solve(graph)
+    try:
+        solution = selector.solver.solve(graph)
+    except InfeasibleProblemError:
+        return None
 
-    conv_primitives: Dict[str, str] = {}
-    wildcard_layouts: Dict[str, Layout] = {}
-    layout_by_name = {layout.name: layout for layout in context.dt_graph.layouts}
-    layout_by_name.setdefault(CHW.name, CHW)
-    for node_id, index in solution.assignment.items():
-        layer_name = id_to_layer.get(node_id)
-        if layer_name is None:
-            continue  # auxiliary fan-out conversion node, not a layer decision
-        layer = context.network.layer(layer_name)
-        candidate_label = graph.node(node_id).label_of(index)
-        if layer.is_convolution:
-            conv_primitives[layer_name] = candidate_label
-        else:
-            wildcard_layouts[layer_name] = layout_by_name[candidate_label]
+    conv_primitives, wildcard_layouts = selector.decode_assignment(
+        context, graph, id_to_layer, solution.assignment
+    )
     plan = finalize_plan(context, "frontier", conv_primitives, wildcard_layouts)
     plan.metadata["generator"] = label
     return plan
@@ -333,62 +325,62 @@ def _workspace_gated_tables(context: SelectionContext, cap_bytes: float):
     return dataclasses.replace(tables, node_costs=gated)
 
 
+def _scalarization_scales(tables) -> Tuple[float, float, float]:
+    """The (time, workspace, energy) normalizers of the scalarization solves:
+    each objective's largest per-primitive value (1.0 when that is 0)."""
+    times: List[float] = []
+    workspaces: List[float] = []
+    energies: List[float] = []
+    for layer, costs in tables.node_costs.items():
+        workspace = tables.node_workspace.get(layer, {})
+        energy = tables.node_energy.get(layer, {})
+        for name, cost in costs.items():
+            times.append(cost)
+            workspaces.append(workspace.get(name, 0.0))
+            energies.append(energy.get(name, 0.0))
+    return tuple(max(values, default=1.0) or 1.0 for values in (times, workspaces, energies))
+
+
 def _scalarized_tables(
-    context: SelectionContext, weights: Tuple[float, float, float]
+    context: SelectionContext,
+    weights: Tuple[float, float, float],
+    scales: Tuple[float, float, float],
 ):
-    """Tables whose node and edge costs are normalized weighted sums."""
+    """Tables whose node and edge costs are normalized weighted sums.
+
+    ``scales`` are the context's :func:`_scalarization_scales`.
+    """
     tables = context.tables
     w_time, w_mem, w_energy = weights
-    time_scale = max(
-        (cost for costs in tables.node_costs.values() for cost in costs.values()),
-        default=1.0,
-    )
-    mem_scale = max(
-        (
-            tables.primitive_workspace(layer, name)
-            for layer, costs in tables.node_costs.items()
-            for name in costs
-        ),
-        default=1.0,
-    )
-    energy_scale = max(
-        (
-            tables.primitive_energy(layer, name)
-            for layer, costs in tables.node_costs.items()
-            for name in costs
-        ),
-        default=1.0,
-    )
-    time_scale = time_scale or 1.0
-    mem_scale = mem_scale or 1.0
-    energy_scale = energy_scale or 1.0
+    time_scale, mem_scale, energy_scale = scales
 
     def scal(weight: float, value: float, scale: float) -> float:
         # 0 * inf is NaN; an objective with zero weight contributes nothing.
         return 0.0 if weight == 0.0 else weight * value / scale
 
-    node_costs = {
-        layer: {
+    node_costs = {}
+    for layer, costs in tables.node_costs.items():
+        workspace = tables.node_workspace.get(layer, {})
+        energy = tables.node_energy.get(layer, {})
+        node_costs[layer] = {
             name: (
                 scal(w_time, cost, time_scale)
-                + scal(w_mem, tables.primitive_workspace(layer, name), mem_scale)
-                + scal(w_energy, tables.primitive_energy(layer, name), energy_scale)
+                + scal(w_mem, workspace.get(name, 0.0), mem_scale)
+                + scal(w_energy, energy.get(name, 0.0), energy_scale)
             )
             for name, cost in costs.items()
         }
-        for layer, costs in tables.node_costs.items()
-    }
     dt_costs = {}
     for shape, pairs in tables.dt_costs.items():
         scaled = {}
+        energies = tables.dt_energy.get(shape, {})
         for pair, cost in pairs.items():
             if cost == float("inf"):
                 # No conversion chain: illegal under every weighting.
                 scaled[pair] = float("inf")
             else:
-                energy = tables.dt_energy.get(shape, {}).get(pair, 0.0)
                 scaled[pair] = scal(w_time, cost, time_scale) + scal(
-                    w_energy, energy, energy_scale
+                    w_energy, energies.get(pair, 0.0), energy_scale
                 )
         dt_costs[shape] = scaled
     return dataclasses.replace(tables, node_costs=node_costs, dt_costs=dt_costs)
@@ -517,10 +509,11 @@ def build_frontier(
             candidates.append((plan, f"cap:{int(cap)}"))
 
     # 3. Weighted scalarization solves.
+    scales = _scalarization_scales(context.tables)
     for weights in scalarization_weights:
         label = "weights:" + "/".join(f"{w:g}" for w in weights)
         modified = dataclasses.replace(
-            context, tables=_scalarized_tables(context, weights)
+            context, tables=_scalarized_tables(context, weights, scales)
         )
         plan = _solve_with_tables(context, modified, label)
         if plan is not None:

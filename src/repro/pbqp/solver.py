@@ -60,8 +60,10 @@ def _count_solve() -> None:
 class InfeasibleProblemError(ValueError):
     """The PBQP instance has no finite-cost assignment.
 
-    Raised by the exact core search when every branch is pruned against an
-    infinite bound, instead of returning an arbitrary assignment.
+    Raised instead of returning an arbitrary assignment when the exact path
+    proves infeasibility: by the core search when every branch is pruned
+    against an infinite bound, and by :meth:`PBQPSolver.solve` when the
+    reductions alone leave only infinite-cost assignments.
     """
 
 
@@ -102,7 +104,11 @@ class PBQPSolver:
     # -- public API -------------------------------------------------------------
 
     def solve(self, graph: PBQPGraph) -> PBQPSolution:
-        """Solve a PBQP instance; the input graph is not modified."""
+        """Solve a PBQP instance; the input graph is not modified.
+
+        Raises :class:`InfeasibleProblemError` when the instance is solved
+        exactly (no RN step) and has no finite-cost assignment.
+        """
         _count_solve()
         stats = SolverStats()
         start = time.perf_counter()
@@ -131,6 +137,12 @@ class PBQPSolver:
         cost = graph.solution_cost(full_assignment)
         stats.solve_seconds = time.perf_counter() - start
         self.last_stats = stats
+        if optimal and cost == math.inf:
+            # R0/R1/R2 and the exact core search are optimality-preserving, so
+            # an infinite optimum proves no finite-cost assignment exists.
+            raise InfeasibleProblemError(
+                f"the {graph.num_nodes}-node instance has no finite-cost assignment"
+            )
         return PBQPSolution(assignment=full_assignment, cost=cost, optimal=optimal)
 
     # -- reduction loop -----------------------------------------------------------

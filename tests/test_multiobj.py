@@ -9,6 +9,9 @@ scratch-hungry families on multiple platforms.
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.core.selector import PBQPSelector, SelectionContext
@@ -214,6 +217,18 @@ class TestFrontier:
             assert plan is not None
             assert plan.peak_workspace_bytes <= cap
         assert solve_under_workspace_cap(context, -1.0) is None
+
+    def test_infeasible_instance_yields_no_plan(self, context):
+        """Tables with no conversion anywhere, not even the identity, cannot
+        connect two layers; the solve reports that instead of a plan."""
+        tables = context.tables
+        unreachable = {
+            shape: dict.fromkeys(pairs, math.inf) for shape, pairs in tables.dt_costs.items()
+        }
+        broken = dataclasses.replace(
+            context, tables=dataclasses.replace(tables, dt_costs=unreachable)
+        )
+        assert solve_under_workspace_cap(broken, max(workspace_levels(context))) is None
 
     def test_constraint_budget_point_lands_on_the_frontier(self, context):
         """A built-in budget always yields the best plan under it (if any)."""

@@ -138,6 +138,19 @@ class TestSolverSmallInstances:
         with pytest.raises(InfeasibleProblemError, match="no finite-cost assignment"):
             PBQPSolver().solve(graph)
 
+    def test_infeasibility_proved_by_reductions_raises(self):
+        """Two nodes joined by an all-infinite edge reduce away under R1
+        alone; the exact path must not return ``cost=inf`` as optimal."""
+        graph = PBQPGraph()
+        a = graph.add_node([0.0, 1.0])
+        b = graph.add_node([0.0, 1.0])
+        graph.add_edge(a, b, np.full((2, 2), math.inf))
+        solver = PBQPSolver()
+        with pytest.raises(InfeasibleProblemError, match="no finite-cost assignment"):
+            solver.solve(graph)
+        assert solver.last_stats.r1_count == 1
+        assert solver.last_stats.core_nodes == 0
+
     def test_partially_infinite_core_still_solved(self):
         """Infinite entries that leave one finite assignment are not infeasible."""
         graph = PBQPGraph()

@@ -1,7 +1,12 @@
 """Tests for the PBQP selector, the baselines and the framework emulations."""
 
+import dataclasses
+import functools
+import itertools
 import math
+import operator
 
+import numpy as np
 import pytest
 
 from repro.core.baselines import (
@@ -14,7 +19,18 @@ from repro.core.frameworks import armcl_like_plan, caffe_like_plan, mkldnn_like_
 from repro.core.legalize import finalize_plan, fixed_layouts, follow_producer_layouts
 from repro.core.selector import PBQPSelector, SelectionContext, select_primitives
 from repro.cost.analytical import AnalyticalCostModel
+from repro.cost.platform import PLATFORMS
+from repro.graph.layer import LayerKind
 from repro.layouts.layout import CHW
+from repro.models import MODEL_BUILDERS, build_model
+from repro.multiobj.frontier import (
+    SCALARIZATION_WEIGHTS,
+    _scalarization_scales,
+    _scalarized_tables,
+    _workspace_gated_tables,
+    workspace_levels,
+)
+from repro.pbqp.graph import PBQPGraph
 from repro.primitives.base import PrimitiveFamily
 
 
@@ -99,6 +115,167 @@ class TestPBQPEncoding:
         # Row 0 is the CHW input; any primitive consuming CHW has zero cost.
         assert matrix.min() == 0.0
         assert matrix.max() > 0.0
+
+
+def _reference_build_pbqp(context):
+    """The dict-based encoder the array gathers replaced: one ``dt_costs``
+    lookup per matrix cell, fan-out chain sums folded left to right."""
+    network, tables = context.network, context.tables
+
+    def alternative_layouts(layer, output):
+        if layer.is_convolution:
+            primitives = [context.library.get(n) for n in sorted(tables.node_costs[layer.name])]
+            return [p.output_layout if output else p.input_layout for p in primitives]
+        if layer.kind is LayerKind.INPUT:
+            return [CHW]
+        return context.dt_graph.layouts
+
+    graph = PBQPGraph()
+    node_of_layer, id_to_layer = {}, {}
+    for layer in network.topological_order():
+        if layer.is_convolution:
+            costs = tables.node_costs[layer.name]
+            labels = sorted(costs)
+            vector = [costs[name] for name in labels]
+        elif layer.kind is LayerKind.INPUT:
+            labels, vector = [CHW.name], [0.0]
+        else:
+            labels = [layout.name for layout in context.dt_graph.layouts]
+            vector = [0.0] * len(labels)
+        node_of_layer[layer.name] = graph.add_node(vector, name=layer.name, labels=labels)
+        id_to_layer[node_of_layer[layer.name]] = layer.name
+
+    for edge in network.edges():
+        if len(network.consumers_of(edge.producer)) >= 2:
+            continue
+        dt = tables.dt_costs[tables.shapes[edge.producer]]
+        in_layouts = alternative_layouts(network.layer(edge.consumer), False)
+        matrix = [
+            [dt[(src.name, dst.name)] for dst in in_layouts]
+            for src in alternative_layouts(network.layer(edge.producer), True)
+        ]
+        graph.add_edge(node_of_layer[edge.producer], node_of_layer[edge.consumer], matrix)
+
+    for producer in network.topological_order():
+        consumers = network.consumers_of(producer.name)
+        if len(consumers) < 2:
+            continue
+        dt = tables.dt_costs[tables.shapes[producer.name]]
+        in_layouts = {name: alternative_layouts(network.layer(name), False) for name in consumers}
+        targets = sorted({layout.name for layouts in in_layouts.values() for layout in layouts})
+        subsets = [
+            combo
+            for size in range(1, min(len(consumers), len(targets)) + 1)
+            for combo in itertools.combinations(targets, size)
+        ]
+        aux = graph.add_node(
+            [0.0] * len(subsets),
+            name=f"{producer.name}::conversions",
+            labels=["+".join(combo) for combo in subsets],
+        )
+        chain_costs = [
+            [
+                functools.reduce(operator.add, (dt[(src.name, dst)] for dst in combo), 0.0)
+                for combo in subsets
+            ]
+            for src in alternative_layouts(producer, True)
+        ]
+        graph.add_edge(node_of_layer[producer.name], aux, chain_costs)
+        for name in consumers:
+            compatibility = [
+                [0.0 if layout.name in combo else math.inf for layout in in_layouts[name]]
+                for combo in subsets
+            ]
+            graph.add_edge(aux, node_of_layer[name], compatibility)
+    return graph, id_to_layer
+
+
+def _assert_same_encoding(context):
+    """``build_pbqp`` equals the reference encoder bit for bit; returns its graph."""
+    graph, id_to_layer = PBQPSelector().build_pbqp(context)
+    reference, reference_ids = _reference_build_pbqp(context)
+    assert id_to_layer == reference_ids
+    assert [(n.node_id, n.name, n.labels) for n in graph.nodes()] == [
+        (n.node_id, n.name, n.labels) for n in reference.nodes()
+    ]
+    for node, expected in zip(graph.nodes(), reference.nodes()):
+        assert node.costs.dtype == expected.costs.dtype
+        assert node.costs.tobytes() == expected.costs.tobytes(), node.name
+    assert [(e.u, e.v) for e in graph.edges()] == [(e.u, e.v) for e in reference.edges()]
+    for edge, expected in zip(graph.edges(), reference.edges()):
+        assert edge.matrix.shape == expected.matrix.shape
+        assert edge.matrix.dtype == expected.matrix.dtype
+        assert edge.matrix.tobytes() == expected.matrix.tobytes(), (edge.u, edge.v)
+        assert not np.isnan(edge.matrix).any()
+    return graph
+
+
+def _zoo_context(model, platform, dtype="fp32"):
+    return SelectionContext.create(build_model(model), platform=PLATFORMS[platform], dtype=dtype)
+
+
+PAPER_PLATFORMS = ("intel-haswell", "arm-cortex-a57")
+
+
+class TestEncoderBitIdentity:
+    """The array-gather encoder reproduces the per-cell dict encoder exactly."""
+
+    def test_tiny_network(self, intel_context, arm_context):
+        _assert_same_encoding(intel_context)
+        _assert_same_encoding(arm_context)
+
+    @pytest.mark.parametrize("platform", PAPER_PLATFORMS)
+    @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
+    def test_zoo_every_dtype(self, model, platform):
+        network = build_model(model)
+        for dtype in ("fp32", "fp16", "int8"):
+            context = SelectionContext.create(
+                network, platform=PLATFORMS[platform], dtype=dtype
+            )
+            _assert_same_encoding(context)
+
+    @pytest.mark.parametrize("platform", PAPER_PLATFORMS)
+    @pytest.mark.parametrize("model", ["googlenet", "resnet18", "mobilenet_v2"])
+    def test_workspace_gated_tables(self, model, platform):
+        context = _zoo_context(model, platform)
+        levels = workspace_levels(context)
+        caps = sorted({levels[0], levels[len(levels) // 3], levels[2 * len(levels) // 3]})
+        for cap in caps:
+            gated = _workspace_gated_tables(context, cap)
+            assert gated is not None
+            _assert_same_encoding(dataclasses.replace(context, tables=gated))
+
+    @pytest.mark.parametrize("platform", PAPER_PLATFORMS)
+    @pytest.mark.parametrize("model", ["googlenet", "resnet18", "mobilenet_v2"])
+    def test_scalarized_tables(self, model, platform):
+        context = _zoo_context(model, platform)
+        scales = _scalarization_scales(context.tables)
+        for weights in SCALARIZATION_WEIGHTS:
+            tables = _scalarized_tables(context, weights, scales)
+            _assert_same_encoding(dataclasses.replace(context, tables=tables))
+
+    def test_infinite_conversion_cost(self):
+        """An unreachable layout pair stays infinite in the same cells, never NaN."""
+        context = _zoo_context("resnet18", "intel-haswell")
+        tables = context.tables
+        network = context.network
+        producer = next(
+            layer.name
+            for layer in network.topological_order()
+            if len(network.consumers_of(layer.name)) >= 2
+        )
+        shape = tables.shapes[producer]
+        pair = ("CHW", "HWC")
+        assert pair in tables.dt_costs[shape] and math.isfinite(tables.dt_costs[shape][pair])
+        dt_costs = dict(tables.dt_costs)
+        dt_costs[shape] = {**dt_costs[shape], pair: math.inf}
+        broken = dataclasses.replace(context, tables=dataclasses.replace(tables, dt_costs=dt_costs))
+
+        def infinite_cells(graph):
+            return sum(int(np.isinf(edge.matrix).sum()) for edge in graph.edges())
+
+        intact = PBQPSelector().build_pbqp(context)[0]
+        assert infinite_cells(_assert_same_encoding(broken)) > infinite_cells(intact)
 
 
 class TestPBQPSelection:
