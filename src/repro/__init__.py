@@ -29,8 +29,8 @@ The session owns the full pipeline: cost tables come from a pluggable
 profiler, or a persistent disk-backed :class:`~repro.cost.store.CostStore`),
 strategies resolve through the registry in :mod:`repro.core.strategies`, and
 :meth:`~repro.api.Session.run` executes the selected plan with per-layer
-timing.  The PR-1 :class:`~repro.api.Engine` facade and the original one-shot
-:func:`repro.core.select_primitives` remain available.
+timing.  The original one-shot :func:`repro.core.select_primitives` remains
+available.
 """
 
 __version__ = "1.6.0"
@@ -48,7 +48,6 @@ __all__ = [
     "LayoutTensor",
     "DTGraph",
     "Session",
-    "Engine",
     "Plan",
     "ExecutionReport",
     "ComparisonReport",
@@ -72,7 +71,6 @@ __all__ = [
 #: Names resolved lazily from repro.api (avoids import cycles at package load).
 _API_NAMES = (
     "Session",
-    "Engine",
     "Plan",
     "ExecutionReport",
     "ComparisonReport",

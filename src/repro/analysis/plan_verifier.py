@@ -33,7 +33,7 @@ rule        severity  meaning
 ``RV122``   error     chain endpoints contradict the edge or its decisions
 ``RV130``   error     recomputed cost-vector component differs (conversion
                       chains count once per (producer, target layout), the
-                      executor's dedup — double-priced legacy totals fail)
+                      executor's dedup — double-priced totals fail)
 ``RV131``   error     recomputed ``total_ms`` differs (same dedup formula)
 ``RV140``   warning   fan-out double pricing: a shared conversion chain the
                       executor dedups is priced on more than one edge —
@@ -66,7 +66,6 @@ from repro.core.plan import NetworkPlan
 from repro.cost.platform import PLATFORMS, Platform, platform_version
 from repro.cost.serialize import (
     COST_TABLE_FORMAT,
-    LEGACY_PLAN_FORMATS,
     PLAN_FORMAT,
     PROVIDER_PLATFORM_LABELS,
     plan_to_dict,
@@ -119,33 +118,6 @@ class PlanVerificationError(ValueError):
 def detect_kind(document: dict) -> Optional[str]:
     """The subject kind of a raw document, or ``None`` for foreign formats."""
     return KNOWN_FORMATS.get(document.get("format"))
-
-
-def _format_finding(fmt: object, location: str) -> Finding:
-    """The RV100 finding for an unrecognized format token.
-
-    Legacy plan formats get a self-explanatory message: their totals are
-    double-priced on fan-out graphs, and the fix is an upgrade (or a fresh
-    plan), not a hand edit.
-    """
-    if fmt in LEGACY_PLAN_FORMATS:
-        return Finding(
-            "RV100",
-            "error",
-            location,
-            f"stale plan format {fmt!r}: plans serialized before the "
-            f"fan-out-aware pricing fix carry double-priced conversion "
-            f"totals; re-plan, or load through "
-            f"repro.cost.serialize.upgrade_plan_document to re-attribute "
-            f"them (current format: {PLAN_FORMAT!r})",
-        )
-    return Finding(
-        "RV100",
-        "error",
-        location,
-        f"unknown document format {fmt!r}; known "
-        f"formats: {', '.join(sorted(KNOWN_FORMATS))}",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +275,6 @@ def _child_plan(
         return [Finding("RV100", "error", location, "embedded plan is not an object")]
     if subdocument.get("format") != PLAN_FORMAT:
         fmt = subdocument.get("format")
-        if fmt in LEGACY_PLAN_FORMATS:
-            return [_format_finding(fmt, location + ".format")]
         return [
             Finding(
                 "RV100",
@@ -1152,7 +1122,15 @@ def verify_document(
         return report
     kind = detect_kind(document)
     if kind is None:
-        report.findings.append(_format_finding(document.get("format"), "format"))
+        report.findings.append(
+            Finding(
+                "RV100",
+                "error",
+                "format",
+                f"unknown document format {document.get('format')!r}; known "
+                f"formats: {', '.join(sorted(KNOWN_FORMATS))}",
+            )
+        )
         return report
     if library is None:
         env = _default_env()

@@ -19,9 +19,6 @@ objects (and therefore the cost tables) keyed by ``(network fingerprint,
 platform, threads)``; with a ``cache_dir`` the tables additionally persist to
 a :class:`~repro.cost.store.CostStore`, so a *fresh process* pointed at the
 same directory performs zero profiling.
-
-:class:`Engine` is the PR-1 facade, kept as a thin shim over :class:`Session`
-(see its docstring for the exact compatibility surface).
 """
 
 from __future__ import annotations
@@ -37,11 +34,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.plan import NetworkPlan
+from repro.core.plan import NetworkPlan, conversion_groups
 from repro.core.selector import SelectionContext
 from repro.core.strategies import (
     BASELINE_STRATEGY,
-    Strategy,
     applicable_strategies,
     get_strategy,
 )
@@ -457,19 +453,11 @@ class Plan:
         for layer in self.network.topological_order():
             if layer.name in output_names:
                 output_layer = layer.name
-        # Per-edge conversion accounting.  The carrier of each (producer,
-        # target layout) dedup group is the edge finalize_plan attributed the
-        # chain's cost to; the executor charges its measured time to the same
-        # edge, so predicted and measured land on one consumer.
-        planned = plan.conversions()
-        chain_groups: Dict[Tuple[str, str], List[int]] = {}
-        for index, edge in enumerate(planned):
-            chain_groups.setdefault(
-                (edge.producer, edge.target_layout.name), []
-            ).append(index)
-        carriers = {
-            max(members, key=lambda i: planned[i].cost) for members in chain_groups.values()
-        }
+        # Per-edge conversion accounting.  The first edge of each conversion
+        # group in execution order carries the chain's predicted cost, and the
+        # executor charges its measured time to the same edge.
+        groups = conversion_groups(plan.edge_decisions, trace.layer_order)
+        carriers = {id(members[0]) for members in groups.values()}
         conversions = [
             ConversionExecution(
                 producer=edge.producer,
@@ -479,9 +467,9 @@ class Plan:
                 predicted_ms=1e3 * edge.cost,
                 measured_ms=1e3
                 * trace.conversion_seconds.get((edge.producer, edge.consumer), 0.0),
-                deduplicated=index not in carriers,
+                deduplicated=id(edge) not in carriers,
             )
-            for index, edge in enumerate(planned)
+            for edge in plan.conversions()
         ]
         return ExecutionReport(
             model=self.result.model,
@@ -491,7 +479,7 @@ class Plan:
             output=output,
             layers=layers,
             conversions_executed=trace.conversions_executed,
-            conversions_planned=len(chain_groups),
+            conversions_planned=len(groups),
             predicted_conversion_ms=1e3 * plan.dt_cost,
             measured_conversion_ms=1e3 * trace.total_conversion_seconds,
             wall_ms=1e3 * trace.wall_seconds,
@@ -974,18 +962,10 @@ class Session:
         files are refused with a structured
         :class:`~repro.analysis.plan_verifier.PlanVerificationError` listing
         every problem at once); pass ``verify=False`` to load it anyway.
-
-        A stale-format document (``repro/plan/v1``, which double-prices
-        shared fan-out conversion chains) is re-finalized through
-        :func:`~repro.cost.serialize.upgrade_plan_document` before
-        verification, so old files load with corrected, executor-matching
-        totals instead of being served (or refused) verbatim.
+        Documents in an older plan format are refused either way: they must
+        be re-planned.
         """
-        from repro.cost.serialize import LEGACY_PLAN_FORMATS, upgrade_plan_document
-
         document = json.loads(Path(path).read_text())
-        if isinstance(document, dict) and document.get("format") in LEGACY_PLAN_FORMATS:
-            document = upgrade_plan_document(document)
         if verify:
             from repro.analysis.plan_verifier import raise_for_report, verify_document
 
@@ -1025,37 +1005,6 @@ class Session:
             dt_graph=self.dt_graph,
         )
 
-    def _select_all(
-        self,
-        model: ModelLike,
-        platform: PlatformLike,
-        threads: int,
-        strategies: Optional[Sequence[str]],
-        include_frameworks: bool,
-        batch: int = 1,
-        dtype: str = "fp32",
-    ) -> List[SelectionResult]:
-        """Select with every applicable strategy (or a named subset), in
-        registration order, against one shared profiled context."""
-        context = self.context_for(model, platform, threads, batch, dtype)
-        if strategies is None:
-            chosen: List[Strategy] = applicable_strategies(
-                context, include_frameworks=include_frameworks
-            )
-        else:
-            chosen = [get_strategy(name) for name in strategies]
-        return [
-            self.select(
-                model,
-                platform,
-                strategy=strategy.name,
-                threads=threads,
-                batch=batch,
-                dtype=dtype,
-            )
-            for strategy in chosen
-        ]
-
     def compare(
         self,
         model: ModelLike,
@@ -1074,13 +1023,21 @@ class Session:
         baseline (priced at the same batch and dtype, so speedups compare
         like with like).
         """
-        results = self._select_all(
-            model, platform, threads, strategies, include_frameworks, batch, dtype
-        )
+        context = self.context_for(model, platform, threads, batch, dtype)
+        if strategies is None:
+            chosen = applicable_strategies(context, include_frameworks=include_frameworks)
+        else:
+            chosen = [get_strategy(name) for name in strategies]
+        results = [
+            self.select(
+                model, platform, strategy=strategy.name, threads=threads, batch=batch, dtype=dtype
+            )
+            for strategy in chosen
+        ]
         baseline = self.baseline(model, platform, batch=batch, dtype=dtype)
         return ComparisonReport(
             model=baseline.model,
-            platform=self.context_for(model, platform, threads, batch, dtype).platform_name,
+            platform=context.platform_name,
             threads=threads,
             baseline=baseline,
             results=sorted(results, key=lambda result: result.total_ms),
@@ -1172,49 +1129,3 @@ class Session:
             f"{type(self).__name__}(provider={self.provider.name!r}, "
             f"contexts={info.contexts}, hits={info.hits}, misses={info.misses})"
         )
-
-
-class Engine(Session):
-    """The PR-1 facade, kept as a thin shim over :class:`Session`.
-
-    .. deprecated::
-        New code should use :class:`Session`, which additionally exposes
-        :meth:`~Session.plan` / :meth:`~Session.run` (execution) and
-        persistent cost tables via ``cache_dir``.  ``Engine`` preserves two
-        PR-1 behaviours exactly: :meth:`compare` returns a plain list in
-        strategy-registration order (a :class:`Session` returns a
-        :class:`ComparisonReport` ranked by total cost), and
-        :meth:`select_many` profiles sequentially.
-    """
-
-    def compare(
-        self,
-        model: ModelLike,
-        platform: PlatformLike,
-        threads: int = 1,
-        strategies: Optional[Sequence[str]] = None,
-        include_frameworks: bool = True,
-    ) -> List[SelectionResult]:
-        """Run every applicable strategy; results in registration order."""
-        return self._select_all(
-            model, platform, threads, strategies, include_frameworks
-        )
-
-    def select_many(
-        self, requests: Iterable[Union[SelectionRequest, Tuple]]
-    ) -> List[SelectionResult]:
-        """Sequential batch selection (PR-1 semantics)."""
-        results: List[SelectionResult] = []
-        for request in requests:
-            if not isinstance(request, SelectionRequest):
-                request = SelectionRequest(*request)
-            results.append(
-                self.select(
-                    request.model,
-                    request.platform,
-                    strategy=request.strategy,
-                    threads=request.threads,
-                    batch=request.batch,
-                )
-            )
-        return results

@@ -16,9 +16,9 @@ tables), and assembles the resulting :class:`~repro.core.plan.NetworkPlan`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple, TYPE_CHECKING
+from typing import Dict, TYPE_CHECKING
 
-from repro.core.plan import EdgeDecision, LayerDecision, NetworkPlan
+from repro.core.plan import EdgeDecision, LayerDecision, NetworkPlan, conversion_groups
 from repro.layouts.layout import Layout
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
@@ -123,7 +123,15 @@ def finalize_plan(
     # Hand-assembled or deserialized plans are validated where they are
     # consumed (see NetworkExecutor.__init__).
 
-    _attribute_shared_chains(network, edge_decisions)
+    # A chain shared by several consumers runs once (see conversion_groups),
+    # so only its first edge in execution order keeps the cost and energy;
+    # the others keep the chain, which the executor needs to find the cached
+    # tensor, at zero cost.  NetworkPlan.total_cost then equals the executed
+    # trace.
+    for members in conversion_groups(edge_decisions, layer_decisions).values():
+        for duplicate in members[1:]:
+            duplicate.cost = 0.0
+            duplicate.energy_j = 0.0
 
     return NetworkPlan(
         network_name=network.name,
@@ -135,32 +143,6 @@ def finalize_plan(
         batch=context.batch,
         dtype=context.dtype,
     )
-
-
-def _attribute_shared_chains(network, edge_decisions: List[EdgeDecision]) -> None:
-    """Attribute each shared conversion chain's cost to exactly one edge.
-
-    The executor converts once per (producer, target layout) and reuses the
-    result — see ``NetworkExecutor.run_traced`` — charging the chain's time to
-    the first consuming edge in topological order.  Pricing mirrors that
-    here: within each dedup group the topologically first consumer's edge
-    keeps the chain cost and energy, every other edge keeps its chain (the
-    executor still needs it to find the cached tensor) at zero cost, so
-    ``NetworkPlan.total_cost``/``cost_vector`` equal the executed trace.
-    """
-    topo_index = {layer.name: i for i, layer in enumerate(network.topological_order())}
-    groups: Dict[Tuple[str, str], List[EdgeDecision]] = {}
-    for decision in edge_decisions:
-        if decision.needs_conversion:
-            key = (decision.producer, decision.target_layout.name)
-            groups.setdefault(key, []).append(decision)
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        members.sort(key=lambda decision: topo_index[decision.consumer])
-        for duplicate in members[1:]:
-            duplicate.cost = 0.0
-            duplicate.energy_j = 0.0
 
 
 def follow_producer_layouts(

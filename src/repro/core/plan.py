@@ -11,7 +11,7 @@ every baseline strategy, so the whole evaluation compares like with like.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.layouts.layout import Layout
 from repro.layouts.transforms import TransformChain
@@ -60,6 +60,28 @@ class EdgeDecision:
     def needs_conversion(self) -> bool:
         """Whether any transformation is actually executed on this edge."""
         return self.chain is not None and len(self.chain) > 0
+
+
+def conversion_groups(
+    edges: Iterable[EdgeDecision], order: Iterable[str]
+) -> Dict[Tuple[str, str], List[EdgeDecision]]:
+    """Group the converting edges by the chain they share.
+
+    The executor converts once per (producer, target layout) and reuses the
+    result for every other consumer, so those edges form one group keyed by
+    ``(producer, target layout name)``.  Each group is sorted by its
+    consumers' positions in ``order``, the layer execution order:
+    ``members[0]`` is the edge whose consumer triggers the conversion, and it
+    carries the chain's cost; the other members reuse its result.
+    """
+    position = {name: index for index, name in enumerate(order)}
+    groups: Dict[Tuple[str, str], List[EdgeDecision]] = {}
+    for edge in edges:
+        if edge.needs_conversion:
+            groups.setdefault((edge.producer, edge.target_layout.name), []).append(edge)
+    for members in groups.values():
+        members.sort(key=lambda edge: position[edge.consumer])
+    return groups
 
 
 @dataclass

@@ -6,7 +6,7 @@ single extensible API: a :class:`Strategy` describes one way of instantiating
 a network (``name``, ``applies_to`` gating, ``build_plan``), the
 :func:`register_strategy` decorator publishes it in the global
 :data:`STRATEGIES` registry, and the experiment harnesses, the CLI and the
-:class:`~repro.api.Engine` all enumerate the registry instead of importing
+:class:`~repro.api.Session` all enumerate the registry instead of importing
 strategy functions.  Adding a new strategy is a single decorated class.
 
 Registered strategies (the ten of the paper's figures plus the SUM2D baseline

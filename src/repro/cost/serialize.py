@@ -35,16 +35,12 @@ PathLike = Union[str, Path]
 #: without accuracy data would silently price every precision as free.
 #: Plans are at v2: the fan-out-aware pricing fix attributes a shared
 #: conversion chain's cost to exactly one edge of its (producer, target
-#: layout) dedup group, so v1 documents — which price the chain on *every*
-#: edge — carry totals the executor never pays.  A v1 document is upgraded
-#: on load by :func:`upgrade_plan_document` (re-attributing its conversion
-#: costs and recomputing the totals) rather than served verbatim.
+#: layout) group (see :func:`~repro.core.plan.conversion_groups`), so v1
+#: documents, which price the chain on *every* edge, carry totals the
+#: executor never pays.  They are refused like any other unknown format and
+#: must be re-planned.
 COST_TABLE_FORMAT = "repro/cost-tables/v3"
 PLAN_FORMAT = "repro/plan/v2"
-
-#: Plan formats that predate the fan-out-aware pricing fix; loadable only
-#: through :func:`upgrade_plan_document`'s re-attribution.
-LEGACY_PLAN_FORMATS = ("repro/plan/v1",)
 
 #: Context labels a session records as a plan's ``platform`` when planning
 #: against a provider with no modelled platform (``Session._resolve_platform``
@@ -279,72 +275,12 @@ def plan_to_dict(plan: NetworkPlan) -> dict:
     }
 
 
-def upgrade_plan_document(document: dict) -> dict:
-    """Re-attribute a legacy plan document's double-priced conversion costs.
-
-    Plans serialized before the fan-out-aware pricing fix (format
-    ``repro/plan/v1``) price a shared conversion chain on every edge leaving
-    the producer, so their ``total_ms``/``cost_vector`` overstate what the
-    executor pays.  This rewrites such a document to the current format:
-    within each (producer, target layout) dedup group the first edge keeps
-    the chain's cost and energy, the rest are zeroed, and the totals are
-    recomputed from the corrected decisions.  Current-format documents pass
-    through unchanged; anything else is refused.
-    """
-    fmt = document.get("format")
-    if fmt == PLAN_FORMAT:
-        return document
-    if fmt not in LEGACY_PLAN_FORMATS:
-        raise ValueError(
-            f"cannot upgrade plan format {fmt!r} "
-            f"(expected one of {LEGACY_PLAN_FORMATS} or {PLAN_FORMAT!r})"
-        )
-    upgraded = json.loads(json.dumps(document, sort_keys=True))
-    upgraded["format"] = PLAN_FORMAT
-    layers = [entry for entry in upgraded.get("layers", []) if isinstance(entry, dict)]
-    edges = [entry for entry in upgraded.get("edges", []) if isinstance(entry, dict)]
-    seen: set = set()
-    for entry in edges:
-        if not entry.get("hops"):
-            continue
-        key = (entry.get("producer"), entry.get("target_layout"))
-        if key in seen:
-            entry["cost"] = 0.0
-            entry["energy_j"] = 0.0
-        else:
-            seen.add(key)
-    time_ms = 1e3 * (
-        sum(float(entry.get("cost", 0.0)) for entry in layers)
-        + sum(float(entry.get("cost", 0.0)) for entry in edges)
-    )
-    upgraded["total_ms"] = time_ms
-    upgraded["cost_vector"] = {
-        "time_ms": time_ms,
-        "peak_workspace_bytes": max(
-            (float(entry.get("workspace_bytes", 0.0)) for entry in layers), default=0.0
-        ),
-        "energy_proxy_j": sum(float(entry.get("energy_j", 0.0)) for entry in layers)
-        + sum(float(entry.get("energy_j", 0.0)) for entry in edges),
-        "accuracy_proxy": sum(
-            float(entry.get("accuracy_loss", 0.0)) for entry in layers
-        ),
-    }
-    return upgraded
-
-
 def plan_from_dict(document: dict, dt_graph: DTGraph) -> NetworkPlan:
-    """Rebuild a network plan from a dictionary produced by :func:`plan_to_dict`.
-
-    Legacy (``repro/plan/v1``) documents are transparently re-attributed via
-    :func:`upgrade_plan_document`, so loading an old file yields the
-    corrected, executor-matching totals rather than the double-priced ones.
-    """
-    if document.get("format") in LEGACY_PLAN_FORMATS:
-        document = upgrade_plan_document(document)
+    """Rebuild a network plan from a dictionary produced by :func:`plan_to_dict`."""
     if document.get("format") != PLAN_FORMAT:
         raise ValueError(
             f"unexpected plan format {document.get('format')!r} "
-            f"(expected {PLAN_FORMAT!r})"
+            f"(expected {PLAN_FORMAT!r}; older documents must be re-planned)"
         )
     platform_name = document.get("platform")
     if (

@@ -395,16 +395,7 @@ class PlannerApp:
                     if report.ok:
                         self.metrics.inc("plan_disk_hits")
                         return document
-                    from repro.cost.serialize import LEGACY_PLAN_FORMATS
-
-                    embedded = document.get("plan", document)
-                    if embedded.get("format") in LEGACY_PLAN_FORMATS:
-                        # Pre-fan-out-fix documents carry double-priced
-                        # conversion totals; re-plan rather than upgrade so
-                        # the solver can also revisit selections.
-                        self.metrics.inc("plan_disk_stale_format")
-                    else:
-                        self.metrics.inc("plan_disk_invalid")
+                    self.metrics.inc("plan_disk_invalid")
             with self.metrics.time("plan_build_ms"):
                 document = build_plan_document(
                     self.session,

@@ -61,6 +61,16 @@ def test_check_cli_exit_codes(tmp_path, session, plan_doc, capsys):
     assert main(["check", str(good), str(bad)]) == 1
 
 
+def test_check_cli_refuses_v1_plan(tmp_path, plan_doc, capsys):
+    legacy_doc = copy.deepcopy(plan_doc)
+    legacy_doc["format"] = "repro/plan/v1"
+    legacy = tmp_path / "v1.json"
+    legacy.write_text(json.dumps(legacy_doc))
+    assert main(["check", str(legacy)]) == 1
+    out = capsys.readouterr().out
+    assert "RV100" in out and "unknown document format" in out
+
+
 def test_check_cli_json_output(tmp_path, session, capsys):
     good = tmp_path / "good.json"
     save_plan(session.plan("alexnet", "intel-haswell").network_plan, good)
@@ -128,6 +138,23 @@ def test_corrupt_disk_document_is_rejected_and_replaced(tmp_path):
     # The fresh solve overwrote the poisoned file: a restart now disk-hits.
     on_disk = read_plan_document(str(tmp_path), job)
     assert verify_document(on_disk, source=plan_document_path(str(tmp_path), job)).ok
+
+
+def test_v1_disk_document_counts_once_as_invalid(tmp_path):
+    app = PlannerApp(session=Session(), cache_dir=str(tmp_path))
+    job = WarmJob(model="alexnet", platform="intel-haswell")
+    document = build_plan_document(app.session, "alexnet", "intel-haswell")
+    stale = copy.deepcopy(document)
+    stale["plan"]["format"] = "repro/plan/v1"
+    write_plan_document(str(tmp_path), stale, job)
+
+    served, cached = app.plan_document("alexnet", "intel-haswell")
+    assert not cached
+    counters = app.metrics.snapshot()["counters"]
+    assert {name: value for name, value in counters.items() if name.startswith("plan_disk")} == {
+        "plan_disk_invalid": 1
+    }
+    assert served == document
 
 
 def test_valid_disk_document_is_served(tmp_path):

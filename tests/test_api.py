@@ -1,4 +1,4 @@
-"""Tests for the strategy registry and the cached-selection Engine API."""
+"""Tests for the strategy registry and the Session's cached selection."""
 
 import json
 
@@ -6,8 +6,8 @@ import pytest
 
 import repro.cost.provider as provider_module
 from repro.api import (
-    Engine,
     SelectionRequest,
+    Session,
     SelectionResult,
     network_fingerprint,
 )
@@ -41,8 +41,25 @@ ALL_STRATEGY_NAMES = {
 
 
 @pytest.fixture
-def engine(library, dt_graph):
-    return Engine(library=library, dt_graph=dt_graph)
+def session(library, dt_graph):
+    return Session(library=library, dt_graph=dt_graph)
+
+
+class TestPublicSurface:
+    def test_every_exported_name_resolves(self):
+        import repro
+
+        for name in repro.__all__:
+            assert getattr(repro, name) is not None, name
+
+    def test_engine_shim_is_gone(self):
+        import repro
+        import repro.api
+
+        assert "Engine" not in repro.__all__
+        assert not hasattr(repro.api, "Engine")
+        with pytest.raises(AttributeError):
+            repro.Engine
 
 
 class TestRegistry:
@@ -105,7 +122,7 @@ class TestRegistry:
             del STRATEGIES["test_late_bar"]
         assert "test_late_bar" not in whole_network.FIGURE_STRATEGIES
 
-    def test_custom_strategy_registers_and_unregisters(self, engine):
+    def test_custom_strategy_registers_and_unregisters(self, session):
         @register_strategy
         class AlwaysSum2d(Strategy):
             name = "test_always_sum2d"
@@ -114,16 +131,16 @@ class TestRegistry:
                 return get_strategy("sum2d").build_plan(context)
 
         try:
-            result = engine.select("alexnet", "intel-haswell", strategy="test_always_sum2d")
+            result = session.select("alexnet", "intel-haswell", strategy="test_always_sum2d")
             assert set(result.plan.conv_selections().values()) == {"sum2d"}
         finally:
             del STRATEGIES["test_always_sum2d"]
 
 
 class TestAppliesToGating:
-    def test_mkldnn_only_on_wide_simd(self, engine):
-        intel = engine.context_for("alexnet", "intel-haswell")
-        arm = engine.context_for("alexnet", "arm-cortex-a57")
+    def test_mkldnn_only_on_wide_simd(self, session):
+        intel = session.context_for("alexnet", "intel-haswell")
+        arm = session.context_for("alexnet", "arm-cortex-a57")
         assert get_strategy("mkldnn").applies_to(intel)
         assert not get_strategy("mkldnn").applies_to(arm)
         assert get_strategy("armcl").applies_to(arm)
@@ -131,26 +148,26 @@ class TestAppliesToGating:
         assert get_strategy("caffe").applies_to(intel)
         assert get_strategy("caffe").applies_to(arm)
 
-    def test_applicable_strategies_per_platform(self, engine):
-        intel = engine.context_for("alexnet", "intel-haswell")
-        arm = engine.context_for("alexnet", "arm-cortex-a57")
+    def test_applicable_strategies_per_platform(self, session):
+        intel = session.context_for("alexnet", "intel-haswell")
+        arm = session.context_for("alexnet", "arm-cortex-a57")
         intel_names = {s.name for s in applicable_strategies(intel)}
         arm_names = {s.name for s in applicable_strategies(arm)}
         assert "mkldnn" in intel_names and "armcl" not in intel_names
         assert "armcl" in arm_names and "mkldnn" not in arm_names
 
-    def test_include_frameworks_false_drops_all_emulations(self, engine):
-        intel = engine.context_for("alexnet", "intel-haswell")
+    def test_include_frameworks_false_drops_all_emulations(self, session):
+        intel = session.context_for("alexnet", "intel-haswell")
         names = {s.name for s in applicable_strategies(intel, include_frameworks=False)}
         assert names == ALL_STRATEGY_NAMES - {"mkldnn", "armcl", "caffe", "cudnn"}
 
-    def test_select_rejects_inapplicable_strategy(self, engine):
+    def test_select_rejects_inapplicable_strategy(self, session):
         with pytest.raises(ValueError, match="does not apply"):
-            engine.select("alexnet", "arm-cortex-a57", strategy="mkldnn")
+            session.select("alexnet", "arm-cortex-a57", strategy="mkldnn")
 
 
-class TestEngineCache:
-    def test_second_select_reuses_context(self, engine, monkeypatch):
+class TestSessionCache:
+    def test_second_select_reuses_context(self, session, monkeypatch):
         builds = []
         original = provider_module.build_cost_tables
 
@@ -162,71 +179,71 @@ class TestEngineCache:
         # redesign; count it there.
         monkeypatch.setattr(provider_module, "build_cost_tables", counting_build)
 
-        first = engine.select("alexnet", "intel-haswell", strategy="pbqp")
+        first = session.select("alexnet", "intel-haswell", strategy="pbqp")
         built_once = len(builds)
-        second = engine.select("alexnet", "intel-haswell", strategy="pbqp")
+        second = session.select("alexnet", "intel-haswell", strategy="pbqp")
         assert built_once == 1
         assert len(builds) == built_once  # no re-profiling on the warm call
         assert not first.from_cache and second.from_cache
-        info = engine.cache_info()
+        info = session.cache_info()
         assert info.misses == 1 and info.hits == 1 and info.contexts == 1
         assert first.plan.conv_selections() == second.plan.conv_selections()
 
-    def test_context_identity_and_key_separation(self, engine):
-        a = engine.context_for("alexnet", "intel-haswell", threads=1)
-        b = engine.context_for("alexnet", "intel-haswell", threads=1)
+    def test_context_identity_and_key_separation(self, session):
+        a = session.context_for("alexnet", "intel-haswell", threads=1)
+        b = session.context_for("alexnet", "intel-haswell", threads=1)
         assert a is b
-        assert engine.context_for("alexnet", "intel-haswell", threads=4) is not a
-        assert engine.context_for("alexnet", "arm-cortex-a57", threads=1) is not a
-        assert engine.cache_info().contexts == 3
+        assert session.context_for("alexnet", "intel-haswell", threads=4) is not a
+        assert session.context_for("alexnet", "arm-cortex-a57", threads=1) is not a
+        assert session.cache_info().contexts == 3
 
-    def test_compare_profiles_once(self, engine):
-        results = engine.compare("alexnet", "intel-haswell")
-        assert engine.cache_info().misses == 1
+    def test_compare_profiles_once(self, session):
+        results = session.compare("alexnet", "intel-haswell")
+        assert session.cache_info().misses == 1
         names = [r.strategy for r in results]
-        assert names == [s.name for s in applicable_strategies(
-            engine.context_for("alexnet", "intel-haswell")
-        )]
-        assert all(r.from_cache for r in results[1:])
+        assert sorted(names) == sorted(s.name for s in applicable_strategies(
+            session.context_for("alexnet", "intel-haswell")
+        ))
+        assert all(r.from_cache for r in results)
         by_name = {r.strategy: r for r in results}
         pbqp, sum2d = by_name["pbqp"], by_name["sum2d"]
         assert pbqp.speedup_over(sum2d) > 1.0
         assert min(by_name.values(), key=lambda r: r.total_ms).strategy == "pbqp"
 
-    def test_select_many_batches_over_combos(self, engine):
+    def test_select_many_batches_over_combos(self, session):
         requests = [
             SelectionRequest("alexnet", "intel-haswell", "pbqp", 1),
             SelectionRequest("alexnet", "intel-haswell", "local_optimal", 1),
             ("alexnet", "arm-cortex-a57", "pbqp", 1),
         ]
-        results = engine.select_many(requests)
+        results = session.select_many(requests)
         assert [r.strategy for r in results] == ["pbqp", "local_optimal", "pbqp"]
         assert [r.platform for r in results] == [
             "intel-haswell",
             "intel-haswell",
             "arm-cortex-a57",
         ]
-        # Two distinct (model, platform, threads) keys, one reuse.
-        info = engine.cache_info()
-        assert info.misses == 2 and info.hits == 1
+        # Two distinct (model, platform, threads) keys, each profiled once.
+        info = session.cache_info()
+        assert info.misses == 2 and info.contexts == 2
 
-    def test_clear_cache(self, engine):
-        engine.select("alexnet", "intel-haswell")
-        engine.clear_cache()
-        info = engine.cache_info()
+    def test_clear_cache(self, session):
+        session.select("alexnet", "intel-haswell")
+        session.clear_cache()
+        info = session.cache_info()
         assert info.contexts == 0 and info.hits == 0 and info.misses == 0
 
-    def test_network_object_fingerprint_hits_cache(self, engine):
+    def test_network_object_fingerprint_hits_cache(self, session):
         first = build_model("alexnet")
         second = build_model("alexnet")
         assert first is not second
         assert network_fingerprint(first) == network_fingerprint(second)
-        engine.select(first, "intel-haswell")
-        result = engine.select(second, "intel-haswell")
+        session.select(first, "intel-haswell")
+        result = session.select(second, "intel-haswell")
         assert result.from_cache
-        assert engine.cache_info().contexts == 1
+        assert session.cache_info().contexts == 1
 
-    def test_structurally_different_networks_do_not_collide(self, engine):
+    def test_structurally_different_networks_do_not_collide(self, session):
         from repro.graph.layer import ConvLayer, InputLayer
         from repro.graph.network import Network
 
@@ -244,8 +261,8 @@ class TestEngineCache:
 
 
 class TestSelectionResultSerialization:
-    def test_round_trip_via_serialize(self, engine, dt_graph):
-        result = engine.select("alexnet", "intel-haswell", strategy="pbqp")
+    def test_round_trip_via_serialize(self, session, dt_graph):
+        result = session.select("alexnet", "intel-haswell", strategy="pbqp")
         document = json.loads(json.dumps(result.to_dict()))
         assert document["format"] == "repro/selection-result/v1"
         loaded = SelectionResult.from_dict(document, dt_graph)

@@ -8,8 +8,9 @@ conversion nodes.  These tests pin the whole pipeline to the grouped
 formula: PBQP equals the exhaustive network-level reference, the plan's
 predicted conversion accounting equals the executed trace, the RV140
 double-pricing tripwire reports zero on fresh plans (ResNet-18's ``pool1``
-fan-out, the motivating case, pinned on both paper platforms), and legacy
-double-priced documents are transparently re-attributed on load.
+fan-out, the motivating case, pinned on both paper platforms), the chain's
+cost lands on the edge whose consumer runs first, and legacy double-priced
+documents are refused rather than loaded.
 """
 
 from __future__ import annotations
@@ -20,18 +21,13 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis.plan_verifier import verify_document
+from repro.analysis.plan_verifier import PlanVerificationError, verify_document
 from repro.api import Session
 from repro.core.legalize import finalize_plan
+from repro.core.plan import EdgeDecision, conversion_groups
 from repro.core.selector import PBQPSelector, SelectionContext
 from repro.cost.platform import PLATFORMS
-from repro.cost.serialize import (
-    LEGACY_PLAN_FORMATS,
-    PLAN_FORMAT,
-    plan_from_dict,
-    plan_to_dict,
-    upgrade_plan_document,
-)
+from repro.cost.serialize import plan_from_dict, plan_to_dict, save_plan
 from repro.graph.layer import ConcatLayer, ConvLayer, InputLayer
 from repro.graph.network import Network
 from repro.layouts.dt_graph import DTGraph
@@ -166,6 +162,109 @@ class TestPBQPMatchesBruteforce:
         )
 
 
+def reordered_fanout_network() -> Network:
+    """A fan-out whose document edge order differs from its execution order.
+
+    ``p`` feeds ``x = concat(p, q)`` and ``y = conv(p)``.  The edge list
+    holds ``(p, x)`` before ``(p, y)``, but ``x`` must wait for ``q``, so
+    ``y`` runs first.
+    """
+    net = Network("fanout-reordered")
+    net.add_layer(InputLayer("data", shape=(4, 16, 16)))
+    net.add_layer(ConvLayer("p", out_channels=8, kernel=3, padding=1), ["data"])
+    net.add_layer(ConvLayer("q", out_channels=8, kernel=3, padding=1), ["data"])
+    net.add_layer(ConcatLayer("x"), ["p", "q"])
+    net.add_layer(ConvLayer("y", out_channels=16, kernel=3, padding=1), ["p"])
+    net.add_layer(ConcatLayer("out"), ["x", "y"])
+    net.validate()
+    return net
+
+
+class TestCarrierFollowsExecutionOrder:
+    def test_first_consumer_to_run_carries_the_chain(
+        self, session, small_library, small_dt, intel, tmp_path
+    ):
+        network = reordered_fanout_network()
+        edges = [(edge.producer, edge.consumer) for edge in network.edges()]
+        assert edges.index(("p", "x")) < edges.index(("p", "y"))
+        order = [layer.name for layer in network.topological_order()]
+        assert order.index("y") < order.index("x")
+
+        context = SelectionContext.create(
+            network, platform=intel, library=small_library, dt_graph=small_dt
+        )
+        layouts = {layout.name: layout for layout in context.dt_graph.layouts}
+        plan = finalize_plan(
+            context,
+            "forced",
+            {"p": "sum2d", "q": "direct_mchw_vf8", "y": "direct_mchw_vf8"},
+            {"data": layouts["CHW"], "x": layouts["CHWc8"], "out": layouts["CHWc8"]},
+        )
+        by_edge = {(edge.producer, edge.consumer): edge for edge in plan.edge_decisions}
+        shape = context.tables.shapes["p"]
+        assert by_edge["p", "y"].cost == pytest.approx(
+            context.tables.dt_costs[shape][("CHW", "CHWc8")], rel=1e-12
+        )
+        assert by_edge["p", "y"].cost > 0
+        assert by_edge["p", "x"].cost == 0.0
+        assert by_edge["p", "x"].needs_conversion
+
+        x = np.random.default_rng(3).standard_normal((4, 16, 16)).astype(np.float32)
+        executor = NetworkExecutor(network, plan, small_library, WeightStore(network, seed=5))
+        _, trace = executor.run_traced(x)
+        assert ("p", "y") in trace.conversion_seconds
+        assert ("p", "x") not in trace.conversion_seconds
+
+        path = tmp_path / "reordered.json"
+        save_plan(plan, path)
+        report = session.plan_from_file(path, network=network).execute()
+        entries = {(entry.producer, entry.consumer): entry for entry in report.conversions}
+        assert entries["p", "x"].deduplicated
+        carrier = entries["p", "y"]
+        assert not carrier.deduplicated
+        assert carrier.predicted_ms > 0 and carrier.measured_ms > 0
+        assert report.conversions_executed == report.conversions_planned
+
+
+class TestConversionGroups:
+    """The shared-chain rule itself, on hand-built edge decisions."""
+
+    @staticmethod
+    def edge(dt, producer, consumer, source, target):
+        layouts = {layout.name: layout for layout in dt.layouts}
+        chain = None
+        if source != target:
+            chain = dt.shortest_path(layouts[source], layouts[target], (8, 16, 16)).chain
+        return EdgeDecision(producer, consumer, layouts[source], layouts[target], chain)
+
+    def test_groups_converting_edges_by_producer_and_target(self, small_dt):
+        edges = [
+            self.edge(small_dt, "p", "a", "CHW", "CHWc8"),
+            self.edge(small_dt, "p", "b", "CHW", "HWC"),
+            self.edge(small_dt, "p", "c", "CHW", "CHWc8"),
+            self.edge(small_dt, "p", "d", "CHW", "CHW"),
+            self.edge(small_dt, "q", "a", "CHW", "CHWc8"),
+        ]
+        assert all(edge.needs_conversion for edge in edges if edge.consumer != "d")
+        assert not edges[3].needs_conversion
+        groups = conversion_groups(edges, ["p", "q", "a", "b", "c", "d"])
+        assert {key: [e.consumer for e in members] for key, members in groups.items()} == {
+            ("p", "CHWc8"): ["a", "c"],
+            ("p", "HWC"): ["b"],
+            ("q", "CHWc8"): ["a"],
+        }
+
+    def test_members_follow_execution_order_not_edge_order(self, small_dt):
+        edges = [
+            self.edge(small_dt, "p", consumer, "CHW", "CHWc8")
+            for consumer in ("x", "y", "z")
+        ]
+        groups = conversion_groups(edges, ["p", "z", "x", "y"])
+        assert [edge.consumer for edge in groups["p", "CHWc8"]] == ["z", "x", "y"]
+        # The caller's list is not reordered.
+        assert [edge.consumer for edge in edges] == ["x", "y", "z"]
+
+
 # ---------------------------------------------------------------------------
 # predicted conversion accounting == executed trace
 
@@ -262,7 +361,7 @@ class TestResNet18Pool1Regression:
 def make_legacy_document(doc: dict) -> dict:
     """Rebuild the pre-fix serialization: every group member fully priced."""
     legacy = copy.deepcopy(doc)
-    legacy["format"] = LEGACY_PLAN_FORMATS[0]
+    legacy["format"] = "repro/plan/v1"
     carriers = {}
     for edge in legacy["edges"]:
         if edge["hops"]:
@@ -280,10 +379,10 @@ def make_legacy_document(doc: dict) -> dict:
     return legacy
 
 
-class TestLegacyUpgrade:
+class TestLegacyRefused:
     @pytest.fixture()
-    def fresh_doc(self, small_library, small_dt, intel):
-        """A plan with a genuinely shared chain: both consumers demand CHWc8."""
+    def legacy_doc(self, small_library, small_dt, intel):
+        """A v1 rendering of a plan with a genuinely shared chain."""
         context = SelectionContext.create(
             fanout_network(2, mixed=False),
             platform=intel,
@@ -301,51 +400,22 @@ class TestLegacyUpgrade:
             },
             {"data": layouts["CHW"], "join": layouts["CHWc8"]},
         )
-        return plan_to_dict(plan)
+        return make_legacy_document(plan_to_dict(plan))
 
-    def test_upgrade_reattributes_and_recomputes(self, fresh_doc):
-        legacy = make_legacy_document(fresh_doc)
-        assert legacy["total_ms"] > fresh_doc["total_ms"]
-        upgraded = upgrade_plan_document(legacy)
-        assert upgraded["format"] == PLAN_FORMAT
-        assert upgraded["total_ms"] == pytest.approx(fresh_doc["total_ms"], rel=1e-9)
-        assert upgraded["cost_vector"]["time_ms"] == pytest.approx(
-            fresh_doc["cost_vector"]["time_ms"], rel=1e-9
-        )
-        for upgraded_edge, fresh_edge in zip(upgraded["edges"], fresh_doc["edges"]):
-            assert upgraded_edge["cost"] == pytest.approx(
-                fresh_edge["cost"], abs=1e-15
-            )
+    def test_plan_from_dict_refuses(self, session, legacy_doc):
+        with pytest.raises(ValueError, match="re-planned"):
+            plan_from_dict(legacy_doc, session.dt_graph)
 
-    def test_upgrade_passes_current_documents_through(self, fresh_doc):
-        assert upgrade_plan_document(fresh_doc) is fresh_doc
-
-    def test_upgrade_refuses_unknown_formats(self):
-        with pytest.raises(ValueError, match="repro/plan"):
-            upgrade_plan_document({"format": "repro/plan/v0"})
-
-    def test_plan_from_dict_transparently_upgrades(self, session, fresh_doc):
-        legacy = make_legacy_document(fresh_doc)
-        plan = plan_from_dict(legacy, session.dt_graph)
-        reference = plan_from_dict(fresh_doc, session.dt_graph)
-        assert plan.total_cost == pytest.approx(reference.total_cost, rel=1e-9)
-
-    def test_plan_from_file_upgrades_stale_documents(self, session, fresh_doc, tmp_path):
-        legacy = make_legacy_document(fresh_doc)
+    def test_plan_from_file_refuses(self, session, legacy_doc, tmp_path):
         path = tmp_path / "legacy.json"
-        path.write_text(json.dumps(legacy, sort_keys=True))
+        path.write_text(json.dumps(legacy_doc, sort_keys=True))
         network = fanout_network(2, mixed=False)
-        plan = session.plan_from_file(path, network=network)
-        assert plan.network_plan.total_cost == pytest.approx(
-            1e-3 * fresh_doc["total_ms"], rel=1e-9
-        )
+        with pytest.raises(PlanVerificationError):
+            session.plan_from_file(path, network=network)
+        with pytest.raises(ValueError, match="re-planned"):
+            session.plan_from_file(path, network=network, verify=False)
 
-    def test_verifier_names_the_stale_format(self, session, fresh_doc):
-        """Without the upgrade path, a stale document is refused clearly."""
-        legacy = make_legacy_document(fresh_doc)
-        report = verify_document(legacy)
-        assert not report.ok
-        stale = [f for f in report.findings if f.rule == "RV100"]
-        assert stale, report.to_json()
-        assert "stale plan format" in stale[0].message
-        assert "upgrade_plan_document" in stale[0].message
+    def test_verifier_reports_one_rv100(self, legacy_doc):
+        report = verify_document(legacy_doc)
+        assert [finding.rule for finding in report.findings] == ["RV100"]
+        assert "repro/plan/v2" in report.findings[0].message

@@ -8,7 +8,6 @@ import pytest
 import repro.cost.provider as provider_module
 from repro.api import (
     ComparisonReport,
-    Engine,
     ExecutionReport,
     Plan,
     Session,
@@ -113,6 +112,20 @@ class TestPlanExecute:
         assert report.strategy == "local_optimal"
         assert report.output.shape == (10, 1, 1)
         assert report.output.sum() == pytest.approx(1.0, abs=1e-5)
+
+    def test_run_alexnet_end_to_end(self, session):
+        """Acceptance: Session.run('alexnet', 'intel-haswell') works end-to-end."""
+        report = session.run("alexnet", "intel-haswell")
+        assert isinstance(report, ExecutionReport)
+        assert report.model == "alexnet"
+        network = session.context_for("alexnet", "intel-haswell").network
+        assert [entry.layer for entry in report.layers] == [
+            layer.name for layer in network.topological_order()
+        ]
+        assert all(entry.measured_ms >= 0 for entry in report.layers)
+        assert report.measured_total_ms > 0
+        assert report.output.shape == (1000, 1, 1)
+        assert report.output.sum() == pytest.approx(1.0, abs=1e-4)
 
     def test_format_is_readable(self, session, tiny_network):
         report = session.run(tiny_network, "intel-haswell")
@@ -233,13 +246,17 @@ class TestSelectManyParallel:
         assert len(counting_builds) == 2
         assert session.cache_info().misses == 2
 
-    def test_results_match_sequential_engine(self, library, dt_graph):
+    def test_results_match_sequential_selects(self, library, dt_graph):
         requests = [
             ("alexnet", "intel-haswell", "pbqp", 1),
             ("alexnet", "arm-cortex-a57", "pbqp", 1),
         ]
         parallel = Session(library=library, dt_graph=dt_graph).select_many(requests)
-        sequential = Engine(library=library, dt_graph=dt_graph).select_many(requests)
+        single = Session(library=library, dt_graph=dt_graph)
+        sequential = [
+            single.select(model, platform, strategy=strategy, threads=threads)
+            for model, platform, strategy, threads in requests
+        ]
         for p, s in zip(parallel, sequential):
             assert p.plan.conv_selections() == s.plan.conv_selections()
             assert p.total_ms == pytest.approx(s.total_ms)
@@ -444,41 +461,6 @@ class TestCostStore:
         assert warm_result.total_ms == pytest.approx(cold_result.total_ms)
 
 
-class TestEngineShim:
-    def test_engine_is_a_session(self, library, dt_graph):
-        engine = Engine(library=library, dt_graph=dt_graph)
-        assert isinstance(engine, Session)
-
-    def test_engine_compare_keeps_registry_order(self, library, dt_graph):
-        from repro.core.strategies import applicable_strategies
-
-        engine = Engine(library=library, dt_graph=dt_graph)
-        results = engine.compare("alexnet", "intel-haswell")
-        assert isinstance(results, list)
-        expected = [
-            s.name
-            for s in applicable_strategies(
-                engine.context_for("alexnet", "intel-haswell")
-            )
-        ]
-        assert [r.strategy for r in results] == expected
-
-    def test_engine_run_end_to_end(self, library, dt_graph):
-        """Acceptance: Engine.run('alexnet', 'intel-haswell') works end-to-end."""
-        engine = Engine(library=library, dt_graph=dt_graph)
-        report = engine.run("alexnet", "intel-haswell")
-        assert isinstance(report, ExecutionReport)
-        assert report.model == "alexnet"
-        network = engine.context_for("alexnet", "intel-haswell").network
-        assert [entry.layer for entry in report.layers] == [
-            layer.name for layer in network.topological_order()
-        ]
-        assert all(entry.measured_ms >= 0 for entry in report.layers)
-        assert report.measured_total_ms > 0
-        assert report.output.shape == (1000, 1, 1)
-        assert report.output.sum() == pytest.approx(1.0, abs=1e-4)
-
-
 class TestSessionCLI:
     def test_cli_select_save_then_run_plan(self, tmp_path, capsys):
         from repro.cli import main
@@ -546,6 +528,20 @@ class TestSessionCLI:
         code = main(["run", "alexnet", "--plan", str(tmp_path / "missing.json")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_cli_run_refuses_v1_plan(self, tmp_path, capsys):
+        from repro.cli import main
+
+        saved = tmp_path / "alexnet.json"
+        assert main(["select", "alexnet", "--save", str(saved)]) == 0
+        capsys.readouterr()
+        legacy = tmp_path / "v1.json"
+        legacy.write_text(saved.read_text().replace("repro/plan/v2", "repro/plan/v1"))
+        code = main(["run", "alexnet", "--plan", str(legacy)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "executing saved plan" not in captured.out
 
     def test_cli_run_rejects_plan_for_other_network(self, tmp_path, capsys):
         from repro.cli import main
