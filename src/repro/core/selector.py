@@ -42,6 +42,18 @@ fan-out chain cost sums the subset's columns in a fixed left-to-right order
 may reorder the sum), so the encoded graph is bit-identical to the per-cell
 formulation.  The dense arrays live only for the call: gated and scalarized
 tables are new objects, so nothing is memoized across calls.
+
+Every convolution node declares its alternatives' **layout classes**: two
+primitives reading and writing the same (input, output) layout pair have
+identical rows in every incident matrix, so the solver folds each class once
+(exactly; see :mod:`repro.pbqp.reductions`).
+
+``build_pbqp`` can also encode ``K`` cost variants of one context over one
+topology (:class:`CostVariants`): conv node vectors become ``(K, n)`` and the
+dense DT arrays ``(K, L, L)``, so every edge matrix is the same gather with a
+leading batch axis.  The multi-objective frontier encodes all of its
+workspace caps and scalarisations this way and solves them in one batched
+PBQP pass.
 """
 
 from __future__ import annotations
@@ -49,7 +61,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -65,8 +77,31 @@ from repro.layouts.dt_graph import DTGraph
 from repro.layouts.layout import CHW, Layout
 from repro.layouts.transforms import default_transform_library
 from repro.pbqp.graph import PBQPGraph
+from repro.pbqp.solution import PBQPSolution
 from repro.pbqp.solver import PBQPSolver
 from repro.primitives.registry import PrimitiveLibrary, default_primitive_library
+
+
+class CostVariants(Protocol):
+    """``K`` cost variants of one selection context, encoded over one topology.
+
+    The encoder asks for a convolution layer's node costs in its label order
+    and for a tensor shape's conversion costs over its layout order; both
+    come back with a leading axis of :attr:`batch` slices.
+    """
+
+    @property
+    def batch(self) -> int:
+        """The number ``K`` of variants."""
+        ...
+
+    def node_costs(self, layer: str, labels: Sequence[str]) -> np.ndarray:
+        """``(K, len(labels))`` costs of a convolution layer's primitives."""
+        ...
+
+    def dt_costs(self, shape: Shape, layouts: Sequence[str]) -> np.ndarray:
+        """``(K, L, L)`` conversion costs between ``layouts`` at ``shape``."""
+        ...
 
 
 @dataclass
@@ -198,10 +233,14 @@ class PBQPSelector:
 
     # -- encoding -----------------------------------------------------------------
 
-    def build_pbqp(self, context: SelectionContext) -> Tuple[PBQPGraph, Dict[int, str]]:
+    def build_pbqp(
+        self, context: SelectionContext, variants: Optional[CostVariants] = None
+    ) -> Tuple[PBQPGraph, Dict[int, str]]:
         """Build the PBQP instance for a selection context.
 
         Returns the graph and a mapping from PBQP node id to DNN layer name.
+        With ``variants``, the graph carries their ``K`` cost variants on a
+        batch axis instead of the context's own costs.
         """
         network = context.network
         tables = context.tables
@@ -209,6 +248,7 @@ class PBQPSelector:
         names = wildcard_labels + ([] if CHW.name in wildcard_labels else [CHW.name])
         position = {name: index for index, name in enumerate(names)}
         wildcard = np.arange(len(wildcard_labels))
+        lead: Tuple[int, ...] = () if variants is None else (variants.batch,)
 
         dense: Dict[Shape, np.ndarray] = {}
 
@@ -216,12 +256,18 @@ class PBQPSelector:
             """The shape's conversion costs as an L x L array over ``names``."""
             matrix = dense.get(shape)
             if matrix is None:
-                costs = tables.dt_costs[shape]
-                matrix = np.array([[costs[(src, dst)] for dst in names] for src in names])
+                if variants is not None:
+                    matrix = variants.dt_costs(shape, names)
+                else:
+                    costs = tables.dt_costs[shape]
+                    matrix = np.array([[costs[(src, dst)] for dst in names] for src in names])
                 dense[shape] = matrix
             return matrix
 
-        graph = PBQPGraph()
+        def gather(matrix: np.ndarray, rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+            return matrix[..., rows[:, None], columns[None, :]]
+
+        graph = PBQPGraph(None if variants is None else variants.batch)
         node_of_layer: Dict[str, int] = {}
         id_to_layer: Dict[int, str] = {}
         # Layout index (into ``names``) of each alternative's output/input.
@@ -229,10 +275,14 @@ class PBQPSelector:
         in_index: Dict[str, np.ndarray] = {}
 
         for layer in network.topological_order():
+            classes: Optional[np.ndarray] = None
             if layer.is_convolution:
                 costs = tables.node_costs[layer.name]
                 labels = sorted(costs)
-                vector = [costs[name] for name in labels]
+                if variants is not None:
+                    vector = variants.node_costs(layer.name, labels)
+                else:
+                    vector = np.array([costs[name] for name in labels])
                 primitives = [context.library.get(name) for name in labels]
                 out_index[layer.name] = np.array(
                     [position[p.output_layout.name] for p in primitives]
@@ -240,25 +290,30 @@ class PBQPSelector:
                 in_index[layer.name] = np.array(
                     [position[p.input_layout.name] for p in primitives]
                 )
+                # Alternatives with one (input, output) layout pair share
+                # every edge row: one class.
+                classes = out_index[layer.name] * len(names) + in_index[layer.name]
             elif layer.kind is LayerKind.INPUT:
                 # The network input arrives in the canonical layout.
                 labels = [CHW.name]
-                vector = [0.0]
+                vector = np.zeros(lead + (1,))
                 out_index[layer.name] = in_index[layer.name] = np.array([position[CHW.name]])
             else:
                 labels = wildcard_labels
-                vector = [0.0] * len(labels)
+                vector = np.zeros(lead + (len(labels),))
                 out_index[layer.name] = in_index[layer.name] = wildcard
-            node_id = graph.add_node(vector, name=layer.name, labels=labels)
+            node_id = graph.add_node(vector, name=layer.name, labels=labels, classes=classes)
             node_of_layer[layer.name] = node_id
             id_to_layer[node_id] = layer.name
 
         for edge in network.edges():
             if len(network.consumers_of(edge.producer)) >= 2:
                 continue  # priced once through the producer's conversion node below
-            matrix = dt_matrix(tables.shapes[edge.producer])[
-                np.ix_(out_index[edge.producer], in_index[edge.consumer])
-            ]
+            matrix = gather(
+                dt_matrix(tables.shapes[edge.producer]),
+                out_index[edge.producer],
+                in_index[edge.consumer],
+            )
             graph.add_edge(node_of_layer[edge.producer], node_of_layer[edge.consumer], matrix)
 
         # A fan-out producer's conversions are priced once per distinct target
@@ -283,29 +338,36 @@ class PBQPSelector:
             ]
             subsets = [[targets[i] for i in row] for group in groups for row in group]
             aux_id = graph.add_node(
-                [0.0] * len(subsets),
+                np.zeros(lead + (len(subsets),)),
                 name=f"{layer.name}::conversions",
                 labels=["+".join(combo) for combo in subsets],
             )
             target_index = np.array([position[name] for name in targets])
-            rows = dt_matrix(tables.shapes[layer.name])[
-                np.ix_(out_index[layer.name], target_index)
-            ]
-            chain_blocks, member_blocks = [], []
+            rows = gather(
+                dt_matrix(tables.shapes[layer.name]), out_index[layer.name], target_index
+            )
+            chain_blocks: List[np.ndarray] = []
+            member_blocks: List[np.ndarray] = []
             for group in groups:
                 # Fold each subset's chain costs left to right: 0.0 + a + b + ...
-                block = np.zeros((rows.shape[0], group.shape[0]))
+                block = np.zeros(rows.shape[:-1] + (group.shape[0],))
                 for column in group.T:
-                    block = block + rows[:, column]
+                    block = block + rows[..., column]
                 chain_blocks.append(block)
                 member = np.zeros((group.shape[0], len(names)), dtype=bool)
                 np.put_along_axis(member, target_index[group], True, axis=1)
                 member_blocks.append(member)
-            graph.add_edge(node_of_layer[layer.name], aux_id, np.hstack(chain_blocks))
+            graph.add_edge(
+                node_of_layer[layer.name], aux_id, np.concatenate(chain_blocks, axis=-1)
+            )
             membership = np.vstack(member_blocks)
             for name in consumers:
                 compatibility = np.where(membership[:, in_index[name]], 0.0, math.inf)
-                graph.add_edge(aux_id, node_of_layer[name], compatibility)
+                graph.add_edge(
+                    aux_id,
+                    node_of_layer[name],
+                    np.broadcast_to(compatibility, lead + compatibility.shape),
+                )
 
         return graph, id_to_layer
 
@@ -344,6 +406,7 @@ class PBQPSelector:
         """Solve the selection problem and return the legalized plan."""
         graph, id_to_layer = self.build_pbqp(context)
         solution = self.solver.solve(graph)
+        assert isinstance(solution, PBQPSolution)
         conv_primitives, wildcard_layouts = self.decode_assignment(
             context, graph, id_to_layer, solution.assignment
         )

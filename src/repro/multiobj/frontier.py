@@ -11,15 +11,26 @@ Candidate whole-network plans come from three generators, in priority order:
    min-time point is exactly the paper's plan), then every applicable
    non-framework baseline (per-family greedy, local-optimal, ...).
 2. **Epsilon-constraint solves** — peak workspace is a *max* over layers, so
-   pruning every primitive whose workspace exceeds a cap and re-running PBQP
-   encodes a peak-workspace budget *exactly*; sweeping the cap over the
-   distinct per-primitive workspace levels walks the time/memory trade-off.
+   making every primitive whose workspace exceeds a cap infinitely expensive
+   (an ``inf`` mask on the time vector) encodes a peak-workspace budget
+   *exactly*; sweeping the cap over the distinct per-primitive workspace
+   levels walks the time/memory trade-off.
 3. **Weighted scalarization solves** — PBQP over normalized weighted sums of
    the three objectives.  Approximate for the max-type memory objective (a
    sum of per-layer workspaces is not the peak), so these are candidate
    *generators* only: every candidate is re-evaluated with its exact
    :meth:`~repro.core.plan.NetworkPlan.cost_vector` before the nondominated
    sort.
+
+Generators 2 and 3 change only costs, never the PBQP topology, so every cap
+and every weight triple is one slice of a single batched encoding
+(:class:`~repro.core.selector.CostVariants`), solved in one PBQP pass.  The
+slices reproduce the per-generator tables exactly: a masked alternative is
+never chosen at a finite cost, so a cap selects what pruning the primitive
+would, and the scalarized costs use :func:`_scalarized_tables`' float
+expressions elementwise.  The dict-based :func:`_workspace_gated_tables` and
+:func:`_scalarized_tables` remain as the reference those slices are tested
+against.
 
 Duplicates (same per-layer decisions) are removed, candidates are evaluated
 exactly, and :func:`~repro.multiobj.pareto._pareto_front` keeps the
@@ -37,11 +48,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.core.legalize import finalize_plan
 from repro.core.plan import NetworkPlan
 from repro.core.selector import PBQPSelector, SelectionContext
 from repro.core.strategies import applicable_strategies
 from repro.cost.serialize import plan_from_dict, plan_to_dict
+from repro.cost.tables import CostTables, Shape
 from repro.layouts.dt_graph import DTGraph
 from repro.multiobj.pareto import (
     _pareto_front,
@@ -50,7 +64,6 @@ from repro.multiobj.pareto import (
     min_time_under_index,
 )
 from repro.multiobj.vector import OBJECTIVES, CostVector
-from repro.pbqp.solver import InfeasibleProblemError
 
 FRONTIER_FORMAT = "repro/frontier/v1"
 
@@ -280,28 +293,103 @@ class Frontier:
 # ---------------------------------------------------------------------------
 
 
-def _solve_with_tables(
-    context: SelectionContext, modified: SelectionContext, label: str
-) -> Optional[NetworkPlan]:
-    """Solve PBQP on ``modified`` tables, finalize against the *original* ones.
+def _scaled(weight: float, values: np.ndarray, scale: float) -> np.ndarray:
+    """:func:`_scalarized_tables`' ``scal`` over an array: 0 for a zero weight
+    (``0 * inf`` is NaN), else ``weight * value / scale``."""
+    return np.zeros(values.shape) if weight == 0.0 else weight * values / scale
 
-    The modified tables steer the search (gated or scalarized costs); the
-    returned plan's decisions are re-priced from the true tables so its cost
-    vector is exact.  Returns ``None`` when the gated instance is infeasible.
+
+class _FrontierVariants:
+    """The frontier's workspace caps, then its scalarisations, as cost variants.
+
+    Cap slices are the time costs with every primitive above the cap masked
+    to ``inf``; weight slices are :func:`_scalarized_tables`' costs.
     """
-    selector = PBQPSelector()
-    graph, id_to_layer = selector.build_pbqp(modified)
-    try:
-        solution = selector.solver.solve(graph)
-    except InfeasibleProblemError:
-        return None
 
-    conv_primitives, wildcard_layouts = selector.decode_assignment(
-        context, graph, id_to_layer, solution.assignment
-    )
-    plan = finalize_plan(context, "frontier", conv_primitives, wildcard_layouts)
-    plan.metadata["generator"] = label
-    return plan
+    def __init__(
+        self,
+        tables: CostTables,
+        caps: Sequence[float],
+        weights: Sequence[Tuple[float, float, float]],
+    ) -> None:
+        self.tables = tables
+        self.caps = list(caps)
+        self.weights = list(weights)
+        self.scales = _scalarization_scales(tables) if self.weights else (1.0, 1.0, 1.0)
+
+    @property
+    def batch(self) -> int:
+        return len(self.caps) + len(self.weights)
+
+    def node_costs(self, layer: str, labels: Sequence[str]) -> np.ndarray:
+        costs = self.tables.node_costs[layer]
+        workspace_of = self.tables.node_workspace.get(layer, {})
+        energy_of = self.tables.node_energy.get(layer, {})
+        time = np.array([costs[name] for name in labels])
+        workspace = np.array([workspace_of.get(name, 0.0) for name in labels])
+        energy = np.array([energy_of.get(name, 0.0) for name in labels])
+        time_scale, mem_scale, energy_scale = self.scales
+        rows = [np.where(workspace <= cap, time, np.inf) for cap in self.caps]
+        rows.extend(
+            _scaled(w_time, time, time_scale)
+            + _scaled(w_mem, workspace, mem_scale)
+            + _scaled(w_energy, energy, energy_scale)
+            for w_time, w_mem, w_energy in self.weights
+        )
+        return np.stack(rows)
+
+    def dt_costs(self, shape: Shape, layouts: Sequence[str]) -> np.ndarray:
+        costs = self.tables.dt_costs[shape]
+        energy_of = self.tables.dt_energy.get(shape, {})
+        pairs = [[(src, dst) for dst in layouts] for src in layouts]
+        time = np.array([[costs[pair] for pair in row] for row in pairs])
+        energy = np.array([[energy_of.get(pair, 0.0) for pair in row] for row in pairs])
+        time_scale, _, energy_scale = self.scales
+        rows = [time] * len(self.caps)
+        # No conversion chain: illegal under every weighting.
+        rows.extend(
+            np.where(
+                time == np.inf,
+                np.inf,
+                _scaled(w_time, time, time_scale) + _scaled(w_energy, energy, energy_scale),
+            )
+            for w_time, _, w_energy in self.weights
+        )
+        return np.stack(rows)
+
+
+def _solve_variants(
+    context: SelectionContext,
+    caps: Sequence[float],
+    weights: Sequence[Tuple[float, float, float]],
+) -> List[Optional[NetworkPlan]]:
+    """One plan per cap, then per weight triple, from one batched PBQP solve.
+
+    Each slice steers the search; its plan is finalized against the
+    context's *true* tables so its cost vector is exact.  An infeasible
+    slice yields ``None``.
+    """
+    variants = _FrontierVariants(context.tables, caps, weights)
+    if variants.batch == 0:
+        return []
+    labels = [f"cap:{int(cap)}" for cap in caps]
+    labels.extend("weights:" + "/".join(f"{w:g}" for w in triple) for triple in weights)
+    selector = PBQPSelector()
+    graph, id_to_layer = selector.build_pbqp(context, variants)
+    solutions = selector.solver.solve(graph)
+    assert isinstance(solutions, list)
+    plans: List[Optional[NetworkPlan]] = []
+    for label, solution in zip(labels, solutions):
+        if solution is None:
+            plans.append(None)
+            continue
+        conv_primitives, wildcard_layouts = selector.decode_assignment(
+            context, graph, id_to_layer, solution.assignment
+        )
+        plan = finalize_plan(context, "frontier", conv_primitives, wildcard_layouts)
+        plan.metadata["generator"] = label
+        plans.append(plan)
+    return plans
 
 
 def _workspace_gated_tables(context: SelectionContext, cap_bytes: float):
@@ -386,6 +474,15 @@ def _scalarized_tables(
     return dataclasses.replace(tables, node_costs=node_costs, dt_costs=dt_costs)
 
 
+def _workspace_floor(tables: CostTables) -> float:
+    """The lowest achievable peak workspace: every layer takes its smallest-
+    workspace primitive.  A cap below it leaves some layer with no primitive."""
+    return max(
+        min(tables.primitive_workspace(layer, name) for name in costs)
+        for layer, costs in tables.node_costs.items()
+    )
+
+
 def workspace_levels(context: SelectionContext) -> List[float]:
     """The feasible peak-workspace caps, lowest first.
 
@@ -395,12 +492,7 @@ def workspace_levels(context: SelectionContext) -> List[float]:
     changes.
     """
     tables = context.tables
-    floor = max(
-        min(
-            tables.primitive_workspace(layer, name) for name in costs
-        )
-        for layer, costs in tables.node_costs.items()
-    )
+    floor = _workspace_floor(tables)
     distinct = {
         tables.primitive_workspace(layer, name)
         for layer, costs in tables.node_costs.items()
@@ -415,15 +507,15 @@ def solve_under_workspace_cap(
     """The fastest plan whose peak workspace stays at or under ``cap_bytes``.
 
     One epsilon-constraint solve: primitives above the per-layer cap are
-    pruned and PBQP runs on the gated tables (exact, because peak workspace
-    is a max over layers).  Returns ``None`` when the cap is infeasible —
-    some layer has no primitive that fits.
+    masked out and PBQP runs on the capped costs (exact, because peak
+    workspace is a max over layers).  This is the frontier's batched solve
+    with a single cap.  Returns ``None`` when the cap is infeasible — some
+    layer has no primitive that fits.
     """
-    gated = _workspace_gated_tables(context, cap_bytes)
-    if gated is None:
+    if cap_bytes < _workspace_floor(context.tables):
         return None
-    modified = dataclasses.replace(context, tables=gated)
-    return _solve_with_tables(context, modified, f"cap:{int(cap_bytes)}")
+    (plan,) = _solve_variants(context, [cap_bytes], [])
+    return plan
 
 
 def _plan_signature(plan: NetworkPlan) -> tuple:
@@ -499,25 +591,14 @@ def build_frontier(
     budget = constraints.get("peak_workspace_bytes_max")
     if budget is not None:
         caps.append(float(budget))
-    for cap in caps:
-        gated = _workspace_gated_tables(context, cap)
-        if gated is None:
-            continue
-        modified = dataclasses.replace(context, tables=gated)
-        plan = _solve_with_tables(context, modified, f"cap:{int(cap)}")
-        if plan is not None:
-            candidates.append((plan, f"cap:{int(cap)}"))
+    # A cap below the floor (``levels[0]``) leaves some layer without a
+    # primitive: skipped.
+    caps = [cap for cap in caps if cap >= levels[0]]
 
-    # 3. Weighted scalarization solves.
-    scales = _scalarization_scales(context.tables)
-    for weights in scalarization_weights:
-        label = "weights:" + "/".join(f"{w:g}" for w in weights)
-        modified = dataclasses.replace(
-            context, tables=_scalarized_tables(context, weights, scales)
-        )
-        plan = _solve_with_tables(context, modified, label)
+    # 3. Weighted scalarization solves, batched with the caps in one solve.
+    for plan in _solve_variants(context, caps, scalarization_weights):
         if plan is not None:
-            candidates.append((plan, label))
+            candidates.append((plan, plan.metadata["generator"]))
 
     # Deduplicate by decision signature (first generator wins) and evaluate
     # every surviving candidate exactly.

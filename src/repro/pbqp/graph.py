@@ -10,14 +10,39 @@ cost matrix ``C_uv`` indexed by the pair of alternatives chosen for ``u`` and
 Infinite matrix entries encode illegal pairs (the paper's incompatible
 primitives whose connection would produce garbage); a finite-cost solution
 never selects them.
+
+A graph may carry a leading **batch axis** of ``K`` cost variants over one
+topology: every node vector is then ``(K, n)`` and every edge matrix
+``(K, a, b)``, and slice ``k`` of every array is one ordinary instance.  The
+solver folds all slices in one pass (see :mod:`repro.pbqp.solver`).
+
+A node may also declare **alternative classes**: alternatives with the same
+class id must have identical rows in every incident edge matrix (they differ
+only in node cost).  The reductions then fold each class as one alternative
+carrying the class's minimum node cost, which is exact (see
+:mod:`repro.pbqp.reductions`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+import copy as _copy
+from dataclasses import dataclass, field
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+
+class ClassGroups(NamedTuple):
+    """A node's alternatives grouped by class, as index arrays."""
+
+    #: Alternatives sorted by class id (stable).
+    order: np.ndarray
+    #: Where each class starts in ``order``.
+    starts: np.ndarray
+    #: The first alternative of each class: its shared rows.
+    representatives: np.ndarray
+    #: Each alternative's class position (a row of a class-folded matrix).
+    row_of: np.ndarray
 
 
 @dataclass
@@ -31,31 +56,58 @@ class PBQPNode:
     name:
         Optional human-readable name (the DNN layer name in our encoding).
     costs:
-        Cost vector, one entry per alternative.  May contain ``inf`` for
-        alternatives that are individually illegal.
+        Cost vector, one entry per alternative, or ``(K, n)`` in a batched
+        graph.  May contain ``inf`` for alternatives that are individually
+        illegal.
     labels:
         Optional human-readable names of the alternatives (primitive names in
-        our encoding); if given, must have the same length as ``costs``.
+        our encoding); if given, must have one entry per alternative.
+    classes:
+        Optional class id of every alternative.  Alternatives sharing an id
+        must have identical rows in every incident edge matrix.
     """
 
     node_id: int
     name: str
     costs: np.ndarray
     labels: Optional[Tuple[str, ...]] = None
+    classes: Optional[np.ndarray] = None
+    #: The classes as index arrays, or ``None`` when every class is a single
+    #: alternative (nothing to fold).
+    class_groups: Optional[ClassGroups] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.costs = np.asarray(self.costs, dtype=float).copy()
-        if self.costs.ndim != 1 or self.costs.size == 0:
+        if self.costs.ndim not in (1, 2) or self.costs.shape[-1] == 0:
             raise ValueError(f"node {self.name!r} needs a non-empty 1D cost vector")
-        if self.labels is not None and len(self.labels) != self.costs.size:
+        size = self.costs.shape[-1]
+        if self.labels is not None and len(self.labels) != size:
             raise ValueError(
-                f"node {self.name!r}: {len(self.labels)} labels for {self.costs.size} alternatives"
+                f"node {self.name!r}: {len(self.labels)} labels for {size} alternatives"
             )
+        if self.classes is not None:
+            self.classes = np.asarray(self.classes)
+            if self.classes.shape != (size,):
+                raise ValueError(
+                    f"node {self.name!r}: {self.classes.size} classes for {size} alternatives"
+                )
+            order = np.argsort(self.classes, kind="stable")
+            ordered = self.classes[order]
+            first = np.empty(size, dtype=bool)  # does a class start here?
+            first[0] = True
+            np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+            starts = np.flatnonzero(first)
+            if starts.size < size:
+                row_of = np.empty(size, dtype=np.intp)
+                row_of[order] = np.cumsum(first) - 1
+                self.class_groups = ClassGroups(order, starts, order[starts], row_of)
 
     @property
     def degree_of_freedom(self) -> int:
         """Number of alternatives for this node."""
-        return int(self.costs.size)
+        return int(self.costs.shape[-1])
 
     def label_of(self, index: int) -> str:
         """Human-readable name of an alternative."""
@@ -69,7 +121,8 @@ class PBQPEdge:
     """An undirected PBQP edge with its pairwise cost matrix.
 
     The matrix is stored oriented from ``u`` to ``v``: ``matrix[i, j]`` is the
-    cost of selecting alternative ``i`` at ``u`` and ``j`` at ``v``.
+    cost of selecting alternative ``i`` at ``u`` and ``j`` at ``v`` (in a
+    batched graph, ``matrix[k, i, j]`` for slice ``k``).
     """
 
     u: int
@@ -77,8 +130,12 @@ class PBQPEdge:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        self.matrix = np.asarray(self.matrix, dtype=float).copy()
-        if self.matrix.ndim != 2:
+        matrix = np.asarray(self.matrix, dtype=float)
+        # A read-only array (a broadcast view, say) cannot be written through
+        # the graph, so it is kept as is; a batched compatibility matrix then
+        # stores one (a, b) block for all of its identical slices.
+        self.matrix = matrix.copy() if matrix.flags.writeable else matrix
+        if self.matrix.ndim not in (2, 3):
             raise ValueError("edge cost matrix must be 2D")
         if self.u == self.v:
             raise ValueError("self edges are not allowed in PBQP")
@@ -88,7 +145,7 @@ class PBQPEdge:
         if (source, target) == (self.u, self.v):
             return self.matrix
         if (source, target) == (self.v, self.u):
-            return self.matrix.T
+            return np.swapaxes(self.matrix, -1, -2)
         raise ValueError(f"edge ({self.u}, {self.v}) does not connect {source} and {target}")
 
 
@@ -100,9 +157,15 @@ class PBQPGraph:
     (adds) the cost matrices, which is the standard PBQP convention and is
     what the selection encoder relies on when several cost contributions land
     on the same DNN edge.
+
+    ``batch`` is ``None`` for an ordinary instance, or the number ``K`` of
+    cost variants every node vector and edge matrix carries on a leading axis.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, batch: Optional[int] = None) -> None:
+        if batch is not None and batch < 1:
+            raise ValueError("a batched graph needs at least one slice")
+        self.batch = batch
         self._nodes: Dict[int, PBQPNode] = {}
         self._edges: Dict[Tuple[int, int], PBQPEdge] = {}
         self._adjacency: Dict[int, set] = {}
@@ -112,35 +175,57 @@ class PBQPGraph:
 
     def add_node(
         self,
-        costs: Sequence[float],
+        costs: Union[Sequence[float], np.ndarray],
         name: Optional[str] = None,
         labels: Optional[Sequence[str]] = None,
+        classes: Optional[Union[Sequence[int], np.ndarray]] = None,
     ) -> int:
-        """Add a node and return its id."""
+        """Add a node and return its id.
+
+        In a batched graph ``costs`` is ``(K, n)``.  ``classes`` optionally
+        gives every alternative a class id (see :class:`PBQPNode`).
+        """
+        costs = np.asarray(costs, dtype=float)
+        if costs.ndim != (1 if self.batch is None else 2) or (
+            self.batch is not None and costs.shape[0] != self.batch
+        ):
+            raise ValueError(
+                f"node costs have shape {costs.shape}; the graph's batch is {self.batch}"
+            )
         node_id = self._next_id
         self._next_id += 1
         node = PBQPNode(
             node_id=node_id,
             name=name if name is not None else f"n{node_id}",
-            costs=np.asarray(costs, dtype=float),
+            costs=costs,
             labels=tuple(labels) if labels is not None else None,
+            classes=np.asarray(classes) if classes is not None else None,
         )
         self._nodes[node_id] = node
         self._adjacency[node_id] = set()
         return node_id
 
-    def add_edge(self, u: int, v: int, matrix: Sequence[Sequence[float]]) -> None:
+    def add_edge(
+        self, u: int, v: int, matrix: Union[Sequence[Sequence[float]], np.ndarray]
+    ) -> None:
         """Add (or accumulate onto) the edge between ``u`` and ``v``.
 
         ``matrix[i][j]`` must be the pairwise cost of alternative ``i`` at
-        ``u`` and alternative ``j`` at ``v``.
+        ``u`` and alternative ``j`` at ``v`` (``matrix[k][i][j]`` in a batched
+        graph).  The graph stores a copy, except of a read-only array, which
+        it shares.
         """
         if u not in self._nodes or v not in self._nodes:
             raise KeyError(f"both endpoints must exist before adding edge ({u}, {v})")
         if u == v:
             raise ValueError("self edges are not allowed in PBQP")
         matrix = np.asarray(matrix, dtype=float)
-        expected = (self._nodes[u].degree_of_freedom, self._nodes[v].degree_of_freedom)
+        expected: Tuple[int, ...] = (
+            self._nodes[u].degree_of_freedom,
+            self._nodes[v].degree_of_freedom,
+        )
+        if self.batch is not None:
+            expected = (self.batch,) + expected
         if matrix.shape != expected:
             raise ValueError(
                 f"edge ({u}, {v}) cost matrix has shape {matrix.shape}, expected {expected}"
@@ -160,7 +245,7 @@ class PBQPGraph:
 
     @staticmethod
     def _orient(u: int, v: int, matrix: np.ndarray, key: Tuple[int, int]) -> np.ndarray:
-        return matrix if (u, v) == key else matrix.T
+        return matrix if (u, v) == key else np.swapaxes(matrix, -1, -2)
 
     # -- removal (used by the solver's reductions) ------------------------------
 
@@ -195,6 +280,9 @@ class PBQPGraph:
     @property
     def num_edges(self) -> int:
         return len(self._edges)
+
+    def has_node(self, node_id: int) -> bool:
+        return node_id in self._nodes
 
     def node(self, node_id: int) -> PBQPNode:
         return self._nodes[node_id]
@@ -235,17 +323,51 @@ class PBQPGraph:
             total += float(edge.matrix[assignment[edge.u], assignment[edge.v]])
         return total
 
+    def batch_solution_cost(self, assignment: Dict[int, np.ndarray]) -> np.ndarray:
+        """Per-slice totals of a batched assignment (one index per slice and
+        node), summed in :meth:`solution_cost`'s order."""
+        if self.batch is None:
+            raise ValueError("only a batched graph has per-slice costs")
+        slices = np.arange(self.batch)
+        total = np.zeros(slices.size)
+        for node_id, node in self._nodes.items():
+            total = total + node.costs[slices, assignment[node_id]]
+        for edge in self._edges.values():
+            total = total + edge.matrix[slices, assignment[edge.u], assignment[edge.v]]
+        return total
+
     def copy(self) -> "PBQPGraph":
         """Deep copy of the instance (node ids are preserved)."""
-        clone = PBQPGraph()
+        return self._rebuild(self.batch, lambda array: array)
+
+    def working_copy(self) -> "PBQPGraph":
+        """A copy for the solver to reduce: node costs are copied, because
+        reductions fold into them in place; edge matrices are shared, because
+        reductions only ever replace a matrix, never write into one."""
+        return self._rebuild(self.batch, lambda array: array, share_edges=True)
+
+    def slice(self, index: int) -> "PBQPGraph":
+        """Slice ``index`` of a batched graph as an ordinary instance."""
+        if self.batch is None:
+            raise ValueError("only a batched graph has slices")
+        return self._rebuild(None, lambda array: array[index])
+
+    def _rebuild(self, batch: Optional[int], take, share_edges: bool = False) -> "PBQPGraph":
+        clone = PBQPGraph(batch)
         clone._next_id = self._next_id
         for node_id, node in self._nodes.items():
-            clone._nodes[node_id] = PBQPNode(
-                node_id=node_id, name=node.name, costs=node.costs.copy(), labels=node.labels
+            twin = PBQPNode(
+                node_id=node_id, name=node.name, costs=take(node.costs), labels=node.labels
             )
+            twin.classes, twin.class_groups = node.classes, node.class_groups
+            clone._nodes[node_id] = twin
             clone._adjacency[node_id] = set(self._adjacency[node_id])
         for key, edge in self._edges.items():
-            clone._edges[key] = PBQPEdge(u=edge.u, v=edge.v, matrix=edge.matrix.copy())
+            clone._edges[key] = (
+                _copy.copy(edge)
+                if share_edges
+                else PBQPEdge(u=edge.u, v=edge.v, matrix=take(edge.matrix))
+            )
         return clone
 
     def __repr__(self) -> str:

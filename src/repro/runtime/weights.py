@@ -65,3 +65,15 @@ class WeightStore:
         bias = (self.scale * rng.standard_normal(layer.out_features)).astype(np.float32)
         self._cache[layer_name] = (weights, bias)
         return weights, bias
+
+    def materialize(self) -> None:
+        """Synthesize every convolution and fully-connected weight now.
+
+        The executor calls this before its first layer timer starts, so
+        measured layer times hold compute only, never weight generation.
+        """
+        for layer in self.network.layers():
+            if isinstance(layer, ConvLayer):
+                self.conv_weights(layer.name)
+            elif isinstance(layer, FullyConnectedLayer):
+                self.fc_weights(layer.name)

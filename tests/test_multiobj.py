@@ -12,12 +12,22 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
+from repro.core.legalize import finalize_plan
 from repro.core.selector import PBQPSelector, SelectionContext
+from repro.graph.scenario import DTYPES
+from repro.models import MODEL_BUILDERS
+from repro.multiobj import frontier as frontier_module
 from repro.multiobj.frontier import (
     FRONTIER_FORMAT,
+    SCALARIZATION_WEIGHTS,
     Frontier,
+    _FrontierVariants,
+    _scalarization_scales,
+    _scalarized_tables,
+    _workspace_gated_tables,
     build_frontier,
     solve_under_workspace_cap,
     workspace_levels,
@@ -30,6 +40,7 @@ from repro.multiobj.pareto import (
     min_time_under_index,
 )
 from repro.multiobj.vector import CostVector
+from repro.pbqp.solver import InfeasibleProblemError
 
 
 class TestCostVector:
@@ -337,3 +348,171 @@ class TestMemoryBudgetExperiment:
     def test_missing_cell_raises(self, sweep):
         with pytest.raises(KeyError):
             sweep.cell("tiny", "intel-haswell", 0.5)
+
+
+# ---------------------------------------------------------------------------
+# The batched frontier solve against the per-generator reference path.
+# ---------------------------------------------------------------------------
+
+PAPER_PLATFORMS = ("intel-haswell", "arm-cortex-a57")
+#: The models the perfbench frontier workload plans.
+PERFBENCH_FRONTIER_MODELS = ("alexnet", "vgg-d", "mobilenet_v1", "resnet18", "mobilenet_v2")
+
+
+def _reference_solve(context, tables, label):
+    """One generator the per-generator way: its own dict tables, its own
+    encoding and solve (no class folding), finalized against the true tables."""
+    selector = PBQPSelector()
+    graph, id_to_layer = selector.build_pbqp(dataclasses.replace(context, tables=tables))
+    for node in graph.nodes():
+        node.class_groups = None
+    try:
+        solution = selector.solver.solve(graph)
+    except InfeasibleProblemError:
+        return None
+    conv_primitives, wildcard_layouts = selector.decode_assignment(
+        context, graph, id_to_layer, solution.assignment
+    )
+    plan = finalize_plan(context, "frontier", conv_primitives, wildcard_layouts)
+    plan.metadata["generator"] = label
+    return plan
+
+
+def _reference_solve_variants(context, caps, weights):
+    """Every cap through pruned tables, every weight triple through
+    scalarized tables, one solve each."""
+    plans = []
+    for cap in caps:
+        gated = _workspace_gated_tables(context, cap)
+        plans.append(
+            None if gated is None else _reference_solve(context, gated, f"cap:{int(cap)}")
+        )
+    scales = _scalarization_scales(context.tables)
+    for triple in weights:
+        label = "weights:" + "/".join(f"{w:g}" for w in triple)
+        plans.append(
+            _reference_solve(context, _scalarized_tables(context, triple, scales), label)
+        )
+    return plans
+
+
+def _assert_frontier_matches_reference(monkeypatch, build):
+    document = build().to_json()
+    with monkeypatch.context() as patch:
+        patch.setattr(frontier_module, "_solve_variants", _reference_solve_variants)
+        reference = build().to_json()
+    assert document == reference
+
+
+@pytest.fixture(scope="module")
+def session():
+    from repro.api import Session
+
+    return Session()
+
+
+class TestBatchedFrontierIdentity:
+    """Acceptance: the one batched solve yields byte-identical frontiers."""
+
+    @pytest.mark.parametrize("platform", PAPER_PLATFORMS)
+    @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
+    def test_zoo_fp32(self, session, model, platform, monkeypatch):
+        _assert_frontier_matches_reference(
+            monkeypatch, lambda: session.plan_frontier(model, platform, dtypes=("fp32",))
+        )
+
+    @pytest.mark.parametrize("platform", PAPER_PLATFORMS)
+    @pytest.mark.parametrize("model", PERFBENCH_FRONTIER_MODELS)
+    def test_perfbench_models_every_dtype(self, session, model, platform, monkeypatch):
+        for dtype in DTYPES:
+            dtypes = (dtype,) + tuple(other for other in DTYPES if other != dtype)
+            _assert_frontier_matches_reference(
+                monkeypatch, lambda: session.plan_frontier(model, platform, dtypes=dtypes)
+            )
+
+    @pytest.mark.parametrize("platform", PAPER_PLATFORMS)
+    def test_workspace_budget(self, session, platform, monkeypatch):
+        context = session.context_for("resnet18", platform)
+        levels = workspace_levels(context)
+        budget = (levels[len(levels) // 2] + levels[len(levels) // 2 + 1]) / 2
+        _assert_frontier_matches_reference(
+            monkeypatch,
+            lambda: build_frontier(context, constraints={"peak_workspace_bytes_max": budget}),
+        )
+
+    @pytest.mark.parametrize("platform", PAPER_PLATFORMS)
+    def test_solve_under_workspace_cap_is_the_single_cap_case(self, session, platform):
+        context = session.context_for("googlenet", platform)
+        levels = workspace_levels(context)
+        for cap in (levels[0], levels[len(levels) // 2], levels[-1]):
+            plan = solve_under_workspace_cap(context, cap)
+            (reference,) = _reference_solve_variants(context, [cap], [])
+            assert plan.layer_decisions == reference.layer_decisions
+            assert plan.total_cost == reference.total_cost
+        assert solve_under_workspace_cap(context, levels[0] - 1.0) is None
+
+
+class TestBatchedEncoding:
+    """Slices of the frontier's batched encoding against the dict tables."""
+
+    @pytest.fixture(
+        scope="class", params=[("resnet18", "intel-haswell"), ("googlenet", "arm-cortex-a57")]
+    )
+    def context(self, request, session):
+        return session.context_for(*request.param)
+
+    def test_weight_slices_equal_the_scalarized_tables_encoding(self, context):
+        selector = PBQPSelector()
+        weights = list(SCALARIZATION_WEIGHTS)
+        graph, _ = selector.build_pbqp(context, _FrontierVariants(context.tables, [], weights))
+        scales = _scalarization_scales(context.tables)
+        for k, triple in enumerate(weights):
+            tables = _scalarized_tables(context, triple, scales)
+            reference, _ = selector.build_pbqp(dataclasses.replace(context, tables=tables))
+            _assert_slice_bytes(graph.slice(k), reference)
+
+    def test_cap_slices_mask_the_time_vector(self, context):
+        selector = PBQPSelector()
+        caps = workspace_levels(context)[:3]
+        variants = _FrontierVariants(context.tables, caps, [])
+        graph, id_to_layer = selector.build_pbqp(context, variants)
+        base, _ = selector.build_pbqp(context)
+        tables = context.tables
+        for k, cap in enumerate(caps):
+            piece = graph.slice(k)
+            for node, expected in zip(piece.nodes(), base.nodes()):
+                layer = id_to_layer.get(node.node_id)
+                if layer in tables.node_costs:
+                    fits = [
+                        tables.primitive_workspace(layer, name) <= cap for name in node.labels
+                    ]
+                    expected_costs = np.where(fits, expected.costs, math.inf)
+                else:
+                    expected_costs = expected.costs
+                assert node.costs.tobytes() == expected_costs.tobytes(), node.name
+            for edge, expected in zip(piece.edges(), base.edges()):
+                assert edge.matrix.tobytes() == expected.matrix.tobytes()
+
+    @pytest.mark.parametrize("platform", PAPER_PLATFORMS)
+    @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
+    def test_declared_classes_have_identical_rows(self, session, model, platform):
+        graph, _ = PBQPSelector().build_pbqp(session.context_for(model, platform))
+        classed = [node for node in graph.nodes() if node.class_groups is not None]
+        assert classed
+        for node in classed:
+            for neighbor in graph.neighbors(node.node_id):
+                matrix = graph.edge_matrix(node.node_id, neighbor)
+                for cls in np.unique(node.classes):
+                    rows = matrix[node.classes == cls]
+                    assert (rows == rows[0]).all(), (node.name, neighbor)
+
+
+def _assert_slice_bytes(piece, reference):
+    assert [(n.node_id, n.labels) for n in piece.nodes()] == [
+        (n.node_id, n.labels) for n in reference.nodes()
+    ]
+    for node, expected in zip(piece.nodes(), reference.nodes()):
+        assert node.costs.tobytes() == expected.costs.tobytes(), node.name
+    assert [(e.u, e.v) for e in piece.edges()] == [(e.u, e.v) for e in reference.edges()]
+    for edge, expected in zip(piece.edges(), reference.edges()):
+        assert edge.matrix.tobytes() == expected.matrix.tobytes(), (edge.u, edge.v)

@@ -135,3 +135,62 @@ class TestEvaluation:
         graph.add_edge(a, b, [[0.0, float("inf")], [0.0, 0.0]])
         assert graph.solution_cost({a: 0, b: 0}) == float("inf")
         assert graph.solution_cost({a: 1, b: 1}) == pytest.approx(2.0)
+
+
+class TestBatchAndClasses:
+    def build_batched(self):
+        graph = PBQPGraph(batch=2)
+        a = graph.add_node([[1.0, 2.0], [3.0, 4.0]], name="a")
+        b = graph.add_node([[0.0, 5.0, 1.0], [2.0, 0.0, 0.0]], name="b")
+        graph.add_edge(b, a, np.arange(12.0).reshape(2, 3, 2))
+        return graph, a, b
+
+    def test_shapes_validated_against_the_batch(self):
+        graph, a, _ = self.build_batched()
+        with pytest.raises(ValueError):
+            graph.add_node([1.0, 2.0])
+        with pytest.raises(ValueError):
+            graph.add_node(np.zeros((3, 2)))
+        c = graph.add_node(np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            graph.add_edge(a, c, np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            PBQPGraph(batch=0)
+
+    def test_slices_are_ordinary_instances(self):
+        graph, a, b = self.build_batched()
+        for k in range(2):
+            piece = graph.slice(k)
+            assert piece.batch is None
+            np.testing.assert_array_equal(piece.node(a).costs, graph.node(a).costs[k])
+            np.testing.assert_array_equal(piece.edge_matrix(a, b), graph.edge_matrix(a, b)[k])
+            assert piece.edge_matrix(a, b).shape == (2, 3)
+
+    def test_batch_solution_cost_sums_each_slice(self):
+        graph, a, b = self.build_batched()
+        assignment = {a: np.array([1, 0]), b: np.array([2, 1])}
+        totals = graph.batch_solution_cost(assignment)
+        for k in range(2):
+            plain = {a: int(assignment[a][k]), b: int(assignment[b][k])}
+            assert totals[k] == graph.slice(k).solution_cost(plain)
+
+    def test_working_copy_shares_matrices_but_not_costs(self):
+        graph, a, b = self.build_batched()
+        work = graph.working_copy()
+        work.node(a).costs += 1.0
+        work.remove_edge(a, b)
+        assert graph.node(a).costs[0, 0] == 1.0
+        assert graph.num_edges == 1
+        fresh = graph.working_copy()
+        assert fresh.edge(a, b).matrix is graph.edge(a, b).matrix
+
+    def test_class_groups(self):
+        graph = PBQPGraph()
+        node = graph.node(graph.add_node([5.0, 1.0, 4.0, 2.0], classes=[7, 3, 7, 3]))
+        groups = node.class_groups
+        assert groups.representatives.tolist() == [1, 0]
+        assert groups.row_of.tolist() == [1, 0, 1, 0]
+        singletons = graph.node(graph.add_node([1.0, 2.0], classes=[0, 1]))
+        assert singletons.class_groups is None
+        with pytest.raises(ValueError):
+            graph.add_node([1.0, 2.0], classes=[0])

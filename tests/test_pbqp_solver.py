@@ -1,5 +1,6 @@
 """Tests for the PBQP reductions, solver and brute-force oracle."""
 
+import logging
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.pbqp import reductions, solver as solver_module
 from repro.pbqp.bruteforce import brute_force_solve
 from repro.pbqp.graph import PBQPGraph
 from repro.pbqp.reductions import apply_r0, apply_r1, apply_r2, apply_rn
@@ -272,3 +274,193 @@ class TestBruteForce:
         graph = PBQPGraph()
         graph.add_node([4.0, 2.0])
         assert brute_force_solve(graph).cost == pytest.approx(2.0)
+
+
+# ---------------------------------------------------------------------------
+# The batched fold: K cost variants over one topology in one solve.
+# ---------------------------------------------------------------------------
+
+
+def tree_pairs(rng, num_nodes):
+    """A random tree: every node after the first hangs off an earlier one."""
+    return [(int(rng.integers(0, i)), i) for i in range(1, num_nodes)]
+
+
+def series_parallel_pairs(rng, num_nodes):
+    """A random two-terminal series-parallel graph (R1/R2 reduce it fully)."""
+    pairs = [(0, 1)]
+    for w in range(2, num_nodes):
+        u, v = pairs[int(rng.integers(0, len(pairs)))]
+        if rng.random() < 0.5:
+            pairs.remove((u, v))  # series: subdivide the edge
+        pairs.extend([(u, w), (w, v)])  # parallel otherwise: keep it
+    return pairs
+
+
+def dense_pairs(rng, num_nodes):
+    """Nearly complete graphs: degree-3+ cores survive R0/R1/R2."""
+    return [
+        (i, j) for i in range(num_nodes) for j in range(i + 1, num_nodes) if rng.random() < 0.85
+    ]
+
+
+TOPOLOGIES = {"tree": tree_pairs, "series_parallel": series_parallel_pairs, "dense": dense_pairs}
+
+
+def random_batched_graph(
+    rng, pairs, num_nodes, batch, max_alternatives=4, inf_probability=0.1, classes=True
+):
+    """A batched instance built like :func:`random_graph`, with ``inf`` entries
+    and declared duplicate-row classes.
+
+    Each node's alternatives get class ids; every incident matrix is drawn
+    per class pair and expanded, so alternatives of one class share rows.
+    """
+
+    def draw(shape):
+        values = rng.uniform(0, 10, size=shape)
+        values[rng.random(shape) < inf_probability] = math.inf
+        return values
+
+    graph = PBQPGraph(batch=batch)
+    class_of = []
+    for index in range(num_nodes):
+        size = int(rng.integers(1, max_alternatives + 1))
+        ids = rng.integers(0, max(1, size - 1), size=size) if classes else np.arange(size)
+        class_of.append(ids)
+        graph.add_node(draw((batch, size)), name=f"n{index}", classes=ids if classes else None)
+    for u, v in pairs:
+        base = draw((batch, class_of[u].max() + 1, class_of[v].max() + 1))
+        graph.add_edge(u, v, base[:, class_of[u]][:, :, class_of[v]])
+    return graph
+
+
+def slice_solutions(graph, exact_core_limit=2_000_000):
+    """What solving every slice on its own returns (``None`` if infeasible)."""
+    solutions = []
+    for k in range(graph.batch):
+        try:
+            solutions.append(PBQPSolver(exact_core_limit).solve(graph.slice(k)))
+        except InfeasibleProblemError:
+            solutions.append(None)
+    return solutions
+
+
+def assert_batched_matches_slices(graph, monkeypatch, exact_core_limit=2_000_000):
+    """Batched solve == per-slice solves, compared with ``==``.
+
+    The per-slice references run with the default fold chunk; the batched
+    solve runs with one alternative per chunk, so every chunk merge is
+    exercised against an unchunked fold.
+    """
+    expected = slice_solutions(graph, exact_core_limit)
+    monkeypatch.setattr(reductions, "FOLD_CHUNK_ENTRIES", 1)
+    solver = PBQPSolver(exact_core_limit)
+    batched = solver.solve(graph)
+    monkeypatch.undo()
+    assert len(batched) == graph.batch
+    for k, (got, want) in enumerate(zip(batched, expected)):
+        if want is None:
+            assert got is None, k
+            continue
+        assert got is not None, k
+        assert got.assignment == want.assignment, k
+        assert got.cost == want.cost, k
+        assert got.optimal == want.optimal, k
+    return batched, solver.last_stats
+
+
+class TestBatchedFold:
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_slices_match_separate_solves_and_brute_force(
+        self, seed, topology, batch, monkeypatch
+    ):
+        rng = np.random.default_rng(1000 + seed)
+        num_nodes = int(rng.integers(2, 7))
+        pairs = TOPOLOGIES[topology](rng, num_nodes)
+        graph = random_batched_graph(rng, pairs, num_nodes, batch)
+        batched, _ = assert_batched_matches_slices(graph, monkeypatch)
+        for k, solution in enumerate(batched):
+            oracle = brute_force_solve(graph.slice(k))
+            if solution is None:
+                assert oracle.cost == math.inf
+            else:
+                assert solution.optimal
+                assert solution.cost == pytest.approx(oracle.cost, rel=1e-12)
+                assert solution.cost == graph.slice(k).solution_cost(solution.assignment)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_larger_series_parallel_graphs_with_wide_nodes(self, seed, monkeypatch):
+        """More alternatives than one chunk holds, folded at class level."""
+        rng = np.random.default_rng(2000 + seed)
+        pairs = series_parallel_pairs(rng, 30)
+        graph = random_batched_graph(rng, pairs, 30, 3, max_alternatives=12, inf_probability=0.02)
+        _, stats = assert_batched_matches_slices(graph, monkeypatch)
+        assert stats.core_nodes == 0 and stats.r2_count > 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exact_core_search_per_slice(self, seed, monkeypatch):
+        rng = np.random.default_rng(3000 + seed)
+        graph = random_batched_graph(rng, dense_pairs(rng, 7), 7, 3, max_alternatives=3)
+        _, stats = assert_batched_matches_slices(graph, monkeypatch)
+        assert stats.rn_count == 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rn_path(self, seed, monkeypatch):
+        rng = np.random.default_rng(4000 + seed)
+        graph = random_batched_graph(
+            rng, dense_pairs(rng, 7), 7, 3, max_alternatives=3, inf_probability=0.0
+        )
+        batched, stats = assert_batched_matches_slices(graph, monkeypatch, exact_core_limit=1)
+        assert stats.rn_count > 0
+        assert all(solution is not None and not solution.optimal for solution in batched)
+
+    @pytest.mark.parametrize("topology", ["series_parallel", "dense"])
+    def test_infeasible_slice_leaves_the_others_unaffected(self, topology, monkeypatch):
+        rng = np.random.default_rng(5000)
+        pairs = TOPOLOGIES[topology](rng, 6)
+        graph = random_batched_graph(rng, pairs, 6, 3, inf_probability=0.0)
+        feasible = slice_solutions(graph)
+        graph.node(2).costs[1, :] = math.inf  # slice 1 can give node 2 no alternative
+        batched, _ = assert_batched_matches_slices(graph, monkeypatch)
+        assert batched[1] is None
+        for k in (0, 2):
+            assert batched[k].assignment == feasible[k].assignment
+            assert batched[k].cost == feasible[k].cost
+
+    def test_unbatched_graph_has_no_slices(self):
+        graph = random_graph(np.random.default_rng(0), 3)
+        assert graph.batch is None
+        with pytest.raises(ValueError):
+            graph.slice(0)
+        assert isinstance(PBQPSolver().solve(graph), PBQPSolution)
+
+
+class TestRNFallbackLogging:
+    @pytest.fixture(autouse=True)
+    def fresh_process_flag(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "_RN_FALLBACK_LOGGED", False)
+
+    def test_rn_fallback_logs_once(self, caplog):
+        caplog.set_level(logging.WARNING, logger="repro.pbqp.solver")
+        for seed in (7, 8):
+            graph = random_graph(np.random.default_rng(seed), 7, 0.9, max_alternatives=3)
+            assert not PBQPSolver(exact_core_limit=1).solve(graph).optimal
+        records = [r for r in caplog.records if r.name == "repro.pbqp.solver"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.WARNING
+        assert "exact_core_limit=1" in records[0].getMessage()
+
+    def test_batched_rn_fallback_logs_once(self, caplog):
+        caplog.set_level(logging.WARNING, logger="repro.pbqp.solver")
+        rng = np.random.default_rng(9)
+        graph = random_batched_graph(rng, dense_pairs(rng, 7), 7, 3, inf_probability=0.0)
+        PBQPSolver(exact_core_limit=1).solve(graph)
+        assert len([r for r in caplog.records if r.name == "repro.pbqp.solver"]) == 1
+
+    def test_exact_solves_stay_silent(self, caplog):
+        caplog.set_level(logging.WARNING, logger="repro.pbqp.solver")
+        PBQPSolver().solve(random_graph(np.random.default_rng(7), 7, 0.9, max_alternatives=3))
+        assert not [r for r in caplog.records if r.name == "repro.pbqp.solver"]

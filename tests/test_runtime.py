@@ -1,5 +1,7 @@
 """Tests for the reference operators, the weight store and the executor."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,39 @@ class TestExecutor:
         assert trace.conversions_executed == len(plan.conversions()) >= 0
         assert set(trace.outputs) == set(network.layer_names())
         assert trace.wall_seconds > 0
+
+    def test_weight_synthesis_is_not_timed_as_layer_compute(self, context):
+        """Every weight is synthesized before the first layer timer starts:
+        a store that sleeps on each first synthesis charges no layer."""
+        sleep_s = 0.05
+
+        class SlowWeightStore(WeightStore):
+            synthesized = 0
+
+            def _first(self, layer_name):
+                if layer_name not in self._cache:
+                    SlowWeightStore.synthesized += 1
+                    time.sleep(sleep_s)
+
+            def conv_weights(self, layer_name):
+                self._first(layer_name)
+                return super().conv_weights(layer_name)
+
+            def fc_weights(self, layer_name):
+                self._first(layer_name)
+                return super().fc_weights(layer_name)
+
+        network = context.network
+        weights = SlowWeightStore(network, seed=11)
+        executor = NetworkExecutor(network, PBQPSelector().select(context), context.library, weights)
+        x = np.random.default_rng(8).standard_normal((3, 32, 32)).astype(np.float32)
+        _, trace = executor.run_traced(x)
+        weighted = [
+            layer.name for layer in network.layers() if layer.name in weights._cache
+        ]
+        assert SlowWeightStore.synthesized == len(weighted) >= 2
+        assert max(trace.layer_seconds.values()) < sleep_s
+        assert trace.wall_seconds < sleep_s * len(weighted)
 
     def test_wrong_input_shape_rejected(self, context):
         executor = NetworkExecutor(context.network, sum2d_plan(context), context.library)
