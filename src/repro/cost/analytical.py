@@ -33,11 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from repro.cost.platform import Platform
 from repro.graph.scenario import DTYPE_ITEMSIZE, ConvScenario
 from repro.layouts.transforms import LayoutTransform
 from repro.multiobj.vector import CostVector
-from repro.primitives.base import ConvPrimitive, PrimitiveFamily, PrimitiveTraits
+from repro.primitives.base import ConvPrimitive, PricingRow
 
 #: Modelled per-layer top-1 accuracy loss (fraction) of running one
 #: convolution below fp32.  A proxy, not a measurement: the values encode the
@@ -142,6 +144,15 @@ class AnalyticalCostModel:
         workspace, traffic and footprint tier.  Every other per-primitive
         query of this model is a view over this method.
 
+        The formula runs over arrays of the layer's primitives, with every
+        branch a mask.  Each primitive's static inputs (traits, vector
+        factor, family and input-layout flags) come from its
+        :attr:`~repro.primitives.base.ConvPrimitive.pricing_row`, fixed once
+        per primitive; only the operation count, workspace and inner working
+        set are asked of each primitive per call.  Every element goes through
+        the same IEEE operations, in the same order, as a per-primitive
+        scalar evaluation would, so the floats are identical to it.
+
         **Time.**  Batched scenarios are priced with per-image working sets
         (a minibatch streams its images through the same blocked loops and
         scratch buffers) but whole-batch totals for arithmetic, traffic and
@@ -169,6 +180,8 @@ class AnalyticalCostModel:
         """
         if threads < 1:
             raise ValueError("threads must be >= 1")
+        if not primitives:
+            return []
         platform = self.platform
         params = self.parameters
         batch = scenario.batch
@@ -204,138 +217,156 @@ class AnalyticalCostModel:
         per_core = platform.per_core_cache_bytes()
         threads = min(threads, platform.cores)
         scalar_peak = platform.peak_gflops_per_core(1) * 1e9
-        base_loss = DTYPE_ACCURACY_LOSS[scenario.dtype]
-        is_int8 = scenario.dtype == "int8"
+        vector_width = platform.vector_width
 
-        priced: List[Tuple[float, float, float, float]] = []
-        for primitive in primitives:
-            traits = primitive.traits()
-            ops = primitive.arithmetic_ops(scenario)
-            # Per-image scratch footprint (buffers are reused across the batch).
-            workspace_bytes = itemsize * primitive.workspace_elements(per_image)
+        # One array per static pricing input, one entry per primitive; the
+        # flag columns become masks.  Each branch of the formula is computed
+        # for every primitive and selected with ``np.where``.
+        columns = PricingRow._make(
+            np.array([primitive.pricing_row for primitive in primitives], dtype=float).T
+        )
+        vector_factor = columns.vector_factor
+        plain_loops = columns.plain_loops != 0.0
+        # Scenario-dependent work estimates, per primitive.
+        ops = np.array([primitive.arithmetic_ops(scenario) for primitive in primitives], dtype=float)
+        # Per-image scratch footprint (buffers are reused across the batch).
+        workspace_bytes = itemsize * np.array(
+            [primitive.workspace_elements(per_image) for primitive in primitives], dtype=float
+        )
+        inner_bytes = itemsize * np.array(
+            [primitive.inner_working_set_elements(per_image) for primitive in primitives],
+            dtype=float,
+        )
 
-            # ---- effective SIMD throughput ----------------------------------
-            plain_loops = primitive.family in (PrimitiveFamily.DIRECT, PrimitiveFamily.SUM2D)
-            if simt:
-                # SIMT machines map any variant across the full machine width
-                # at compile time, so the CPU-oriented per-variant vector
-                # factor is irrelevant — but plain loop nests still occupy the
-                # lanes poorly (divergent, uncoalesced inner loops), which is
-                # what pushes the selector toward the GEMM/transform families
-                # even at batch 1.
-                if plain_loops:
-                    lanes = 1.0 + (platform.vector_width - 1.0) * params.direct_vector_efficiency
-                else:
-                    lanes = platform.vector_width * params.simt_lane_efficiency
-            else:
-                lanes = min(primitive.vector_factor, platform.vector_width)
-                if plain_loops:
-                    # Plain loop nests only extract a fraction of the nominal SIMD width.
-                    lanes = 1.0 + (lanes - 1.0) * params.direct_vector_efficiency
-                elif wide_recompile and primitive.vector_factor >= 8:
-                    # 256-bit GEMM-shaped kernels are recompiled to the full
-                    # 512-bit width on AVX-512 parts (the paper's VF is a
-                    # proxy for "written for wide SIMD", not a hard register
-                    # width).
-                    lanes = platform.vector_width * params.wide_recompile_efficiency
-            # Wide-vector execution derates the sustained clock on
-            # frequency-throttling parts (AVX-512 license-based downclocking)
-            # — which also derates the big-tile Winograd variants' advantage
-            # there.
-            frequency = platform.frequency_ghz
-            if lanes > 8.0 and platform.wide_vector_derating != 1.0:
-                frequency *= platform.wide_vector_derating
-            peak = frequency * platform.fma_per_cycle * 2.0 * lanes * 1e9
-            if not simt and primitive.vector_factor > platform.vector_width:
-                peak *= params.vector_emulation_penalty
-            if not plain_loops:
-                peak *= precision_rate
-
-            # ---- utilization --------------------------------------------------
-            utilization = self._utilization(primitive, traits, scenario)
-
-            # Small layers cannot amortize call / packing overheads.
-            work_scale = ops / (ops + params.small_work_flops)
-            utilization *= 0.25 + 0.75 * work_scale
-
-            # Cache pressure: working sets that overflow the last-level cache
-            # force the inner kernels to run at memory speed part of the time.
-            # The pressure is per image — a batch streams image working sets
-            # through the cache one after another, it does not hold them all
-            # at once.
-            pressure = params.cache_pressure * (workspace_bytes + 0.5 * tensor_bytes_image) / llc
-            if simt:
-                # Latency hiding by oversubscription: capacity misses cost far
-                # less than on a CPU, where the inner loops stall on them.
-                pressure *= params.simt_pressure_relief
-            utilization /= 1.0 + pressure
-
-            # Inner working-set pressure: the per-core cache must hold whatever
-            # the innermost stage keeps live (e.g. 2D Winograd's per-tile
-            # transformed slabs); overflowing it stalls the inner loops on
-            # every pass.  SIMT machines have no such private capacity cliff —
-            # tiles are staged through shared memory and misses overlap with
-            # other warps.
-            inner_bytes = itemsize * primitive.inner_working_set_elements(per_image)
-            if inner_bytes > per_core and not simt:
-                utilization /= 1.0 + params.inner_cache_pressure * (inner_bytes / per_core - 1.0)
-
-            compute_seconds = ops / (peak * max(utilization, 1e-3))
-
-            # ---- memory time and energy tier ----------------------------------
-            # Tensor traffic covers the whole batch already; the per-image
-            # workspace is written and read once per image.  The bandwidth
-            # (and energy) tier is chosen from the *per-image* footprint,
-            # consistent with the streaming assumption above: a batch passes
-            # one image's working set through the cache at a time, so growing
-            # the batch scales the traffic linearly without demoting the whole
-            # layer to DRAM bandwidth.
-            traffic_bytes = tensor_bytes + params.workspace_traffic_weight * workspace_bytes * batch
-            traffic_bytes += conversion_bytes
-            footprint = tensor_bytes_image + workspace_bytes
-            if footprint <= per_core:
-                bandwidth = platform.cache_bandwidth_gbps
-                per_byte_pj = params.energy_per_cache_byte_pj
-            elif footprint <= llc:
-                bandwidth = 0.6 * platform.cache_bandwidth_gbps
-                per_byte_pj = params.energy_per_llc_byte_pj
-            else:
-                bandwidth = platform.dram_bandwidth_gbps
-                per_byte_pj = params.energy_per_dram_byte_pj
-            memory_seconds = traffic_bytes / (bandwidth * 1e9)
-
-            # ---- threading ------------------------------------------------------
-            if threads > 1:
-                speedup = 1.0 + (threads - 1) * traits.parallel_efficiency
-                compute_seconds /= speedup
-                memory_seconds /= platform.mt_bandwidth_scaling
-
-            # ---- fixed overhead ---------------------------------------------------
-            # Transform- and GEMM-based families dispatch once per channel
-            # group (patch-matrix construction, Winograd/FFT transforms are
-            # all set up per group), so grouped and depthwise scenarios
-            # multiply their per-call overhead; the direct loop nests fold
-            # grouping into the channel loop and are charged once.
-            call_count = 1 if plain_loops else scenario.groups
-            overhead_seconds = traits.per_call_overhead_ops * call_count / scalar_peak
-            # Device-shaped platforms pay a fixed driver/queue latency per
-            # kernel launch (once per dispatch, regardless of batch — the
-            # batch rides in the same launch), which is what makes small
-            # layers launch-bound.
-            overhead_seconds += platform.launch_overhead_s * call_count
-
-            loss = base_loss
-            if is_int8 and primitive.family is PrimitiveFamily.WINOGRAD:
-                loss *= WINOGRAD_INT8_PENALTY
-            priced.append(
-                (
-                    max(compute_seconds, memory_seconds) + overhead_seconds,
-                    workspace_bytes,
-                    1e-12 * (ops * params.energy_per_flop_pj + traffic_bytes * per_byte_pj),
-                    loss,
-                )
+        # ---- effective SIMD throughput ----------------------------------
+        if simt:
+            # SIMT machines map any variant across the full machine width at
+            # compile time, so the CPU-oriented per-variant vector factor is
+            # irrelevant — but plain loop nests still occupy the lanes poorly
+            # (divergent, uncoalesced inner loops), which is what pushes the
+            # selector toward the GEMM/transform families even at batch 1.
+            lanes = np.where(
+                plain_loops,
+                1.0 + (vector_width - 1.0) * params.direct_vector_efficiency,
+                vector_width * params.simt_lane_efficiency,
             )
-        return priced
+        else:
+            lanes = np.minimum(vector_factor, vector_width)
+            # Plain loop nests only extract a fraction of the nominal SIMD width.
+            lanes = np.where(
+                plain_loops, 1.0 + (lanes - 1.0) * params.direct_vector_efficiency, lanes
+            )
+            if wide_recompile:
+                # 256-bit GEMM-shaped kernels are recompiled to the full
+                # 512-bit width on AVX-512 parts (the paper's VF is a proxy
+                # for "written for wide SIMD", not a hard register width).
+                lanes = np.where(
+                    ~plain_loops & (vector_factor >= 8),
+                    vector_width * params.wide_recompile_efficiency,
+                    lanes,
+                )
+        # Wide-vector execution derates the sustained clock on
+        # frequency-throttling parts (AVX-512 license-based downclocking) —
+        # which also derates the big-tile Winograd variants' advantage there.
+        frequency = platform.frequency_ghz
+        if platform.wide_vector_derating != 1.0:
+            frequency = np.where(
+                lanes > 8.0, frequency * platform.wide_vector_derating, frequency
+            )
+        peak = frequency * platform.fma_per_cycle * 2.0 * lanes * 1e9
+        if not simt:
+            peak = np.where(
+                vector_factor > vector_width, peak * params.vector_emulation_penalty, peak
+            )
+        peak = np.where(plain_loops, peak, peak * precision_rate)
+
+        # ---- utilization --------------------------------------------------
+        utilization = self._utilization(scenario, columns, plain_loops)
+
+        # Small layers cannot amortize call / packing overheads.
+        work_scale = ops / (ops + params.small_work_flops)
+        utilization = utilization * (0.25 + 0.75 * work_scale)
+
+        # Cache pressure: working sets that overflow the last-level cache
+        # force the inner kernels to run at memory speed part of the time.
+        # The pressure is per image — a batch streams image working sets
+        # through the cache one after another, it does not hold them all at
+        # once.
+        pressure = params.cache_pressure * (workspace_bytes + 0.5 * tensor_bytes_image) / llc
+        if simt:
+            # Latency hiding by oversubscription: capacity misses cost far
+            # less than on a CPU, where the inner loops stall on them.
+            pressure = pressure * params.simt_pressure_relief
+        utilization = utilization / (1.0 + pressure)
+
+        # Inner working-set pressure: the per-core cache must hold whatever
+        # the innermost stage keeps live (e.g. 2D Winograd's per-tile
+        # transformed slabs); overflowing it stalls the inner loops on every
+        # pass.  SIMT machines have no such private capacity cliff — tiles are
+        # staged through shared memory and misses overlap with other warps.
+        # Only the overflowing lanes are divided: elsewhere the divisor can
+        # be exactly zero.
+        if not simt:
+            over = inner_bytes > per_core
+            utilization[over] = utilization[over] / (
+                1.0 + params.inner_cache_pressure * (inner_bytes[over] / per_core - 1.0)
+            )
+
+        compute_seconds = ops / (peak * np.maximum(utilization, 1e-3))
+
+        # ---- memory time and energy tier ----------------------------------
+        # Tensor traffic covers the whole batch already; the per-image
+        # workspace is written and read once per image.  The bandwidth (and
+        # energy) tier is chosen from the *per-image* footprint, consistent
+        # with the streaming assumption above: a batch passes one image's
+        # working set through the cache at a time, so growing the batch
+        # scales the traffic linearly without demoting the whole layer to
+        # DRAM bandwidth.
+        traffic_bytes = tensor_bytes + params.workspace_traffic_weight * workspace_bytes * batch
+        traffic_bytes = traffic_bytes + conversion_bytes
+        footprint = tensor_bytes_image + workspace_bytes
+        in_cache = footprint <= per_core
+        in_llc = footprint <= llc
+        bandwidth = np.where(
+            in_cache,
+            platform.cache_bandwidth_gbps,
+            np.where(in_llc, 0.6 * platform.cache_bandwidth_gbps, platform.dram_bandwidth_gbps),
+        )
+        per_byte_pj = np.where(
+            in_cache,
+            params.energy_per_cache_byte_pj,
+            np.where(in_llc, params.energy_per_llc_byte_pj, params.energy_per_dram_byte_pj),
+        )
+        memory_seconds = traffic_bytes / (bandwidth * 1e9)
+
+        # ---- threading ------------------------------------------------------
+        if threads > 1:
+            speedup = 1.0 + (threads - 1) * columns.parallel_efficiency
+            compute_seconds = compute_seconds / speedup
+            memory_seconds = memory_seconds / platform.mt_bandwidth_scaling
+
+        # ---- fixed overhead ---------------------------------------------------
+        # Transform- and GEMM-based families dispatch once per channel group
+        # (patch-matrix construction, Winograd/FFT transforms are all set up
+        # per group), so grouped and depthwise scenarios multiply their
+        # per-call overhead; the direct loop nests fold grouping into the
+        # channel loop and are charged once.
+        call_count = np.where(plain_loops, 1, scenario.groups)
+        overhead_seconds = columns.per_call_overhead_ops * call_count / scalar_peak
+        # Device-shaped platforms pay a fixed driver/queue latency per kernel
+        # launch (once per dispatch, regardless of batch — the batch rides in
+        # the same launch), which is what makes small layers launch-bound.
+        overhead_seconds = overhead_seconds + platform.launch_overhead_s * call_count
+
+        base_loss = DTYPE_ACCURACY_LOSS[scenario.dtype]
+        loss = np.full(len(ops), base_loss)
+        if scenario.dtype == "int8":
+            loss[columns.winograd != 0.0] = base_loss * WINOGRAD_INT8_PENALTY
+        time_s = np.maximum(compute_seconds, memory_seconds) + overhead_seconds
+        energy = 1e-12 * (ops * params.energy_per_flop_pj + traffic_bytes * per_byte_pj)
+        return list(
+            zip(time_s.tolist(), workspace_bytes.tolist(), energy.tolist(), loss.tolist())
+        )
 
     def primitive_cost(
         self, primitive: ConvPrimitive, scenario: ConvScenario, threads: int = 1
@@ -402,27 +433,30 @@ class AnalyticalCostModel:
         return (fp32_bytes + float(scenario.itemsize)) * boundary_elements
 
     def _utilization(
-        self, primitive: ConvPrimitive, traits: PrimitiveTraits, scenario: ConvScenario
-    ) -> float:
-        """Fraction of peak the variant achieves, before size/cache effects."""
+        self, scenario: ConvScenario, columns: PricingRow, plain_loops: np.ndarray
+    ) -> np.ndarray:
+        """Fraction of peak each variant achieves, before size/cache effects."""
         params = self.parameters
-        locality = traits.locality
-        family = primitive.family
+        locality = columns.locality
 
         # Layout/scenario interactions for the direct-loop family: channel-minor
         # layouts stream well when there are few channels, blocked channel-major
         # layouts need enough channels to fill their blocks.  This is what makes
         # the per-layer-greedy "direct" strategy flip between layouts across a
         # network and pay for it in transformations (section 5.8).
-        if family is PrimitiveFamily.DIRECT or family is PrimitiveFamily.SUM2D:
-            order = primitive.input_layout.order
-            channel_minor = order[-1] == "C"
-            if channel_minor:
-                locality += 0.15 if scenario.c <= 128 else -0.10
-            if primitive.input_layout.is_blocked:
-                block = primitive.input_layout.channel_block or 1
-                locality += 0.10 if scenario.c >= 4 * block else -0.10
-            locality = min(max(locality, 0.05), 0.95)
+        adjusted = np.where(
+            plain_loops & (columns.channel_minor != 0.0),
+            locality + (0.15 if scenario.c <= 128 else -0.10),
+            locality,
+        )
+        adjusted = np.where(
+            plain_loops & (columns.blocked != 0.0),
+            adjusted + np.where(scenario.c >= 4 * columns.channel_block, 0.10, -0.10),
+            adjusted,
+        )
+        locality = np.where(
+            plain_loops, np.minimum(np.maximum(adjusted, 0.05), 0.95), locality
+        )
 
         gemm_util = params.gemm_efficiency
         # GEMM shapes are per channel group: a grouped (and especially a
@@ -432,16 +466,18 @@ class AnalyticalCostModel:
         group_c = scenario.c // scenario.groups
         # kn2 performs K*K skinny GEMMs whose inner dimension is the channel
         # count; few channels means poor GEMM efficiency (Table 1 "bad case").
-        if family is PrimitiveFamily.KN2:
-            gemm_util *= group_c / (group_c + 48.0)
         # im2's single GEMM has inner dimension (C/groups)*K*K; only
         # degenerate layers (tiny C and K) hurt it.
-        if family is PrimitiveFamily.IM2:
-            inner = group_c * scenario.k * scenario.k
-            gemm_util *= inner / (inner + 12.0)
+        inner = group_c * scenario.k * scenario.k
+        gemm_util = np.where(
+            columns.kn2 != 0.0,
+            gemm_util * (group_c / (group_c + 48.0)),
+            np.where(columns.im2 != 0.0, gemm_util * (inner / (inner + 12.0)), gemm_util),
+        )
 
         loop_util = params.loop_efficiency_base + params.loop_efficiency_locality * locality
-        return traits.gemm_fraction * gemm_util + (1.0 - traits.gemm_fraction) * loop_util
+        gemm_fraction = columns.gemm_fraction
+        return gemm_fraction * gemm_util + (1.0 - gemm_fraction) * loop_util
 
     # -- layout transformations -------------------------------------------------------
 

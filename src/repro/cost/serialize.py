@@ -142,6 +142,9 @@ def cost_tables_from_dict(document: dict, dt_graph: DTGraph) -> CostTables:
     dt_costs: Dict[Tuple[int, int, int], Dict[Tuple[str, str], float]] = {}
     dt_paths: Dict[Tuple[int, int, int], Dict[Tuple[str, str], DTPath]] = {}
     dt_energy: Dict[Tuple[int, int, int], Dict[Tuple[str, str], float]] = {}
+    # Most shapes share their chains (as DTGraph.shortest_paths_by_shape
+    # does), so each distinct hop list is resolved once per load.
+    chains: Dict[Tuple[str, ...], TransformChain] = {}
     for shape_key, pairs in document.get("dt_energy", {}).items():
         dt_energy[_parse_shape(shape_key)] = {
             tuple(pair_key.split("->")): float(energy)
@@ -159,21 +162,23 @@ def cost_tables_from_dict(document: dict, dt_graph: DTGraph) -> CostTables:
             chain: Optional[TransformChain]
             if hop_names is None:
                 chain = None
-            elif not hop_names:
-                chain = TransformChain(transforms=())
             else:
-                transforms = []
-                for source_name, target_name in zip(hop_names, hop_names[1:]):
-                    transform = dt_graph.direct_transform(
-                        get_layout(source_name), get_layout(target_name)
-                    )
-                    if transform is None:
-                        raise ValueError(
-                            f"serialized chain uses unknown direct transform "
-                            f"{source_name}->{target_name}"
+                chain = chains.get(tuple(hop_names))
+                if chain is None:
+                    transforms = []
+                    for source_name, target_name in zip(hop_names, hop_names[1:]):
+                        transform = dt_graph.direct_transform(
+                            get_layout(source_name), get_layout(target_name)
                         )
-                    transforms.append(transform)
-                chain = TransformChain(transforms=tuple(transforms))
+                        if transform is None:
+                            raise ValueError(
+                                f"serialized chain uses unknown direct transform "
+                                f"{source_name}->{target_name}"
+                            )
+                        transforms.append(transform)
+                    chain = chains[tuple(hop_names)] = TransformChain(
+                        transforms=tuple(transforms)
+                    )
             paths[(src, dst)] = DTPath(
                 source=get_layout(src), target=get_layout(dst), cost=float(cost), chain=chain
             )

@@ -18,6 +18,13 @@ thread count it records
 
 Tables are cost-model agnostic: they can be built from the analytical
 platform model or from the wall-clock profiler.
+
+:func:`build_cost_tables` makes one pass of each kind per network: each
+distinct scenario is priced by one call of the model's array formula
+(:meth:`~repro.cost.analytical.AnalyticalCostModel.price_layer`), and every
+edge shape's conversions come from one Floyd–Warshall pass over all shapes
+(:meth:`~repro.layouts.dt_graph.DTGraph.shortest_paths_by_shape`).  The
+outputs are plain dicts, in layer and first-seen shape order.
 """
 
 from __future__ import annotations
@@ -224,19 +231,18 @@ def build_cost_tables(
             node_accuracy[layer_name],
         ) = layer_tables
 
-    # Every distinct producer-output shape needs one all-pairs DT solution.
+    # Every distinct producer-output shape needs one all-pairs DT solution;
+    # one Floyd–Warshall pass solves them all.
     edge_shapes = {shapes[edge.producer] for edge in network.edges()}
-    dt_paths: Dict[Shape, Dict[Tuple[str, str], DTPath]] = {}
+    dt_paths = dt_graph.shortest_paths_by_shape(
+        edge_shapes,
+        cost_fn=lambda transform, s: cost_model.transform_cost(
+            transform, s, threads=threads, batch=batch, dtype=dtype
+        ),
+    )
     dt_costs: Dict[Shape, Dict[Tuple[str, str], float]] = {}
     dt_energy: Dict[Shape, Dict[Tuple[str, str], float]] = {}
-    for shape in edge_shapes:
-        paths = dt_graph.all_pairs_shortest_paths(
-            shape,
-            cost_fn=lambda transform, s: cost_model.transform_cost(
-                transform, s, threads=threads, batch=batch, dtype=dtype
-            ),
-        )
-        dt_paths[shape] = paths
+    for shape, paths in dt_paths.items():
         dt_costs[shape] = {pair: path.cost for pair, path in paths.items()}
         # Each direct transform's energy is computed once per shape; every
         # chain then sums its hops in order.  Hops are the graph's own edge

@@ -11,6 +11,7 @@ execution order), validation, and static shape inference — possible because
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -46,6 +47,9 @@ class Network:
         self._layers: Dict[str, Layer] = {}
         self._inputs: Dict[str, List[str]] = {}
         self._consumers: Dict[str, List[str]] = {}
+        #: The topological order, computed on first use; ``add_layer`` (the
+        #: only mutation) clears it.
+        self._order: Optional[List[Layer]] = None
 
     # -- construction ---------------------------------------------------------
 
@@ -68,6 +72,7 @@ class Network:
                 f"layer {layer.name!r} ({type(layer).__name__}) takes between {minimum} and "
                 f"{maximum if maximum >= 0 else 'unbounded'} inputs, got {len(inputs)}"
             )
+        self._order = None
         self._layers[layer.name] = layer
         self._inputs[layer.name] = inputs
         self._consumers.setdefault(layer.name, [])
@@ -139,18 +144,24 @@ class Network:
         """Layers in an execution order respecting all data dependences.
 
         Kahn's algorithm with insertion-order tie breaking, so the order is
-        deterministic across runs.
+        deterministic across runs.  It is computed once per graph; every call
+        returns a fresh list.
 
         Raises
         ------
         NetworkValidationError
             If the graph contains a cycle.
         """
+        if self._order is None:
+            self._order = self._kahn_order()
+        return list(self._order)
+
+    def _kahn_order(self) -> List[Layer]:
         indegree = {name: len(producers) for name, producers in self._inputs.items()}
-        ready = [name for name in self._layers if indegree[name] == 0]
+        ready = deque(name for name in self._layers if indegree[name] == 0)
         order: List[Layer] = []
         while ready:
-            name = ready.pop(0)
+            name = ready.popleft()
             order.append(self._layers[name])
             for consumer in self._consumers[name]:
                 indegree[consumer] -= 1

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, FrozenSet, Iterable, Optional, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, FrozenSet, Iterable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -73,6 +74,35 @@ class PrimitiveTraits:
     locality: float
     parallel_efficiency: float
     per_call_overhead_ops: float = 0.0
+
+
+class PricingRow(NamedTuple):
+    """The scenario-independent inputs of the analytical cost formula.
+
+    One row per primitive (:attr:`ConvPrimitive.pricing_row`): its traits,
+    vector factor, family flags and input-layout flags.
+    :meth:`AnalyticalCostModel.price_layer
+    <repro.cost.analytical.AnalyticalCostModel.price_layer>` stacks the rows
+    of a layer's primitives into one array and reads its columns through
+    this tuple's field names.
+    """
+
+    gemm_fraction: float
+    locality: float
+    parallel_efficiency: float
+    per_call_overhead_ops: float
+    vector_factor: float
+    #: Direct or sum2d: a plain loop nest rather than a GEMM/transform kernel.
+    plain_loops: bool
+    winograd: bool
+    kn2: bool
+    im2: bool
+    #: The input layout's innermost dimension is the channel.
+    channel_minor: bool
+    #: The input layout is channel-blocked ...
+    blocked: bool
+    #: ... by this many channels (1 when unblocked).
+    channel_block: float
 
 
 class ConvPrimitive:
@@ -173,6 +203,35 @@ class ConvPrimitive:
     def traits(self) -> PrimitiveTraits:
         """Platform-independent characteristics priced by the cost model."""
         raise NotImplementedError
+
+    @cached_property
+    def pricing_row(self) -> np.ndarray:
+        """The static row of the cost formula, as floats in :class:`PricingRow`
+        order (flags are 0 or 1).
+
+        Traits, family and layouts never change after construction, so the
+        row is built once per primitive rather than once per priced layer.
+        """
+        traits = self.traits()
+        family = self.family
+        layout = self.input_layout
+        row = PricingRow(
+            gemm_fraction=traits.gemm_fraction,
+            locality=traits.locality,
+            parallel_efficiency=traits.parallel_efficiency,
+            per_call_overhead_ops=traits.per_call_overhead_ops,
+            vector_factor=self.vector_factor,
+            plain_loops=family is PrimitiveFamily.DIRECT or family is PrimitiveFamily.SUM2D,
+            winograd=family is PrimitiveFamily.WINOGRAD,
+            kn2=family is PrimitiveFamily.KN2,
+            im2=family is PrimitiveFamily.IM2,
+            channel_minor=layout.order[-1] == "C",
+            blocked=layout.is_blocked,
+            channel_block=layout.channel_block or 1,
+        )
+        array = np.array(row, dtype=float)
+        array.flags.writeable = False
+        return array
 
     # -- work estimates ------------------------------------------------------------
 

@@ -4,7 +4,12 @@
 import numpy as np
 import pytest
 
-from repro.cost.analytical import AnalyticalCostModel, ModelParameters
+from repro.cost.analytical import (
+    DTYPE_ACCURACY_LOSS,
+    WINOGRAD_INT8_PENALTY,
+    AnalyticalCostModel,
+    ModelParameters,
+)
 from repro.cost.platform import PLATFORMS, arm_cortex_a57, intel_haswell, list_platforms
 from repro.cost.profiler import WallClockProfiler
 from repro.cost.tables import build_cost_tables
@@ -13,6 +18,7 @@ from repro.graph.scenario import ConvScenario
 from repro.layouts.layout import CHW, CHW8c, HWC
 from repro.layouts.transforms import LayoutTransform
 from repro.models import MODEL_BUILDERS, build_model
+from repro.primitives.base import PrimitiveFamily
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +216,173 @@ PAPER_PLATFORMS = ("intel-haswell", "arm-cortex-a57")
 @pytest.fixture(scope="module")
 def zoo():
     return {name: build_model(name) for name in MODEL_BUILDERS}
+
+
+def scalar_utilization(model, primitive, traits, scenario):
+    """Test oracle: the per-primitive utilization the array formula replaced."""
+    params = model.parameters
+    locality = traits.locality
+    family = primitive.family
+    if family is PrimitiveFamily.DIRECT or family is PrimitiveFamily.SUM2D:
+        if primitive.input_layout.order[-1] == "C":
+            locality += 0.15 if scenario.c <= 128 else -0.10
+        if primitive.input_layout.is_blocked:
+            block = primitive.input_layout.channel_block or 1
+            locality += 0.10 if scenario.c >= 4 * block else -0.10
+        locality = min(max(locality, 0.05), 0.95)
+    gemm_util = params.gemm_efficiency
+    group_c = scenario.c // scenario.groups
+    if family is PrimitiveFamily.KN2:
+        gemm_util *= group_c / (group_c + 48.0)
+    if family is PrimitiveFamily.IM2:
+        inner = group_c * scenario.k * scenario.k
+        gemm_util *= inner / (inner + 12.0)
+    loop_util = params.loop_efficiency_base + params.loop_efficiency_locality * locality
+    return traits.gemm_fraction * gemm_util + (1.0 - traits.gemm_fraction) * loop_util
+
+
+def scalar_price_layer(model, primitives, scenario, threads=1):
+    """Test oracle: the per-primitive scalar loop ``price_layer`` replaced.
+
+    Kept operation for operation, so the array formula can be compared with
+    it bit for bit.
+    """
+    platform = model.platform
+    params = model.parameters
+    batch = scenario.batch
+    per_image = scenario.per_image
+    itemsize = float(scenario.itemsize)
+    tensor_bytes = itemsize * (
+        scenario.input_elements() + scenario.output_elements() + scenario.kernel_elements()
+    )
+    tensor_bytes_image = itemsize * (
+        per_image.input_elements() + per_image.output_elements() + per_image.kernel_elements()
+    )
+    conversion_bytes = model._conversion_bytes(scenario)
+    simt = platform.has_feature("simt")
+    wide_recompile = platform.has_feature("avx512") and platform.vector_width > 8
+    precision_rate = model._precision_rate(scenario.dtype)
+    llc = platform.last_level_cache_bytes()
+    per_core = platform.per_core_cache_bytes()
+    threads = min(threads, platform.cores)
+    scalar_peak = platform.peak_gflops_per_core(1) * 1e9
+    base_loss = DTYPE_ACCURACY_LOSS[scenario.dtype]
+    is_int8 = scenario.dtype == "int8"
+    priced = []
+    for primitive in primitives:
+        traits = primitive.traits()
+        ops = primitive.arithmetic_ops(scenario)
+        workspace_bytes = itemsize * primitive.workspace_elements(per_image)
+        plain_loops = primitive.family in (PrimitiveFamily.DIRECT, PrimitiveFamily.SUM2D)
+        if simt:
+            if plain_loops:
+                lanes = 1.0 + (platform.vector_width - 1.0) * params.direct_vector_efficiency
+            else:
+                lanes = platform.vector_width * params.simt_lane_efficiency
+        else:
+            lanes = min(primitive.vector_factor, platform.vector_width)
+            if plain_loops:
+                lanes = 1.0 + (lanes - 1.0) * params.direct_vector_efficiency
+            elif wide_recompile and primitive.vector_factor >= 8:
+                lanes = platform.vector_width * params.wide_recompile_efficiency
+        frequency = platform.frequency_ghz
+        if lanes > 8.0 and platform.wide_vector_derating != 1.0:
+            frequency *= platform.wide_vector_derating
+        peak = frequency * platform.fma_per_cycle * 2.0 * lanes * 1e9
+        if not simt and primitive.vector_factor > platform.vector_width:
+            peak *= params.vector_emulation_penalty
+        if not plain_loops:
+            peak *= precision_rate
+        utilization = scalar_utilization(model, primitive, traits, scenario)
+        work_scale = ops / (ops + params.small_work_flops)
+        utilization *= 0.25 + 0.75 * work_scale
+        pressure = params.cache_pressure * (workspace_bytes + 0.5 * tensor_bytes_image) / llc
+        if simt:
+            pressure *= params.simt_pressure_relief
+        utilization /= 1.0 + pressure
+        inner_bytes = itemsize * primitive.inner_working_set_elements(per_image)
+        if inner_bytes > per_core and not simt:
+            utilization /= 1.0 + params.inner_cache_pressure * (inner_bytes / per_core - 1.0)
+        compute_seconds = ops / (peak * max(utilization, 1e-3))
+        traffic_bytes = tensor_bytes + params.workspace_traffic_weight * workspace_bytes * batch
+        traffic_bytes += conversion_bytes
+        footprint = tensor_bytes_image + workspace_bytes
+        if footprint <= per_core:
+            bandwidth = platform.cache_bandwidth_gbps
+            per_byte_pj = params.energy_per_cache_byte_pj
+        elif footprint <= llc:
+            bandwidth = 0.6 * platform.cache_bandwidth_gbps
+            per_byte_pj = params.energy_per_llc_byte_pj
+        else:
+            bandwidth = platform.dram_bandwidth_gbps
+            per_byte_pj = params.energy_per_dram_byte_pj
+        memory_seconds = traffic_bytes / (bandwidth * 1e9)
+        if threads > 1:
+            speedup = 1.0 + (threads - 1) * traits.parallel_efficiency
+            compute_seconds /= speedup
+            memory_seconds /= platform.mt_bandwidth_scaling
+        call_count = 1 if plain_loops else scenario.groups
+        overhead_seconds = traits.per_call_overhead_ops * call_count / scalar_peak
+        overhead_seconds += platform.launch_overhead_s * call_count
+        loss = base_loss
+        if is_int8 and primitive.family is PrimitiveFamily.WINOGRAD:
+            loss *= WINOGRAD_INT8_PENALTY
+        priced.append(
+            (
+                max(compute_seconds, memory_seconds) + overhead_seconds,
+                workspace_bytes,
+                1e-12 * (ops * params.energy_per_flop_pj + traffic_bytes * per_byte_pj),
+                loss,
+            )
+        )
+    return priced
+
+
+def bits(rows):
+    """Rows of floats as their exact bit patterns (``-0.0`` differs from ``0.0``)."""
+    return [tuple(np.float64(value).tobytes() for value in row) for row in rows]
+
+
+def zoo_scenarios():
+    """Every distinct convolution scenario of the model zoo, in build order."""
+    scenarios = {}
+    for name in MODEL_BUILDERS:
+        for scenario in build_model(name).conv_scenarios().values():
+            scenarios.setdefault(scenario, None)
+    return list(scenarios)
+
+
+class TestArrayPricingMatchesScalarOracle:
+    """``price_layer`` prices a layer's primitives as arrays; every float must
+    equal the per-primitive scalar loop it replaced."""
+
+    @pytest.mark.parametrize("platform_name", list_platforms())
+    def test_every_machine_dtype_batch_thread_and_zoo_scenario(self, library, platform_name):
+        model = AnalyticalCostModel(PLATFORMS[platform_name])
+        cases = 0
+        for scenario in zoo_scenarios():
+            for dtype in ("fp32", "fp16", "int8"):
+                for batch in (1, 4):
+                    priced = scenario.with_batch(batch).with_dtype(dtype)
+                    primitives = library.applicable(priced, platform=model.platform)
+                    for threads in (1, 4):
+                        expected = scalar_price_layer(model, primitives, priced, threads)
+                        got = model.price_layer(primitives, priced, threads)
+                        assert bits(got) == bits(expected), (priced.describe(), threads)
+                        cases += 1
+        assert cases == 12 * len(zoo_scenarios())
+
+    def test_empty_layer_prices_nothing(self, intel_cost_model, k3_scenario):
+        assert intel_cost_model.price_layer([], k3_scenario) == []
+
+    @pytest.mark.parametrize("platform_name", list_platforms())
+    def test_no_floating_point_error_in_masked_lanes(self, library, platform_name):
+        # Both sides of every branch are evaluated; lanes a mask discards
+        # must not divide by zero or overflow either.
+        model = AnalyticalCostModel(PLATFORMS[platform_name])
+        with np.errstate(all="raise"):
+            for scenario in zoo_scenarios():
+                model.price_layer(library.applicable(scenario, platform=model.platform), scenario)
 
 
 def reference_tables(network, library, dt_graph, model, threads=1, batch=1, dtype="fp32"):

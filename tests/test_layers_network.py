@@ -174,6 +174,30 @@ class TestNetwork:
         for producer in ("branch1", "branch2", "branch3"):
             assert order.index(producer) < order.index("concat")
 
+    def test_add_layer_after_topological_order_invalidates_it(self):
+        net = Network("grow")
+        net.add_layer(InputLayer("data", shape=(1, 4, 4)))
+        net.add_layer(ReLULayer("a"), ["data"])
+        assert [layer.name for layer in net.topological_order()] == ["data", "a"]
+        net.add_layer(ReLULayer("b"), ["a"])
+        assert [layer.name for layer in net.topological_order()] == ["data", "a", "b"]
+
+    def test_mutating_a_returned_order_does_not_leak(self, tiny_network):
+        expected = [layer.name for layer in tiny_network.topological_order()]
+        order = tiny_network.topological_order()
+        order.reverse()
+        order.pop()
+        assert tiny_network.topological_order() is not order
+        assert [layer.name for layer in tiny_network.topological_order()] == expected
+
+    def test_failed_add_layer_keeps_the_order(self):
+        net = Network("n")
+        net.add_layer(InputLayer("data", shape=(1, 4, 4)))
+        before = net.topological_order()
+        with pytest.raises(NetworkValidationError):
+            net.add_layer(ReLULayer("r"), ["ghost"])
+        assert net.topological_order() == before
+
     def test_shape_inference_on_branching_network(self, tiny_network):
         shapes = tiny_network.infer_shapes()
         assert shapes["conv1"] == (8, 16, 16)

@@ -52,6 +52,26 @@ class TestCostTableSerialization:
                 loaded_path = loaded.dt_paths[shape][key]
                 assert loaded_path.hops == original_path.hops
 
+    def test_roundtrip_dt_paths_are_equal_and_share_chains(
+        self, library, dt_graph, intel_cost_model
+    ):
+        from repro.cost.serialize import cost_tables_to_dict
+        from repro.cost.tables import build_cost_tables
+        from repro.models import build_model
+
+        tables = build_cost_tables(build_model("googlenet"), library, dt_graph, intel_cost_model)
+        loaded = cost_tables_from_dict(
+            json.loads(json.dumps(cost_tables_to_dict(tables))), dt_graph
+        )
+        assert loaded.dt_paths == tables.dt_paths
+        # Each distinct hop list is one chain object across all shapes.
+        chains = {}
+        for pairs in loaded.dt_paths.values():
+            for path in pairs.values():
+                if path.chain is not None:
+                    key = tuple(hop.name for hop in path.chain.transforms)
+                    assert chains.setdefault(key, path.chain) is path.chain
+
     def test_document_is_json_and_versioned(self, context, tmp_path):
         path = tmp_path / "tables.json"
         save_cost_tables(context.tables, path)
