@@ -16,21 +16,23 @@ and execution (through :class:`~repro.runtime.executor.NetworkExecutor`):
 
 The session memoizes profiled :class:`~repro.core.selector.SelectionContext`
 objects (and therefore the cost tables) keyed by ``(network fingerprint,
-platform, threads)``; with a ``cache_dir`` the tables additionally persist to
-a :class:`~repro.cost.store.CostStore`, so a *fresh process* pointed at the
-same directory performs zero profiling.
+platform, threads)``, and one execution weight store per network that every
+plan of that network shares; with a ``cache_dir`` the tables additionally
+persist to a :class:`~repro.cost.store.CostStore`, so a *fresh process*
+pointed at the same directory performs zero profiling.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,6 +56,7 @@ from repro.models import build_model
 from repro.multiobj.frontier import DEFAULT_BUDGET_STEPS, Frontier, build_frontier
 from repro.primitives.registry import PrimitiveLibrary, default_primitive_library
 from repro.runtime.executor import ExecutionTrace, NetworkExecutor
+from repro.runtime.weights import WeightStore
 
 #: Serialization format identifier for selection results.
 RESULT_FORMAT = "repro/selection-result/v1"
@@ -161,6 +164,8 @@ class CacheInfo:
     hits: int
     misses: int
     contexts: int
+    #: Weight stores held for execution: at most one per resolved network.
+    weight_stores: int = 0
 
 
 @dataclass
@@ -341,12 +346,23 @@ class Plan:
     Produced by :meth:`Session.plan`; :meth:`execute` runs the selected
     instantiation on a real input and reports per-layer measured times,
     layout-conversion accounting and predicted-versus-measured deltas.
+
+    ``weight_source`` maps a seed to the :class:`WeightStore` to execute
+    with; a Session passes its per-network store, so every plan of one
+    network shares one set of weights.  A hand-built Plan keeps one store of
+    its own, rebuilt when a different seed is asked for.
     """
 
     result: SelectionResult
     network: Network
     library: PrimitiveLibrary
     dt_graph: DTGraph
+    weight_source: Optional[Callable[[int], WeightStore]] = field(
+        default=None, repr=False, compare=False
+    )
+    _weights: Optional[WeightStore] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # -- passthroughs -------------------------------------------------------------
 
@@ -377,10 +393,23 @@ class Plan:
                 return layer.shape
         raise ValueError(f"network {self.network.name!r} has no input layer")
 
+    def _weight_store(self, seed: int) -> WeightStore:
+        if self.weight_source is not None:
+            return self.weight_source(seed)
+        store = self._weights
+        if store is None or store.seed != seed:
+            store = self._weights = WeightStore(self.network, seed=seed)
+        return store
+
     def executor(self, seed: int = 0) -> NetworkExecutor:
-        """A fresh executor for this plan (weights seeded deterministically)."""
+        """An executor for this plan over the shared weights for ``seed``.
+
+        The weights come from the plan's weight store (see the class
+        docstring), so they are synthesized once per network and seed, not
+        once per executor; a store is deterministic in (network, seed).
+        """
         return NetworkExecutor(
-            self.network, self.network_plan, self.library, seed=seed
+            self.network, self.network_plan, self.library, self._weight_store(seed)
         )
 
     def execute(
@@ -399,8 +428,11 @@ class Plan:
             generated when omitted — batched when the plan was selected for a
             batch larger than one.
         seed:
-            Seed for the weight store and the generated input, so two plans
+            Seed for the weights and the generated input, so two plans
             executed with the same seed compute over identical weights.
+            Weights are shared per network and seed: every plan a Session
+            built for one network reuses one store, so only the first pass
+            at a seed synthesizes them.
         keep_outputs:
             Keep every layer's output tensor on the returned trace.
         """
@@ -613,6 +645,9 @@ class Session:
         self.provider: CostProvider = resolved
         self._contexts: Dict[Tuple[str, str, int, int, str], SelectionContext] = {}
         self._networks: Dict[str, Network] = {}
+        # Execution weights: at most one store per resolved network, keyed
+        # like ``_networks`` and replaced when another seed is asked for.
+        self._weights: Dict[str, WeightStore] = {}
         self._stats = _CacheState()
         # The session is shared by every thread of the planning service, so
         # the memoization dictionaries live behind one lock, with a per-key
@@ -661,6 +696,30 @@ class Session:
             with self._lock:
                 network = self._networks.setdefault(model, built)
         return model, network
+
+    def _weights_for(self, fingerprint: str, network: Network, seed: int) -> WeightStore:
+        """The session's weight store for ``network`` at ``seed``.
+
+        Building a store synthesizes nothing (weights are made on first
+        use), so it is cheap to build under the lock.
+        """
+        with self._lock:
+            store = self._weights.get(fingerprint)
+            if store is None or store.seed != seed or store.network is not network:
+                store = self._weights[fingerprint] = WeightStore(network, seed=seed)
+            return store
+
+    def _plan_handle(
+        self, result: SelectionResult, fingerprint: str, network: Network
+    ) -> Plan:
+        """An executable :class:`Plan` drawing its weights from this session."""
+        return Plan(
+            result=result,
+            network=network,
+            library=self.library,
+            dt_graph=self.dt_graph,
+            weight_source=functools.partial(self._weights_for, fingerprint, network),
+        )
 
     def _query(
         self,
@@ -786,17 +845,22 @@ class Session:
                 hits=self._stats.hits,
                 misses=self._stats.misses,
                 contexts=len(self._contexts),
+                weight_stores=len(self._weights),
             )
 
     def clear_cache(self) -> None:
-        """Drop every cached context and reset the statistics.
+        """Drop every cached context and weight store; reset the statistics.
 
-        The persistent store (if any) is untouched; use
+        Execution weights are shared per network and seed by every plan this
+        session built; after clearing, the next execute synthesizes them
+        anew (bit-identical, since a store is deterministic in network and
+        seed).  The persistent store (if any) is untouched; use
         :meth:`CostStore.clear` to delete on-disk entries.
         """
         with self._lock:
             self._contexts.clear()
             self._networks.clear()
+            self._weights.clear()
             self._build_locks.clear()
             self._stats = _CacheState()
 
@@ -861,7 +925,7 @@ class Session:
         result = self.select(
             model, platform, strategy=strategy, threads=threads, batch=batch, dtype=dtype
         )
-        _, network = self._resolve_network(model)
+        fingerprint, network = self._resolve_network(model)
         if verify:
             from repro.analysis.plan_verifier import raise_for_report, verify_plan
 
@@ -874,12 +938,7 @@ class Session:
                     source=f"plan({result.model!r}, {result.platform!r}, {strategy!r})",
                 )
             )
-        return Plan(
-            result=result,
-            network=network,
-            library=self.library,
-            dt_graph=self.dt_graph,
-        )
+        return self._plan_handle(result, fingerprint, network)
 
     def run(
         self,
@@ -957,7 +1016,9 @@ class Session:
         """Rebuild an executable :class:`Plan` from a saved plan document.
 
         The network is rebuilt from the model zoo by the plan's recorded
-        network name unless an explicit ``network`` is passed.  ``verify``
+        network name unless an explicit ``network`` is passed; either way it
+        is resolved like :meth:`plan`'s, so the loaded plan shares this
+        session's weights with every other plan of that network.  ``verify``
         statically checks the raw document first (hand-edited or corrupt
         files are refused with a structured
         :class:`~repro.analysis.plan_verifier.PlanVerificationError` listing
@@ -981,13 +1042,14 @@ class Session:
         if not isinstance(document, dict):
             raise ValueError(f"plan document {path} is not a JSON object")
         network_plan = plan_from_dict(document, self.dt_graph)
-        if network is None:
-            _, network = self._resolve_network(network_plan.network_name)
-        elif network.name != network_plan.network_name:
+        if network is not None and network.name != network_plan.network_name:
             raise ValueError(
                 f"plan was saved for network {network_plan.network_name!r}, "
                 f"got {network.name!r}"
             )
+        fingerprint, network = self._resolve_network(
+            network if network is not None else network_plan.network_name
+        )
         result = SelectionResult(
             model=network_plan.network_name,
             platform=network_plan.platform_name,
@@ -998,12 +1060,7 @@ class Session:
             batch=network_plan.batch,
             dtype=network_plan.dtype,
         )
-        return Plan(
-            result=result,
-            network=network,
-            library=self.library,
-            dt_graph=self.dt_graph,
-        )
+        return self._plan_handle(result, fingerprint, network)
 
     def compare(
         self,

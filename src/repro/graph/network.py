@@ -47,9 +47,11 @@ class Network:
         self._layers: Dict[str, Layer] = {}
         self._inputs: Dict[str, List[str]] = {}
         self._consumers: Dict[str, List[str]] = {}
-        #: The topological order, computed on first use; ``add_layer`` (the
-        #: only mutation) clears it.
+        #: The topological order, shapes and convolution scenarios, each
+        #: computed on first use; ``add_layer`` (the only mutation) clears them.
         self._order: Optional[List[Layer]] = None
+        self._shapes: Optional[Dict[str, Shape]] = None
+        self._scenarios: Optional[Dict[str, ConvScenario]] = None
 
     # -- construction ---------------------------------------------------------
 
@@ -72,7 +74,7 @@ class Network:
                 f"layer {layer.name!r} ({type(layer).__name__}) takes between {minimum} and "
                 f"{maximum if maximum >= 0 else 'unbounded'} inputs, got {len(inputs)}"
             )
-        self._order = None
+        self._order = self._shapes = self._scenarios = None
         self._layers[layer.name] = layer
         self._inputs[layer.name] = inputs
         self._consumers.setdefault(layer.name, [])
@@ -189,8 +191,14 @@ class Network:
         Returns a mapping from layer name to its logical (C, H, W) output
         shape.  Shapes are fully determined by the input layers' declared
         shapes, mirroring the paper's observation that all layer input sizes
-        are known statically.
+        are known statically.  They are inferred once per graph; every call
+        returns a fresh dict.
         """
+        if self._shapes is None:
+            self._shapes = self._infer_shapes()
+        return dict(self._shapes)
+
+    def _infer_shapes(self) -> Dict[str, Shape]:
         shapes: Dict[str, Shape] = {}
         for layer in self.topological_order():
             input_shapes = [shapes[p] for p in self._inputs[layer.name]]
@@ -206,14 +214,17 @@ class Network:
         """The convolutional scenario of every convolution layer.
 
         This is the "extract all convolutional scenarios in the graph" step of
-        the paper's methodology (section 5.2).
+        the paper's methodology (section 5.2).  They are extracted once per
+        graph; every call returns a fresh dict.
         """
-        shapes = self.infer_shapes()
-        scenarios: Dict[str, ConvScenario] = {}
-        for layer in self.conv_layers():
-            (producer,) = self._inputs[layer.name]
-            scenarios[layer.name] = layer.scenario(shapes[producer])
-        return scenarios
+        if self._scenarios is None:
+            shapes = self.infer_shapes()
+            scenarios: Dict[str, ConvScenario] = {}
+            for layer in self.conv_layers():
+                (producer,) = self._inputs[layer.name]
+                scenarios[layer.name] = layer.scenario(shapes[producer])
+            self._scenarios = scenarios
+        return dict(self._scenarios)
 
     # -- reporting -------------------------------------------------------------
 

@@ -87,8 +87,12 @@ class NetworkExecutor:
     library:
         The primitive library the plan's primitive names refer to.
     weights:
-        Optional shared weight store; pass the same store to two executors to
-        compare their outputs on identical weights.
+        Optional shared weight store, built for this very ``network`` object;
+        pass the same store to two executors to compare their outputs on
+        identical weights.
+    seed:
+        Seed of the store built when ``weights`` is omitted (default 0).
+        Given together with ``weights``, it must equal ``weights.seed``.
     """
 
     def __init__(
@@ -97,16 +101,25 @@ class NetworkExecutor:
         plan: NetworkPlan,
         library: PrimitiveLibrary,
         weights: Optional[WeightStore] = None,
-        seed: int = 0,
+        seed: Optional[int] = None,
     ) -> None:
         if plan.network_name != network.name:
             raise ValueError(
                 f"plan was built for network {plan.network_name!r}, got {network.name!r}"
             )
+        if weights is None:
+            weights = WeightStore(network, seed=0 if seed is None else seed)
+        elif weights.network is not network:
+            raise ValueError(
+                f"weight store was built for another network object "
+                f"({weights.network.name!r}), not the executed {network.name!r}"
+            )
+        elif seed is not None and seed != weights.seed:
+            raise ValueError(f"seed {seed} disagrees with the weight store's seed {weights.seed}")
         self.network = network
         self.plan = plan
         self.library = library
-        self.weights = weights if weights is not None else WeightStore(network, seed=seed)
+        self.weights = weights
         self._shapes = network.infer_shapes()
         self._scenarios = network.conv_scenarios()
         self._edge_chain = {

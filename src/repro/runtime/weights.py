@@ -11,6 +11,7 @@ all-SUM2D reference execution of the same network.
 
 from __future__ import annotations
 
+import threading
 import zlib
 from typing import Dict, Tuple
 
@@ -29,6 +30,10 @@ class WeightStore:
         self.scale = scale
         self._cache: Dict[str, Tuple[np.ndarray, ...]] = {}
         self._shapes = network.infer_shapes()
+        # One store may back executors on several threads (a Session shares
+        # it across every plan of a network): the first materialize
+        # synthesizes, concurrent ones wait for it instead of repeating it.
+        self._materialize_lock = threading.Lock()
 
     def _rng_for(self, layer_name: str) -> np.random.Generator:
         digest = zlib.crc32(layer_name.encode("utf-8"))
@@ -71,9 +76,11 @@ class WeightStore:
 
         The executor calls this before its first layer timer starts, so
         measured layer times hold compute only, never weight generation.
+        A store already materialized synthesizes nothing.
         """
-        for layer in self.network.layers():
-            if isinstance(layer, ConvLayer):
-                self.conv_weights(layer.name)
-            elif isinstance(layer, FullyConnectedLayer):
-                self.fc_weights(layer.name)
+        with self._materialize_lock:
+            for layer in self.network.layers():
+                if isinstance(layer, ConvLayer):
+                    self.conv_weights(layer.name)
+                elif isinstance(layer, FullyConnectedLayer):
+                    self.fc_weights(layer.name)

@@ -198,6 +198,45 @@ class TestNetwork:
             net.add_layer(ReLULayer("r"), ["ghost"])
         assert net.topological_order() == before
 
+    def test_add_layer_after_infer_shapes_invalidates_the_memos(self):
+        net = Network("grow")
+        net.add_layer(InputLayer("data", shape=(1, 4, 4)))
+        net.add_layer(ConvLayer("c1", out_channels=2, kernel=3, padding=1), ["data"])
+        assert net.infer_shapes() == {"data": (1, 4, 4), "c1": (2, 4, 4)}
+        assert set(net.conv_scenarios()) == {"c1"}
+        net.add_layer(ConvLayer("c2", out_channels=3, kernel=3), ["c1"])
+        assert net.infer_shapes()["c2"] == (3, 2, 2)
+        assert set(net.conv_scenarios()) == {"c1", "c2"}
+        assert net.conv_scenarios()["c2"].c == 2
+
+    def test_mutating_returned_shapes_and_scenarios_does_not_leak(self, tiny_network):
+        shapes = tiny_network.infer_shapes()
+        scenarios = tiny_network.conv_scenarios()
+        expected_shapes, expected_scenarios = dict(shapes), dict(scenarios)
+        shapes["conv1"] = (0, 0, 0)
+        del shapes["prob"]
+        scenarios.pop("conv2")
+        scenarios["conv1"] = scenarios["branch1"]
+        assert tiny_network.infer_shapes() is not shapes
+        assert tiny_network.infer_shapes() == expected_shapes
+        assert tiny_network.conv_scenarios() is not scenarios
+        assert tiny_network.conv_scenarios() == expected_scenarios
+
+    def test_failed_add_layer_keeps_the_shapes_and_scenarios(self):
+        net = Network("n")
+        net.add_layer(InputLayer("data", shape=(1, 4, 4)))
+        net.add_layer(ConvLayer("c", out_channels=2, kernel=3), ["data"])
+        shapes, scenarios = net.infer_shapes(), net.conv_scenarios()
+        with pytest.raises(NetworkValidationError):
+            net.add_layer(ReLULayer("r"), ["ghost"])
+        with pytest.raises(NetworkValidationError):
+            net.add_layer(ReLULayer("c"), ["data"])
+        # The same objects come back: nothing was inferred again.
+        assert net.infer_shapes()["c"] is shapes["c"]
+        assert net.conv_scenarios()["c"] is scenarios["c"]
+        assert net.infer_shapes() == shapes
+        assert net.conv_scenarios() == scenarios
+
     def test_shape_inference_on_branching_network(self, tiny_network):
         shapes = tiny_network.infer_shapes()
         assert shapes["conv1"] == (8, 16, 16)

@@ -210,6 +210,25 @@ class TestExecutor:
         with pytest.raises(ValueError):
             NetworkExecutor(other, plan, library)
 
+    def test_store_of_another_network_object_rejected(self, context):
+        from tests.conftest import build_tiny_network
+
+        twin = build_tiny_network()  # same structure, another object
+        with pytest.raises(ValueError, match="another network object"):
+            NetworkExecutor(
+                context.network, sum2d_plan(context), context.library, WeightStore(twin)
+            )
+
+    def test_seed_must_agree_with_the_store(self, context):
+        network, plan = context.network, sum2d_plan(context)
+        weights = WeightStore(network, seed=2)
+        with pytest.raises(ValueError, match="disagrees"):
+            NetworkExecutor(network, plan, context.library, weights, seed=3)
+        assert NetworkExecutor(network, plan, context.library, weights, seed=2).weights is weights
+        assert NetworkExecutor(network, plan, context.library, weights).weights is weights
+        assert NetworkExecutor(network, plan, context.library).weights.seed == 0
+        assert NetworkExecutor(network, plan, context.library, seed=4).weights.seed == 4
+
 
 class TestExecutorDAG:
     """DAG-shaped executor behaviour: multi-output networks and fan-out edges."""

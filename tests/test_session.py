@@ -20,6 +20,8 @@ from repro.cost.provider import (
     ProfiledCostProvider,
 )
 from repro.cost.store import CostStore, STORE_ENTRY_FORMAT
+from repro.models import build_mobilenet_v2, build_resnet18
+from repro.runtime import NetworkExecutor, WeightStore
 
 
 @pytest.fixture
@@ -604,6 +606,154 @@ class TestConcurrentSession:
             thread.join(timeout=120)
         assert len(counting_builds) == 2
         assert session.cache_info().contexts == 2
+
+
+@pytest.fixture
+def weight_misses(monkeypatch):
+    """Names of the layers whose weights a WeightStore synthesized."""
+    misses = []
+    for name in ("conv_weights", "fc_weights"):
+        original = getattr(WeightStore, name)
+
+        def counting(self, layer_name, _original=original):
+            if layer_name not in self._cache:
+                misses.append(layer_name)
+            return _original(self, layer_name)
+
+        monkeypatch.setattr(WeightStore, name, counting)
+    return misses
+
+
+def _two_layer_network(name):
+    from repro.graph.layer import ConvLayer, InputLayer
+    from repro.graph.network import Network
+
+    net = Network(name)
+    net.add_layer(InputLayer("data", shape=(3, 8, 8)))
+    net.add_layer(ConvLayer("conv", out_channels=4, kernel=3, padding=1), ["data"])
+    return net
+
+
+class TestSharedWeights:
+    """A Session synthesizes a network's weights once per seed, for every plan."""
+
+    @pytest.mark.parametrize("dtype", ["fp32", "int8"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_resnet18(input_size=64, base_width=8),
+            lambda: build_mobilenet_v2(input_size=64, width_multiplier=0.125),
+        ],
+        ids=["resnet18-64", "mobilenet_v2-64"],
+    )
+    def test_execute_matches_a_fresh_store_bitwise(self, session, build, dtype):
+        network = build()
+        plan = session.plan(network, "intel-haswell", dtype=dtype)
+        for seed in (0, 1, 0):
+            x = np.random.default_rng(seed).standard_normal(plan.input_shape())
+            fresh = NetworkExecutor(
+                network, plan.network_plan, plan.library, WeightStore(network, seed=seed)
+            ).run(x.astype(np.float32))
+            assert np.array_equal(plan.execute(seed=seed).primary_output, fresh)
+
+    def test_second_execute_synthesizes_no_weights(self, session, tiny_network, weight_misses):
+        pbqp = session.plan(tiny_network, "intel-haswell")
+        sum2d = session.plan(tiny_network, "intel-haswell", strategy="sum2d")
+        pbqp.execute(seed=2)
+        assert sorted(weight_misses) == sorted([*tiny_network.conv_scenarios(), "fc"])
+        weight_misses.clear()
+        pbqp.execute(seed=2)
+        sum2d.execute(seed=2)
+        assert weight_misses == []
+        pbqp.execute(seed=5)
+        assert weight_misses
+
+    def test_plans_of_one_network_share_one_store(self, session, tiny_network, tmp_path):
+        pbqp = session.plan(tiny_network, "intel-haswell")
+        sum2d = session.plan(tiny_network, "arm-cortex-a57", strategy="sum2d")
+        pbqp.save(tmp_path / "plan.json")
+        loaded = session.plan_from_file(tmp_path / "plan.json", network=tiny_network)
+        store = pbqp.executor(seed=1).weights
+        assert store.seed == 1 and store.network is tiny_network
+        assert sum2d.executor(seed=1).weights is store
+        assert loaded.executor(seed=1).weights is store
+        assert session.cache_info().weight_stores == 1
+
+    def test_at_most_one_store_per_network(self, session, tiny_network):
+        networks = [tiny_network, _two_layer_network("a"), _two_layer_network("b")]
+        plans = [session.plan(network, "intel-haswell") for network in networks]
+        for seed in (0, 1):
+            for plan in plans:
+                plan.execute(seed=seed)
+        assert session.cache_info().weight_stores == len(networks)
+        before = plans[0].executor(seed=1).weights
+        replaced = plans[0].executor(seed=7).weights
+        assert replaced is not before and replaced.seed == 7
+        assert plans[0].executor(seed=7).weights is replaced
+        assert session.cache_info().weight_stores == len(networks)
+        session.clear_cache()
+        assert session.cache_info().weight_stores == 0
+
+    def test_hand_built_plan_keeps_one_store(self, session, tiny_network):
+        planned = session.plan(tiny_network, "intel-haswell")
+        plan = Plan(planned.result, tiny_network, planned.library, planned.dt_graph)
+        store = plan.executor(seed=4).weights
+        assert plan.executor(seed=4).weights is store
+        assert store is not planned.executor(seed=4).weights
+        assert plan.executor(seed=5).weights.seed == 5
+        np.testing.assert_array_equal(
+            plan.execute(seed=4).primary_output, planned.execute(seed=4).primary_output
+        )
+
+    def test_concurrent_executes_share_one_store(self, library, dt_graph, weight_misses):
+        """Threads executing different plans of one network race the first
+        synthesis of the shared store; each must compute exactly what a
+        single-threaded run computes, and each weight is synthesized once."""
+        import sys
+        import threading
+
+        def plans(session):
+            network = build_resnet18(input_size=64, base_width=8)
+            return [
+                session.plan(network, "intel-haswell"),
+                session.plan(network, "intel-haswell", strategy="sum2d"),
+            ]
+
+        expected = [
+            plan.execute(seed=3).primary_output
+            for plan in plans(Session(library=library, dt_graph=dt_graph))
+        ]
+        synthesized = len(weight_misses)
+        weight_misses.clear()
+        session = Session(library=library, dt_graph=dt_graph)
+        shared = plans(session)
+        workers = 4  # more threads than the CI runners' cores, two per plan
+        barrier = threading.Barrier(workers)
+        outputs, errors = {}, []
+
+        def worker(index):
+            try:
+                barrier.wait(timeout=30)
+                outputs[index] = shared[index % 2].execute(seed=3).primary_output
+            except Exception as exc:  # pragma: no cover - failure diagnostics
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        for index in range(workers):
+            assert np.array_equal(outputs[index], expected[index % 2])
+        assert session.cache_info().weight_stores == 1
+        assert len(weight_misses) == synthesized
 
 
 class TestStoreEviction:
