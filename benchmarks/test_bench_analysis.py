@@ -1,7 +1,7 @@
 """Static-analysis benchmark: verifier and lint wall-time over the zoo.
 
-The verifier gates every ``Session.plan`` call and every disk-tier admission
-in the service, so its cost is paid on the planning hot path; this benchmark
+The verifier gates every ``Session.plan`` call (``verify=True`` is the
+default), so its cost is paid on the planning hot path; this benchmark
 pins it down and tracks it in the ``BENCH_analysis.json`` trajectory.  The
 headline invariants ride along: every freshly planned zoo document verifies
 clean (no false positives), and the ResNet-18 fan-out double-pricing delta —

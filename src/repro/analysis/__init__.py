@@ -4,8 +4,8 @@ The analysis layer proves facts about the system without running it:
 
 * :mod:`repro.analysis.plan_verifier` — semantic verification of serialized
   plans, cost tables, frontiers, store entries and service documents
-  (``repro check``, the ``Session.plan`` verify hook, the service's
-  ``/v1/validate`` endpoint and disk-tier admission check);
+  (``repro check``, the ``Session.plan`` verify hook and the service's
+  ``/v1/validate`` endpoint);
 * :mod:`repro.analysis.lint` — project-specific AST lint over the source
   tree (``repro lint``, the CI ``static-analysis`` job);
 * :mod:`repro.analysis.passes` — the shared :class:`Finding`/:class:`Report`

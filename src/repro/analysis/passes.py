@@ -96,8 +96,7 @@ class Report:
         """Whether the subject is legal: no error-severity findings.
 
         Warnings (e.g. the fan-out double-pricing gap) do not make a
-        document invalid — verify hooks and the service disk tier accept a
-        report with ``ok`` true.
+        document invalid — verify hooks accept a report with ``ok`` true.
         """
         return not self.errors
 

@@ -8,8 +8,8 @@ conversion chain must walk real DT-graph edges, every join must operate in
 exactly one layout, and the serialized :class:`~repro.multiobj.vector.
 CostVector` must equal what the document's own decisions add up to.  This
 module proves those facts without executing anything — hand-edited plans,
-stale store entries, documents served from the service's disk tier and the
-output of brand-new strategies are all checked by the same passes.
+stale store entries, service documents and the output of brand-new
+strategies are all checked by the same passes.
 
 Each check is an :func:`~repro.analysis.passes.register_pass`-registered
 pass producing findings with stable ``RV1xx`` rule codes:

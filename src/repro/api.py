@@ -52,6 +52,7 @@ from repro.graph.network import Network
 from repro.graph.scenario import DTYPES
 from repro.layouts.dt_graph import DTGraph
 from repro.layouts.transforms import default_transform_library
+from repro.lru import BuildOnceLRU
 from repro.models import build_model
 from repro.multiobj.frontier import DEFAULT_BUDGET_STEPS, Frontier, build_frontier
 from repro.primitives.registry import PrimitiveLibrary, default_primitive_library
@@ -166,12 +167,6 @@ class CacheInfo:
     contexts: int
     #: Weight stores held for execution: at most one per resolved network.
     weight_stores: int = 0
-
-
-@dataclass
-class _CacheState:
-    hits: int = 0
-    misses: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +602,11 @@ class Session:
     query), resolves strategies through the registry, and produces cost
     tables through a pluggable :class:`~repro.cost.provider.CostProvider`.
     Profiled contexts are memoized in-process keyed by ``(network
-    fingerprint, platform, threads)``; passing ``cache_dir`` wraps the
-    provider in a persistent :class:`~repro.cost.store.CostStore`, so warm
-    selections also survive process restarts.
+    fingerprint, platform, threads, batch, dtype)``, in a bounded memo that
+    evicts the least recently used context above
+    :data:`repro.lru.CAPACITY`; passing ``cache_dir`` wraps the provider in a
+    persistent :class:`~repro.cost.store.CostStore`, so warm selections also
+    survive process restarts.
 
     Parameters
     ----------
@@ -643,18 +640,14 @@ class Session:
         if cache_dir is not None and not isinstance(resolved, CostStore):
             resolved = CostStore(cache_dir, resolved)
         self.provider: CostProvider = resolved
-        self._contexts: Dict[Tuple[str, str, int, int, str], SelectionContext] = {}
+        self._contexts: BuildOnceLRU[SelectionContext] = BuildOnceLRU()
         self._networks: Dict[str, Network] = {}
         # Execution weights: at most one store per resolved network, keyed
         # like ``_networks`` and replaced when another seed is asked for.
         self._weights: Dict[str, WeightStore] = {}
-        self._stats = _CacheState()
         # The session is shared by every thread of the planning service, so
-        # the memoization dictionaries live behind one lock, with a per-key
-        # build lock so concurrent misses on the *same* key perform exactly
-        # one table build (other keys keep building in parallel).
+        # the network and weight dictionaries live behind one lock.
         self._lock = threading.Lock()
-        self._build_locks: Dict[Tuple[str, str, int, int, str], threading.Lock] = {}
 
     # -- cache plumbing ---------------------------------------------------------
 
@@ -781,30 +774,10 @@ class Session:
     def _ensure_context(
         self, key: Tuple[str, str, int, int, str], builder_args: Tuple
     ) -> Tuple[SelectionContext, bool]:
-        """Memoized-or-built context for ``key``, built at most once.
-
-        Double-checked: the global lock guards the dictionaries, a per-key
-        lock serializes builders of the same key (a thread that waited on the
-        build lock finds the context and counts a hit — one table build per
-        key no matter how many threads raced for it).
-        """
-        with self._lock:
-            context = self._contexts.get(key)
-            if context is not None:
-                self._stats.hits += 1
-                return context, True
-            build_lock = self._build_locks.setdefault(key, threading.Lock())
-        with build_lock:
-            with self._lock:
-                context = self._contexts.get(key)
-                if context is not None:
-                    self._stats.hits += 1
-                    return context, True
-            context = self._build_context(*builder_args)
-            with self._lock:
-                self._stats.misses += 1
-                self._contexts[key] = context
-            return context, False
+        """Memoized-or-built context for ``key``: one table build per miss."""
+        return self._contexts.get_or_build(
+            key, functools.partial(self._build_context, *builder_args)
+        )
 
     def _lookup(
         self,
@@ -840,13 +813,12 @@ class Session:
 
     def cache_info(self) -> CacheInfo:
         """Hit/miss counters and the number of cached contexts."""
+        hits, misses, contexts = self._contexts.stats()
         with self._lock:
-            return CacheInfo(
-                hits=self._stats.hits,
-                misses=self._stats.misses,
-                contexts=len(self._contexts),
-                weight_stores=len(self._weights),
-            )
+            weight_stores = len(self._weights)
+        return CacheInfo(
+            hits=hits, misses=misses, contexts=contexts, weight_stores=weight_stores
+        )
 
     def clear_cache(self) -> None:
         """Drop every cached context and weight store; reset the statistics.
@@ -857,12 +829,10 @@ class Session:
         seed).  The persistent store (if any) is untouched; use
         :meth:`CostStore.clear` to delete on-disk entries.
         """
+        self._contexts.clear()
         with self._lock:
-            self._contexts.clear()
             self._networks.clear()
             self._weights.clear()
-            self._build_locks.clear()
-            self._stats = _CacheState()
 
     # -- selection API ----------------------------------------------------------
 
@@ -1131,9 +1101,7 @@ class Session:
                 request.batch,
                 request.dtype,
             )
-            with self._lock:
-                cached = key in self._contexts
-            if not cached and key not in pending:
+            if key not in self._contexts and key not in pending:
                 pending[key] = (
                     fingerprint,
                     network,

@@ -351,18 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[1],
         help="minibatch sizes to warm (default: 1)",
     )
-    serve.add_argument(
-        "--executor",
-        choices=("serial", "thread", "process"),
-        default="thread",
-        help="executor draining the warming queue (default: thread)",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="warming pool width (default: the executor's own default)",
-    )
 
     figures = subparsers.add_parser(
         "figures", help="regenerate the whole-network figures (5/6/7a/7b)"
@@ -656,18 +644,14 @@ def _command_serve(args: argparse.Namespace) -> int:
     # registry, which no other subcommand needs.
     from repro.service import PlannerApp, serve
 
-    app = PlannerApp(
-        cache_dir=args.cache_dir,
-        warm_executor=args.executor,
-        warm_workers=args.workers,
-    )
+    app = PlannerApp(cache_dir=args.cache_dir)
     if args.warm == "zoo" or args.warm_models:
         enqueued = app.start_warming(
             models=args.warm_models,
             batches=tuple(args.warm_batches),
             dtypes=tuple(args.warm_dtypes),
         )
-        print(f"warming {enqueued} grid combinations in the background ({args.executor})")
+        print(f"warming {enqueued} grid combinations in the background")
     return serve(app, host=args.host, port=args.port)
 
 

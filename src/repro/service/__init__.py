@@ -2,12 +2,12 @@
 
 The paper frames primitive selection as an offline solve; this subsystem is
 the serving layer a production deployment needs on top of it — a long-running
-daemon where plan requests are answered from warm state (the in-process plan
-cache backed by the sharded :class:`~repro.cost.store.CostStore` tier) so
-that a warm request's latency is dominated by a store/cache read, not a PBQP
-solve.  Everything is standard library only: :class:`http.server.ThreadingHTTPServer`
-on the wire, :mod:`json` payloads, and :mod:`concurrent.futures` executors
-for background warming.
+daemon where plan requests are answered from warm state (a bounded in-process
+document cache over the session's bounded contexts, with the sharded
+:class:`~repro.cost.store.CostStore` under ``cache_dir``) so that a warm
+request's latency is dominated by a cache read, not a PBQP solve.  Everything
+is standard library only: :class:`http.server.ThreadingHTTPServer` on the
+wire, :mod:`json` payloads, and one background thread for warming.
 
 Layout (the ``api/services`` + ``api/workers`` split the ROADMAP cites):
 
@@ -15,8 +15,8 @@ Layout (the ``api/services`` + ``api/workers`` split the ROADMAP cites):
   schema validation (errors as structured JSON), and the HTTP server glue;
 * :mod:`repro.service.handlers` — one handler per endpoint, published through
   the :func:`~repro.service.handlers.register_endpoint` decorator registry;
-* :mod:`repro.service.workers`  — the background warming queue drained by a
-  pluggable serial/thread/process executor;
+* :mod:`repro.service.workers`  — the background warming queue, drained by
+  one dispatcher thread;
 * :mod:`repro.service.metrics`  — thread-safe counters and latency
   histograms surfaced at ``GET /v1/metrics``;
 * :mod:`repro.service.client`   — the stdlib HTTP client used by tests,
@@ -36,7 +36,7 @@ from repro.service.app import PlannerApp, make_server, serve
 from repro.service.client import PlannerClient, ServiceError
 from repro.service.handlers import ENDPOINTS, register_endpoint
 from repro.service.metrics import Metrics
-from repro.service.workers import WarmJob, WarmingQueue, executor, grid_jobs
+from repro.service.workers import WarmJob, WarmingQueue, grid_jobs
 
 __all__ = [
     "PlannerApp",
@@ -49,6 +49,5 @@ __all__ = [
     "Metrics",
     "WarmJob",
     "WarmingQueue",
-    "executor",
     "grid_jobs",
 ]

@@ -15,20 +15,19 @@ pass — *every* problem is reported, as structured JSON::
     {"error": {"code": "validation_error", "message": "...",
                "details": [{"field": "batch", "message": "must be >= 1"}]}}
 
-Shared state is a single thread-safe :class:`~repro.api.Session` (its context
-memoization is lock-protected, so concurrent requests for the same tables
-trigger exactly one build) plus a :class:`DocumentCache` of finished response
-documents keyed by the full request tuple.  A warm ``POST /v1/plan`` is
-therefore a dictionary read — zero PBQP solves, which ``/v1/metrics`` proves
-via the process-wide :func:`repro.pbqp.solver.solve_count`.
+Shared state is a single thread-safe :class:`~repro.api.Session` plus a
+document cache of finished response documents keyed by the full request
+tuple.  Both are :class:`~repro.lru.BuildOnceLRU` memos: bounded, and
+concurrent requests for one key trigger exactly one build.  A warm
+``POST /v1/plan`` is therefore a dictionary read — zero PBQP solves, which
+``/v1/metrics`` proves via the process-wide
+:func:`repro.pbqp.solver.solve_count`.  A miss plans in the daemon: there is
+no disk tier for documents, only the cost store under ``cache_dir``.
 """
 
 from __future__ import annotations
 
-import functools
 import json
-import os
-import threading
 import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -36,6 +35,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 from urllib.parse import urlsplit
 
 from repro.api import Session
+from repro.lru import BuildOnceLRU
 from repro.service.metrics import Metrics, labelled
 
 #: Format identifier carried by every successful response envelope.
@@ -157,65 +157,8 @@ def error_payload(code: str, message: str, **extra: Any) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The response-document cache
+# Plan documents
 # ---------------------------------------------------------------------------
-
-
-class DocumentCache:
-    """Finished response documents keyed by request tuple, built exactly once.
-
-    Per-key build locks mean a stampede of identical cold requests performs
-    one plan build while the rest wait for it — the same discipline the
-    session applies to cost-table construction, one level up.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._documents: Dict[tuple, dict] = {}
-        self._build_locks: Dict[tuple, threading.Lock] = {}
-
-    def get_or_build(
-        self, key: tuple, build: Callable[[], dict]
-    ) -> Tuple[dict, bool]:
-        """Return ``(document, was_cached)``, building at most once per key."""
-        with self._lock:
-            document = self._documents.get(key)
-            if document is not None:
-                return document, True
-            build_lock = self._build_locks.setdefault(key, threading.Lock())
-        with build_lock:
-            with self._lock:
-                document = self._documents.get(key)
-                if document is not None:
-                    return document, True
-            document = build()
-            with self._lock:
-                self._documents[key] = document
-            return document, False
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._documents)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._documents.clear()
-            self._build_locks.clear()
-
-
-# ---------------------------------------------------------------------------
-# The disk document tier
-# ---------------------------------------------------------------------------
-#
-# Plan documents are persisted as JSON beside the cost store (under
-# ``<cache_dir>/plans/``), one file per (model, platform, strategy, threads,
-# batch, dtype) combination.  The tier closes the gap process-pool warming
-# left open: a worker process can only hand results back through the disk, so
-# the daemon consults this tier on a DocumentCache miss *before* solving —
-# a process-warmed combination is then served with zero in-daemon solves.
-
-#: Subdirectory of the cache dir holding persisted plan documents.
-PLAN_DOCUMENT_DIR = "plans"
 
 
 def build_plan_document(
@@ -227,13 +170,12 @@ def build_plan_document(
     batch: int = 1,
     dtype: str = "fp32",
 ) -> dict:
-    """The canonical ``/v1/plan`` response document (used by daemon and warmers).
+    """The canonical ``/v1/plan`` response document.
 
     The embedded ``"plan"`` value is exactly
     :func:`repro.cost.serialize.plan_to_dict` of the session's plan, so a
     service response is byte-identical (after canonical JSON dumping) to a
-    direct :meth:`Session.plan` call — whether it was built in the daemon or
-    by a warming worker process.
+    direct :meth:`Session.plan` call.
     """
     from repro.cost.serialize import plan_to_dict
 
@@ -255,43 +197,6 @@ def build_plan_document(
     }
 
 
-def plan_document_path(cache_dir: str, job) -> str:
-    """Where one warm job's plan document lives on disk (a stable, flat name)."""
-    name = (
-        f"{job.model}_{job.platform}_{job.strategy}"
-        f"_{job.threads}t_b{job.batch}_{job.dtype}.json"
-    )
-    return os.path.join(cache_dir, PLAN_DOCUMENT_DIR, name)
-
-
-def write_plan_document(cache_dir: str, document: dict, job) -> str:
-    """Persist one plan document atomically; returns its path."""
-    path = plan_document_path(cache_dir, job)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, sort_keys=True)
-    os.replace(tmp, path)
-    return path
-
-
-def read_plan_document(cache_dir: str, job) -> Optional[dict]:
-    """Load one persisted plan document, or ``None`` when absent/unreadable.
-
-    A corrupt or foreign-format file is treated as a miss (the daemon simply
-    rebuilds and overwrites), never as an error.
-    """
-    path = plan_document_path(cache_dir, job)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(document, dict) or document.get("format") != SERVICE_FORMAT:
-        return None
-    return document
-
-
 # ---------------------------------------------------------------------------
 # The application
 # ---------------------------------------------------------------------------
@@ -308,10 +213,6 @@ class PlannerApp:
     cache_dir:
         Cost-store directory for the default session — the shared tier that
         lets a *fresh* daemon skip table building entirely.
-    warm_executor / warm_workers:
-        Executor kind (``"serial"`` / ``"thread"`` / ``"process"``) and pool
-        width for the background warming queue (see
-        :mod:`repro.service.workers`).
     """
 
     def __init__(
@@ -319,40 +220,19 @@ class PlannerApp:
         session: Optional[Session] = None,
         cache_dir: Optional[str] = None,
         metrics: Optional[Metrics] = None,
-        warm_executor: str = "thread",
-        warm_workers: Optional[int] = None,
     ) -> None:
         # Deferred import: handlers imports the schema machinery from this
         # module, so the registry is pulled in at construction time instead.
         from repro.service.handlers import ENDPOINTS
+        from repro.service.workers import WarmingQueue
 
         self.session = session if session is not None else Session(cache_dir=cache_dir)
         self.metrics = metrics if metrics is not None else Metrics()
-        self.documents = DocumentCache()
+        self.documents: BuildOnceLRU[dict] = BuildOnceLRU()
         self.endpoints = ENDPOINTS
-        self.cache_dir = cache_dir
         self.started = time.time()
         self._started_monotonic = time.monotonic()
-        from repro.service.workers import WarmingQueue, warm_plan_job
-
-        if warm_executor == "process":
-            # A worker process cannot reach the daemon's in-memory caches; it
-            # hands results back through the disk document tier, which needs
-            # a shared directory.
-            if cache_dir is None:
-                raise ValueError(
-                    "process warming requires cache_dir: worker processes hand "
-                    "plan documents back through the disk tier"
-                )
-            run_job = functools.partial(warm_plan_job, cache_dir)
-        else:
-            run_job = self._warm_one
-        self.warming = WarmingQueue(
-            run_job,
-            metrics=self.metrics,
-            kind=warm_executor,
-            max_workers=warm_workers,
-        )
+        self.warming = WarmingQueue(self._warm_one, metrics=self.metrics)
 
     # -- shared planning entry points -------------------------------------------
 
@@ -365,39 +245,12 @@ class PlannerApp:
         batch: int = 1,
         dtype: str = "fp32",
     ) -> Tuple[dict, bool]:
-        """The response document for one plan request, cached by its key.
-
-        On a :class:`DocumentCache` miss the disk document tier is consulted
-        *before* solving: a combination warmed by a worker process (which can
-        only hand results back through the disk) is served without a single
-        in-daemon PBQP solve.  Freshly built documents are written through to
-        the tier, so a later daemon over the same ``cache_dir`` skips the
-        solve too.
-        """
-        from repro.service.workers import WarmJob
-
+        """The response document for one plan request, cached by its key."""
         key = ("plan", model, platform, strategy, threads, batch, dtype)
-        job = WarmJob(model, platform, strategy, threads, batch, dtype)
 
         def build() -> dict:
-            if self.cache_dir is not None:
-                document = read_plan_document(self.cache_dir, job)
-                if document is not None:
-                    # Disk-tier documents come from other processes (warming
-                    # workers, earlier daemons) and may be stale or corrupt;
-                    # admit them only after static verification, otherwise
-                    # fall through to a fresh solve that overwrites the file.
-                    from repro.analysis.plan_verifier import verify_document
-
-                    report = verify_document(
-                        document, source=plan_document_path(self.cache_dir, job)
-                    )
-                    if report.ok:
-                        self.metrics.inc("plan_disk_hits")
-                        return document
-                    self.metrics.inc("plan_disk_invalid")
             with self.metrics.time("plan_build_ms"):
-                document = build_plan_document(
+                return build_plan_document(
                     self.session,
                     model,
                     platform,
@@ -406,50 +259,31 @@ class PlannerApp:
                     batch=batch,
                     dtype=dtype,
                 )
-            if self.cache_dir is not None:
-                write_plan_document(self.cache_dir, document, job)
-            return document
 
         document, cached = self.documents.get_or_build(key, build)
         self.metrics.inc("plan_cache_hits" if cached else "plan_cache_misses")
         return document, cached
 
     def _warm_one(self, job) -> None:
-        """Warming-queue callback: build (and thereby cache) one plan."""
-        self.plan_document(
-            job.model,
-            job.platform,
-            strategy=job.strategy,
-            threads=job.threads,
-            batch=job.batch,
-            dtype=job.dtype,
-        )
+        """Warming-queue callback: build (and thereby cache) one 1-thread PBQP plan."""
+        self.plan_document(job.model, job.platform, batch=job.batch, dtype=job.dtype)
 
     def start_warming(
         self,
         models: Optional[Sequence[str]] = None,
         platforms: Optional[Sequence[str]] = None,
         batches: Sequence[int] = (1,),
-        strategies: Sequence[str] = ("pbqp",),
-        threads: Sequence[int] = (1,),
         dtypes: Sequence[str] = ("fp32",),
     ) -> int:
         """Enqueue the zoo x platform x batch x dtype grid for background warming.
 
         Returns the number of jobs enqueued.  Foreground requests are never
-        blocked: the queue drains on its own executor, and a request for a
+        blocked: the queue drains on its own thread, and a request for a
         combination the warmer has already finished is a cache hit.
         """
         from repro.service.workers import grid_jobs
 
-        jobs = grid_jobs(
-            models=models,
-            platforms=platforms,
-            strategies=strategies,
-            threads=threads,
-            batches=batches,
-            dtypes=dtypes,
-        )
+        jobs = grid_jobs(models=models, platforms=platforms, batches=batches, dtypes=dtypes)
         return self.warming.enqueue(jobs)
 
     # -- bookkeeping --------------------------------------------------------------

@@ -25,7 +25,7 @@ from repro.graph.scenario import DTYPES
 from repro.models import MODEL_BUILDERS
 from repro.multiobj.vector import OBJECTIVES
 from repro.pbqp.solver import solve_count
-from repro.service.app import ApiError, Endpoint, Field, Params, PlannerApp
+from repro.service.app import ApiError, Endpoint, Field, Params, PlannerApp, ValidationError
 
 #: The endpoint registry: ``(method, path) -> Endpoint``, in registration order.
 ENDPOINTS: Dict[Tuple[str, str], Endpoint] = {}
@@ -71,6 +71,24 @@ _DTYPE = Field(
 _CONSTRAINT_KEYS = tuple(f"{objective}_max" for objective in OBJECTIVES)
 
 
+def _check_threads(params: Params) -> None:
+    """Refuse ``threads`` above the platform's cores.
+
+    The cost model clamps threads to the cores, so a larger count would price
+    the same plan under a new cache key.
+    """
+    cores = PLATFORMS[params["platform"]].cores
+    if params["threads"] > cores:
+        raise ValidationError(
+            [
+                {
+                    "field": "threads",
+                    "message": f"must be <= {cores}, the cores of {params['platform']}",
+                }
+            ]
+        )
+
+
 # -- planning endpoints --------------------------------------------------------
 
 
@@ -81,6 +99,7 @@ _CONSTRAINT_KEYS = tuple(f"{objective}_max" for objective in OBJECTIVES)
     description="select one plan (cached; warm requests perform zero solves)",
 )
 def handle_plan(app: PlannerApp, params: Params) -> dict:
+    _check_threads(params)
     try:
         document, cached = app.plan_document(
             params["model"],
@@ -111,6 +130,7 @@ def handle_plan(app: PlannerApp, params: Params) -> dict:
     description="evaluate every applicable strategy, ranked by total cost",
 )
 def handle_compare(app: PlannerApp, params: Params) -> dict:
+    _check_threads(params)
     strategies = params["strategies"]
     if strategies is not None:
         known = set(registered_names())
@@ -194,6 +214,7 @@ def handle_compare(app: PlannerApp, params: Params) -> dict:
     description="build the multi-objective Pareto frontier of plans",
 )
 def handle_frontier(app: PlannerApp, params: Params) -> dict:
+    _check_threads(params)
     dtypes = params["dtypes"]
     if dtypes is not None:
         bad = [name for name in dtypes if name not in DTYPES]

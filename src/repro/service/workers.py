@@ -1,82 +1,53 @@
-"""Background warming workers: a job queue drained by a pluggable executor.
+"""Background warming: a job queue drained by one dispatcher thread.
 
-The shape follows cf-scripts' ``executors.py``: one :func:`executor` context
-manager yields a :class:`concurrent.futures`-compatible pool for a *kind*
-string — ``"serial"`` (in-line, deterministic, no threads), ``"thread"`` (the
-default; warming shares the daemon's session and plan cache) or ``"process"``
-(true parallelism for picklable work, e.g. warming a *disk store* from
-independent worker processes via :func:`warm_store_entry`).
-
-:class:`WarmingQueue` is the service's background profiling/warming pump:
-``repro serve --warm zoo`` enqueues the whole zoo x platform x batch grid and
-returns immediately — a dispatcher thread drains the queue through the pool
-while foreground requests keep being served.  Every completed job lands in
-the shared plan cache and the cost store, so the grid converges to a state
-where any ``POST /v1/plan`` is a dictionary read.
+:class:`WarmingQueue` is the service's background warming pump: ``repro
+serve --warm zoo`` enqueues the whole zoo x platform x batch x dtype grid and
+returns immediately.  The dispatcher thread plans one job at a time through
+the daemon's own :class:`~repro.api.Session` while foreground requests keep
+being served, so every completed job lands in the shared plan-document cache
+and the grid converges to a state where any ``POST /v1/plan`` is a cache read.
+A job that raises is counted and logged once per process, and never stops
+the queue.
 """
 
 from __future__ import annotations
 
+import logging
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from contextlib import contextmanager
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Deque, Iterable, List, Optional, Sequence
 
-#: Executor kinds accepted by :func:`executor` and :class:`WarmingQueue`.
-EXECUTOR_KINDS = ("serial", "thread", "process")
+logger = logging.getLogger(__name__)
 
-
-class SerialExecutor:
-    """A degenerate executor running each submission in the calling thread.
-
-    Useful for deterministic tests and debugging: same interface, no
-    concurrency, exceptions captured on the returned future exactly like the
-    real pools.
-    """
-
-    def submit(self, fn: Callable, *args, **kwargs) -> Future:
-        future: Future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except BaseException as exc:  # noqa: BLE001 - mirror pool behaviour
-            future.set_exception(exc)
-        return future
-
-    def shutdown(self, wait: bool = True) -> None:  # noqa: ARG002
-        """Nothing to tear down."""
+# A failing warm job is logged once per process: a grid whose every job fails
+# for one reason would otherwise flood the daemon's log.
+_WARM_FAILURE_LOGGED = False
+_WARM_FAILURE_LOCK = threading.Lock()
 
 
-@contextmanager
-def executor(kind: str = "thread", max_workers: Optional[int] = None):
-    """Yield a pool for ``kind``: ``"serial"``, ``"thread"`` or ``"process"``."""
-    if kind == "serial":
-        yield SerialExecutor()
-    elif kind == "thread":
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            yield pool
-    elif kind == "process":
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            yield pool
-    else:
-        raise ValueError(
-            f"unknown executor kind {kind!r}; expected one of {', '.join(EXECUTOR_KINDS)}"
-        )
-
-
-# ---------------------------------------------------------------------------
-# Warm jobs
-# ---------------------------------------------------------------------------
+def _log_warm_failure(job: "WarmJob", error: BaseException) -> None:
+    global _WARM_FAILURE_LOGGED
+    with _WARM_FAILURE_LOCK:
+        if _WARM_FAILURE_LOGGED:
+            return
+        _WARM_FAILURE_LOGGED = True
+    logger.warning(
+        "warm job %s failed: %s: %s (further failures are only counted in "
+        "warm_jobs_failed)",
+        job,
+        type(error).__name__,
+        error,
+        exc_info=error,
+    )
 
 
 @dataclass(frozen=True)
 class WarmJob:
-    """One (model, platform, strategy, threads, batch, dtype) combination to warm."""
+    """One (model, platform, batch, dtype) combination to warm: a 1-thread PBQP plan."""
 
     model: str
     platform: str
-    strategy: str = "pbqp"
-    threads: int = 1
     batch: int = 1
     dtype: str = "fp32"
 
@@ -84,16 +55,13 @@ class WarmJob:
 def grid_jobs(
     models: Optional[Sequence[str]] = None,
     platforms: Optional[Sequence[str]] = None,
-    strategies: Sequence[str] = ("pbqp",),
-    threads: Sequence[int] = (1,),
     batches: Sequence[int] = (1,),
     dtypes: Sequence[str] = ("fp32",),
 ) -> List[WarmJob]:
-    """The zoo x platform x strategy x threads x batch x dtype warming grid.
+    """The zoo x platform x batch x dtype warming grid.
 
     ``models`` defaults to the whole model zoo and ``platforms`` to every
-    currently registered platform — the full grid the ROADMAP's serving item
-    calls for.
+    currently registered platform.
     """
     from repro.cost.platform import list_platforms
     from repro.models import MODEL_BUILDERS
@@ -103,75 +71,16 @@ def grid_jobs(
         list(platforms) if platforms is not None else list_platforms()
     )
     return [
-        WarmJob(model, platform, strategy, thread_count, batch, dtype)
+        WarmJob(model, platform, batch, dtype)
         for model in chosen_models
         for platform in chosen_platforms
-        for strategy in strategies
-        for thread_count in threads
         for batch in batches
         for dtype in dtypes
     ]
 
 
-def warm_store_entry(
-    cache_dir: str,
-    model: str,
-    platform: str,
-    threads: int = 1,
-    batch: int = 1,
-    dtype: str = "fp32",
-) -> str:
-    """Populate one cost-store entry from a *worker process*.
-
-    Module-level (hence picklable) so a ``"process"`` executor can warm the
-    shared disk tier in true parallel: each worker builds its own session
-    over the same store directory, produces the tables, and exits.  Returns
-    the store key digest for logging.
-    """
-    from repro.api import Session
-
-    session = Session(cache_dir=cache_dir)
-    context = session.context_for(model, platform, threads=threads, batch=batch, dtype=dtype)
-    store = session.store
-    assert store is not None  # Session(cache_dir=...) always wraps a store
-    del context
-    return f"{model}@{platform}/{threads}t/b{batch}/{dtype}"
-
-
-def warm_plan_job(cache_dir: str, job: WarmJob) -> str:
-    """Plan one warm job in a *worker process*, persisting the response document.
-
-    Module-level (hence picklable) so a ``"process"`` warming executor can
-    solve in true parallel: the worker builds its own session over the shared
-    ``cache_dir``, plans (populating the cost store as a side effect), and
-    writes the finished plan document into the disk document tier — which the
-    daemon consults on a :class:`~repro.service.app.DocumentCache` miss, so a
-    process-warmed combination is served with zero solves in the daemon
-    process.  Returns the document path for logging.
-    """
-    from repro.api import Session
-    from repro.service.app import build_plan_document, write_plan_document
-
-    session = Session(cache_dir=cache_dir)
-    document = build_plan_document(
-        session,
-        job.model,
-        job.platform,
-        strategy=job.strategy,
-        threads=job.threads,
-        batch=job.batch,
-        dtype=job.dtype,
-    )
-    return write_plan_document(cache_dir, document, job)
-
-
-# ---------------------------------------------------------------------------
-# The warming queue
-# ---------------------------------------------------------------------------
-
-
 class WarmingQueue:
-    """A background queue of :class:`WarmJob` drained through an executor.
+    """A background queue of :class:`WarmJob` run by one dispatcher thread.
 
     Parameters
     ----------
@@ -181,37 +90,24 @@ class WarmingQueue:
     metrics:
         Optional :class:`~repro.service.metrics.Metrics`; completed/failed
         jobs are counted as ``warm_jobs_completed`` / ``warm_jobs_failed``.
-    kind / max_workers:
-        Executor selection, per :func:`executor`.
 
     The dispatcher thread starts lazily on the first :meth:`enqueue` and
     exits on :meth:`stop`.  :meth:`join` blocks until every enqueued job has
     finished — tests and ``--warm`` smoke runs use it; the daemon never does.
     """
 
-    def __init__(
-        self,
-        run_job: Callable[[WarmJob], object],
-        metrics=None,
-        kind: str = "thread",
-        max_workers: Optional[int] = None,
-    ) -> None:
-        if kind not in EXECUTOR_KINDS:
-            raise ValueError(
-                f"unknown executor kind {kind!r}; expected one of {', '.join(EXECUTOR_KINDS)}"
-            )
+    def __init__(self, run_job: Callable[[WarmJob], object], metrics=None) -> None:
         self.run_job = run_job
         self.metrics = metrics
-        self.kind = kind
-        self.max_workers = max_workers
+        # One condition wakes the dispatcher (jobs queued, stop asked) and
+        # the joiners (a job finished).
         self._lock = threading.Lock()
-        self._idle = threading.Condition(self._lock)
-        self._jobs: List[WarmJob] = []
+        self._changed = threading.Condition(self._lock)
+        self._jobs: Deque[WarmJob] = deque()
         self._pending = 0
         self._completed = 0
         self._failed = 0
         self._dispatcher: Optional[threading.Thread] = None
-        self._wake = threading.Event()
         self._stopping = False
 
     # -- public API --------------------------------------------------------------
@@ -219,7 +115,7 @@ class WarmingQueue:
     def enqueue(self, jobs: Iterable[WarmJob]) -> int:
         """Add jobs and ensure the dispatcher is running; returns the count."""
         added = list(jobs)
-        with self._lock:
+        with self._changed:
             if self._stopping:
                 raise RuntimeError("warming queue is stopped")
             self._jobs.extend(added)
@@ -229,20 +125,20 @@ class WarmingQueue:
                     target=self._drain, name="repro-warmer", daemon=True
                 )
                 self._dispatcher.start()
-        self._wake.set()
+            self._changed.notify_all()
         return len(added)
 
     def join(self, timeout: Optional[float] = None) -> bool:
         """Block until every enqueued job has finished; True if drained."""
-        with self._idle:
-            return self._idle.wait_for(lambda: self._pending == 0, timeout=timeout)
+        with self._changed:
+            return self._changed.wait_for(lambda: self._pending == 0, timeout=timeout)
 
     def stop(self) -> None:
-        """Stop the dispatcher after in-flight jobs finish (idempotent)."""
-        with self._lock:
+        """Stop the dispatcher once the queued jobs have run (idempotent)."""
+        with self._changed:
             self._stopping = True
             dispatcher = self._dispatcher
-        self._wake.set()
+            self._changed.notify_all()
         if dispatcher is not None:
             dispatcher.join()
         with self._lock:
@@ -252,7 +148,6 @@ class WarmingQueue:
         """Queue state for ``/v1/healthz``."""
         with self._lock:
             return {
-                "executor": self.kind,
                 "pending": self._pending,
                 "completed": self._completed,
                 "failed": self._failed,
@@ -262,36 +157,31 @@ class WarmingQueue:
     # -- dispatcher --------------------------------------------------------------
 
     def _drain(self) -> None:
-        with executor(self.kind, self.max_workers) as pool:
-            while True:
-                with self._lock:
-                    batch = self._jobs
-                    self._jobs = []
-                    stopping = self._stopping
-                if not batch and stopping:
+        while True:
+            with self._changed:
+                self._changed.wait_for(lambda: self._jobs or self._stopping)
+                if not self._jobs:
                     return
-                if not batch:
-                    self._wake.wait(timeout=0.1)
-                    self._wake.clear()
-                    continue
-                futures = [pool.submit(self.run_job, job) for job in batch]
-                for future in futures:
-                    error = future.exception()
-                    with self._idle:
-                        self._pending -= 1
-                        if error is None:
-                            self._completed += 1
-                        else:
-                            self._failed += 1
-                        self._idle.notify_all()
-                    if self.metrics is not None:
-                        self.metrics.inc(
-                            "warm_jobs_failed" if error else "warm_jobs_completed"
-                        )
+                job = self._jobs.popleft()
+            try:
+                self.run_job(job)
+                failed = False
+            except Exception as exc:  # noqa: BLE001 - one bad job must not stop warming
+                _log_warm_failure(job, exc)
+                failed = True
+            with self._changed:
+                self._pending -= 1
+                if failed:
+                    self._failed += 1
+                else:
+                    self._completed += 1
+                self._changed.notify_all()
+            if self.metrics is not None:
+                self.metrics.inc("warm_jobs_failed" if failed else "warm_jobs_completed")
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         state = self.state()
         return (
-            f"WarmingQueue(kind={self.kind!r}, pending={state['pending']}, "
+            f"WarmingQueue(pending={state['pending']}, "
             f"completed={state['completed']}, failed={state['failed']})"
         )

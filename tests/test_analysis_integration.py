@@ -19,14 +19,7 @@ from repro.cost.serialize import (
     save_plan,
 )
 from repro.multiobj.frontier import Frontier
-from repro.service.app import (
-    PlannerApp,
-    build_plan_document,
-    plan_document_path,
-    read_plan_document,
-    write_plan_document,
-)
-from repro.service.workers import WarmJob
+from repro.service.app import PlannerApp
 
 
 @pytest.fixture(scope="module")
@@ -113,61 +106,6 @@ def test_validate_endpoint(session, plan_doc):
 
     status, _ = app.handle("POST", "/v1/validate", {})
     assert status == 400
-
-
-# ---------------------------------------------------------------------------
-# disk document tier admission
-
-
-def test_corrupt_disk_document_is_rejected_and_replaced(tmp_path):
-    app = PlannerApp(session=Session(), cache_dir=str(tmp_path))
-    job = WarmJob(model="alexnet", platform="intel-haswell")
-    document = build_plan_document(app.session, "alexnet", "intel-haswell")
-    corrupt = copy.deepcopy(document)
-    corrupt["total_ms"] += 7.0
-    corrupt["plan"]["total_ms"] += 7.0
-    write_plan_document(str(tmp_path), corrupt, job)
-
-    served, cached = app.plan_document("alexnet", "intel-haswell")
-    assert not cached
-    counters = app.metrics.snapshot()["counters"]
-    assert counters.get("plan_disk_invalid") == 1
-    assert "plan_disk_hits" not in counters
-    assert served["total_ms"] == pytest.approx(document["total_ms"])
-
-    # The fresh solve overwrote the poisoned file: a restart now disk-hits.
-    on_disk = read_plan_document(str(tmp_path), job)
-    assert verify_document(on_disk, source=plan_document_path(str(tmp_path), job)).ok
-
-
-def test_v1_disk_document_counts_once_as_invalid(tmp_path):
-    app = PlannerApp(session=Session(), cache_dir=str(tmp_path))
-    job = WarmJob(model="alexnet", platform="intel-haswell")
-    document = build_plan_document(app.session, "alexnet", "intel-haswell")
-    stale = copy.deepcopy(document)
-    stale["plan"]["format"] = "repro/plan/v1"
-    write_plan_document(str(tmp_path), stale, job)
-
-    served, cached = app.plan_document("alexnet", "intel-haswell")
-    assert not cached
-    counters = app.metrics.snapshot()["counters"]
-    assert {name: value for name, value in counters.items() if name.startswith("plan_disk")} == {
-        "plan_disk_invalid": 1
-    }
-    assert served == document
-
-
-def test_valid_disk_document_is_served(tmp_path):
-    app = PlannerApp(session=Session(), cache_dir=str(tmp_path))
-    job = WarmJob(model="alexnet", platform="intel-haswell")
-    document = build_plan_document(app.session, "alexnet", "intel-haswell")
-    write_plan_document(str(tmp_path), document, job)
-
-    served, _ = app.plan_document("alexnet", "intel-haswell")
-    counters = app.metrics.snapshot()["counters"]
-    assert counters.get("plan_disk_hits") == 1
-    assert "plan_disk_invalid" not in counters
-    assert served == document
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ direct :meth:`Session.plan` calls, and warm requests perform zero PBQP solves
 
 import http.client
 import json
+import logging
 import statistics
 import threading
 import time
@@ -26,7 +27,6 @@ from repro.service import (
     ServiceError,
     WarmJob,
     WarmingQueue,
-    executor,
     grid_jobs,
     make_server,
 )
@@ -285,6 +285,50 @@ class TestCompareAndFrontier:
         assert len(document["frontier"]["points"]) == len(document["points"])
 
 
+class TestThreadsLimit:
+    """``threads`` above a platform's cores would only mint duplicate keys."""
+
+    BODIES = {
+        "/v1/plan": {},
+        "/v1/compare": {"strategies": ["pbqp"], "include_frameworks": False},
+        "/v1/frontier": {"budget_steps": 2, "dtypes": ["fp32"]},
+    }
+
+    @pytest.mark.parametrize("path", sorted(BODIES))
+    def test_threads_above_cores_is_a_validation_error(self, service, path):
+        app, _ = service
+        before = solve_count()
+        status, payload = app.handle(
+            "POST",
+            path,
+            {"model": "alexnet", "platform": "intel-haswell", "threads": 5, **self.BODIES[path]},
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "validation_error"
+        assert payload["error"]["details"] == [
+            {"field": "threads", "message": "must be <= 4, the cores of intel-haswell"}
+        ]
+        assert solve_count() == before
+
+    @pytest.mark.parametrize("path", sorted(BODIES))
+    def test_threads_equal_to_cores_is_accepted(self, service, path):
+        app, _ = service
+        status, payload = app.handle(
+            "POST",
+            path,
+            {"model": "alexnet", "platform": "intel-haswell", "threads": 4, **self.BODIES[path]},
+        )
+        assert status == 200, payload
+        assert payload["threads"] == 4
+
+    def test_limit_follows_the_platform(self, service):
+        _, client = service
+        with pytest.raises(ServiceError) as excinfo:
+            client.plan("alexnet", "gpu-sim", threads=2)
+        assert excinfo.value.status == 400
+        assert excinfo.value.details[0]["message"] == "must be <= 1, the cores of gpu-sim"
+
+
 class TestConcurrency:
     def test_concurrent_mixed_requests_are_correct_and_solve_free(self, service):
         """The acceptance gate: a warm mixed grid served concurrently.
@@ -370,7 +414,7 @@ class TestWarming:
             if job.model == "bad":
                 raise RuntimeError("boom")
 
-        queue = WarmingQueue(run, metrics=metrics, kind="serial")
+        queue = WarmingQueue(run, metrics=metrics)
         try:
             queue.enqueue([WarmJob("good", "intel-haswell"), WarmJob("bad", "intel-haswell")])
             assert queue.join(timeout=30)
@@ -382,6 +426,57 @@ class TestWarming:
         finally:
             queue.stop()
 
+    def test_failed_jobs_log_once(self, caplog, monkeypatch):
+        from repro.service import workers
+
+        monkeypatch.setattr(workers, "_WARM_FAILURE_LOGGED", False)
+        caplog.set_level(logging.WARNING, logger="repro.service.workers")
+        metrics = Metrics()
+
+        def run(job):
+            raise RuntimeError(f"boom {job.model}")
+
+        queue = WarmingQueue(run, metrics=metrics)
+        try:
+            queue.enqueue([WarmJob("first", "intel-haswell"), WarmJob("second", "gpu-sim")])
+            assert queue.join(timeout=30)
+        finally:
+            queue.stop()
+        records = [r for r in caplog.records if r.name == "repro.service.workers"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.WARNING
+        message = records[0].getMessage()
+        assert "model='first'" in message and "RuntimeError: boom first" in message
+        assert metrics.snapshot()["counters"]["warm_jobs_failed"] == 2
+        assert queue.state()["failed"] == 2
+
+    def test_successful_jobs_stay_silent(self, caplog, monkeypatch):
+        from repro.service import workers
+
+        monkeypatch.setattr(workers, "_WARM_FAILURE_LOGGED", False)
+        caplog.set_level(logging.WARNING, logger="repro.service.workers")
+        queue = WarmingQueue(lambda job: None)
+        try:
+            queue.enqueue([WarmJob("alexnet", "intel-haswell")])
+            assert queue.join(timeout=30)
+        finally:
+            queue.stop()
+        assert not [r for r in caplog.records if r.name == "repro.service.workers"]
+
+    def test_warming_state_names_no_executor(self, service):
+        _, client = service
+        assert set(client.healthz()["warming"]) == {"pending", "completed", "failed", "running"}
+
+    def test_stop_runs_the_queued_jobs_first(self):
+        done = []
+        queue = WarmingQueue(lambda job: done.append(job.model))
+        queue.enqueue([WarmJob(str(i), "intel-haswell") for i in range(5)])
+        queue.stop()
+        assert done == ["0", "1", "2", "3", "4"]
+        assert queue.state()["running"] is False
+        with pytest.raises(RuntimeError, match="stopped"):
+            queue.enqueue([WarmJob("late", "intel-haswell")])
+
     def test_grid_jobs_covers_the_full_product(self):
         from repro.cost.platform import list_platforms
         from repro.models import MODEL_BUILDERS
@@ -390,120 +485,6 @@ class TestWarming:
         assert len(jobs) == len(MODEL_BUILDERS) * len(list_platforms()) * 2
         jobs = grid_jobs(models=["alexnet"], platforms=["gpu-sim"])
         assert jobs == [WarmJob("alexnet", "gpu-sim")]
-
-    def test_executor_kinds(self):
-        with executor("serial") as pool:
-            assert pool.submit(lambda: 21 * 2).result() == 42
-        with executor("thread", max_workers=2) as pool:
-            assert pool.submit(lambda: 21 * 2).result() == 42
-        with pytest.raises(ValueError, match="unknown executor kind"):
-            with executor("quantum"):
-                pass
-
-    def test_serial_executor_captures_exceptions(self):
-        with executor("serial") as pool:
-            future = pool.submit(lambda: 1 / 0)
-        assert isinstance(future.exception(), ZeroDivisionError)
-
-    def test_process_executor_warms_a_store(self, tmp_path):
-        from repro.cost.store import CostStore
-        from repro.service.workers import warm_store_entry
-
-        with executor("process", max_workers=2) as pool:
-            future = pool.submit(
-                warm_store_entry, str(tmp_path), "alexnet", "intel-haswell"
-            )
-            assert future.result(timeout=300) == "alexnet@intel-haswell/1t/b1/fp32"
-        # The worker process persisted the tables into the shared store tier.
-        store = CostStore(tmp_path)
-        assert store.stats().entries == 1
-
-
-class TestDiskDocumentTier:
-    """Satellite of the precision PR: process-pool warming warms *responses*.
-
-    A worker process can only hand results back through the disk, so the
-    daemon consults the document tier under its cache dir on a DocumentCache
-    miss — a process-warmed combination must be served with zero in-daemon
-    PBQP solves.
-    """
-
-    def test_process_warmed_daemon_serves_plan_with_zero_solves(self, tmp_path):
-        warmer = PlannerApp(
-            cache_dir=str(tmp_path), warm_executor="process", warm_workers=2
-        )
-        try:
-            enqueued = warmer.start_warming(
-                models=["alexnet"], platforms=["intel-haswell"]
-            )
-            assert enqueued == 1
-            assert warmer.warming.join(timeout=300)
-            assert warmer.warming.state() == {
-                "executor": "process",
-                "pending": 0,
-                "completed": 1,
-                "failed": 0,
-                "running": True,
-            }
-        finally:
-            warmer.close()
-        # A fresh daemon over the same cache dir: its DocumentCache is cold,
-        # but the worker process left the document in the disk tier.
-        daemon = PlannerApp(cache_dir=str(tmp_path))
-        try:
-            before = solve_count()
-            status, payload = daemon.handle(
-                "POST", "/v1/plan", {"model": "alexnet", "platform": "intel-haswell"}
-            )
-            assert status == 200
-            assert solve_count() == before  # zero solves in the daemon process
-            assert payload["model"] == "alexnet" and payload["dtype"] == "fp32"
-            assert daemon.metrics.snapshot()["counters"]["plan_disk_hits"] == 1
-            # The worker-built document is the one a direct build would produce.
-            direct = Session().plan("alexnet", "intel-haswell")
-            assert canonical(payload["plan"]) == canonical(
-                plan_to_dict(direct.network_plan)
-            )
-        finally:
-            daemon.close()
-
-    def test_daemon_writes_documents_through_to_the_tier(self, tmp_path):
-        first = PlannerApp(cache_dir=str(tmp_path))
-        try:
-            first.plan_document("alexnet", "intel-haswell", dtype="fp16")
-        finally:
-            first.close()
-        second = PlannerApp(cache_dir=str(tmp_path))
-        try:
-            before = solve_count()
-            document, cached = second.plan_document(
-                "alexnet", "intel-haswell", dtype="fp16"
-            )
-            assert solve_count() == before and cached is False
-            assert document["dtype"] == "fp16"
-        finally:
-            second.close()
-
-    def test_corrupt_tier_entry_is_a_miss_not_an_error(self, tmp_path):
-        from repro.service.app import plan_document_path
-        from repro.service.workers import WarmJob
-
-        path = plan_document_path(str(tmp_path), WarmJob("alexnet", "intel-haswell"))
-        import os
-
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w") as handle:
-            handle.write("{not json")
-        app = PlannerApp(cache_dir=str(tmp_path))
-        try:
-            document, _ = app.plan_document("alexnet", "intel-haswell")
-            assert document["model"] == "alexnet"  # rebuilt and overwritten
-        finally:
-            app.close()
-
-    def test_process_warming_requires_a_cache_dir(self):
-        with pytest.raises(ValueError, match="cache_dir"):
-            PlannerApp(warm_executor="process")
 
 
 class TestMetricsUnit:
