@@ -114,7 +114,7 @@ def test_gpu_small_layers_are_launch_bound(session):
     model = AnalyticalCostModel(gpu)
     tiny = ConvScenario(c=16, h=7, w=7, stride=1, k=1, m=16)
     for primitive in session.library.applicable(tiny, platform=gpu):
-        cost = model.primitive_cost(primitive, tiny)
+        cost = model.price_layer([primitive], tiny)[0][0]
         assert cost >= gpu.launch_overhead_s
 
 

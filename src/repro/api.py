@@ -16,10 +16,10 @@ and execution (through :class:`~repro.runtime.executor.NetworkExecutor`):
 
 The session memoizes profiled :class:`~repro.core.selector.SelectionContext`
 objects (and therefore the cost tables) keyed by ``(network fingerprint,
-platform, threads)``, and one execution weight store per network that every
-plan of that network shares; with a ``cache_dir`` the tables additionally
-persist to a :class:`~repro.cost.store.CostStore`, so a *fresh process*
-pointed at the same directory performs zero profiling.
+platform, threads, batch, dtype)``, and one execution weight store per
+network that every plan of that network shares; with a ``cache_dir`` the
+tables additionally persist to a :class:`~repro.cost.store.CostStore`, so a
+*fresh process* pointed at the same directory performs zero profiling.
 """
 
 from __future__ import annotations
@@ -602,7 +602,8 @@ class Session:
     query), resolves strategies through the registry, and produces cost
     tables through a pluggable :class:`~repro.cost.provider.CostProvider`.
     Profiled contexts are memoized in-process keyed by ``(network
-    fingerprint, platform, threads, batch, dtype)``, in a bounded memo that
+    fingerprint, platform, threads, batch, dtype)`` — the platform by its
+    value, not its name — in a bounded memo that
     evicts the least recently used context above
     :data:`repro.lru.CAPACITY`; passing ``cache_dir`` wraps the provider in a
     persistent :class:`~repro.cost.store.CostStore`, so warm selections also
@@ -716,18 +717,23 @@ class Session:
 
     def _query(
         self,
-        fingerprint: str,
-        network: Network,
-        platform: Optional[Platform],
-        platform_name: str,
+        model: ModelLike,
+        platform: PlatformLike,
         threads: int,
         batch: int = 1,
         dtype: str = "fp32",
     ) -> CostQuery:
+        """Validate and resolve one (model, platform, threads, batch, dtype) request."""
+        if batch < 1:
+            raise ValueError("batch must be >= 1")
+        if dtype not in DTYPES:
+            raise ValueError(f"unknown dtype {dtype!r}; expected one of {DTYPES}")
+        resolved, platform_name = self._resolve_platform(platform)
+        fingerprint, network = self._resolve_network(model)
         return CostQuery(
             network=network,
             fingerprint=fingerprint,
-            platform=platform,
+            platform=resolved,
             platform_name=platform_name,
             threads=threads,
             library=self.library,
@@ -736,34 +742,36 @@ class Session:
             dtype=dtype,
         )
 
-    def _build_context(
-        self,
-        fingerprint: str,
-        network: Network,
-        platform: Optional[Platform],
-        platform_name: str,
-        threads: int,
-        batch: int = 1,
-        dtype: str = "fp32",
-    ) -> SelectionContext:
-        """Build a selection context with tables from the cost provider."""
-        query = self._query(
-            fingerprint, network, platform, platform_name, threads, batch, dtype
+    @staticmethod
+    def _context_key(query: CostQuery) -> Tuple:
+        """The in-process memo key of a query's context.
+
+        The platform is keyed by its value, not only its name, so a platform
+        that reuses a name with other numbers never aliases a cached context.
+        """
+        return (
+            query.fingerprint,
+            query.platform_name,
+            query.platform,
+            query.threads,
+            query.batch,
+            query.dtype,
         )
-        tables = self.provider.tables(query)
+
+    def _build_context(self, query: CostQuery) -> SelectionContext:
+        """Build a selection context with tables from the cost provider."""
         context = SelectionContext(
-            network=network,
+            network=query.network,
             library=self.library,
             dt_graph=self.dt_graph,
-            cost_model=self.provider.cost_model(platform),
-            platform_name=platform_name,
-            threads=threads,
-            tables=tables,
-            platform=platform,
-            batch=batch,
-            dtype=dtype,
+            platform_name=query.platform_name,
+            threads=query.threads,
+            tables=self.provider.tables(query),
+            platform=query.platform,
+            batch=query.batch,
+            dtype=query.dtype,
         )
-        if threads != 1:
+        if query.threads != 1:
             # Framework emulations lazily need single-threaded tables; route
             # that rebuild through the provider so a persistent store serves
             # (and captures) it too.
@@ -771,12 +779,10 @@ class Session:
             context.single_thread_tables_factory = lambda: self.provider.tables(single)
         return context
 
-    def _ensure_context(
-        self, key: Tuple[str, str, int, int, str], builder_args: Tuple
-    ) -> Tuple[SelectionContext, bool]:
-        """Memoized-or-built context for ``key``: one table build per miss."""
+    def _ensure_context(self, query: CostQuery) -> Tuple[SelectionContext, bool]:
+        """Memoized-or-built context for ``query``: one table build per miss."""
         return self._contexts.get_or_build(
-            key, functools.partial(self._build_context, *builder_args)
+            self._context_key(query), functools.partial(self._build_context, query)
         )
 
     def _lookup(
@@ -788,17 +794,9 @@ class Session:
         dtype: str = "fp32",
     ) -> Tuple[str, SelectionContext, bool]:
         """Resolve a query to (fingerprint, memoized context, was-cache-hit)."""
-        if batch < 1:
-            raise ValueError("batch must be >= 1")
-        if dtype not in DTYPES:
-            raise ValueError(f"unknown dtype {dtype!r}; expected one of {DTYPES}")
-        resolved, platform_name = self._resolve_platform(platform)
-        fingerprint, network = self._resolve_network(model)
-        key = (fingerprint, platform_name, threads, batch, dtype)
-        context, hit = self._ensure_context(
-            key, (fingerprint, network, resolved, platform_name, threads, batch, dtype)
-        )
-        return fingerprint, context, hit
+        query = self._query(model, platform, threads, batch, dtype)
+        context, hit = self._ensure_context(query)
+        return query.fingerprint, context, hit
 
     def context_for(
         self,
@@ -1090,37 +1088,23 @@ class Session:
             request if isinstance(request, SelectionRequest) else SelectionRequest(*request)
             for request in requests
         ]
-        pending: Dict[Tuple[str, str, int, int, str], Tuple] = {}
+        pending: Dict[Tuple, CostQuery] = {}
         for request in normalized:
-            resolved, platform_name = self._resolve_platform(request.platform)
-            fingerprint, network = self._resolve_network(request.model)
-            key = (
-                fingerprint,
-                platform_name,
-                request.threads,
-                request.batch,
-                request.dtype,
+            query = self._query(
+                request.model, request.platform, request.threads, request.batch, request.dtype
             )
+            key = self._context_key(query)
             if key not in self._contexts and key not in pending:
-                pending[key] = (
-                    fingerprint,
-                    network,
-                    resolved,
-                    platform_name,
-                    request.threads,
-                    request.batch,
-                    request.dtype,
-                )
+                pending[key] = query
         # _ensure_context dedups per key, so a request mix that races with
         # other session users still performs one build per distinct context.
         if len(pending) == 1 or max_workers == 1:
-            for key, args in pending.items():
-                self._ensure_context(key, args)
+            for query in pending.values():
+                self._ensure_context(query)
         elif pending:
             with ThreadPoolExecutor(max_workers=max_workers) as pool:
                 futures = [
-                    pool.submit(self._ensure_context, key, args)
-                    for key, args in pending.items()
+                    pool.submit(self._ensure_context, query) for query in pending.values()
                 ]
             for future in futures:
                 future.result()

@@ -58,6 +58,7 @@ PBQP pass.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -116,7 +117,6 @@ class SelectionContext:
     network: Network
     library: PrimitiveLibrary
     dt_graph: DTGraph
-    cost_model: CostModel
     platform_name: str
     threads: int
     tables: CostTables
@@ -126,9 +126,10 @@ class SelectionContext:
     #: Numeric precision the context's cost tables were priced for.
     dtype: str = "fp32"
     _single_thread_tables: Optional[CostTables] = field(default=None, repr=False)
-    #: Optional hook producing single-threaded tables (set by the Session API so
-    #: the lazy rebuild below goes through its cost provider — and therefore
-    #: through a persistent store — instead of re-profiling directly).
+    #: Produces the single-threaded tables of a multithreaded context on
+    #: first use.  :meth:`create` builds them from its cost model; the
+    #: Session API routes them through its cost provider (and therefore
+    #: through a persistent store).
     single_thread_tables_factory: Optional[Callable[[], CostTables]] = field(
         default=None, repr=False, compare=False
     )
@@ -158,19 +159,12 @@ class SelectionContext:
         if self.threads == 1:
             return self.tables
         if self._single_thread_tables is None:
-            if self.single_thread_tables_factory is not None:
-                self._single_thread_tables = self.single_thread_tables_factory()
-            else:
-                self._single_thread_tables = build_cost_tables(
-                    self.network,
-                    self.library,
-                    self.dt_graph,
-                    self.cost_model,
-                    threads=1,
-                    batch=self.batch,
-                    platform=self.platform,
-                    dtype=self.dtype,
+            if self.single_thread_tables_factory is None:
+                raise ValueError(
+                    f"a {self.threads}-thread context needs a "
+                    "single_thread_tables_factory to price single-threaded tables"
                 )
+            self._single_thread_tables = self.single_thread_tables_factory()
         return self._single_thread_tables
 
     @classmethod
@@ -189,9 +183,9 @@ class SelectionContext:
 
         Either ``platform`` (priced with the analytical model) or an explicit
         ``cost_model`` must be provided; if both are given the explicit cost
-        model wins.  ``batch`` prices the whole context for minibatches of
-        that size, ``dtype`` at that precision (per-precision primitive
-        gating and pricing both apply).
+        model wins, pricing and platform gating alike.  ``batch`` prices the
+        whole context for minibatches of that size, ``dtype`` at that
+        precision (per-precision primitive gating and pricing both apply).
         """
         if cost_model is None:
             if platform is None:
@@ -201,27 +195,26 @@ class SelectionContext:
         library = library if library is not None else default_primitive_library()
         if dt_graph is None:
             dt_graph = DTGraph(library.layouts_used(), default_transform_library())
-        tables = build_cost_tables(
+        build = functools.partial(
+            build_cost_tables,
             network,
             library,
             dt_graph,
             cost_model,
-            threads=threads,
             batch=batch,
-            platform=platform,
             dtype=dtype,
         )
         return cls(
             network=network,
             library=library,
             dt_graph=dt_graph,
-            cost_model=cost_model,
             platform_name=platform_name,
             threads=threads,
-            tables=tables,
+            tables=build(threads=threads),
             platform=platform,
             batch=batch,
             dtype=dtype,
+            single_thread_tables_factory=functools.partial(build, threads=1),
         )
 
 

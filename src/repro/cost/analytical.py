@@ -38,7 +38,6 @@ import numpy as np
 from repro.cost.platform import Platform
 from repro.graph.scenario import DTYPE_ITEMSIZE, ConvScenario
 from repro.layouts.transforms import LayoutTransform
-from repro.multiobj.vector import CostVector
 from repro.primitives.base import ConvPrimitive, PricingRow
 
 #: Modelled per-layer top-1 accuracy loss (fraction) of running one
@@ -141,8 +140,8 @@ class AnalyticalCostModel:
         tuple per primitive, in order.  The scenario invariants (tensor bytes,
         quantize traffic, cache sizes, precision rate) are derived once per
         call, and time and energy share each primitive's operation count,
-        workspace, traffic and footprint tier.  Every other per-primitive
-        query of this model is a view over this method.
+        workspace, traffic and footprint tier.  This is the model's only
+        primitive query.
 
         The formula runs over arrays of the layer's primitives, with every
         branch a mask.  Each primitive's static inputs (traits, vector
@@ -366,42 +365,6 @@ class AnalyticalCostModel:
         energy = 1e-12 * (ops * params.energy_per_flop_pj + traffic_bytes * per_byte_pj)
         return list(
             zip(time_s.tolist(), workspace_bytes.tolist(), energy.tolist(), loss.tolist())
-        )
-
-    def primitive_cost(
-        self, primitive: ConvPrimitive, scenario: ConvScenario, threads: int = 1
-    ) -> float:
-        """Modelled execution time (seconds) of one primitive on one scenario."""
-        return self.price_layer((primitive,), scenario, threads)[0][0]
-
-    def primitive_workspace_bytes(
-        self, primitive: ConvPrimitive, scenario: ConvScenario
-    ) -> float:
-        """Peak per-invocation scratch footprint (bytes) of one primitive."""
-        return self.price_layer((primitive,), scenario)[0][1]
-
-    def primitive_energy(
-        self, primitive: ConvPrimitive, scenario: ConvScenario, threads: int = 1
-    ) -> float:
-        """Energy proxy (joules) of one primitive invocation."""
-        return self.price_layer((primitive,), scenario, threads)[0][2]
-
-    def primitive_accuracy_loss(
-        self, primitive: ConvPrimitive, scenario: ConvScenario
-    ) -> float:
-        """Modelled accuracy loss (additive top-1 fraction) of one layer."""
-        return self.price_layer((primitive,), scenario)[0][3]
-
-    def primitive_cost_vector(
-        self, primitive: ConvPrimitive, scenario: ConvScenario, threads: int = 1
-    ) -> CostVector:
-        """The (time, workspace, energy, accuracy) vector of one primitive."""
-        time_s, workspace, energy, loss = self.price_layer((primitive,), scenario, threads)[0]
-        return CostVector(
-            time_ms=1e3 * time_s,
-            peak_workspace_bytes=workspace,
-            energy_proxy_j=energy,
-            accuracy_proxy=loss,
         )
 
     def _precision_rate(self, dtype: str) -> float:

@@ -5,14 +5,14 @@ from: the paper measures wall-clock times of hand-tuned kernels, this
 reproduction can either time its numpy primitives (:class:`~repro.cost.profiler.WallClockProfiler`)
 or price them on a modelled platform
 (:class:`~repro.cost.analytical.AnalyticalCostModel`).  Both expose the same
-two queries: the cost of running one primitive on one convolutional scenario,
-and the cost of running one direct layout-transformation routine on a tensor
-of a given shape.  Costs are in seconds.
+three queries: the cost vectors of one layer's primitives, and the time and
+energy of one direct layout-transformation routine on a tensor of a given
+shape.  Times are in seconds, energies in joules.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, Tuple
+from typing import List, Protocol, Sequence, Tuple
 
 from repro.graph.scenario import ConvScenario
 from repro.layouts.transforms import LayoutTransform
@@ -22,17 +22,20 @@ from repro.primitives.base import ConvPrimitive
 class CostModel(Protocol):
     """Anything that can price primitives and layout transformations.
 
-    A model may additionally offer ``price_layer(primitives, scenario,
-    threads)`` returning one ``(time, workspace, energy, accuracy)`` tuple per
-    primitive (see :meth:`~repro.cost.analytical.AnalyticalCostModel.price_layer`).
-    :func:`~repro.cost.tables.build_cost_tables` then prices each layer in one
-    call and records energy and accuracy; without it those tables stay zero.
+    :func:`~repro.cost.tables.build_cost_tables` prices each layer with one
+    :meth:`price_layer` call and each conversion hop with
+    :meth:`transform_cost` and :meth:`transform_energy`.  A model that also
+    has a ``platform`` attribute gates primitives by it.
     """
 
-    def primitive_cost(
-        self, primitive: ConvPrimitive, scenario: ConvScenario, threads: int = 1
-    ) -> float:
-        """Execution time, in seconds, of ``primitive`` on ``scenario``."""
+    def price_layer(
+        self,
+        primitives: Sequence[ConvPrimitive],
+        scenario: ConvScenario,
+        threads: int = 1,
+    ) -> List[Tuple[float, float, float, float]]:
+        """One ``(time_s, workspace_bytes, energy_j, accuracy_loss)`` tuple per
+        primitive, in order."""
         ...
 
     def transform_cost(
@@ -51,4 +54,14 @@ class CostModel(Protocol):
         precision of the converted tensor — conversions are pure data
         movement, so narrower elements move proportionally fewer bytes.
         """
+        ...
+
+    def transform_energy(
+        self,
+        transform: LayoutTransform,
+        shape: Tuple[int, int, int],
+        batch: int = 1,
+        dtype: str = "fp32",
+    ) -> float:
+        """Energy proxy, in joules, of one direct layout transformation."""
         ...

@@ -9,15 +9,18 @@ estimate of the actual execution time."
 :class:`WallClockProfiler` does exactly that for the numpy-backed primitives
 in this reproduction: it executes each primitive (and each direct layout
 transformation) on random tensors of the right shape and records the best of
-a few repetitions.  It implements the same interface as the analytical model,
-so it can drive the selector directly — used by the examples and integration
-tests on host-sized scenarios.
+a few repetitions.  It implements the same
+:class:`~repro.cost.model.CostModel` interface as the analytical model
+(``price_layer``, ``transform_cost``, ``transform_energy``), so it fills cost
+tables through the same path — used by the examples and integration tests on
+host-sized scenarios.  It measures time only: its energy and accuracy entries
+are zero.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -55,15 +58,37 @@ class WallClockProfiler:
 
     # -- measurements ------------------------------------------------------------
 
-    def primitive_cost(
-        self, primitive: ConvPrimitive, scenario: ConvScenario, threads: int = 1
-    ) -> float:
-        """Measured execution time (seconds) of ``primitive`` on ``scenario``.
+    def price_layer(
+        self,
+        primitives: Sequence[ConvPrimitive],
+        scenario: ConvScenario,
+        threads: int = 1,
+    ) -> List[Tuple[float, float, float, float]]:
+        """Measured ``(time_s, workspace_bytes, 0.0, 0.0)`` of each primitive.
+
+        Primitives are measured in order, each once per ``(primitive,
+        scenario, threads)``; repeats are served from the cache.  Workspace
+        is the primitive's per-image scratch footprint at the scenario's
+        precision.  The host is not an energy or accuracy model, so both
+        stay zero, which the frontier reads as "objective not modelled".
 
         ``threads`` is accepted for interface compatibility; the numpy
         primitives run with whatever threading the host BLAS provides, so the
         parameter does not change the measurement.
         """
+        itemsize = float(scenario.itemsize)
+        return [
+            (
+                self._measure(primitive, scenario, threads),
+                itemsize * primitive.workspace_elements(scenario.per_image),
+                0.0,
+                0.0,
+            )
+            for primitive in primitives
+        ]
+
+    def _measure(self, primitive: ConvPrimitive, scenario: ConvScenario, threads: int) -> float:
+        """Best-of-``repetitions`` time (seconds) of one primitive, cached."""
         key = (primitive.name, scenario, threads)
         if key in self._primitive_cache:
             return self._primitive_cache[key]
@@ -119,3 +144,13 @@ class WallClockProfiler:
             best = min(best, time.perf_counter() - start)
         self._transform_cache[key] = best
         return best
+
+    def transform_energy(
+        self,
+        transform: LayoutTransform,
+        shape: Tuple[int, int, int],
+        batch: int = 1,
+        dtype: str = "fp32",
+    ) -> float:
+        """Energy is not measured on the host: always 0.0."""
+        return 0.0

@@ -7,7 +7,10 @@ drive any number of selection queries.  A :class:`CostProvider` abstracts the
 :class:`CostQuery` describing the triple (plus the components needed to build
 tables), return :class:`~repro.cost.tables.CostTables`.
 
-Three providers ship with the reproduction:
+Three providers ship with the reproduction.  They share one table-building
+body (:meth:`CostModelProvider.tables`, one
+:func:`~repro.cost.tables.build_cost_tables` call) and differ only in the
+:class:`~repro.cost.model.CostModel` they hand it:
 
 * :class:`AnalyticalCostProvider` — prices primitives on a modelled platform
   (:class:`~repro.cost.analytical.AnalyticalCostModel`); this regenerates the
@@ -15,21 +18,19 @@ Three providers ship with the reproduction:
 * :class:`ProfiledCostProvider` — measures the numpy-backed primitives on the
   host machine (:class:`~repro.cost.profiler.WallClockProfiler`), the paper's
   original layerwise-profiling methodology;
-* :class:`~repro.cost.store.CostStore` — a disk-backed decorator around any
-  other provider that persists produced tables as JSON keyed by
-  ``(network fingerprint, platform, threads, provider version)``, so warm
-  selections survive process restarts.
+* :class:`CostModelProvider` — any given model (used by the ablation
+  experiments to inject scaled cost models).
 
-:class:`CostModelProvider` adapts an arbitrary
-:class:`~repro.cost.model.CostModel` (used by the ablation experiments to
-inject scaled cost models).
+:class:`~repro.cost.store.CostStore` decorates any of them: it persists
+produced tables as JSON keyed by the query and the inner provider's name and
+version, so warm selections survive process restarts.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Optional, Protocol, Tuple, runtime_checkable
+from typing import Dict, Optional, Protocol, runtime_checkable
 
 from repro.cost.analytical import AnalyticalCostModel
 from repro.cost.model import CostModel
@@ -60,28 +61,9 @@ class CostQuery:
     batch: int = 1
     dtype: str = "fp32"
 
-    @property
-    def context_key(self) -> Tuple[str, str, int, int, str]:
-        """The (fingerprint, platform, threads, batch, dtype) tuple of this query."""
-        return (
-            self.fingerprint,
-            self.platform_name,
-            self.threads,
-            self.batch,
-            self.dtype,
-        )
-
     def with_threads(self, threads: int) -> "CostQuery":
         """The same query at a different thread count."""
         return dataclasses.replace(self, threads=threads)
-
-    def with_batch(self, batch: int) -> "CostQuery":
-        """The same query at a different minibatch size."""
-        return dataclasses.replace(self, batch=batch)
-
-    def with_dtype(self, dtype: str) -> "CostQuery":
-        """The same query at a different numeric precision."""
-        return dataclasses.replace(self, dtype=dtype)
 
 
 @runtime_checkable
@@ -105,27 +87,27 @@ class CostProvider(Protocol):
         """Produce the cost tables for one (network, platform, threads) query."""
         ...
 
+
+class CostModelProvider:
+    """Build cost tables from one :class:`~repro.cost.model.CostModel`.
+
+    This is the one table-building body every shipped provider shares; the
+    providers differ only in the model :meth:`cost_model` hands out.  Tables
+    are gated by the model's own ``platform`` when it has one.  Used
+    directly, it adapts an arbitrary model (the ablation harnesses drive a
+    session with scaled cost models this way).
+    """
+
+    def __init__(
+        self, cost_model: CostModel, name: Optional[str] = None, version: str = "0"
+    ) -> None:
+        self._cost_model = cost_model
+        self.name = name if name is not None else type(cost_model).__name__
+        self.version = version
+
     def cost_model(self, platform: Optional[Platform]) -> CostModel:
-        """The underlying cost model for a platform (for ad-hoc re-pricing)."""
-        ...
-
-
-class AnalyticalCostProvider:
-    """Price primitives on a modelled platform (the figure-generating default)."""
-
-    name = "analytical"
-    #: Bump when the analytical model's pricing changes incompatibly.
-    version = "1"
-
-    def __init__(self) -> None:
-        self._models: Dict[str, AnalyticalCostModel] = {}
-
-    def cost_model(self, platform: Optional[Platform]) -> CostModel:
-        if platform is None:
-            raise ValueError("the analytical cost provider requires a platform")
-        if platform.name not in self._models:
-            self._models[platform.name] = AnalyticalCostModel(platform)
-        return self._models[platform.name]
+        """The model that prices a query on ``platform``."""
+        return self._cost_model
 
     def tables(self, query: CostQuery) -> CostTables:
         return build_cost_tables(
@@ -135,20 +117,41 @@ class AnalyticalCostProvider:
             self.cost_model(query.platform),
             threads=query.threads,
             batch=query.batch,
-            platform=query.platform,
             dtype=query.dtype,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"AnalyticalCostProvider(version={self.version!r})"
+        return f"{type(self).__name__}(name={self.name!r}, version={self.version!r})"
 
 
-class ProfiledCostProvider:
+class AnalyticalCostProvider(CostModelProvider):
+    """Price primitives on a modelled platform (the figure-generating default)."""
+
+    name = "analytical"
+    #: Bump when the analytical model's pricing changes incompatibly.
+    version = "1"
+
+    def __init__(self) -> None:
+        # Keyed by the platform's value, so a platform that reuses a name
+        # with other numbers gets its own model.
+        self._models: Dict[Platform, AnalyticalCostModel] = {}
+
+    def cost_model(self, platform: Optional[Platform]) -> CostModel:
+        if platform is None:
+            raise ValueError("the analytical cost provider requires a platform")
+        model = self._models.get(platform)
+        if model is None:
+            model = self._models[platform] = AnalyticalCostModel(platform)
+        return model
+
+
+class ProfiledCostProvider(CostModelProvider):
     """Measure the numpy-backed primitives on the host machine.
 
     This is the paper's original methodology end to end: tables come from
     wall-clock timings of each primitive on tensors of each layer's size.
-    The ``platform`` of a query is ignored — measurements describe the host.
+    The ``platform`` of a query is ignored — measurements describe the host,
+    which can run every variant, so no platform gating applies.
     """
 
     name = "profiled"
@@ -166,55 +169,4 @@ class ProfiledCostProvider:
             if profiler is not None
             else WallClockProfiler(repetitions=repetitions, warmup=warmup, seed=seed)
         )
-
-    def cost_model(self, platform: Optional[Platform]) -> CostModel:
-        return self.profiler
-
-    def tables(self, query: CostQuery) -> CostTables:
-        # The profiler measures the host, which can run every variant, so no
-        # modelled-platform gating is applied (``platform`` stays ``None``).
-        return build_cost_tables(
-            query.network,
-            query.library,
-            query.dt_graph,
-            self.profiler,
-            threads=query.threads,
-            batch=query.batch,
-            dtype=query.dtype,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"ProfiledCostProvider(profiler={self.profiler!r})"
-
-
-class CostModelProvider:
-    """Adapt an arbitrary :class:`~repro.cost.model.CostModel` as a provider.
-
-    Used by the ablation harnesses to drive a session with modified cost
-    models (e.g. scaled layout-transformation costs).
-    """
-
-    def __init__(
-        self, cost_model: CostModel, name: Optional[str] = None, version: str = "0"
-    ) -> None:
-        self._cost_model = cost_model
-        self.name = name if name is not None else type(cost_model).__name__
-        self.version = version
-
-    def cost_model(self, platform: Optional[Platform]) -> CostModel:
-        return self._cost_model
-
-    def tables(self, query: CostQuery) -> CostTables:
-        return build_cost_tables(
-            query.network,
-            query.library,
-            query.dt_graph,
-            self._cost_model,
-            threads=query.threads,
-            batch=query.batch,
-            platform=query.platform,
-            dtype=query.dtype,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"CostModelProvider(name={self.name!r}, version={self.version!r})"
+        super().__init__(self.profiler, self.name, self.version)

@@ -29,8 +29,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import List, Optional, Union
 
-from repro.cost.model import CostModel
-from repro.cost.platform import PLATFORMS, Platform, platform_version
+from repro.cost.platform import PLATFORMS, platform_version
 from repro.cost.provider import AnalyticalCostProvider, CostProvider, CostQuery
 from repro.cost.serialize import cost_tables_from_dict, cost_tables_to_dict
 from repro.cost.tables import CostTables
@@ -194,14 +193,14 @@ class CostStore:
 
     @property
     def name(self) -> str:
-        return f"store[{self.provider.name}]"
+        """The inner provider's name: the store changes where tables come
+        from, not what they describe, so platform-less contexts keep the
+        inner provider's label (and its on-disk keys already carry it)."""
+        return self.provider.name
 
     @property
     def version(self) -> str:
         return self.provider.version
-
-    def cost_model(self, platform: Optional[Platform]) -> CostModel:
-        return self.provider.cost_model(platform)
 
     def tables(self, query: CostQuery) -> CostTables:
         """Load the query's tables from disk, or produce and persist them.

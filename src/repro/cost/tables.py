@@ -17,11 +17,12 @@ thread count it records
   graph (section 3.1).
 
 Tables are cost-model agnostic: they can be built from the analytical
-platform model or from the wall-clock profiler.
+platform model or from the wall-clock profiler, through one path.
 
 :func:`build_cost_tables` makes one pass of each kind per network: each
-distinct scenario is priced by one call of the model's array formula
-(:meth:`~repro.cost.analytical.AnalyticalCostModel.price_layer`), and every
+distinct scenario is priced by one
+:meth:`~repro.cost.model.CostModel.price_layer` call (the analytical model's
+array formula, or the profiler's measurements), and every
 edge shape's conversions come from one Floyd–Warshall pass over all shapes
 (:meth:`~repro.layouts.dt_graph.DTGraph.shortest_paths_by_shape`).  The
 outputs are plain dicts, in layer and first-seen shape order.
@@ -37,7 +38,6 @@ from repro.graph.network import Network
 from repro.graph.scenario import ConvScenario
 from repro.layouts.dt_graph import DTGraph, DTPath
 from repro.layouts.layout import Layout
-from repro.multiobj.vector import CostVector
 from repro.primitives.registry import PrimitiveLibrary
 
 Shape = Tuple[int, int, int]
@@ -97,16 +97,6 @@ class CostTables:
         accuracy data; those report 0, which is also the correct fp32 value.
         """
         return self.node_accuracy.get(layer, {}).get(primitive, 0.0)
-
-    def primitive_vector(self, layer: str, primitive: str) -> CostVector:
-        """The full (time, workspace, energy, accuracy) vector of one node
-        alternative."""
-        return CostVector(
-            time_ms=1e3 * self.node_costs[layer][primitive],
-            peak_workspace_bytes=self.primitive_workspace(layer, primitive),
-            energy_proxy_j=self.primitive_energy(layer, primitive),
-            accuracy_proxy=self.primitive_accuracy(layer, primitive),
-        )
 
     def cheapest_primitive(self, layer: str) -> Tuple[str, float]:
         """The fastest primitive for a layer, considered in isolation."""
@@ -180,14 +170,8 @@ def build_cost_tables(
     shapes = network.infer_shapes()
 
     # The scalar time tables are what the paper ships; the workspace, energy
-    # and accuracy tables extend them into cost *vectors*.  A model with a
-    # fused ``price_layer`` (the analytical model) prices all four at once;
-    # any other model (the wall-clock profiler, the ablation wrappers) prices
-    # time only — workspace is a property of the primitive alone, and the
-    # energy and accuracy tables stay zero, which the frontier treats as
-    # "objective not modelled".
-    price_layer = getattr(cost_model, "price_layer", None)
-
+    # and accuracy tables extend them into cost *vectors*, all four priced by
+    # one ``price_layer`` call per distinct scenario.
     def price(layer_name: str, scenario: ConvScenario) -> Tuple[Dict[str, float], ...]:
         primitives = library.applicable(scenario, platform=platform)
         if not primitives:
@@ -195,19 +179,7 @@ def build_cost_tables(
                 f"no primitive in the library supports layer {layer_name!r} "
                 f"[{scenario.describe()}]"
             )
-        if price_layer is not None:
-            rows = price_layer(primitives, scenario, threads)
-        else:
-            itemsize = float(scenario.itemsize)
-            rows = [
-                (
-                    cost_model.primitive_cost(primitive, scenario, threads=threads),
-                    itemsize * primitive.workspace_elements(scenario.per_image),
-                    0.0,
-                    0.0,
-                )
-                for primitive in primitives
-            ]
+        rows = cost_model.price_layer(primitives, scenario, threads)
         names = [primitive.name for primitive in primitives]
         return tuple(dict(zip(names, column)) for column in zip(*rows))
 
@@ -253,7 +225,7 @@ def build_cost_tables(
         for pair, path in paths.items():
             if not path.reachable:
                 energies[pair] = float("inf")
-            elif price_layer is None or path.chain is None:
+            elif path.chain is None:
                 energies[pair] = 0.0
             else:
                 hops = path.chain.transforms

@@ -18,7 +18,7 @@ Two ablations are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, TYPE_CHECKING
+from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.selector import PBQPSelector
 from repro.core.strategies import get_strategy
@@ -36,7 +36,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class ScaledTransformCostModel:
-    """Wrap a cost model, scaling only the layout-transformation costs."""
+    """Wrap a cost model, scaling only the layout-transformation times.
+
+    Primitive pricing and conversion energy are the inner model's.  The
+    wrapper has no ``platform``, so its tables are not platform-gated.
+    """
 
     def __init__(self, inner, scale: float) -> None:
         if scale < 0:
@@ -44,10 +48,13 @@ class ScaledTransformCostModel:
         self.inner = inner
         self.scale = scale
 
-    def primitive_cost(
-        self, primitive: ConvPrimitive, scenario: ConvScenario, threads: int = 1
-    ) -> float:
-        return self.inner.primitive_cost(primitive, scenario, threads=threads)
+    def price_layer(
+        self,
+        primitives: Sequence[ConvPrimitive],
+        scenario: ConvScenario,
+        threads: int = 1,
+    ) -> List[Tuple[float, float, float, float]]:
+        return self.inner.price_layer(primitives, scenario, threads)
 
     def transform_cost(
         self,
@@ -60,6 +67,15 @@ class ScaledTransformCostModel:
         return self.scale * self.inner.transform_cost(
             transform, shape, threads=threads, batch=batch, dtype=dtype
         )
+
+    def transform_energy(
+        self,
+        transform: LayoutTransform,
+        shape: Tuple[int, int, int],
+        batch: int = 1,
+        dtype: str = "fp32",
+    ) -> float:
+        return self.inner.transform_energy(transform, shape, batch=batch, dtype=dtype)
 
 
 @dataclass

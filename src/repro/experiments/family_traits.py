@@ -108,10 +108,8 @@ def family_traits_table(
                 result.best_cost[name][family.value] = None
                 result.workspace[name][family.value] = None
                 continue
-            costs = {
-                p.name: cost_model.primitive_cost(p, scenario, threads=threads)
-                for p in candidates
-            }
+            rows = cost_model.price_layer(candidates, scenario, threads)
+            costs = {p.name: row[0] for p, row in zip(candidates, rows)}
             best_name = min(costs, key=costs.get)
             best = library.get(best_name)
             result.best_cost[name][family.value] = costs[best_name]

@@ -586,7 +586,8 @@ def build_frontier(
         if len(levels) <= budget_steps:
             caps = list(levels)
         else:
-            step = (len(levels) - 1) / (budget_steps - 1)
+            # One step sweeps the floor cap alone.
+            step = (len(levels) - 1) / max(budget_steps - 1, 1)
             caps = sorted({levels[round(i * step)] for i in range(budget_steps)})
     budget = constraints.get("peak_workspace_bytes_max")
     if budget is not None:

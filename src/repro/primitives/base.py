@@ -249,8 +249,7 @@ class ConvPrimitive:
 
         This is the *per-image* scratch footprint: batched execution streams
         the images of a minibatch through the same buffers, so the allocation
-        does not grow with the batch (the traffic through it does — see
-        :meth:`memory_traffic_elements`).
+        does not grow with the batch (the traffic through it does).
         """
         return 0.0
 
@@ -268,20 +267,6 @@ class ConvPrimitive:
         operation-minimal 2D form wins on the Haswell part (Figure 4).
         """
         return 0.0
-
-    def memory_traffic_elements(self, scenario: ConvScenario) -> float:
-        """Tensor elements moved to/from memory, including workspace traffic.
-
-        Input and output elements already scale with the scenario's batch;
-        the kernel is read once per invocation regardless of batch, and the
-        per-image workspace is written and read once per image.
-        """
-        base = (
-            scenario.input_elements()
-            + scenario.output_elements()
-            + scenario.kernel_elements()
-        )
-        return float(base) + 2.0 * scenario.batch * self.workspace_elements(scenario)
 
     # -- execution ---------------------------------------------------------------
 

@@ -61,26 +61,26 @@ class TestAnalyticalModel:
         self, library, intel_cost_model, k3_scenario
     ):
         for primitive in library.applicable(k3_scenario):
-            cost = intel_cost_model.primitive_cost(primitive, k3_scenario)
+            cost = intel_cost_model.price_layer([primitive], k3_scenario)[0][0]
             assert np.isfinite(cost) and cost > 0
 
     def test_arm_slower_than_intel(self, library, intel_cost_model, arm_cost_model, k3_scenario):
         for name in ("sum2d", "im2col_vf4", "winograd_2d_m2_r3_vf4"):
             primitive = library.get(name)
-            assert arm_cost_model.primitive_cost(primitive, k3_scenario) > (
-                intel_cost_model.primitive_cost(primitive, k3_scenario)
+            assert arm_cost_model.price_layer([primitive], k3_scenario)[0][0] > (
+                intel_cost_model.price_layer([primitive], k3_scenario)[0][0]
             )
 
     def test_multithreading_never_slows_down(self, library, intel_cost_model, k3_scenario):
         for name in ("sum2d", "im2col_vf8", "winograd_2d_m4_r3_vf8", "fft_1d_chw_vf8"):
             primitive = library.get(name)
-            single = intel_cost_model.primitive_cost(primitive, k3_scenario, threads=1)
-            multi = intel_cost_model.primitive_cost(primitive, k3_scenario, threads=4)
+            single = intel_cost_model.price_layer([primitive], k3_scenario, 1)[0][0]
+            multi = intel_cost_model.price_layer([primitive], k3_scenario, 4)[0][0]
             assert multi <= single
 
     def test_invalid_thread_count(self, library, intel_cost_model, k3_scenario):
         with pytest.raises(ValueError):
-            intel_cost_model.primitive_cost(library.get("sum2d"), k3_scenario, threads=0)
+            intel_cost_model.price_layer([library.get("sum2d")], k3_scenario, 0)[0][0]
 
     def test_vector_width_matters_on_intel_not_on_arm(self, library, k3_scenario):
         """VF8 variants pay a penalty on NEON but win on AVX2 (Figure 4's VF split)."""
@@ -88,45 +88,44 @@ class TestAnalyticalModel:
         arm_model = AnalyticalCostModel(arm_cortex_a57)
         vf8 = library.get("im2col_vf8")
         vf4 = library.get("im2col_vf4")
-        assert intel_model.primitive_cost(vf8, k3_scenario) < intel_model.primitive_cost(
-            vf4, k3_scenario
-        )
-        assert arm_model.primitive_cost(vf4, k3_scenario) < arm_model.primitive_cost(
-            vf8, k3_scenario
-        )
+        intel_times = [row[0] for row in intel_model.price_layer([vf8, vf4], k3_scenario)]
+        arm_times = [row[0] for row in arm_model.price_layer([vf8, vf4], k3_scenario)]
+        assert intel_times[0] < intel_times[1]
+        assert arm_times[1] < arm_times[0]
 
     def test_sum2d_is_much_slower_than_gemm_based(self, library, intel_cost_model, k3_scenario):
-        sum2d = intel_cost_model.primitive_cost(library.get("sum2d"), k3_scenario)
-        im2 = intel_cost_model.primitive_cost(library.get("im2col_vf8"), k3_scenario)
+        sum2d = intel_cost_model.price_layer([library.get("sum2d")], k3_scenario)[0][0]
+        im2 = intel_cost_model.price_layer([library.get("im2col_vf8")], k3_scenario)[0][0]
         assert sum2d / im2 > 3.0
 
     def test_winograd_beats_im2_on_k3(self, library, intel_cost_model, k3_scenario):
         winograd = min(
-            intel_cost_model.primitive_cost(library.get(name), k3_scenario)
+            intel_cost_model.price_layer([library.get(name)], k3_scenario)[0][0]
             for name in ("winograd_2d_m2_r3_vf8", "winograd_2d_m4_r3_vf8")
         )
-        im2 = intel_cost_model.primitive_cost(library.get("im2col_vf8"), k3_scenario)
+        im2 = intel_cost_model.price_layer([library.get("im2col_vf8")], k3_scenario)[0][0]
         assert winograd < im2
 
     def test_one_d_winograd_preferred_on_arm_for_large_layers(self, library, arm_cost_model):
         """The small-cache platform favours the low-memory 1D form (Figure 4)."""
         scenario = ConvScenario(c=256, h=13, w=13, stride=1, k=3, m=384, padding=1)
-        one_d = arm_cost_model.primitive_cost(library.get("winograd_1d_m4_r3_vf4"), scenario)
-        two_d = arm_cost_model.primitive_cost(library.get("winograd_2d_m4_r3_vf4"), scenario)
+        one_d = arm_cost_model.price_layer([library.get("winograd_1d_m4_r3_vf4")], scenario)[0][0]
+        two_d = arm_cost_model.price_layer([library.get("winograd_2d_m4_r3_vf4")], scenario)[0][0]
         assert one_d < two_d
 
     def test_two_d_winograd_preferred_on_intel_for_same_layer(self, library, intel_cost_model):
         scenario = ConvScenario(c=256, h=13, w=13, stride=1, k=3, m=384, padding=1)
-        one_d = intel_cost_model.primitive_cost(library.get("winograd_1d_m4_r3_vf8"), scenario)
-        two_d = intel_cost_model.primitive_cost(library.get("winograd_2d_m4_r3_vf8"), scenario)
+        one_d = intel_cost_model.price_layer([library.get("winograd_1d_m4_r3_vf8")], scenario)[0][0]
+        two_d = intel_cost_model.price_layer([library.get("winograd_2d_m4_r3_vf8")], scenario)[0][0]
         assert two_d < one_d
 
     def test_cache_pressure_parameter_slows_large_workspaces(self, library, k3_scenario):
         gentle = AnalyticalCostModel(intel_haswell, ModelParameters(cache_pressure=0.0))
         harsh = AnalyticalCostModel(intel_haswell, ModelParameters(cache_pressure=2.0))
         primitive = library.get("im2col_vf8")
-        assert harsh.primitive_cost(primitive, k3_scenario) > gentle.primitive_cost(
-            primitive, k3_scenario
+        assert (
+            harsh.price_layer([primitive], k3_scenario)[0][0]
+            > gentle.price_layer([primitive], k3_scenario)[0][0]
         )
 
     def test_transform_cost_scales_with_tensor_size(self, intel_cost_model):
@@ -155,10 +154,35 @@ class TestWallClockProfiler:
         profiler = WallClockProfiler(repetitions=1, warmup=0)
         scenario = ConvScenario(c=2, h=8, w=8, stride=1, k=3, m=2, padding=1)
         primitive = library.get("im2col_vf1")
-        first = profiler.primitive_cost(primitive, scenario)
-        second = profiler.primitive_cost(primitive, scenario)
+        first = profiler.price_layer([primitive], scenario)[0][0]
+        second = profiler.price_layer([primitive], scenario)[0][0]
         assert first > 0
         assert first == second  # cached
+
+    def test_price_layer_rows_and_cache(self, library, monkeypatch):
+        profiler = WallClockProfiler(repetitions=1, warmup=0)
+        scenario = ConvScenario(c=2, h=8, w=8, stride=1, k=3, m=2, padding=1)
+        primitives = [library.get("im2col_vf1"), library.get("sum2d")]
+        executed = []
+        for primitive in primitives:
+            original = type(primitive).execute
+
+            def counting(self, *args, _original=original, **kwargs):
+                executed.append(self.name)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(type(primitive), "execute", counting)
+        rows = profiler.price_layer(primitives, scenario)
+        assert executed == ["im2col_vf1", "sum2d"]
+        assert len(rows) == 2
+        for primitive, (time_s, workspace, energy, accuracy) in zip(primitives, rows):
+            assert time_s > 0
+            assert workspace == scenario.itemsize * primitive.workspace_elements(scenario)
+            assert energy == 0.0 and accuracy == 0.0
+        assert profiler.price_layer(primitives, scenario) == rows
+        assert executed == ["im2col_vf1", "sum2d"]  # the repeat was served from the cache
+        transform = LayoutTransform(source=CHW, target=HWC)
+        assert profiler.transform_energy(transform, (4, 8, 8)) == 0.0
 
     def test_transform_measurement(self):
         profiler = WallClockProfiler(repetitions=1, warmup=0)
@@ -386,17 +410,23 @@ class TestArrayPricingMatchesScalarOracle:
 
 
 def reference_tables(network, library, dt_graph, model, threads=1, batch=1, dtype="fp32"):
-    """Per-layer, per-primitive pricing through the single-primitive queries."""
+    """Per-layer pricing with one ``price_layer`` call per primitive."""
+
+    def row(primitive, scenario):
+        time_s, _, energy, _ = model.price_layer([primitive], scenario, threads)[0]
+        return (
+            time_s,
+            float(scenario.itemsize) * primitive.workspace_elements(scenario.per_image),
+            energy,
+            # Threads do not change the modelled accuracy loss.
+            model.price_layer([primitive], scenario)[0][3],
+        )
+
     node = {}
     for layer, scenario in network.conv_scenarios().items():
         scenario = scenario.with_batch(batch).with_dtype(dtype)
         node[layer] = {
-            primitive.name: (
-                model.primitive_cost(primitive, scenario, threads=threads),
-                float(scenario.itemsize) * primitive.workspace_elements(scenario.per_image),
-                model.primitive_energy(primitive, scenario, threads=threads),
-                model.primitive_accuracy_loss(primitive, scenario),
-            )
+            primitive.name: row(primitive, scenario)
             for primitive in library.applicable(scenario, platform=model.platform)
         }
     shapes = network.infer_shapes()
@@ -498,20 +528,17 @@ class TestFusedTableBuild:
                     assert table[other] == table[first]
                     assert table[other] is not table[first]
 
-    def test_model_without_price_layer_still_builds(
+    def test_scaled_transform_model_prices_through_its_inner_model(
         self, tiny_network, library, dt_graph, intel, intel_cost_model
     ):
         scaled = ScaledTransformCostModel(intel_cost_model, 2.0)
-        assert not hasattr(scaled, "price_layer")
         tables = build_cost_tables(tiny_network, library, dt_graph, scaled, platform=intel)
-        analytical = build_cost_tables(tiny_network, library, dt_graph, intel_cost_model)
-        assert tables.node_costs == analytical.node_costs
-        assert tables.node_workspace == analytical.node_workspace
-        # Energy and accuracy are not modelled without ``price_layer``.
-        for table in (tables.node_energy, tables.node_accuracy):
-            assert table.keys() == analytical.node_costs.keys()
-            assert all(value == 0.0 for costs in table.values() for value in costs.values())
-        for shape, energies in tables.dt_energy.items():
-            for pair, energy in energies.items():
-                reachable = tables.dt_paths[shape][pair].reachable
-                assert energy == (0.0 if reachable else float("inf"))
+        inner = build_cost_tables(tiny_network, library, dt_graph, intel_cost_model)
+        assert tables.node_costs == inner.node_costs
+        assert tables.node_workspace == inner.node_workspace
+        assert tables.node_energy == inner.node_energy
+        assert tables.node_accuracy == inner.node_accuracy
+        assert tables.dt_energy == inner.dt_energy
+        assert tables.dt_costs.keys() == inner.dt_costs.keys()
+        for shape, costs in tables.dt_costs.items():
+            assert costs == {pair: 2.0 * cost for pair, cost in inner.dt_costs[shape].items()}

@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.core.legalize import finalize_plan
 from repro.core.selector import PBQPSelector, SelectionContext
 from repro.graph.scenario import DTYPES
@@ -221,6 +222,14 @@ class TestFrontier:
         levels = workspace_levels(context)
         assert levels == sorted(levels)
         assert levels[0] >= 0.0
+
+    def test_one_budget_step_sweeps_the_floor_cap(self):
+        session = Session()
+        frontier = session.plan_frontier(
+            "alexnet", "intel-haswell", budget_steps=1, dtypes=("fp32",)
+        )
+        floor = workspace_levels(session.context_for("alexnet", "intel-haswell"))[0]
+        assert min(point.vector.peak_workspace_bytes for point in frontier.points) == floor
 
     def test_solve_under_workspace_cap_respects_the_cap(self, context):
         for cap in workspace_levels(context):

@@ -107,6 +107,19 @@ class TestPlatformVersioning:
         assert version.startswith(f"{PLATFORM_REGISTRY_VERSION}:")
         assert version.endswith(intel_haswell.digest())
 
+    def test_same_name_other_numbers_gets_its_own_context(self):
+        """In-process caches key a platform by value, not by name."""
+        session = Session()
+        registered = session.select("alexnet", "intel-haswell")
+        faster = dataclasses.replace(intel_haswell, frequency_ghz=4 * intel_haswell.frequency_ghz)
+        result = session.select("alexnet", faster)
+        assert not result.from_cache
+        assert result.total_ms == Session().select("alexnet", faster).total_ms
+        assert result.total_ms < registered.total_ms
+        again = session.select("alexnet", "intel-haswell")
+        assert again.from_cache
+        assert again.total_ms == registered.total_ms
+
     def test_store_key_carries_platform_version(self, tmp_path):
         from repro.cost.store import CostStore
 

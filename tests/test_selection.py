@@ -63,7 +63,9 @@ class TestSelectionContext:
         context = SelectionContext.create(
             tiny_network, platform=arm, cost_model=AnalyticalCostModel(intel)
         )
-        assert context.cost_model.platform is intel
+        expected = SelectionContext.create(tiny_network, platform=intel)
+        assert context.tables.node_costs == expected.tables.node_costs
+        assert context.tables.dt_costs == expected.tables.dt_costs
 
     def test_single_thread_tables_cached(self, tiny_network, intel, library, dt_graph):
         context = SelectionContext.create(
@@ -72,6 +74,26 @@ class TestSelectionContext:
         first = context.tables_single_thread
         assert first is context.tables_single_thread
         assert first is not context.tables
+
+    def test_single_thread_tables_equal_a_one_thread_context(
+        self, tiny_network, intel, library, dt_graph
+    ):
+        multi = SelectionContext.create(
+            tiny_network, platform=intel, library=library, dt_graph=dt_graph, threads=4
+        )
+        single = SelectionContext.create(
+            tiny_network, platform=intel, library=library, dt_graph=dt_graph, threads=1
+        )
+        assert multi.tables_single_thread.threads == 1
+        assert multi.tables_single_thread.node_costs == single.tables.node_costs
+        assert multi.tables.node_costs != single.tables.node_costs
+
+    def test_multithreaded_context_without_factory_fails_loudly(self, intel_context):
+        context = dataclasses.replace(
+            intel_context, threads=4, single_thread_tables_factory=None
+        )
+        with pytest.raises(ValueError, match="single_thread_tables_factory"):
+            context.tables_single_thread
 
 
 class TestPBQPEncoding:

@@ -91,7 +91,6 @@ class TestCostTableSerialization:
             network=context.network,
             library=context.library,
             dt_graph=context.dt_graph,
-            cost_model=context.cost_model,
             platform_name=context.platform_name,
             threads=context.threads,
             tables=loaded_tables,

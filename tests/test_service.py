@@ -268,6 +268,21 @@ class TestCompareAndFrontier:
         direct = {canonical(p.vector.to_dict()) for p in frontier.points}
         assert served == direct
 
+    def test_frontier_with_one_budget_step(self, service):
+        app, _ = service
+        status, payload = app.handle(
+            "POST",
+            "/v1/frontier",
+            {
+                "model": "alexnet",
+                "platform": "intel-haswell",
+                "budget_steps": 1,
+                "dtypes": ["fp32"],
+            },
+        )
+        assert status == 200, payload
+        assert payload["points"]
+
     def test_frontier_rejects_bad_constraints(self, service):
         _, client = service
         with pytest.raises(ServiceError) as excinfo:

@@ -321,6 +321,32 @@ class TestCostStore:
         assert warm.plan.conv_selections() == cold.plan.conv_selections()
         assert warm.total_ms == pytest.approx(cold.total_ms)
 
+    def test_profiled_store_plans_without_a_platform(
+        self, library, dt_graph, tiny_network, tmp_path
+    ):
+        def session():
+            return Session(
+                library=library,
+                dt_graph=dt_graph,
+                provider=ProfiledCostProvider(repetitions=1, warmup=0),
+                cache_dir=tmp_path / "store",
+            )
+
+        first = session()
+        assert first.provider.name == "profiled"
+        plan = first.plan(tiny_network, None)  # verified by default
+        assert plan.result.platform == "profiled"
+        assert first.store.stats().misses == 1
+        path = tmp_path / "plan.json"
+        plan.save(path)
+
+        second = session()
+        warm = second.plan(tiny_network, None)
+        assert second.store.stats().hits == 1 and second.store.stats().misses == 0
+        assert warm.network_plan.conv_selections() == plan.network_plan.conv_selections()
+        reloaded = second.plan_from_file(path, network=tiny_network)
+        assert reloaded.network_plan.conv_selections() == plan.network_plan.conv_selections()
+
     def test_entries_are_keyed_and_versioned(self, library, dt_graph, tiny_network, tmp_path):
         session = Session(library=library, dt_graph=dt_graph, cache_dir=tmp_path)
         session.select(tiny_network, "intel-haswell")
