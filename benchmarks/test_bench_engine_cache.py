@@ -2,9 +2,9 @@
 
 Section 4 of the paper ships profiled cost tables with the model so selection
 is cheap at deployment time.  The :class:`repro.api.Session` realizes that
-workflow in-process: the first ``select`` for a (network, platform, threads)
+workflow in-process: the first ``plan`` for a (network, platform, threads)
 key profiles the cost tables, every later call reuses them.  The benchmark
-measures a cold select against warm selects of GoogLeNet (the largest
+measures a cold plan against warm plans of GoogLeNet (the largest
 instance) and asserts the cache is actually doing the work.  The metrics keep
 their ``engine_cache`` names so the ``BENCH_engine_cache.json`` trajectory
 continues.
@@ -22,14 +22,14 @@ def test_engine_cache_reuses_cost_tables(benchmark, library, intel):
     session = Session(library=library)
 
     start = time.perf_counter()
-    cold = session.select(MODEL, intel, strategy="pbqp")
+    cold = session.plan(MODEL, intel, strategy="pbqp", verify=False)
     cold_seconds = time.perf_counter() - start
 
     assert not cold.from_cache
     assert session.cache_info().misses == 1
 
     warm_result = benchmark.pedantic(
-        lambda: session.select(MODEL, intel, strategy="pbqp"), rounds=5, iterations=1
+        lambda: session.plan(MODEL, intel, strategy="pbqp", verify=False), rounds=5, iterations=1
     )
     assert warm_result.from_cache
     info = session.cache_info()

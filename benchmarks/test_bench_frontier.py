@@ -47,7 +47,7 @@ def test_frontier_build_time_and_min_time_point(session, benchmark):
         rounds=3,
         iterations=1,
     )
-    scalar = session.select(model, "intel-haswell", strategy="pbqp").plan
+    scalar = session.plan(model, "intel-haswell", verify=False).network_plan
     best = frontier.min_time()
     assert best.vector.time_ms == pytest.approx(scalar.total_ms)
     assert best.plan.conv_selections() == scalar.conv_selections()

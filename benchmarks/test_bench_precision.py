@@ -16,6 +16,13 @@ Each precision's PBQP time and replay advantage land in
 ``BENCH_precision.json`` under the trajectory's dtype dimension
 (``pbqp_ms@int8`` next to the comparable fp32 ``pbqp_ms``).
 
+Every recorded number is a *modelled* time from the analytical cost model,
+not a wall-clock measurement: it moves only when pricing or selection
+changes, never with the speed of the machine or of the code.  Across its
+first 16 recorded runs the file held just two distinct metric sets, and
+they changed once, at commit ``e9e0255``, when pricing changed.  Read it as
+a record of modelled results, not as a timing trajectory.
+
 Smoke mode (``REPRO_BENCH_SMOKE=1``) trims the sweep to AlexNet and skips
 the strict-divergence assertion (AlexNet's few large layers sit firmly in
 the GEMM families at every precision on the AVX-512 part).

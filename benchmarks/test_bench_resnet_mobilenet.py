@@ -105,7 +105,7 @@ def test_residual_joins_are_layout_consistent(session, intel):
     """
     if "resnet18" not in NETWORKS:
         pytest.skip("resnet18 trimmed from this run")
-    plan = session.select("resnet18", intel, strategy="pbqp").plan
+    plan = session.plan("resnet18", intel, verify=False).network_plan
     join_layout = {
         name: decision.input_layout.name
         for name, decision in plan.layer_decisions.items()

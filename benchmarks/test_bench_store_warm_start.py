@@ -29,7 +29,7 @@ def test_store_warm_start_skips_profiling(benchmark, library, intel, tmp_path, m
 
     start = time.perf_counter()
     cold_session = Session(library=library, cache_dir=tmp_path)
-    cold = cold_session.select(MODEL, intel, strategy="pbqp")
+    cold = cold_session.plan(MODEL, intel, strategy="pbqp", verify=False)
     cold_seconds = time.perf_counter() - start
     assert builds == [1]
     assert cold_session.store.stats().misses == 1
@@ -37,13 +37,13 @@ def test_store_warm_start_skips_profiling(benchmark, library, intel, tmp_path, m
     def warm_start():
         # A brand-new session: the only warm state is the on-disk store.
         session = Session(library=library, cache_dir=tmp_path)
-        return session.select(MODEL, intel, strategy="pbqp")
+        return session.plan(MODEL, intel, strategy="pbqp", verify=False)
 
     warm = benchmark.pedantic(warm_start, rounds=5, iterations=1)
 
     # Zero profiling across every warm start, and an identical selection.
     assert builds == [1]
-    assert warm.plan.conv_selections() == cold.plan.conv_selections()
+    assert warm.network_plan.conv_selections() == cold.network_plan.conv_selections()
 
     warm_seconds = benchmark.stats.stats.mean
     record_metric("store_warm_start", "cold_start_ms", cold_seconds * 1e3)

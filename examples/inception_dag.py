@@ -21,10 +21,10 @@ def main() -> None:
     platform = "intel-haswell"
 
     # All four strategies share one profiled context inside the session.
-    pbqp = session.select("googlenet", platform, strategy="pbqp").plan
-    greedy = session.select("googlenet", platform, strategy="greedy_ignore_dt").plan
-    local = session.select("googlenet", platform, strategy="local_optimal").plan
-    baseline = session.select("googlenet", platform, strategy="sum2d").plan
+    pbqp, greedy, local, baseline = (
+        session.plan("googlenet", platform, strategy=strategy, verify=False).network_plan
+        for strategy in ("pbqp", "greedy_ignore_dt", "local_optimal", "sum2d")
+    )
     assert session.cache_info().misses == 1  # profiled exactly once
 
     network = session.context_for("googlenet", platform).network

@@ -85,7 +85,7 @@ def main() -> None:
     print()
     print(f"Measured SUM2D baseline: {baseline.total_ms:.2f} ms, "
           f"PBQP selection: {plan.total_ms:.2f} ms "
-          f"({plan.network_plan.speedup_over(baseline.network_plan):.2f}x, "
+          f"({plan.speedup_over(baseline):.2f}x, "
           f"on this host's numpy primitives)")
     print()
 
@@ -100,8 +100,7 @@ def main() -> None:
           f"{selected.measured_conversion_ms:.2f} ms)")
     print(f"Measured vs profiled-predicted total: {selected.measured_total_ms:.2f} ms "
           f"vs {selected.predicted_total_ms:.2f} ms "
-          f"(ratio {selected.prediction_ratio:.2f}x — the profiler's estimates "
-          f"are close on the machine they were taken on)")
+          f"(measured/predicted ratio {selected.prediction_ratio:.2f}x)")
     print(f"Predicted class: {int(selected.output.argmax())} "
           f"(probability {float(selected.output.max()):.3f})")
 

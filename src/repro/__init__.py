@@ -52,7 +52,6 @@ __all__ = [
     "ExecutionReport",
     "ComparisonReport",
     "SelectionRequest",
-    "SelectionResult",
     "CostProvider",
     "AnalyticalCostProvider",
     "ProfiledCostProvider",
@@ -75,7 +74,6 @@ _API_NAMES = (
     "ExecutionReport",
     "ComparisonReport",
     "SelectionRequest",
-    "SelectionResult",
 )
 _COST_NAMES = (
     "CostProvider",

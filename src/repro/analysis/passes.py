@@ -141,7 +141,7 @@ class AnalysisPass:
 
     ``kinds`` names the subject kinds the pass applies to: document kinds
     (``"plan"``, ``"tables"``, ``"frontier"``, ``"store-entry"``,
-    ``"result"``, ``"service-plan"``) for the verifier, or ``"source"`` for
+    ``"service-plan"``) for the verifier, or ``"source"`` for
     lint rules.  The driver hands the pass a kind-specific context object
     and collects the findings it yields.
     """

@@ -42,7 +42,9 @@ rule        severity  meaning
 ``RV150``   error     store-entry key contradicts its embedded tables
 ``RV151``   error     table scenario contradicts the table's dtype/batch
 ``RV152``   warning   store-entry platform_version is stale
-``RV153``   error     envelope fields contradict the embedded document
+``RV153``   error     a frontier point's vector or a service plan
+                      document's fields contradict the embedded plan
+                      (store-entry keys report ``RV150``)
 ``RV190``   error     an analysis pass crashed (verifier bug — report it)
 ==========  ========  =====================================================
 
@@ -61,7 +63,6 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.analysis.passes import Finding, Report, passes_for, register_pass
-from repro.api import RESULT_FORMAT
 from repro.core.plan import NetworkPlan
 from repro.cost.platform import PLATFORMS, Platform, platform_version
 from repro.cost.serialize import (
@@ -88,7 +89,6 @@ KNOWN_FORMATS: Dict[str, str] = {
     COST_TABLE_FORMAT: "tables",
     FRONTIER_FORMAT: "frontier",
     STORE_ENTRY_FORMAT: "store-entry",
-    RESULT_FORMAT: "result",
     SERVICE_FORMAT: "service-plan",
 }
 
@@ -230,7 +230,7 @@ class TablesContext:
 
 @dataclass
 class EnvelopeContext:
-    """A document that wraps other documents (frontier/result/service/store)."""
+    """A document that wraps other documents (frontier/service/store)."""
 
     document: dict
     env: VerifierEnv
@@ -242,7 +242,6 @@ _CONTEXT_BUILDERS = {
     "tables": TablesContext,
     "frontier": EnvelopeContext,
     "store-entry": EnvelopeContext,
-    "result": EnvelopeContext,
     "service-plan": EnvelopeContext,
 }
 
@@ -877,7 +876,7 @@ def check_tables_chains(ctx: TablesContext) -> Iterator[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# Envelope passes (frontier / store entry / result / service plan)
+# Envelope passes (frontier / store entry / service plan)
 # ---------------------------------------------------------------------------
 
 
@@ -1004,44 +1003,6 @@ def check_store_entry(ctx: EnvelopeContext) -> Iterator[Finding]:
                 f"this entry as evictable)",
             )
     yield from _run_kind(tables, "tables", ctx.env, prefix + "tables.")
-
-
-@register_pass(
-    "result-envelope",
-    kinds=("result",),
-    description="selection-result envelope agrees with its embedded plan",
-)
-def check_result_envelope(ctx: EnvelopeContext) -> Iterator[Finding]:
-    doc = ctx.document
-    prefix = ctx.prefix
-    plan_doc = doc.get("plan")
-    yield from _child_plan(ctx, plan_doc, prefix + "plan")
-    if not isinstance(plan_doc, dict):
-        return
-    for field_name, plan_field in (
-        ("platform", "platform"),
-        ("threads", "threads"),
-        ("batch", "batch"),
-        ("dtype", "dtype"),
-        ("strategy", "strategy"),
-    ):
-        if field_name in doc and doc[field_name] != plan_doc.get(plan_field):
-            yield Finding(
-                "RV153",
-                "error",
-                prefix + field_name,
-                f"envelope {field_name} {doc[field_name]!r} contradicts the "
-                f"embedded plan's {plan_doc.get(plan_field)!r}",
-            )
-    model = doc.get("model")
-    if model in MODEL_BUILDERS and model != plan_doc.get("network"):
-        yield Finding(
-            "RV153",
-            "error",
-            prefix + "model",
-            f"envelope model {model!r} contradicts the embedded plan's network "
-            f"{plan_doc.get('network')!r}",
-        )
 
 
 @register_pass(

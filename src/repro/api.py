@@ -14,6 +14,13 @@ and execution (through :class:`~repro.runtime.executor.NetworkExecutor`):
 >>> report = session.run("alexnet", "intel-haswell")              # doctest: +SKIP
 >>> comparison = session.compare("alexnet", "intel-haswell")      # doctest: +SKIP
 
+Every selection is one :class:`Plan`: the chosen
+:class:`~repro.core.plan.NetworkPlan` (which records strategy, platform,
+threads, batch and dtype) bound to its network, library and DT graph.
+:meth:`Session.plan` is the one selection entry point; :meth:`Session.compare`,
+:meth:`Session.baseline` and :meth:`Session.plan_many` return unverified
+plans from the same path.
+
 The session memoizes profiled :class:`~repro.core.selector.SelectionContext`
 objects (and therefore the cost tables) keyed by ``(network fingerprint,
 platform, threads, batch, dtype)``, and one execution weight store per
@@ -45,7 +52,7 @@ from repro.core.strategies import (
 )
 from repro.cost.platform import Platform, get_platform
 from repro.cost.provider import AnalyticalCostProvider, CostProvider, CostQuery
-from repro.cost.serialize import plan_from_dict, plan_to_dict, save_plan
+from repro.cost.serialize import plan_from_dict, save_plan
 from repro.cost.store import CostStore
 from repro.graph.layer import InputLayer
 from repro.graph.network import Network
@@ -58,9 +65,6 @@ from repro.multiobj.frontier import DEFAULT_BUDGET_STEPS, Frontier, build_fronti
 from repro.primitives.registry import PrimitiveLibrary, default_primitive_library
 from repro.runtime.executor import ExecutionTrace, NetworkExecutor
 from repro.runtime.weights import WeightStore
-
-#: Serialization format identifier for selection results.
-RESULT_FORMAT = "repro/selection-result/v1"
 
 ModelLike = Union[str, Network]
 PlatformLike = Union[str, Platform, None]
@@ -85,7 +89,7 @@ def network_fingerprint(network: Network) -> str:
 
 @dataclass(frozen=True)
 class SelectionRequest:
-    """One (model, platform, strategy, threads, batch, dtype) combination for :meth:`Session.select_many`."""
+    """One (model, platform, strategy, threads, batch, dtype) combination for :meth:`Session.plan_many`."""
 
     model: ModelLike
     platform: PlatformLike
@@ -93,69 +97,6 @@ class SelectionRequest:
     threads: int = 1
     batch: int = 1
     dtype: str = "fp32"
-
-
-@dataclass
-class SelectionResult:
-    """The outcome of one session selection: the plan plus its provenance."""
-
-    model: str
-    platform: str
-    threads: int
-    strategy: str
-    plan: NetworkPlan
-    #: Whether the profiled context (cost tables) was reused from the cache.
-    from_cache: bool = False
-    #: Minibatch size the selection was priced for.
-    batch: int = 1
-    #: Numeric precision the selection was priced for.
-    dtype: str = "fp32"
-
-    @property
-    def total_ms(self) -> float:
-        """Whole-network time of the selected plan in milliseconds."""
-        return self.plan.total_ms
-
-    @property
-    def per_image_ms(self) -> float:
-        """Whole-network time per image, in milliseconds."""
-        return self.plan.per_image_ms
-
-    def speedup_over(self, baseline: "SelectionResult") -> float:
-        """Speedup of this result's plan over another result's plan."""
-        return self.plan.speedup_over(baseline.plan)
-
-    def to_dict(self) -> dict:
-        """Convert to a JSON-serializable document (plan via :mod:`repro.cost.serialize`)."""
-        return {
-            "format": RESULT_FORMAT,
-            "model": self.model,
-            "platform": self.platform,
-            "threads": self.threads,
-            "batch": self.batch,
-            "dtype": self.dtype,
-            "strategy": self.strategy,
-            "plan": plan_to_dict(self.plan),
-        }
-
-    @classmethod
-    def from_dict(cls, document: dict, dt_graph: DTGraph) -> "SelectionResult":
-        """Rebuild a result from :meth:`to_dict` output (chains resolved via ``dt_graph``)."""
-        if document.get("format") != RESULT_FORMAT:
-            raise ValueError(
-                f"unexpected selection-result format {document.get('format')!r} "
-                f"(expected {RESULT_FORMAT!r})"
-            )
-        return cls(
-            model=document["model"],
-            platform=document["platform"],
-            threads=int(document["threads"]),
-            strategy=document["strategy"],
-            plan=plan_from_dict(document["plan"], dt_graph),
-            from_cache=False,
-            batch=int(document.get("batch", 1)),
-            dtype=str(document.get("dtype", "fp32")),
-        )
 
 
 @dataclass(frozen=True)
@@ -336,11 +277,14 @@ class ExecutionReport:
 
 @dataclass
 class Plan:
-    """A selection bound to its network and library: the executable handle.
+    """One selection: the chosen plan bound to its network and library.
 
     Produced by :meth:`Session.plan`; :meth:`execute` runs the selected
     instantiation on a real input and reports per-layer measured times,
     layout-conversion accounting and predicted-versus-measured deltas.
+    Strategy, platform, threads, batch and dtype live on
+    :attr:`network_plan`; ``model`` is the session's network fingerprint,
+    which for a hand-built network differs from the plan's network name.
 
     ``weight_source`` maps a seed to the :class:`WeightStore` to execute
     with; a Session passes its per-network store, so every plan of one
@@ -348,10 +292,13 @@ class Plan:
     its own, rebuilt when a different seed is asked for.
     """
 
-    result: SelectionResult
+    network_plan: NetworkPlan
+    model: str
     network: Network
     library: PrimitiveLibrary
     dt_graph: DTGraph
+    #: Whether the profiled context (cost tables) was reused from the cache.
+    from_cache: bool = False
     weight_source: Optional[Callable[[int], WeightStore]] = field(
         default=None, repr=False, compare=False
     )
@@ -362,18 +309,22 @@ class Plan:
     # -- passthroughs -------------------------------------------------------------
 
     @property
-    def network_plan(self) -> NetworkPlan:
-        """The underlying :class:`~repro.core.plan.NetworkPlan`."""
-        return self.result.plan
-
-    @property
     def strategy(self) -> str:
-        return self.result.strategy
+        return self.network_plan.strategy
 
     @property
     def total_ms(self) -> float:
         """Predicted whole-network time in milliseconds."""
-        return self.result.total_ms
+        return self.network_plan.total_ms
+
+    @property
+    def per_image_ms(self) -> float:
+        """Predicted whole-network time per image, in milliseconds."""
+        return self.network_plan.per_image_ms
+
+    def speedup_over(self, other: "Plan") -> float:
+        """Speedup of this plan over another plan."""
+        return self.network_plan.speedup_over(other.network_plan)
 
     def summary(self) -> str:
         """The plan's selection table (see :meth:`NetworkPlan.summary`)."""
@@ -431,10 +382,11 @@ class Plan:
         keep_outputs:
             Keep every layer's output tensor on the returned trace.
         """
+        batch = self.network_plan.batch
         if input is None:
             shape = self.input_shape()
-            if self.result.batch > 1:
-                shape = (self.result.batch,) + shape
+            if batch > 1:
+                shape = (batch,) + shape
             input = (
                 np.random.default_rng(seed)
                 .standard_normal(shape)
@@ -442,14 +394,14 @@ class Plan:
             )
         else:
             # The report compares measured times against the plan's predicted
-            # costs, which were priced for result.batch images — a mismatched
+            # costs, which were priced for the plan's batch of images — a mismatched
             # input would silently skew every predicted-vs-measured number.
             input = np.asarray(input)
             input_batch = input.shape[0] if input.ndim == 4 else 1
-            if input_batch != self.result.batch:
+            if input_batch != batch:
                 raise ValueError(
                     f"input carries {input_batch} image(s) but this plan was "
-                    f"priced for batch {self.result.batch}; select with "
+                    f"priced for batch {batch}; select with "
                     f"batch={input_batch} (or reshape the input) to compare "
                     "like with like"
                 )
@@ -499,10 +451,10 @@ class Plan:
             for edge in plan.conversions()
         ]
         return ExecutionReport(
-            model=self.result.model,
-            platform=self.result.platform,
-            threads=self.result.threads,
-            strategy=self.result.strategy,
+            model=self.model,
+            platform=plan.platform_name,
+            threads=plan.threads,
+            strategy=plan.strategy,
             output=output,
             layers=layers,
             conversions_executed=trace.conversions_executed,
@@ -523,7 +475,7 @@ class Plan:
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
-            f"Plan({self.result.model!r}, strategy={self.strategy!r}, "
+            f"Plan({self.model!r}, strategy={self.strategy!r}, "
             f"predicted={self.total_ms:.2f} ms)"
         )
 
@@ -544,8 +496,8 @@ class ComparisonReport:
     model: str
     platform: str
     threads: int
-    baseline: SelectionResult
-    results: List[SelectionResult]
+    baseline: Plan
+    results: List[Plan]
     #: Minibatch size every compared selection was priced for.
     batch: int = 1
     #: Numeric precision every compared selection was priced for.
@@ -558,13 +510,13 @@ class ComparisonReport:
         return len(self.results)
 
     @property
-    def best(self) -> SelectionResult:
-        """The fastest strategy's result."""
+    def best(self) -> Plan:
+        """The fastest strategy's plan."""
         return self.results[0]
 
-    def speedup(self, result: SelectionResult) -> float:
-        """Speedup of one result over the common baseline."""
-        return result.speedup_over(self.baseline)
+    def speedup(self, plan: Plan) -> float:
+        """Speedup of one plan over the common baseline."""
+        return plan.speedup_over(self.baseline)
 
     def rows(self) -> List[Tuple[str, float, float]]:
         """(strategy, total ms, speedup-vs-baseline) rows, fastest first."""
@@ -704,14 +656,21 @@ class Session:
             return store
 
     def _plan_handle(
-        self, result: SelectionResult, fingerprint: str, network: Network
+        self,
+        network_plan: NetworkPlan,
+        model: str,
+        fingerprint: str,
+        network: Network,
+        from_cache: bool = False,
     ) -> Plan:
         """An executable :class:`Plan` drawing its weights from this session."""
         return Plan(
-            result=result,
+            network_plan=network_plan,
+            model=model,
             network=network,
             library=self.library,
             dt_graph=self.dt_graph,
+            from_cache=from_cache,
             weight_source=functools.partial(self._weights_for, fingerprint, network),
         )
 
@@ -785,19 +744,6 @@ class Session:
             self._context_key(query), functools.partial(self._build_context, query)
         )
 
-    def _lookup(
-        self,
-        model: ModelLike,
-        platform: PlatformLike,
-        threads: int,
-        batch: int = 1,
-        dtype: str = "fp32",
-    ) -> Tuple[str, SelectionContext, bool]:
-        """Resolve a query to (fingerprint, memoized context, was-cache-hit)."""
-        query = self._query(model, platform, threads, batch, dtype)
-        context, hit = self._ensure_context(query)
-        return query.fingerprint, context, hit
-
     def context_for(
         self,
         model: ModelLike,
@@ -807,7 +753,7 @@ class Session:
         dtype: str = "fp32",
     ) -> SelectionContext:
         """The memoized profiled context for one (model, platform, threads, batch, dtype)."""
-        return self._lookup(model, platform, threads, batch, dtype)[1]
+        return self._ensure_context(self._query(model, platform, threads, batch, dtype))[0]
 
     def cache_info(self) -> CacheInfo:
         """Hit/miss counters and the number of cached contexts."""
@@ -834,43 +780,6 @@ class Session:
 
     # -- selection API ----------------------------------------------------------
 
-    def select(
-        self,
-        model: ModelLike,
-        platform: PlatformLike,
-        strategy: str = "pbqp",
-        threads: int = 1,
-        batch: int = 1,
-        dtype: str = "fp32",
-    ) -> SelectionResult:
-        """Run one strategy for one (model, platform, threads, batch, dtype) combination.
-
-        Raises
-        ------
-        ValueError
-            If the strategy's :meth:`~repro.core.strategies.Strategy.applies_to`
-            gate rejects the context's platform (e.g. ``mkldnn`` on ARM).
-        """
-        chosen = get_strategy(strategy)
-        fingerprint, context, from_cache = self._lookup(
-            model, platform, threads, batch, dtype
-        )
-        if not chosen.applies_to(context):
-            raise ValueError(
-                f"strategy {chosen.name!r} does not apply to platform "
-                f"{context.platform_name!r}"
-            )
-        return SelectionResult(
-            model=fingerprint,
-            platform=context.platform_name,
-            threads=threads,
-            strategy=chosen.name,
-            plan=chosen.build_plan(context),
-            from_cache=from_cache,
-            batch=batch,
-            dtype=dtype,
-        )
-
     def plan(
         self,
         model: ModelLike,
@@ -881,7 +790,7 @@ class Session:
         dtype: str = "fp32",
         verify: bool = True,
     ) -> Plan:
-        """Select and return an executable :class:`Plan` handle.
+        """Run one strategy for one (model, platform, threads, batch, dtype) combination.
 
         ``verify`` runs the static plan verifier
         (:mod:`repro.analysis.plan_verifier`) over the selected plan and
@@ -889,24 +798,40 @@ class Session:
         if any error-severity finding survives — a buggy strategy or cost
         provider is caught here, before anything executes.  Pass
         ``verify=False`` to opt out (e.g. in tight benchmarking loops).
+
+        Raises
+        ------
+        ValueError
+            If the strategy's :meth:`~repro.core.strategies.Strategy.applies_to`
+            gate rejects the context's platform (e.g. ``mkldnn`` on ARM).
         """
-        result = self.select(
-            model, platform, strategy=strategy, threads=threads, batch=batch, dtype=dtype
-        )
-        fingerprint, network = self._resolve_network(model)
+        chosen = get_strategy(strategy)
+        query = self._query(model, platform, threads, batch, dtype)
+        context, from_cache = self._ensure_context(query)
+        if not chosen.applies_to(context):
+            raise ValueError(
+                f"strategy {chosen.name!r} does not apply to platform "
+                f"{context.platform_name!r}"
+            )
+        network_plan = chosen.build_plan(context)
         if verify:
             from repro.analysis.plan_verifier import raise_for_report, verify_plan
 
             raise_for_report(
                 verify_plan(
-                    result.plan,
-                    network=network,
+                    network_plan,
+                    network=query.network,
                     library=self.library,
                     dt_graph=self.dt_graph,
-                    source=f"plan({result.model!r}, {result.platform!r}, {strategy!r})",
+                    source=(
+                        f"plan({query.fingerprint!r}, {context.platform_name!r}, "
+                        f"{strategy!r})"
+                    ),
                 )
             )
-        return self._plan_handle(result, fingerprint, network)
+        return self._plan_handle(
+            network_plan, query.fingerprint, query.fingerprint, query.network, from_cache
+        )
 
     def run(
         self,
@@ -1018,17 +943,9 @@ class Session:
         fingerprint, network = self._resolve_network(
             network if network is not None else network_plan.network_name
         )
-        result = SelectionResult(
-            model=network_plan.network_name,
-            platform=network_plan.platform_name,
-            threads=network_plan.threads,
-            strategy=network_plan.strategy,
-            plan=network_plan,
-            from_cache=False,
-            batch=network_plan.batch,
-            dtype=network_plan.dtype,
+        return self._plan_handle(
+            network_plan, network_plan.network_name, fingerprint, network
         )
-        return self._plan_handle(result, fingerprint, network)
 
     def compare(
         self,
@@ -1054,8 +971,14 @@ class Session:
         else:
             chosen = [get_strategy(name) for name in strategies]
         results = [
-            self.select(
-                model, platform, strategy=strategy.name, threads=threads, batch=batch, dtype=dtype
+            self.plan(
+                model,
+                platform,
+                strategy=strategy.name,
+                threads=threads,
+                batch=batch,
+                dtype=dtype,
+                verify=False,
             )
             for strategy in chosen
         ]
@@ -1065,24 +988,24 @@ class Session:
             platform=context.platform_name,
             threads=threads,
             baseline=baseline,
-            results=sorted(results, key=lambda result: result.total_ms),
+            results=sorted(results, key=lambda plan: plan.total_ms),
             batch=batch,
             dtype=dtype,
         )
 
-    def select_many(
+    def plan_many(
         self,
         requests: Iterable[Union[SelectionRequest, Tuple]],
         max_workers: Optional[int] = None,
-    ) -> List[SelectionResult]:
+    ) -> List[Plan]:
         """Batch entry point over (model, platform, strategy, threads) combos.
 
         Accepts :class:`SelectionRequest` objects or plain tuples in the same
         field order.  Requests are grouped by their ``(network fingerprint,
         platform, threads)`` context key; each *distinct* cold context is
         profiled once, on a thread pool when there is more than one, and the
-        per-request selections then run against the warm cache.  Results are
-        returned in request order.
+        per-request selections then run, unverified, against the warm cache.
+        Plans are returned in request order.
         """
         normalized = [
             request if isinstance(request, SelectionRequest) else SelectionRequest(*request)
@@ -1109,13 +1032,14 @@ class Session:
             for future in futures:
                 future.result()
         return [
-            self.select(
+            self.plan(
                 request.model,
                 request.platform,
                 strategy=request.strategy,
                 threads=request.threads,
                 batch=request.batch,
                 dtype=request.dtype,
+                verify=False,
             )
             for request in normalized
         ]
@@ -1126,10 +1050,16 @@ class Session:
         platform: PlatformLike,
         batch: int = 1,
         dtype: str = "fp32",
-    ) -> SelectionResult:
+    ) -> Plan:
         """The common speedup baseline: single-threaded SUM2D (at ``batch``/``dtype``)."""
-        return self.select(
-            model, platform, strategy=BASELINE_STRATEGY, threads=1, batch=batch, dtype=dtype
+        return self.plan(
+            model,
+            platform,
+            strategy=BASELINE_STRATEGY,
+            threads=1,
+            batch=batch,
+            dtype=dtype,
+            verify=False,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

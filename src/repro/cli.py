@@ -390,13 +390,14 @@ def _solver_note(plan) -> str:
 def _command_select(args: argparse.Namespace) -> int:
     session = _session(args)
     try:
-        result = session.select(
+        selected = session.plan(
             args.model,
             args.platform,
             strategy=args.strategy,
             threads=args.threads,
             batch=args.batch,
             dtype=args.dtype,
+            verify=False,
         )
     except ValueError as exc:  # e.g. a platform-gated strategy on the wrong platform
         print(f"error: {exc}", file=sys.stderr)
@@ -407,22 +408,17 @@ def _command_select(args: argparse.Namespace) -> int:
     baseline = session.baseline(
         args.model, args.platform, batch=args.batch, dtype=args.dtype
     )
-    plan = result.plan
+    plan = selected.network_plan
     print(plan.summary())
     print(
         f"  speedup over single-threaded SUM2D baseline: "
-        f"{result.speedup_over(baseline):.2f}x{_solver_note(plan)}"
+        f"{selected.speedup_over(baseline):.2f}x{_solver_note(plan)}"
     )
     if args.schedule:
-        network = session.context_for(
-            args.model, args.platform, args.threads, args.batch, args.dtype
-        ).network
         print()
-        print(render_schedule(network, plan))
+        print(render_schedule(selected.network, plan))
     if args.save:
-        from repro.cost.serialize import save_plan
-
-        save_plan(plan, args.save)
+        selected.save(args.save)
         print(f"  plan written to {args.save}")
     return 0
 

@@ -34,7 +34,7 @@ Construct a :class:`Platform` and pass it through :func:`register_platform`
     ))
 
 The registered name is immediately accepted everywhere a platform name is:
-:meth:`repro.api.Session.select`, the CLI's ``--platform`` flag (and listed
+:meth:`repro.api.Session.plan`, the CLI's ``--platform`` flag (and listed
 by ``repro platforms``), the experiment harnesses, and the cost store (whose
 on-disk keys carry :data:`PLATFORM_REGISTRY_VERSION` plus a digest of the
 platform's parameters, so editing a platform's numbers invalidates its

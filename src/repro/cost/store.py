@@ -411,7 +411,7 @@ class CostStore:
         }
         # Write-then-rename so a crashed process never leaves a torn entry.
         # The temp name must be unique per *call*, not per process: two
-        # threads (e.g. select_many workers) writing the same key would
+        # threads (e.g. plan_many workers) writing the same key would
         # interleave on a shared pid-suffixed file and rename a torn document.
         # The temp file lives in the target's shard so the rename stays atomic
         # (same filesystem, same directory).

@@ -157,27 +157,29 @@ def run_batch_scaling(
         session = Session(library=library)
     if 1 not in batches:
         batches = (1,) + tuple(batches)
-    base = session.select(model_name, platform, strategy="pbqp", threads=threads, batch=1)
-    base_selection = base.plan.conv_selections()
+    base = session.plan(
+        model_name, platform, threads=threads, batch=1, verify=False
+    ).network_plan
+    base_selection = base.conv_selections()
 
     result = BatchScalingResult(
         network=model_name, platform=platform.name, threads=threads
     )
     for batch in batches:
-        fresh = session.select(
-            model_name, platform, strategy="pbqp", threads=threads, batch=batch
-        )
+        fresh = session.plan(
+            model_name, platform, threads=threads, batch=batch, verify=False
+        ).network_plan
         context = session.context_for(model_name, platform, threads, batch)
-        replayed = base.plan if batch == 1 else replay_plan(context, base.plan)
+        replayed = base if batch == 1 else replay_plan(context, base)
         changes = {
             layer: (base_selection[layer], primitive)
-            for layer, primitive in fresh.plan.conv_selections().items()
+            for layer, primitive in fresh.conv_selections().items()
             if base_selection[layer] != primitive
         }
         result.points.append(
             BatchPoint(
                 batch=batch,
-                pbqp_plan=fresh.plan,
+                pbqp_plan=fresh,
                 replayed_plan=replayed,
                 selection_changes=changes,
             )

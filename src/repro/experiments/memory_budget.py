@@ -176,9 +176,9 @@ def run_memory_budget(
             context = session.context_for(
                 network, platform, threads=threads, batch=batch
             )
-            base = session.select(
-                network, platform, strategy="pbqp", threads=threads, batch=batch
-            ).plan
+            base = session.plan(
+                network, platform, threads=threads, batch=batch, verify=False
+            ).network_plan
             result.baselines[(network_name, platform)] = base
             base_families = families(base)
             peak = base.peak_workspace_bytes

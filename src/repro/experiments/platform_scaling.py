@@ -190,19 +190,19 @@ def run_platform_scaling(
     for network in networks:
         for platform in names:
             for batch in batches:
-                selected = session.select(
-                    network, platform, strategy="pbqp", threads=threads, batch=batch
-                )
+                selected = session.plan(
+                    network, platform, threads=threads, batch=batch, verify=False
+                ).network_plan
                 families = {
                     layer: library.get(primitive).family.value
-                    for layer, primitive in selected.plan.conv_selections().items()
+                    for layer, primitive in selected.conv_selections().items()
                 }
                 result.cells.append(
                     PlatformCell(
                         network=network if isinstance(network, str) else network.name,
                         platform=platform,
                         batch=batch,
-                        plan=selected.plan,
+                        plan=selected,
                         families=families,
                     )
                 )

@@ -143,33 +143,33 @@ def run_precision_scaling(
         session = Session(library=library)
     if "fp32" not in dtypes:
         dtypes = ("fp32",) + tuple(dtypes)
-    base = session.select(
-        model_name, platform, strategy="pbqp", threads=threads, dtype="fp32"
-    )
-    base_selection = base.plan.conv_selections()
+    base = session.plan(
+        model_name, platform, threads=threads, dtype="fp32", verify=False
+    ).network_plan
+    base_selection = base.conv_selections()
 
     result = PrecisionScalingResult(
         network=model_name, platform=platform.name, threads=threads
     )
     for dtype in dtypes:
-        fresh = session.select(
-            model_name, platform, strategy="pbqp", threads=threads, dtype=dtype
-        )
+        fresh = session.plan(
+            model_name, platform, threads=threads, dtype=dtype, verify=False
+        ).network_plan
         context = session.context_for(model_name, platform, threads, 1, dtype)
         replayed = (
-            base.plan
+            base
             if dtype == "fp32"
-            else replay_plan(context, base.plan, strategy="quantized-replay")
+            else replay_plan(context, base, strategy="quantized-replay")
         )
         changes = {
             layer: (base_selection[layer], primitive)
-            for layer, primitive in fresh.plan.conv_selections().items()
+            for layer, primitive in fresh.conv_selections().items()
             if base_selection[layer] != primitive
         }
         result.points.append(
             PrecisionPoint(
                 dtype=dtype,
-                pbqp_plan=fresh.plan,
+                pbqp_plan=fresh,
                 replayed_plan=replayed,
                 selection_changes=changes,
             )

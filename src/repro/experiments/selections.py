@@ -74,8 +74,8 @@ def selection_comparison(
     platforms = platforms or [PLATFORMS["arm-cortex-a57"], PLATFORMS["intel-haswell"]]
     comparison = SelectionComparison(network=network, threads=threads)
     for platform in platforms:
-        result = session.select(network, platform, strategy="pbqp", threads=threads)
-        comparison.selections[platform.name] = result.plan.conv_selections()
+        plan = session.plan(network, platform, threads=threads, verify=False)
+        comparison.selections[platform.name] = plan.network_plan.conv_selections()
     return comparison
 
 

@@ -182,18 +182,18 @@ def build_plan_document(
     plan = session.plan(
         model, platform, strategy=strategy, threads=threads, batch=batch, dtype=dtype
     )
-    result = plan.result
+    network_plan = plan.network_plan
     return {
         "format": SERVICE_FORMAT,
-        "model": result.model,
-        "platform": result.platform,
-        "strategy": result.strategy,
-        "threads": result.threads,
-        "batch": result.batch,
-        "dtype": result.dtype,
-        "total_ms": result.total_ms,
-        "per_image_ms": result.per_image_ms,
-        "plan": plan_to_dict(plan.network_plan),
+        "model": plan.model,
+        "platform": network_plan.platform_name,
+        "strategy": network_plan.strategy,
+        "threads": network_plan.threads,
+        "batch": network_plan.batch,
+        "dtype": network_plan.dtype,
+        "total_ms": network_plan.total_ms,
+        "per_image_ms": network_plan.per_image_ms,
+        "plan": plan_to_dict(network_plan),
     }
 
 

@@ -301,7 +301,7 @@ def handle_frontier(app: PlannerApp, params: Params) -> dict:
             "document",
             "object",
             required=True,
-            description="a serialized plan/tables/frontier/store-entry/result/"
+            description="a serialized plan/tables/frontier/store-entry/"
             "service document to verify statically",
         ),
     ),

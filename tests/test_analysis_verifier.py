@@ -308,13 +308,11 @@ def test_frontier_envelope_mutation(session):
     assert "RV153" in rules_of(verify_document(bad))
 
 
-def test_result_envelope_mutation(session):
-    doc = session.select("alexnet", "intel-haswell").to_dict()
-    assert verify_document(doc).ok
-
-    bad = copy.deepcopy(doc)
-    bad["threads"] = 4
-    assert "RV153" in rules_of(verify_document(bad))
+def test_selection_result_envelope_is_an_unknown_format(alexnet_doc):
+    doc = {"format": "repro/selection-result/v1", "plan": copy.deepcopy(alexnet_doc)}
+    report = verify_document(doc)
+    assert not report.ok
+    assert rules_of(report) == {"RV100"}
 
 
 def test_service_plan_envelope_mutation(session):
@@ -333,7 +331,7 @@ def test_service_plan_envelope_mutation(session):
 def test_detect_kind_covers_every_known_format(alexnet_doc):
     assert detect_kind(alexnet_doc) == "plan"
     assert set(KNOWN_FORMATS.values()) == {
-        "plan", "tables", "frontier", "store-entry", "result", "service-plan"
+        "plan", "tables", "frontier", "store-entry", "service-plan"
     }
 
 

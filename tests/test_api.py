@@ -5,10 +5,10 @@ import json
 import pytest
 
 import repro.cost.provider as provider_module
+from repro.analysis.plan_verifier import PlanVerificationError
 from repro.api import (
     SelectionRequest,
     Session,
-    SelectionResult,
     network_fingerprint,
 )
 from repro.core.strategies import (
@@ -20,6 +20,7 @@ from repro.core.strategies import (
     register_strategy,
     registered_names,
 )
+from repro.cost.serialize import plan_to_dict
 from repro.experiments.whole_network import FIGURE_STRATEGIES
 from repro.models import build_model
 
@@ -131,8 +132,10 @@ class TestRegistry:
                 return get_strategy("sum2d").build_plan(context)
 
         try:
-            result = session.select("alexnet", "intel-haswell", strategy="test_always_sum2d")
-            assert set(result.plan.conv_selections().values()) == {"sum2d"}
+            plan = session.plan(
+                "alexnet", "intel-haswell", strategy="test_always_sum2d", verify=False
+            )
+            assert set(plan.network_plan.conv_selections().values()) == {"sum2d"}
         finally:
             del STRATEGIES["test_always_sum2d"]
 
@@ -163,7 +166,7 @@ class TestAppliesToGating:
 
     def test_select_rejects_inapplicable_strategy(self, session):
         with pytest.raises(ValueError, match="does not apply"):
-            session.select("alexnet", "arm-cortex-a57", strategy="mkldnn")
+            session.plan("alexnet", "arm-cortex-a57", strategy="mkldnn", verify=False)
 
 
 class TestSessionCache:
@@ -179,15 +182,15 @@ class TestSessionCache:
         # redesign; count it there.
         monkeypatch.setattr(provider_module, "build_cost_tables", counting_build)
 
-        first = session.select("alexnet", "intel-haswell", strategy="pbqp")
+        first = session.plan("alexnet", "intel-haswell", strategy="pbqp", verify=False)
         built_once = len(builds)
-        second = session.select("alexnet", "intel-haswell", strategy="pbqp")
+        second = session.plan("alexnet", "intel-haswell", strategy="pbqp", verify=False)
         assert built_once == 1
         assert len(builds) == built_once  # no re-profiling on the warm call
         assert not first.from_cache and second.from_cache
         info = session.cache_info()
         assert info.misses == 1 and info.hits == 1 and info.contexts == 1
-        assert first.plan.conv_selections() == second.plan.conv_selections()
+        assert first.network_plan.conv_selections() == second.network_plan.conv_selections()
 
     def test_context_identity_and_key_separation(self, session):
         a = session.context_for("alexnet", "intel-haswell", threads=1)
@@ -210,15 +213,15 @@ class TestSessionCache:
         assert pbqp.speedup_over(sum2d) > 1.0
         assert min(by_name.values(), key=lambda r: r.total_ms).strategy == "pbqp"
 
-    def test_select_many_batches_over_combos(self, session):
+    def test_plan_many_batches_over_combos(self, session):
         requests = [
             SelectionRequest("alexnet", "intel-haswell", "pbqp", 1),
             SelectionRequest("alexnet", "intel-haswell", "local_optimal", 1),
             ("alexnet", "arm-cortex-a57", "pbqp", 1),
         ]
-        results = session.select_many(requests)
+        results = session.plan_many(requests)
         assert [r.strategy for r in results] == ["pbqp", "local_optimal", "pbqp"]
-        assert [r.platform for r in results] == [
+        assert [r.network_plan.platform_name for r in results] == [
             "intel-haswell",
             "intel-haswell",
             "arm-cortex-a57",
@@ -228,7 +231,7 @@ class TestSessionCache:
         assert info.misses == 2 and info.contexts == 2
 
     def test_clear_cache(self, session):
-        session.select("alexnet", "intel-haswell")
+        session.plan("alexnet", "intel-haswell", verify=False)
         session.clear_cache()
         info = session.cache_info()
         assert info.contexts == 0 and info.hits == 0 and info.misses == 0
@@ -238,8 +241,8 @@ class TestSessionCache:
         second = build_model("alexnet")
         assert first is not second
         assert network_fingerprint(first) == network_fingerprint(second)
-        session.select(first, "intel-haswell")
-        result = session.select(second, "intel-haswell")
+        session.plan(first, "intel-haswell", verify=False)
+        result = session.plan(second, "intel-haswell", verify=False)
         assert result.from_cache
         assert session.cache_info().contexts == 1
 
@@ -260,22 +263,57 @@ class TestSessionCache:
         assert network_fingerprint(tiny(3)) != network_fingerprint(tiny(5))
 
 
-class TestSelectionResultSerialization:
-    def test_round_trip_via_serialize(self, session, dt_graph):
-        result = session.select("alexnet", "intel-haswell", strategy="pbqp")
-        document = json.loads(json.dumps(result.to_dict()))
-        assert document["format"] == "repro/selection-result/v1"
-        loaded = SelectionResult.from_dict(document, dt_graph)
-        assert loaded.model == "alexnet"
-        assert loaded.platform == "intel-haswell"
-        assert loaded.strategy == "pbqp"
-        assert loaded.plan.conv_selections() == result.plan.conv_selections()
-        assert loaded.plan.total_cost == pytest.approx(result.plan.total_cost)
-        assert loaded.total_ms == pytest.approx(result.total_ms)
+class TestOneSelectionEntryPoint:
+    def test_plan_is_the_only_selection_method(self):
+        assert not hasattr(Session, "select")
+        assert not hasattr(Session, "select_many")
 
-    def test_wrong_format_rejected(self, dt_graph):
-        with pytest.raises(ValueError, match="selection-result format"):
-            SelectionResult.from_dict({"format": "nope"}, dt_graph)
+    def test_passthroughs_read_the_network_plan(self, session):
+        pbqp = session.plan("alexnet", "intel-haswell", verify=False)
+        sum2d = session.plan("alexnet", "intel-haswell", strategy="sum2d", verify=False)
+        assert pbqp.strategy == pbqp.network_plan.strategy == "pbqp"
+        assert pbqp.per_image_ms == pbqp.network_plan.per_image_ms
+        assert pbqp.speedup_over(sum2d) == pbqp.network_plan.speedup_over(sum2d.network_plan)
+        assert pbqp.summary() == pbqp.network_plan.summary()
+
+
+class TestSelectionResultDocumentsAreRefused:
+    """The old selection-result envelope is an unknown format everywhere."""
+
+    @pytest.fixture
+    def envelope_path(self, session, tmp_path):
+        plan = session.plan("alexnet", "intel-haswell")
+        path = tmp_path / "result.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "format": "repro/selection-result/v1",
+                    "model": "alexnet",
+                    "platform": "intel-haswell",
+                    "threads": 1,
+                    "batch": 1,
+                    "dtype": "fp32",
+                    "strategy": "pbqp",
+                    "plan": plan_to_dict(plan.network_plan),
+                }
+            )
+        )
+        return path
+
+    def test_plan_from_file_raises_rv100(self, session, envelope_path):
+        with pytest.raises(PlanVerificationError) as excinfo:
+            session.plan_from_file(envelope_path)
+        rules = {finding.rule for finding in excinfo.value.report.errors}
+        assert rules == {"RV100"}
+        with pytest.raises(ValueError):
+            session.plan_from_file(envelope_path, verify=False)
+
+    def test_cli_check_and_run_refuse_it(self, envelope_path, capsys):
+        from repro.cli import main
+
+        assert main(["check", str(envelope_path)]) == 1
+        assert "RV100" in capsys.readouterr().out
+        assert main(["run", "alexnet", "--plan", str(envelope_path)]) == 2
 
 
 class TestRewiredHarnesses:

@@ -259,17 +259,17 @@ class TestBatchedExecutor:
 class TestBatchedSelection:
     def test_contexts_keyed_by_batch(self, tiny_network, intel):
         session = Session()
-        session.select(tiny_network, intel, batch=1)
-        session.select(tiny_network, intel, batch=4)
+        session.plan(tiny_network, intel, batch=1, verify=False)
+        session.plan(tiny_network, intel, batch=4, verify=False)
         assert session.cache_info().contexts == 2
-        session.select(tiny_network, intel, batch=4)
+        session.plan(tiny_network, intel, batch=4, verify=False)
         assert session.cache_info().hits == 1
 
     def test_batched_plan_costs_scale_with_batch(self, tiny_network, intel):
         session = Session()
-        one = session.select(tiny_network, intel, batch=1)
-        sixteen = session.select(tiny_network, intel, batch=16)
-        assert sixteen.plan.batch == 16
+        one = session.plan(tiny_network, intel, batch=1, verify=False)
+        sixteen = session.plan(tiny_network, intel, batch=16, verify=False)
+        assert sixteen.network_plan.batch == 16
         # Work grows with the batch, but amortized setup keeps it under 16x.
         assert sixteen.total_ms > one.total_ms
         assert sixteen.total_ms < 16.0 * one.total_ms
@@ -279,8 +279,8 @@ class TestBatchedSelection:
         session = Session(cache_dir=tmp_path)
         store = session.store
         assert store is not None
-        session.select(tiny_network, intel, batch=1)
-        session.select(tiny_network, intel, batch=4)
+        session.plan(tiny_network, intel, batch=1, verify=False)
+        session.plan(tiny_network, intel, batch=4, verify=False)
         entries = store.entries()
         assert len(entries) == 2
         assert sorted(entry.key.batch for entry in entries) == [1, 4]
@@ -289,8 +289,8 @@ class TestBatchedSelection:
 
         # A fresh process (new session) over the same directory hits both.
         warm = Session(cache_dir=tmp_path)
-        warm.select(tiny_network, intel, batch=1)
-        warm.select(tiny_network, intel, batch=4)
+        warm.plan(tiny_network, intel, batch=1, verify=False)
+        warm.plan(tiny_network, intel, batch=4, verify=False)
         stats = warm.store.stats()
         assert stats.hits == 2 and stats.misses == 0
 
@@ -312,18 +312,17 @@ class TestBatchedSelection:
         plan.save(path)
         loaded = session.plan_from_file(path, network=tiny_network)
         assert loaded.network_plan.batch == 8
-        assert loaded.result.batch == 8
 
-    def test_select_many_groups_by_batch(self, tiny_network, intel):
+    def test_plan_many_groups_by_batch(self, tiny_network, intel):
         session = Session()
-        results = session.select_many(
+        plans = session.plan_many(
             [
                 (tiny_network, intel, "pbqp", 1, 1),
                 (tiny_network, intel, "pbqp", 1, 4),
                 (tiny_network, intel, "sum2d", 1, 4),
             ]
         )
-        assert [result.batch for result in results] == [1, 4, 4]
+        assert [plan.network_plan.batch for plan in plans] == [1, 4, 4]
         # Two distinct contexts (batch 1 and batch 4), three selections.
         assert session.cache_info().contexts == 2
 
@@ -331,8 +330,8 @@ class TestBatchedSelection:
         session = Session()
         report = session.compare(tiny_network, intel, batch=4)
         assert report.batch == 4
-        assert all(result.batch == 4 for result in report.results)
-        assert report.baseline.batch == 4
+        assert all(plan.network_plan.batch == 4 for plan in report.results)
+        assert report.baseline.network_plan.batch == 4
         assert "batch 4" in report.format()
 
 
@@ -344,7 +343,7 @@ class TestBatchedSelection:
 class TestCostStoreHygiene:
     def _populated_store(self, tiny_network, intel, tmp_path):
         session = Session(cache_dir=tmp_path)
-        session.select(tiny_network, intel)
+        session.plan(tiny_network, intel, verify=False)
         return session.store
 
     def test_clear_removes_unparseable_and_old_format_files(
@@ -424,8 +423,8 @@ class TestBatchedCosts:
     def test_store_clear_then_recount(self, tiny_network, intel, tmp_path):
         store = CostStore(tmp_path)
         session = Session(provider=store)
-        session.select(tiny_network, intel, batch=1)
-        session.select(tiny_network, intel, batch=4)
+        session.plan(tiny_network, intel, batch=1, verify=False)
+        session.plan(tiny_network, intel, batch=4, verify=False)
         assert store.stats().entries == 2
         assert store.clear() == 2
         assert store.stats().entries == 0

@@ -196,13 +196,14 @@ class TestSessionContextsAreBounded:
         assert info.misses == 4 and info.contexts == 2  # fp32 was evicted, then rebuilt
         assert again == first
 
-    def test_select_many_rebuilds_an_evicted_context(self, monkeypatch):
+    def test_plan_many_rebuilds_an_evicted_context(self, monkeypatch):
         monkeypatch.setattr(repro.lru, "CAPACITY", 1)
         session = Session()
-        results = session.select_many(
+        results = session.plan_many(
             [("alexnet", "intel-haswell"), ("alexnet", "arm-cortex-a57")]
         )
-        assert [r.platform for r in results] == ["intel-haswell", "arm-cortex-a57"]
+        platforms = [r.network_plan.platform_name for r in results]
+        assert platforms == ["intel-haswell", "arm-cortex-a57"]
         assert session.cache_info().contexts == 1
 
 

@@ -285,7 +285,7 @@ class TestBudgetFlips:
         library = session.library
         for platform in self.PLATFORM_PAIR:
             context = session.context_for(model, platform)
-            base = session.select(model, platform, strategy="pbqp").plan
+            base = session.plan(model, platform, verify=False).network_plan
             base_families = {
                 layer: library.get(primitive).family.value
                 for layer, primitive in base.conv_selections().items()

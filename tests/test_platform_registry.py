@@ -110,13 +110,13 @@ class TestPlatformVersioning:
     def test_same_name_other_numbers_gets_its_own_context(self):
         """In-process caches key a platform by value, not by name."""
         session = Session()
-        registered = session.select("alexnet", "intel-haswell")
+        registered = session.plan("alexnet", "intel-haswell", verify=False)
         faster = dataclasses.replace(intel_haswell, frequency_ghz=4 * intel_haswell.frequency_ghz)
-        result = session.select("alexnet", faster)
+        result = session.plan("alexnet", faster, verify=False)
         assert not result.from_cache
-        assert result.total_ms == Session().select("alexnet", faster).total_ms
+        assert result.total_ms == Session().plan("alexnet", faster, verify=False).total_ms
         assert result.total_ms < registered.total_ms
-        again = session.select("alexnet", "intel-haswell")
+        again = session.plan("alexnet", "intel-haswell", verify=False)
         assert again.from_cache
         assert again.total_ms == registered.total_ms
 
@@ -124,7 +124,7 @@ class TestPlatformVersioning:
         from repro.cost.store import CostStore
 
         session = Session(cache_dir=tmp_path)
-        session.select(build_tiny_network(), "gpu-sim")
+        session.plan(build_tiny_network(), "gpu-sim", verify=False)
         store = session.store
         assert isinstance(store, CostStore)
         entries = store.entries()
@@ -139,7 +139,7 @@ class TestPlatformVersioning:
         network = build_tiny_network()
         register_platform(make_platform("mutable-part"))
         try:
-            session.select(network, "mutable-part")
+            session.plan(network, "mutable-part", verify=False)
             store = session.store
             assert store.stats().misses == 1
             unregister_platform("mutable-part")
@@ -147,7 +147,7 @@ class TestPlatformVersioning:
                 make_platform("mutable-part", dram_bandwidth_gbps=400.0)
             )
             fresh = Session(cache_dir=tmp_path)
-            fresh.select(network, "mutable-part")
+            fresh.plan(network, "mutable-part", verify=False)
             assert fresh.store.stats().misses == 1  # not served from the stale entry
         finally:
             unregister_platform("mutable-part")

@@ -51,6 +51,39 @@ class TestPlanExecute:
         assert plan.total_ms == plan.network_plan.total_ms
         assert plan.input_shape() == (3, 32, 32)
 
+    def test_plan_fingerprints_a_hand_built_network_once(
+        self, session, tiny_network, monkeypatch
+    ):
+        import repro.api
+
+        calls = []
+        original = repro.api.network_fingerprint
+
+        def counting(network):
+            calls.append(network.name)
+            return original(network)
+
+        monkeypatch.setattr(repro.api, "network_fingerprint", counting)
+        session.plan(tiny_network, "intel-haswell")
+        assert calls == [tiny_network.name]
+
+    def test_model_is_the_session_fingerprint(self, session, tiny_network):
+        from repro.api import network_fingerprint
+
+        fingerprint = network_fingerprint(tiny_network)
+        assert fingerprint != tiny_network.name
+        plan = session.plan(tiny_network, "intel-haswell")
+        assert plan.model == fingerprint
+        assert plan.network_plan.network_name == tiny_network.name
+        assert plan.execute().model == fingerprint
+        assert session.compare(tiny_network, "intel-haswell").model == fingerprint
+
+    def test_from_cache_marks_the_second_plan_of_a_key(self, session, tiny_network):
+        first = session.plan(tiny_network, "intel-haswell")
+        second = session.plan(tiny_network, "intel-haswell")
+        assert not first.from_cache
+        assert second.from_cache
+
     def test_execute_reports_per_layer_times(self, session, tiny_network):
         plan = session.plan(tiny_network, "intel-haswell")
         report = plan.execute()
@@ -195,7 +228,7 @@ class TestCompare:
     def test_compare_rows_carry_speedup_vs_baseline(self, session):
         report = session.compare("alexnet", "intel-haswell")
         assert report.baseline.strategy == "sum2d"
-        assert report.baseline.threads == 1
+        assert report.baseline.network_plan.threads == 1
         for strategy, total_ms, speedup in report.rows():
             assert speedup == pytest.approx(report.baseline.total_ms / total_ms)
         # The ranked-first row has the highest speedup.
@@ -214,7 +247,7 @@ class TestCompare:
         assert "pbqp" in text
 
 
-class TestSelectManyParallel:
+class TestPlanManyParallel:
     def test_groups_by_context_and_profiles_each_once(self, session, counting_builds):
         requests = [
             ("alexnet", "intel-haswell", "pbqp", 1),
@@ -222,7 +255,7 @@ class TestSelectManyParallel:
             ("alexnet", "arm-cortex-a57", "pbqp", 1),
             ("alexnet", "intel-haswell", "sum2d", 1),
         ]
-        results = session.select_many(requests)
+        results = session.plan_many(requests)
         assert [r.strategy for r in results] == ["pbqp", "local_optimal", "pbqp", "sum2d"]
         # Two distinct contexts, each profiled exactly once (on the pool).
         assert len(counting_builds) == 2
@@ -232,13 +265,13 @@ class TestSelectManyParallel:
         assert all(r.from_cache for r in results)
 
     def test_single_context_stays_sequential(self, session, counting_builds):
-        results = session.select_many(
+        results = session.plan_many(
             [("alexnet", "intel-haswell", "pbqp", 1)], max_workers=4
         )
         assert len(results) == 1 and len(counting_builds) == 1
 
     def test_max_workers_one_forces_sequential(self, session, counting_builds):
-        session.select_many(
+        session.plan_many(
             [
                 ("alexnet", "intel-haswell", "pbqp", 1),
                 ("alexnet", "arm-cortex-a57", "pbqp", 1),
@@ -248,19 +281,19 @@ class TestSelectManyParallel:
         assert len(counting_builds) == 2
         assert session.cache_info().misses == 2
 
-    def test_results_match_sequential_selects(self, library, dt_graph):
+    def test_results_match_sequential_plans(self, library, dt_graph):
         requests = [
             ("alexnet", "intel-haswell", "pbqp", 1),
             ("alexnet", "arm-cortex-a57", "pbqp", 1),
         ]
-        parallel = Session(library=library, dt_graph=dt_graph).select_many(requests)
+        parallel = Session(library=library, dt_graph=dt_graph).plan_many(requests)
         single = Session(library=library, dt_graph=dt_graph)
         sequential = [
-            single.select(model, platform, strategy=strategy, threads=threads)
+            single.plan(model, platform, strategy=strategy, threads=threads, verify=False)
             for model, platform, strategy, threads in requests
         ]
         for p, s in zip(parallel, sequential):
-            assert p.plan.conv_selections() == s.plan.conv_selections()
+            assert p.network_plan.conv_selections() == s.network_plan.conv_selections()
             assert p.total_ms == pytest.approx(s.total_ms)
 
 
@@ -277,9 +310,9 @@ class TestProviders:
         session = Session(
             library=library, dt_graph=dt_graph, provider=ProfiledCostProvider()
         )
-        result = session.select(tiny_network, None)
-        assert result.platform == "profiled"
-        assert result.strategy == "pbqp"
+        plan = session.plan(tiny_network, None, verify=False)
+        assert plan.network_plan.platform_name == "profiled"
+        assert plan.strategy == "pbqp"
         # Measured costs are real times: strictly positive.
         context = session.context_for(tiny_network, None)
         for costs in context.tables.node_costs.values():
@@ -289,8 +322,8 @@ class TestProviders:
         provider = CostModelProvider(intel_cost_model, name="adapted", version="9")
         assert provider.name == "adapted" and provider.version == "9"
         session = Session(library=library, dt_graph=dt_graph, provider=provider)
-        result = session.select("alexnet", None)
-        assert result.platform == "adapted"
+        plan = session.plan("alexnet", None, verify=False)
+        assert plan.network_plan.platform_name == "adapted"
 
     def test_providers_satisfy_protocol(self, tmp_path):
         assert isinstance(AnalyticalCostProvider(), CostProvider)
@@ -309,16 +342,16 @@ class TestCostStore:
         self, library, dt_graph, tiny_network, tmp_path, counting_builds
     ):
         first = Session(library=library, dt_graph=dt_graph, cache_dir=tmp_path)
-        cold = first.select(tiny_network, "intel-haswell")
+        cold = first.plan(tiny_network, "intel-haswell", verify=False)
         assert len(counting_builds) == 1
         assert first.store.stats().misses == 1
 
         # A new session simulates a fresh process: in-memory caches are empty.
         second = Session(library=library, dt_graph=dt_graph, cache_dir=tmp_path)
-        warm = second.select(tiny_network, "intel-haswell")
+        warm = second.plan(tiny_network, "intel-haswell", verify=False)
         assert len(counting_builds) == 1  # zero additional profiling
         assert second.store.stats().hits == 1
-        assert warm.plan.conv_selections() == cold.plan.conv_selections()
+        assert warm.network_plan.conv_selections() == cold.network_plan.conv_selections()
         assert warm.total_ms == pytest.approx(cold.total_ms)
 
     def test_profiled_store_plans_without_a_platform(
@@ -335,7 +368,7 @@ class TestCostStore:
         first = session()
         assert first.provider.name == "profiled"
         plan = first.plan(tiny_network, None)  # verified by default
-        assert plan.result.platform == "profiled"
+        assert plan.network_plan.platform_name == "profiled"
         assert first.store.stats().misses == 1
         path = tmp_path / "plan.json"
         plan.save(path)
@@ -349,8 +382,8 @@ class TestCostStore:
 
     def test_entries_are_keyed_and_versioned(self, library, dt_graph, tiny_network, tmp_path):
         session = Session(library=library, dt_graph=dt_graph, cache_dir=tmp_path)
-        session.select(tiny_network, "intel-haswell")
-        session.select(tiny_network, "arm-cortex-a57")
+        session.plan(tiny_network, "intel-haswell", verify=False)
+        session.plan(tiny_network, "arm-cortex-a57", verify=False)
         entries = session.store.entries()
         assert len(entries) == 2
         platforms = {entry.key.platform for entry in entries}
@@ -368,7 +401,7 @@ class TestCostStore:
             version = "999-test"
 
         first = Session(library=library, dt_graph=dt_graph, cache_dir=tmp_path)
-        first.select(tiny_network, "intel-haswell")
+        first.plan(tiny_network, "intel-haswell", verify=False)
         assert len(counting_builds) == 1
 
         bumped = Session(
@@ -376,14 +409,14 @@ class TestCostStore:
             dt_graph=dt_graph,
             provider=CostStore(tmp_path, BumpedProvider()),
         )
-        bumped.select(tiny_network, "intel-haswell")
+        bumped.plan(tiny_network, "intel-haswell", verify=False)
         # The stale v1 entry is not served for the bumped provider.
         assert len(counting_builds) == 2
         assert len(bumped.store.entries()) == 2
 
     def test_clear_removes_entries(self, library, dt_graph, tiny_network, tmp_path):
         session = Session(library=library, dt_graph=dt_graph, cache_dir=tmp_path)
-        session.select(tiny_network, "intel-haswell")
+        session.plan(tiny_network, "intel-haswell", verify=False)
         assert session.store.clear() == 1
         assert session.store.entries() == []
 
@@ -392,19 +425,19 @@ class TestCostStore:
     ):
         first = Session(library=library, dt_graph=dt_graph, cache_dir=tmp_path)
         # mkldnn needs single-threaded tables on top of the 4-thread ones.
-        first.select(tiny_network, "intel-haswell", strategy="mkldnn", threads=4)
+        first.plan(tiny_network, "intel-haswell", strategy="mkldnn", threads=4, verify=False)
         assert sorted(counting_builds) == [1, 4]
         assert len(first.store.entries()) == 2
 
         second = Session(library=library, dt_graph=dt_graph, cache_dir=tmp_path)
-        second.select(tiny_network, "intel-haswell", strategy="mkldnn", threads=4)
+        second.plan(tiny_network, "intel-haswell", strategy="mkldnn", threads=4, verify=False)
         assert sorted(counting_builds) == [1, 4]  # both table sets came from disk
 
     def test_different_library_does_not_hit_stale_entries(
         self, library, dt_graph, tiny_network, tmp_path, counting_builds
     ):
         full = Session(library=library, dt_graph=dt_graph, cache_dir=tmp_path)
-        full_result = full.select(tiny_network, "intel-haswell")
+        full_plan = full.plan(tiny_network, "intel-haswell", verify=False)
         assert len(counting_builds) == 1
 
         # A session over a reduced library must not load the full-library
@@ -417,11 +450,11 @@ class TestCostStore:
             if p.family in (PrimitiveFamily.SUM2D, PrimitiveFamily.IM2)
         ]
         reduced = Session(library=library.subset(reduced_names), cache_dir=tmp_path)
-        result = reduced.select(tiny_network, "intel-haswell")
+        plan = reduced.plan(tiny_network, "intel-haswell", verify=False)
         assert len(counting_builds) == 2  # re-profiled, not served stale
-        chosen = set(result.plan.conv_selections().values())
+        chosen = set(plan.network_plan.conv_selections().values())
         assert chosen <= set(reduced_names)
-        assert set(full_result.plan.conv_selections().values()) - set(reduced_names)
+        assert set(full_plan.network_plan.conv_selections().values()) - set(reduced_names)
 
     def test_concurrent_writes_of_one_key_never_tear(
         self, library, dt_graph, tiny_network, tmp_path
@@ -429,7 +462,7 @@ class TestCostStore:
         """Regression: per-call unique temp names for the write-then-rename.
 
         A pid-suffixed temp name is shared by every thread of one process, so
-        two ``select_many`` workers producing the same key used to interleave
+        two ``plan_many`` workers producing the same key used to interleave
         on one temp file and rename a torn JSON document.  Each writer must
         use its own temp file; afterwards the entry must parse and be served.
         """
@@ -482,10 +515,13 @@ class TestCostStore:
 
     def test_store_roundtrip_preserves_selection(self, library, dt_graph, tmp_path):
         cold = Session(library=library, dt_graph=dt_graph, cache_dir=tmp_path)
-        cold_result = cold.select("alexnet", "intel-haswell")
+        cold_result = cold.plan("alexnet", "intel-haswell", verify=False)
         warm = Session(library=library, dt_graph=dt_graph, cache_dir=tmp_path)
-        warm_result = warm.select("alexnet", "intel-haswell")
-        assert warm_result.plan.conv_selections() == cold_result.plan.conv_selections()
+        warm_result = warm.plan("alexnet", "intel-haswell", verify=False)
+        assert (
+            warm_result.network_plan.conv_selections()
+            == cold_result.network_plan.conv_selections()
+        )
         assert warm_result.total_ms == pytest.approx(cold_result.total_ms)
 
 
@@ -722,7 +758,13 @@ class TestSharedWeights:
 
     def test_hand_built_plan_keeps_one_store(self, session, tiny_network):
         planned = session.plan(tiny_network, "intel-haswell")
-        plan = Plan(planned.result, tiny_network, planned.library, planned.dt_graph)
+        plan = Plan(
+            planned.network_plan,
+            planned.model,
+            tiny_network,
+            planned.library,
+            planned.dt_graph,
+        )
         store = plan.executor(seed=4).weights
         assert plan.executor(seed=4).weights is store
         assert store is not planned.executor(seed=4).weights
@@ -786,8 +828,8 @@ class TestStoreEviction:
     @pytest.fixture
     def warm_store(self, library, dt_graph, tiny_network, tmp_path):
         session = Session(library=library, dt_graph=dt_graph, cache_dir=tmp_path)
-        session.select(tiny_network, "intel-haswell")
-        session.select(tiny_network, "arm-cortex-a57")
+        session.plan(tiny_network, "intel-haswell", verify=False)
+        session.plan(tiny_network, "arm-cortex-a57", verify=False)
         return session.store
 
     def test_entries_are_sharded_by_platform(self, warm_store):

@@ -84,7 +84,7 @@ class TestSelectMany:
             SelectionRequest("resnet18", "arm-cortex-a57"),
             SelectionRequest("mobilenet_v1", "arm-cortex-a57"),
         ]
-        results = session.select_many(requests)
+        results = session.plan_many(requests)
         assert [r.model for r in results] == [
             "resnet18",
             "mobilenet_v1",
