@@ -29,8 +29,7 @@ The session owns the full pipeline: cost tables come from a pluggable
 profiler, or a persistent disk-backed :class:`~repro.cost.store.CostStore`),
 strategies resolve through the registry in :mod:`repro.core.strategies`, and
 :meth:`~repro.api.Session.run` executes the selected plan with per-layer
-timing.  The original one-shot :func:`repro.core.select_primitives` remains
-available.
+timing.  Every selection context and plan is built by a session.
 """
 
 __version__ = "1.6.0"
@@ -51,7 +50,6 @@ __all__ = [
     "Plan",
     "ExecutionReport",
     "ComparisonReport",
-    "SelectionRequest",
     "CostProvider",
     "AnalyticalCostProvider",
     "ProfiledCostProvider",
@@ -60,7 +58,6 @@ __all__ = [
     "STRATEGIES",
     "Strategy",
     "register_strategy",
-    "select_primitives",
     "PLATFORMS",
     "default_primitive_library",
     "PlannerApp",
@@ -73,7 +70,6 @@ _API_NAMES = (
     "Plan",
     "ExecutionReport",
     "ComparisonReport",
-    "SelectionRequest",
 )
 _COST_NAMES = (
     "CostProvider",
@@ -99,10 +95,6 @@ def __getattr__(name):
         import repro.core.strategies
 
         return getattr(repro.core.strategies, name)
-    if name == "select_primitives":
-        from repro.core import select_primitives
-
-        return select_primitives
     if name == "default_primitive_library":
         from repro.primitives import default_primitive_library
 

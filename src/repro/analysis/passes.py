@@ -100,9 +100,6 @@ class Report:
         """
         return not self.errors
 
-    def by_rule(self, rule: str) -> List[Finding]:
-        return [f for f in self.findings if f.rule == rule]
-
     def to_dict(self) -> dict:
         """JSON-shaped report; findings in canonical sorted order."""
         ordered = sorted(self.findings, key=_finding_key)

@@ -17,9 +17,12 @@ and execution (through :class:`~repro.runtime.executor.NetworkExecutor`):
 Every selection is one :class:`Plan`: the chosen
 :class:`~repro.core.plan.NetworkPlan` (which records strategy, platform,
 threads, batch and dtype) bound to its network, library and DT graph.
-:meth:`Session.plan` is the one selection entry point; :meth:`Session.compare`,
-:meth:`Session.baseline` and :meth:`Session.plan_many` return unverified
-plans from the same path.
+:meth:`Session.plan` is the one selection entry point; :meth:`Session.compare`
+and :meth:`Session.baseline` return unverified plans from the same path.  A
+session is the only code that builds a
+:class:`~repro.core.selector.SelectionContext` or a :class:`Plan`, and each
+call resolves its model and platform once, however many strategies or
+precisions it plans.
 
 The session memoizes profiled :class:`~repro.core.selector.SelectionContext`
 objects (and therefore the cost tables) keyed by ``(network fingerprint,
@@ -36,10 +39,9 @@ import functools
 import hashlib
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -87,16 +89,15 @@ def network_fingerprint(network: Network) -> str:
     return f"{network.name}:{digest[:16]}"
 
 
-@dataclass(frozen=True)
-class SelectionRequest:
-    """One (model, platform, strategy, threads, batch, dtype) combination for :meth:`Session.plan_many`."""
+def _check_dtype(dtype: str) -> None:
+    if dtype not in DTYPES:
+        raise ValueError(f"unknown dtype {dtype!r}; expected one of {DTYPES}")
 
-    model: ModelLike
-    platform: PlatformLike
-    strategy: str = "pbqp"
-    threads: int = 1
-    batch: int = 1
-    dtype: str = "fp32"
+
+def _with_dtype(query: CostQuery, dtype: str) -> CostQuery:
+    """The same resolved query at another precision."""
+    _check_dtype(dtype)
+    return dataclasses.replace(query, dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -287,9 +288,8 @@ class Plan:
     which for a hand-built network differs from the plan's network name.
 
     ``weight_source`` maps a seed to the :class:`WeightStore` to execute
-    with; a Session passes its per-network store, so every plan of one
-    network shares one set of weights.  A hand-built Plan keeps one store of
-    its own, rebuilt when a different seed is asked for.
+    with: the session's per-network store, so every plan of one network
+    shares one set of weights.
     """
 
     network_plan: NetworkPlan
@@ -297,14 +297,9 @@ class Plan:
     network: Network
     library: PrimitiveLibrary
     dt_graph: DTGraph
+    weight_source: Callable[[int], WeightStore] = field(repr=False, compare=False)
     #: Whether the profiled context (cost tables) was reused from the cache.
     from_cache: bool = False
-    weight_source: Optional[Callable[[int], WeightStore]] = field(
-        default=None, repr=False, compare=False
-    )
-    _weights: Optional[WeightStore] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     # -- passthroughs -------------------------------------------------------------
 
@@ -339,14 +334,6 @@ class Plan:
                 return layer.shape
         raise ValueError(f"network {self.network.name!r} has no input layer")
 
-    def _weight_store(self, seed: int) -> WeightStore:
-        if self.weight_source is not None:
-            return self.weight_source(seed)
-        store = self._weights
-        if store is None or store.seed != seed:
-            store = self._weights = WeightStore(self.network, seed=seed)
-        return store
-
     def executor(self, seed: int = 0) -> NetworkExecutor:
         """An executor for this plan over the shared weights for ``seed``.
 
@@ -355,7 +342,7 @@ class Plan:
         once per executor; a store is deterministic in (network, seed).
         """
         return NetworkExecutor(
-            self.network, self.network_plan, self.library, self._weight_store(seed)
+            self.network, self.network_plan, self.library, self.weight_source(seed)
         )
 
     def execute(
@@ -658,7 +645,6 @@ class Session:
     def _plan_handle(
         self,
         network_plan: NetworkPlan,
-        model: str,
         fingerprint: str,
         network: Network,
         from_cache: bool = False,
@@ -666,7 +652,7 @@ class Session:
         """An executable :class:`Plan` drawing its weights from this session."""
         return Plan(
             network_plan=network_plan,
-            model=model,
+            model=fingerprint,
             network=network,
             library=self.library,
             dt_graph=self.dt_graph,
@@ -685,8 +671,7 @@ class Session:
         """Validate and resolve one (model, platform, threads, batch, dtype) request."""
         if batch < 1:
             raise ValueError("batch must be >= 1")
-        if dtype not in DTYPES:
-            raise ValueError(f"unknown dtype {dtype!r}; expected one of {DTYPES}")
+        _check_dtype(dtype)
         resolved, platform_name = self._resolve_platform(platform)
         fingerprint, network = self._resolve_network(model)
         return CostQuery(
@@ -805,8 +790,13 @@ class Session:
             If the strategy's :meth:`~repro.core.strategies.Strategy.applies_to`
             gate rejects the context's platform (e.g. ``mkldnn`` on ARM).
         """
+        return self._plan_query(
+            self._query(model, platform, threads, batch, dtype), strategy, verify
+        )
+
+    def _plan_query(self, query: CostQuery, strategy: str, verify: bool) -> Plan:
+        """:meth:`plan` for an already resolved query."""
         chosen = get_strategy(strategy)
-        query = self._query(model, platform, threads, batch, dtype)
         context, from_cache = self._ensure_context(query)
         if not chosen.applies_to(context):
             raise ValueError(
@@ -830,7 +820,7 @@ class Session:
                 )
             )
         return self._plan_handle(
-            network_plan, query.fingerprint, query.fingerprint, query.network, from_cache
+            network_plan, query.fingerprint, query.network, from_cache
         )
 
     def run(
@@ -887,9 +877,10 @@ class Session:
         chosen = tuple(dtypes) if dtypes is not None else DTYPES
         if not chosen:
             raise ValueError("dtypes must name at least one precision")
-        context = self.context_for(model, platform, threads, batch, chosen[0])
+        query = self._query(model, platform, threads, batch, chosen[0])
+        context = self._ensure_context(query)[0]
         dtype_contexts = {
-            dtype: self.context_for(model, platform, threads, batch, dtype)
+            dtype: self._ensure_context(_with_dtype(query, dtype))[0]
             for dtype in chosen[1:]
         }
         return build_frontier(
@@ -943,9 +934,7 @@ class Session:
         fingerprint, network = self._resolve_network(
             network if network is not None else network_plan.network_name
         )
-        return self._plan_handle(
-            network_plan, network_plan.network_name, fingerprint, network
-        )
+        return self._plan_handle(network_plan, fingerprint, network)
 
     def compare(
         self,
@@ -965,84 +954,25 @@ class Session:
         baseline (priced at the same batch and dtype, so speedups compare
         like with like).
         """
-        context = self.context_for(model, platform, threads, batch, dtype)
+        query = self._query(model, platform, threads, batch, dtype)
+        context = self._ensure_context(query)[0]
         if strategies is None:
             chosen = applicable_strategies(context, include_frameworks=include_frameworks)
         else:
             chosen = [get_strategy(name) for name in strategies]
         results = [
-            self.plan(
-                model,
-                platform,
-                strategy=strategy.name,
-                threads=threads,
-                batch=batch,
-                dtype=dtype,
-                verify=False,
-            )
-            for strategy in chosen
+            self._plan_query(query, strategy.name, verify=False) for strategy in chosen
         ]
-        baseline = self.baseline(model, platform, batch=batch, dtype=dtype)
+        baseline = self._plan_query(query.with_threads(1), BASELINE_STRATEGY, verify=False)
         return ComparisonReport(
-            model=baseline.model,
-            platform=context.platform_name,
+            model=query.fingerprint,
+            platform=query.platform_name,
             threads=threads,
             baseline=baseline,
             results=sorted(results, key=lambda plan: plan.total_ms),
             batch=batch,
             dtype=dtype,
         )
-
-    def plan_many(
-        self,
-        requests: Iterable[Union[SelectionRequest, Tuple]],
-        max_workers: Optional[int] = None,
-    ) -> List[Plan]:
-        """Batch entry point over (model, platform, strategy, threads) combos.
-
-        Accepts :class:`SelectionRequest` objects or plain tuples in the same
-        field order.  Requests are grouped by their ``(network fingerprint,
-        platform, threads)`` context key; each *distinct* cold context is
-        profiled once, on a thread pool when there is more than one, and the
-        per-request selections then run, unverified, against the warm cache.
-        Plans are returned in request order.
-        """
-        normalized = [
-            request if isinstance(request, SelectionRequest) else SelectionRequest(*request)
-            for request in requests
-        ]
-        pending: Dict[Tuple, CostQuery] = {}
-        for request in normalized:
-            query = self._query(
-                request.model, request.platform, request.threads, request.batch, request.dtype
-            )
-            key = self._context_key(query)
-            if key not in self._contexts and key not in pending:
-                pending[key] = query
-        # _ensure_context dedups per key, so a request mix that races with
-        # other session users still performs one build per distinct context.
-        if len(pending) == 1 or max_workers == 1:
-            for query in pending.values():
-                self._ensure_context(query)
-        elif pending:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                futures = [
-                    pool.submit(self._ensure_context, query) for query in pending.values()
-                ]
-            for future in futures:
-                future.result()
-        return [
-            self.plan(
-                request.model,
-                request.platform,
-                strategy=request.strategy,
-                threads=request.threads,
-                batch=request.batch,
-                dtype=request.dtype,
-                verify=False,
-            )
-            for request in normalized
-        ]
 
     def baseline(
         self,
@@ -1052,14 +982,8 @@ class Session:
         dtype: str = "fp32",
     ) -> Plan:
         """The common speedup baseline: single-threaded SUM2D (at ``batch``/``dtype``)."""
-        return self.plan(
-            model,
-            platform,
-            strategy=BASELINE_STRATEGY,
-            threads=1,
-            batch=batch,
-            dtype=dtype,
-            verify=False,
+        return self._plan_query(
+            self._query(model, platform, 1, batch, dtype), BASELINE_STRATEGY, verify=False
         )
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

@@ -18,7 +18,7 @@ It also implements every comparison strategy of the evaluation section:
 """
 
 from repro.core.plan import LayerDecision, EdgeDecision, NetworkPlan
-from repro.core.selector import PBQPSelector, SelectionContext, select_primitives
+from repro.core.selector import PBQPSelector, SelectionContext
 from repro.core.baselines import (
     sum2d_plan,
     family_greedy_plan,
@@ -42,7 +42,6 @@ __all__ = [
     "NetworkPlan",
     "PBQPSelector",
     "SelectionContext",
-    "select_primitives",
     "STRATEGIES",
     "Strategy",
     "register_strategy",

@@ -171,10 +171,6 @@ class NetworkPlan:
         """The decision recorded for one layer."""
         return self.layer_decisions[layer]
 
-    def primitive_for(self, layer: str) -> Optional[str]:
-        """Name of the primitive selected for a layer (``None`` for non-conv layers)."""
-        return self.layer_decisions[layer].primitive
-
     def conv_selections(self) -> Dict[str, str]:
         """Mapping from convolution layer name to selected primitive name."""
         return {

@@ -58,7 +58,6 @@ PBQP pass.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -68,19 +67,16 @@ import numpy as np
 
 from repro.core.legalize import finalize_plan
 from repro.core.plan import NetworkPlan
-from repro.cost.analytical import AnalyticalCostModel
-from repro.cost.model import CostModel
 from repro.cost.platform import Platform
-from repro.cost.tables import CostTables, Shape, build_cost_tables
+from repro.cost.tables import CostTables, Shape
 from repro.graph.layer import LayerKind
 from repro.graph.network import Network
 from repro.layouts.dt_graph import DTGraph
 from repro.layouts.layout import CHW, Layout
-from repro.layouts.transforms import default_transform_library
 from repro.pbqp.graph import PBQPGraph
 from repro.pbqp.solution import PBQPSolution
 from repro.pbqp.solver import PBQPSolver
-from repro.primitives.registry import PrimitiveLibrary, default_primitive_library
+from repro.primitives.registry import PrimitiveLibrary
 
 
 class CostVariants(Protocol):
@@ -109,9 +105,10 @@ class CostVariants(Protocol):
 class SelectionContext:
     """Everything a selection strategy needs about one (network, platform, threads).
 
-    Build one with :meth:`SelectionContext.create`; the cost tables are
-    profiled once at construction and shared by every strategy, mirroring the
-    paper's "profile once, ship the cost tables" workflow.
+    :meth:`repro.api.Session.context_for` builds one from the session's cost
+    provider; the cost tables are profiled once at construction and shared by
+    every strategy, mirroring the paper's "profile once, ship the cost
+    tables" workflow.
     """
 
     network: Network
@@ -127,9 +124,8 @@ class SelectionContext:
     dtype: str = "fp32"
     _single_thread_tables: Optional[CostTables] = field(default=None, repr=False)
     #: Produces the single-threaded tables of a multithreaded context on
-    #: first use.  :meth:`create` builds them from its cost model; the
-    #: Session API routes them through its cost provider (and therefore
-    #: through a persistent store).
+    #: first use.  The Session routes them through its cost provider (and
+    #: therefore through a persistent store).
     single_thread_tables_factory: Optional[Callable[[], CostTables]] = field(
         default=None, repr=False, compare=False
     )
@@ -166,56 +162,6 @@ class SelectionContext:
                 )
             self._single_thread_tables = self.single_thread_tables_factory()
         return self._single_thread_tables
-
-    @classmethod
-    def create(
-        cls,
-        network: Network,
-        platform: Optional[Platform] = None,
-        cost_model: Optional[CostModel] = None,
-        library: Optional[PrimitiveLibrary] = None,
-        dt_graph: Optional[DTGraph] = None,
-        threads: int = 1,
-        batch: int = 1,
-        dtype: str = "fp32",
-    ) -> "SelectionContext":
-        """Assemble a context, defaulting every component sensibly.
-
-        Either ``platform`` (priced with the analytical model) or an explicit
-        ``cost_model`` must be provided; if both are given the explicit cost
-        model wins, pricing and platform gating alike.  ``batch`` prices the
-        whole context for minibatches of that size, ``dtype`` at that
-        precision (per-precision primitive gating and pricing both apply).
-        """
-        if cost_model is None:
-            if platform is None:
-                raise ValueError("provide either a platform or a cost model")
-            cost_model = AnalyticalCostModel(platform)
-        platform_name = platform.name if platform is not None else type(cost_model).__name__
-        library = library if library is not None else default_primitive_library()
-        if dt_graph is None:
-            dt_graph = DTGraph(library.layouts_used(), default_transform_library())
-        build = functools.partial(
-            build_cost_tables,
-            network,
-            library,
-            dt_graph,
-            cost_model,
-            batch=batch,
-            dtype=dtype,
-        )
-        return cls(
-            network=network,
-            library=library,
-            dt_graph=dt_graph,
-            platform_name=platform_name,
-            threads=threads,
-            tables=build(threads=threads),
-            platform=platform,
-            batch=batch,
-            dtype=dtype,
-            single_thread_tables_factory=functools.partial(build, threads=1),
-        )
 
 
 class PBQPSelector:
@@ -416,30 +362,3 @@ class PBQPSelector:
             }
         )
         return plan
-
-
-def select_primitives(
-    network: Network,
-    platform: Optional[Platform] = None,
-    cost_model: Optional[CostModel] = None,
-    library: Optional[PrimitiveLibrary] = None,
-    dt_graph: Optional[DTGraph] = None,
-    threads: int = 1,
-    batch: int = 1,
-    dtype: str = "fp32",
-) -> NetworkPlan:
-    """One-call convenience API: profile, encode, solve and legalize.
-
-    This is the entry point shown in the README quickstart.
-    """
-    context = SelectionContext.create(
-        network,
-        platform=platform,
-        cost_model=cost_model,
-        library=library,
-        dt_graph=dt_graph,
-        threads=threads,
-        batch=batch,
-        dtype=dtype,
-    )
-    return PBQPSelector().select(context)

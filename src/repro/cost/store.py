@@ -411,8 +411,9 @@ class CostStore:
         }
         # Write-then-rename so a crashed process never leaves a torn entry.
         # The temp name must be unique per *call*, not per process: two
-        # threads (e.g. plan_many workers) writing the same key would
-        # interleave on a shared pid-suffixed file and rename a torn document.
+        # threads (e.g. concurrent plans on one session) writing the same key
+        # would interleave on a shared pid-suffixed file and rename a torn
+        # document.
         # The temp file lives in the target's shard so the rename stays atomic
         # (same filesystem, same directory).
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -49,21 +49,11 @@ from repro.experiments.memory_budget import (
 )
 
 
-def __getattr__(name):
-    """``FIGURE_STRATEGIES`` is a live view over the strategy registry."""
-    if name == "FIGURE_STRATEGIES":
-        from repro.core.strategies import figure_strategy_names
-
-        return figure_strategy_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "EXTENDED_NETWORKS",
     "WholeNetworkResult",
     "run_whole_network",
     "format_speedup_table",
-    "FIGURE_STRATEGIES",
     "run_absolute_time_table",
     "format_absolute_table",
     "alexnet_selection_comparison",

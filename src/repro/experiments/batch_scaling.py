@@ -86,10 +86,6 @@ class BatchPoint:
         return self.pbqp_plan.per_image_ms
 
     @property
-    def replayed_per_image_ms(self) -> float:
-        return self.replayed_plan.per_image_ms
-
-    @property
     def advantage(self) -> float:
         """Speedup of re-selecting at this batch over replaying the batch-1 plan."""
         return self.replayed_ms / self.pbqp_ms

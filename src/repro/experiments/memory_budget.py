@@ -86,9 +86,6 @@ class MemoryBudgetResult:
                 return cell
         raise KeyError(f"no cell ({network!r}, {platform!r}, fraction {fraction})")
 
-    def flip_count(self, network: str, platform: str, fraction: float) -> int:
-        return len(self.cell(network, platform, fraction).flips)
-
     def format(self) -> str:
         """Render one budget table per (network, platform)."""
         lines: List[str] = []

@@ -32,18 +32,6 @@ from repro.primitives.registry import PrimitiveLibrary
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api import Session
 
-def __getattr__(name: str):
-    """``FIGURE_STRATEGIES`` is a live view over the strategy registry.
-
-    Evaluated on access (PEP 562) rather than snapshotted at import, so a
-    strategy registered later with a ``figure_order`` immediately gains a
-    figure bar.  Prefer :func:`repro.core.strategies.figure_strategy_names`
-    in new code.
-    """
-    if name == "FIGURE_STRATEGIES":
-        return figure_strategy_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 #: Networks per figure, exactly as in the paper (VGG-B/C/E do not fit on the
 #: embedded board, so the ARM figures cover AlexNet and GoogLeNet only).
 FIGURE_NETWORKS: Dict[str, List[str]] = {

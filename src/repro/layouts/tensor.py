@@ -44,16 +44,6 @@ NUMPY_DTYPES = {"fp32": np.float32, "fp16": np.float16, "int8": np.int8}
 INT8_QUANT_MAX = 127
 
 
-def numpy_dtype(dtype: str):
-    """The numpy storage type for a scenario precision string."""
-    try:
-        return NUMPY_DTYPES[dtype]
-    except KeyError:
-        raise ValueError(
-            f"unknown dtype {dtype!r}; expected one of {sorted(NUMPY_DTYPES)}"
-        ) from None
-
-
 def quantize_symmetric(array: np.ndarray) -> Tuple[np.ndarray, float]:
     """Quantize a float tensor to int8 with one symmetric per-tensor scale.
 

@@ -75,11 +75,6 @@ class BuildOnceLRU(Generic[V]):
         with self._lock:
             return self._hits, self._misses, len(self._entries)
 
-    def __contains__(self, key: Hashable) -> bool:
-        """Whether ``key`` is cached (a peek: recency is not refreshed)."""
-        with self._lock:
-            return key in self._entries
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)

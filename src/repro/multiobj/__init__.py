@@ -6,8 +6,8 @@ The subsystem has three layers:
   workspace, energy proxy) value threaded through the cost model, the cost
   tables and every plan decision.  Dependency-free, so the cost layer imports
   it without cycles.
-* :mod:`repro.multiobj.pareto` — nondominated sorting
-  (:func:`_pareto_front`, :func:`_nsga2_sort`) and the seeded decision
+* :mod:`repro.multiobj.pareto` — nondominated filtering
+  (:func:`_pareto_front`) and the seeded decision
   helpers (knee, lexicographic, constrained minimum).
 * :mod:`repro.multiobj.frontier` — whole-network frontier construction:
   epsilon-constraint and weighted-scalarization PBQP solves plus the
@@ -17,7 +17,7 @@ The subsystem has three layers:
   on the cost layer, which imports ``vector`` above).
 """
 
-from repro.multiobj.pareto import _nsga2_sort, _pareto_front  # noqa: F401
+from repro.multiobj.pareto import _pareto_front  # noqa: F401
 from repro.multiobj.vector import OBJECTIVES, CostVector  # noqa: F401
 
 _FRONTIER_NAMES = (
@@ -41,6 +41,5 @@ __all__ = [
     "CostVector",
     "OBJECTIVES",
     "_pareto_front",
-    "_nsga2_sort",
     *_FRONTIER_NAMES,
 ]

@@ -1,12 +1,10 @@
-"""Nondominated sorting and Pareto-front construction over cost vectors.
+"""Pareto-front construction and front decisions over cost vectors.
 
 The shapes here follow the ECC-selector idiom the ROADMAP points at:
-:func:`_pareto_front` returns the nondominated subset in input order,
-:func:`_nsga2_sort` peels the full population into successive nondominated
-fronts (NSGA-II's fast nondominated sort), and the decision helpers (knee
-point, lexicographic, constrained minimum) reduce a front to one pick with
-*seeded deterministic* tie-breaking — the same seed always yields the same
-selection, byte for byte.
+:func:`_pareto_front` returns the nondominated subset in input order, and
+the decision helpers (knee point, lexicographic, constrained minimum) reduce
+a front to one pick with *seeded deterministic* tie-breaking — the same seed
+always yields the same selection, byte for byte.
 
 Everything operates on plain :class:`~repro.multiobj.vector.CostVector`
 sequences and returns **indices** into the input, so callers can carry
@@ -57,40 +55,6 @@ def _equal(a: CostVector, b: CostVector, epsilon: float = EPSILON) -> bool:
         if abs(x - y) > epsilon * max(abs(x), abs(y), 1.0):
             return False
     return True
-
-
-def _nsga2_sort(
-    vectors: Sequence[CostVector], epsilon: float = EPSILON
-) -> List[List[int]]:
-    """NSGA-II fast nondominated sort: successive fronts of indices.
-
-    Front 0 is the Pareto front; front ``k`` is nondominated once fronts
-    ``< k`` are removed.  Exact duplicates stay in the same front (they
-    dominate nothing and are dominated by nothing).
-    """
-    n = len(vectors)
-    dominated_by: List[List[int]] = [[] for _ in range(n)]
-    domination_count = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if vectors[i].dominates(vectors[j], epsilon=epsilon):
-                dominated_by[i].append(j)
-                domination_count[j] += 1
-            elif vectors[j].dominates(vectors[i], epsilon=epsilon):
-                dominated_by[j].append(i)
-                domination_count[i] += 1
-    fronts: List[List[int]] = []
-    current = [i for i in range(n) if domination_count[i] == 0]
-    while current:
-        fronts.append(current)
-        upcoming: List[int] = []
-        for i in current:
-            for j in dominated_by[i]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
-                    upcoming.append(j)
-        current = sorted(upcoming)
-    return fronts
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,7 @@ import pytest
 
 import repro.cost.provider as provider_module
 from repro.analysis.plan_verifier import PlanVerificationError
-from repro.api import (
-    SelectionRequest,
-    Session,
-    network_fingerprint,
-)
+from repro.api import Session, network_fingerprint
 from repro.core.strategies import (
     STRATEGIES,
     Strategy,
@@ -21,7 +17,6 @@ from repro.core.strategies import (
     registered_names,
 )
 from repro.cost.serialize import plan_to_dict
-from repro.experiments.whole_network import FIGURE_STRATEGIES
 from repro.models import build_model
 
 ALL_STRATEGY_NAMES = {
@@ -69,10 +64,8 @@ class TestRegistry:
         assert registered_names() == list(STRATEGIES)
 
     def test_figure_strategies_are_a_registry_view(self):
-        assert FIGURE_STRATEGIES == figure_strategy_names()
-        assert set(FIGURE_STRATEGIES) <= set(STRATEGIES)
         # The paper's bar order.
-        assert FIGURE_STRATEGIES == [
+        assert figure_strategy_names() == [
             "direct",
             "im2",
             "kn2",
@@ -104,9 +97,6 @@ class TestRegistry:
                 pass
 
     def test_figure_strategies_view_is_live(self):
-        import repro.experiments
-        import repro.experiments.whole_network as whole_network
-
         @register_strategy
         class LateBar(Strategy):
             name = "test_late_bar"
@@ -117,11 +107,10 @@ class TestRegistry:
 
         try:
             # A strategy registered after import still gains a figure bar.
-            assert whole_network.FIGURE_STRATEGIES[-1] == "test_late_bar"
-            assert repro.experiments.FIGURE_STRATEGIES[-1] == "test_late_bar"
+            assert figure_strategy_names()[-1] == "test_late_bar"
         finally:
             del STRATEGIES["test_late_bar"]
-        assert "test_late_bar" not in whole_network.FIGURE_STRATEGIES
+        assert "test_late_bar" not in figure_strategy_names()
 
     def test_custom_strategy_registers_and_unregisters(self, session):
         @register_strategy
@@ -213,13 +202,16 @@ class TestSessionCache:
         assert pbqp.speedup_over(sum2d) > 1.0
         assert min(by_name.values(), key=lambda r: r.total_ms).strategy == "pbqp"
 
-    def test_plan_many_batches_over_combos(self, session):
+    def test_plans_over_combos_profile_each_key_once(self, session):
         requests = [
-            SelectionRequest("alexnet", "intel-haswell", "pbqp", 1),
-            SelectionRequest("alexnet", "intel-haswell", "local_optimal", 1),
-            ("alexnet", "arm-cortex-a57", "pbqp", 1),
+            ("intel-haswell", "pbqp"),
+            ("intel-haswell", "local_optimal"),
+            ("arm-cortex-a57", "pbqp"),
         ]
-        results = session.plan_many(requests)
+        results = [
+            session.plan("alexnet", platform, strategy=strategy, verify=False)
+            for platform, strategy in requests
+        ]
         assert [r.strategy for r in results] == ["pbqp", "local_optimal", "pbqp"]
         assert [r.network_plan.platform_name for r in results] == [
             "intel-haswell",

@@ -313,15 +313,12 @@ class TestBatchedSelection:
         loaded = session.plan_from_file(path, network=tiny_network)
         assert loaded.network_plan.batch == 8
 
-    def test_plan_many_groups_by_batch(self, tiny_network, intel):
+    def test_plans_group_by_batch(self, tiny_network, intel):
         session = Session()
-        plans = session.plan_many(
-            [
-                (tiny_network, intel, "pbqp", 1, 1),
-                (tiny_network, intel, "pbqp", 1, 4),
-                (tiny_network, intel, "sum2d", 1, 4),
-            ]
-        )
+        plans = [
+            session.plan(tiny_network, intel, strategy=strategy, batch=batch, verify=False)
+            for strategy, batch in [("pbqp", 1), ("pbqp", 4), ("sum2d", 4)]
+        ]
         assert [plan.network_plan.batch for plan in plans] == [1, 4, 4]
         # Two distinct contexts (batch 1 and batch 4), three selections.
         assert session.cache_info().contexts == 2

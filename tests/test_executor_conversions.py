@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.legalize import finalize_plan
-from repro.core.selector import SelectionContext
+from repro.api import Session
 from repro.graph.layer import ConvLayer, EltwiseAddLayer, InputLayer, ReLULayer
 from repro.graph.network import Network
 from repro.graph.scenario import ConvScenario
@@ -66,9 +66,7 @@ def build_probe_network() -> Network:
 def probe(library, dt_graph, intel):
     """(context, weights, input, reference output) shared by every case."""
     network = build_probe_network()
-    context = SelectionContext.create(
-        network, platform=intel, library=library, dt_graph=dt_graph
-    )
+    context = Session(library=library, dt_graph=dt_graph).context_for(network, intel)
     weights = WeightStore(network, seed=21)
     x = np.random.default_rng(8).standard_normal(PROBE_SCENARIO.input_shape)
     x = x.astype(np.float32)
@@ -159,9 +157,7 @@ def depthwise_probe(library, dt_graph, intel):
     from repro.layouts.layout import CHW
 
     network = build_depthwise_network(DEPTHWISE_SCENARIO)
-    context = SelectionContext.create(
-        network, platform=intel, library=library, dt_graph=dt_graph
-    )
+    context = Session(library=library, dt_graph=dt_graph).context_for(network, intel)
     weights = WeightStore(network, seed=17)
     x = np.random.default_rng(12).standard_normal(DEPTHWISE_SCENARIO.input_shape)
     x = x.astype(np.float32)
@@ -210,9 +206,7 @@ def test_strided_depthwise_matches_reference(primitive_name, library, dt_graph, 
     from repro.layouts.layout import CHW
 
     network = build_depthwise_network(STRIDED_DEPTHWISE_SCENARIO)
-    context = SelectionContext.create(
-        network, platform=intel, library=library, dt_graph=dt_graph
-    )
+    context = Session(library=library, dt_graph=dt_graph).context_for(network, intel)
     weights = WeightStore(network, seed=23)
     x = np.random.default_rng(13).standard_normal(
         STRIDED_DEPTHWISE_SCENARIO.input_shape
@@ -272,9 +266,7 @@ def residual_probe(library, dt_graph, intel):
     from repro.layouts.layout import CHW
 
     network = build_residual_network()
-    context = SelectionContext.create(
-        network, platform=intel, library=library, dt_graph=dt_graph
-    )
+    context = Session(library=library, dt_graph=dt_graph).context_for(network, intel)
     weights = WeightStore(network, seed=29)
     x = np.random.default_rng(14).standard_normal(PROBE_SCENARIO.input_shape)
     x = x.astype(np.float32)

@@ -25,7 +25,7 @@ from repro.analysis.plan_verifier import PlanVerificationError, verify_document
 from repro.api import Session
 from repro.core.legalize import finalize_plan
 from repro.core.plan import EdgeDecision, conversion_groups
-from repro.core.selector import PBQPSelector, SelectionContext
+from repro.core.selector import PBQPSelector
 from repro.cost.platform import PLATFORMS
 from repro.cost.serialize import plan_from_dict, plan_to_dict, save_plan
 from repro.graph.layer import ConcatLayer, ConvLayer, InputLayer
@@ -108,11 +108,8 @@ class TestPBQPMatchesBruteforce:
     def test_solver_equals_grouped_reference(
         self, consumers, mixed, small_library, small_dt, intel
     ):
-        context = SelectionContext.create(
-            fanout_network(consumers, mixed),
-            platform=intel,
-            library=small_library,
-            dt_graph=small_dt,
+        context = Session(library=small_library, dt_graph=small_dt).context_for(
+            fanout_network(consumers, mixed), intel
         )
         conv, wildcard, reference_cost = brute_force_network_select(context)
         plan = PBQPSelector().select(context)
@@ -127,11 +124,8 @@ class TestPBQPMatchesBruteforce:
 
     def test_shared_chain_priced_once_in_plan(self, small_library, small_dt, intel):
         """Force a fan-out conversion and check exactly one edge carries it."""
-        context = SelectionContext.create(
-            fanout_network(2, mixed=False),
-            platform=intel,
-            library=small_library,
-            dt_graph=small_dt,
+        context = Session(library=small_library, dt_graph=small_dt).context_for(
+            fanout_network(2, mixed=False), intel
         )
         layouts = {layout.name: layout for layout in context.dt_graph.layouts}
         # Producer emits CHW; both consumers demand CHWc8: one shared chain.
@@ -190,9 +184,7 @@ class TestCarrierFollowsExecutionOrder:
         order = [layer.name for layer in network.topological_order()]
         assert order.index("y") < order.index("x")
 
-        context = SelectionContext.create(
-            network, platform=intel, library=small_library, dt_graph=small_dt
-        )
+        context = Session(library=small_library, dt_graph=small_dt).context_for(network, intel)
         layouts = {layout.name: layout for layout in context.dt_graph.layouts}
         plan = finalize_plan(
             context,
@@ -275,9 +267,7 @@ class TestPlanMatchesTrace:
         self, consumers, mixed, small_library, small_dt, intel
     ):
         network = fanout_network(consumers, mixed)
-        context = SelectionContext.create(
-            network, platform=intel, library=small_library, dt_graph=small_dt
-        )
+        context = Session(library=small_library, dt_graph=small_dt).context_for(network, intel)
         plan = PBQPSelector().select(context)
         weights = WeightStore(network, seed=5)
         x = np.random.default_rng(3).standard_normal((4, 16, 16)).astype(np.float32)
@@ -310,11 +300,8 @@ class TestPlanMatchesTrace:
         self, small_library, small_dt, intel
     ):
         for consumers, mixed in [(2, False), (3, True)]:
-            context = SelectionContext.create(
-                fanout_network(consumers, mixed),
-                platform=intel,
-                library=small_library,
-                dt_graph=small_dt,
+            context = Session(library=small_library, dt_graph=small_dt).context_for(
+                fanout_network(consumers, mixed), intel
             )
             doc = plan_to_dict(PBQPSelector().select(context))
             report = verify_document(doc)
@@ -383,11 +370,8 @@ class TestLegacyRefused:
     @pytest.fixture()
     def legacy_doc(self, small_library, small_dt, intel):
         """A v1 rendering of a plan with a genuinely shared chain."""
-        context = SelectionContext.create(
-            fanout_network(2, mixed=False),
-            platform=intel,
-            library=small_library,
-            dt_graph=small_dt,
+        context = Session(library=small_library, dt_graph=small_dt).context_for(
+            fanout_network(2, mixed=False), intel
         )
         layouts = {layout.name: layout for layout in context.dt_graph.layouts}
         plan = finalize_plan(

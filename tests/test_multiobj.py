@@ -17,7 +17,7 @@ import pytest
 
 from repro.api import Session
 from repro.core.legalize import finalize_plan
-from repro.core.selector import PBQPSelector, SelectionContext
+from repro.core.selector import PBQPSelector
 from repro.graph.scenario import DTYPES
 from repro.models import MODEL_BUILDERS
 from repro.multiobj import frontier as frontier_module
@@ -34,7 +34,6 @@ from repro.multiobj.frontier import (
     workspace_levels,
 )
 from repro.multiobj.pareto import (
-    _nsga2_sort,
     _pareto_front,
     knee_index,
     lexicographic_index,
@@ -102,14 +101,6 @@ class TestParetoSorting:
         vectors = [CostVector(1.0, 1.0, 1.0), CostVector(1.0, 1.0, 1.0)]
         assert _pareto_front(vectors) == [0]
 
-    def test_nsga2_fronts_peel_successively(self):
-        vectors = [
-            CostVector(1.0, 10.0, 0.1),
-            CostVector(2.0, 20.0, 0.2),  # dominated by [0]
-            CostVector(3.0, 30.0, 0.3),  # dominated by [0] and [1]
-        ]
-        assert _nsga2_sort(vectors) == [[0], [1], [2]]
-
     def test_decision_helpers_are_seed_deterministic(self):
         # Two identical vectors: every tie-break must be a seeded draw.
         vectors = [CostVector(1.0, 1.0, 1.0), CostVector(1.0, 1.0, 1.0)]
@@ -139,9 +130,7 @@ class TestParetoSorting:
 class TestFrontier:
     @pytest.fixture(scope="class")
     def context(self, tiny_network_session, library, dt_graph, intel):
-        return SelectionContext.create(
-            tiny_network_session, platform=intel, library=library, dt_graph=dt_graph
-        )
+        return Session(library=library, dt_graph=dt_graph).context_for(tiny_network_session, intel)
 
     @pytest.fixture(scope="class")
     def frontier(self, context):

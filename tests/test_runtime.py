@@ -5,8 +5,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.core.baselines import local_optimal_plan, sum2d_plan
-from repro.core.selector import PBQPSelector, SelectionContext
+from repro.core.selector import PBQPSelector
 from repro.runtime import NetworkExecutor, WeightStore
 from repro.runtime import reference_ops as ops
 from repro.runtime.codegen import generate_schedule, render_schedule
@@ -122,9 +123,7 @@ class TestWeightStore:
 class TestExecutor:
     @pytest.fixture(scope="class")
     def context(self, tiny_network_session, library, dt_graph, intel):
-        return SelectionContext.create(
-            tiny_network_session, platform=intel, library=library, dt_graph=dt_graph
-        )
+        return Session(library=library, dt_graph=dt_graph).context_for(tiny_network_session, intel)
 
     def test_pbqp_plan_computes_same_function_as_sum2d(self, context):
         network = context.network
@@ -235,14 +234,10 @@ class TestExecutorDAG:
 
     @pytest.fixture(scope="class")
     def context(self, tiny_network_session, library, dt_graph, intel):
-        return SelectionContext.create(
-            tiny_network_session, platform=intel, library=library, dt_graph=dt_graph
-        )
+        return Session(library=library, dt_graph=dt_graph).context_for(tiny_network_session, intel)
 
     def _context(self, network, library, dt_graph, intel):
-        return SelectionContext.create(
-            network, platform=intel, library=library, dt_graph=dt_graph
-        )
+        return Session(library=library, dt_graph=dt_graph).context_for(network, intel)
 
     def test_multi_output_network_returns_every_output(self, library, dt_graph, intel):
         from repro.core.legalize import finalize_plan, fixed_layouts
@@ -366,9 +361,7 @@ class TestExecutorDAG:
 class TestCodegen:
     @pytest.fixture(scope="class")
     def context(self, tiny_network_session, library, dt_graph, intel):
-        return SelectionContext.create(
-            tiny_network_session, platform=intel, library=library, dt_graph=dt_graph
-        )
+        return Session(library=library, dt_graph=dt_graph).context_for(tiny_network_session, intel)
 
     def test_schedule_contains_every_layer(self, context):
         plan = PBQPSelector().select(context)

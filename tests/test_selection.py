@@ -9,6 +9,7 @@ import operator
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.core.baselines import (
     family_greedy_plan,
     greedy_ignore_dt_plan,
@@ -17,9 +18,10 @@ from repro.core.baselines import (
 )
 from repro.core.frameworks import armcl_like_plan, caffe_like_plan, mkldnn_like_plan
 from repro.core.legalize import finalize_plan, fixed_layouts, follow_producer_layouts
-from repro.core.selector import PBQPSelector, SelectionContext, select_primitives
+from repro.core.selector import PBQPSelector
 from repro.cost.analytical import AnalyticalCostModel
 from repro.cost.platform import PLATFORMS
+from repro.cost.provider import CostModelProvider
 from repro.graph.layer import LayerKind
 from repro.layouts.layout import CHW
 from repro.models import MODEL_BUILDERS, build_model
@@ -36,41 +38,35 @@ from repro.primitives.base import PrimitiveFamily
 
 @pytest.fixture(scope="module")
 def intel_context(tiny_network_session, library, dt_graph, intel):
-    return SelectionContext.create(
-        tiny_network_session, platform=intel, library=library, dt_graph=dt_graph, threads=1
-    )
+    return Session(library=library, dt_graph=dt_graph).context_for(tiny_network_session, intel)
 
 
 @pytest.fixture(scope="module")
 def arm_context(tiny_network_session, library, dt_graph, arm):
-    return SelectionContext.create(
-        tiny_network_session, platform=arm, library=library, dt_graph=dt_graph, threads=1
-    )
+    return Session(library=library, dt_graph=dt_graph).context_for(tiny_network_session, arm)
 
 
 class TestSelectionContext:
     def test_requires_platform_or_cost_model(self, tiny_network):
-        with pytest.raises(ValueError):
-            SelectionContext.create(tiny_network)
+        with pytest.raises(ValueError, match="requires a platform"):
+            Session().context_for(tiny_network, None)
 
     def test_defaults_built(self, tiny_network, intel):
-        context = SelectionContext.create(tiny_network, platform=intel)
+        context = Session().context_for(tiny_network, intel)
         assert len(context.library) > 70
         assert context.tables.layers()
         assert context.platform_vector_width == 8
 
     def test_explicit_cost_model_wins(self, tiny_network, intel, arm):
-        context = SelectionContext.create(
-            tiny_network, platform=arm, cost_model=AnalyticalCostModel(intel)
-        )
-        expected = SelectionContext.create(tiny_network, platform=intel)
+        provider = CostModelProvider(AnalyticalCostModel(intel))
+        context = Session(provider=provider).context_for(tiny_network, arm)
+        expected = Session().context_for(tiny_network, intel)
         assert context.tables.node_costs == expected.tables.node_costs
         assert context.tables.dt_costs == expected.tables.dt_costs
 
     def test_single_thread_tables_cached(self, tiny_network, intel, library, dt_graph):
-        context = SelectionContext.create(
-            tiny_network, platform=intel, library=library, dt_graph=dt_graph, threads=4
-        )
+        session = Session(library=library, dt_graph=dt_graph)
+        context = session.context_for(tiny_network, intel, threads=4)
         first = context.tables_single_thread
         assert first is context.tables_single_thread
         assert first is not context.tables
@@ -78,12 +74,10 @@ class TestSelectionContext:
     def test_single_thread_tables_equal_a_one_thread_context(
         self, tiny_network, intel, library, dt_graph
     ):
-        multi = SelectionContext.create(
-            tiny_network, platform=intel, library=library, dt_graph=dt_graph, threads=4
+        multi = Session(library=library, dt_graph=dt_graph).context_for(
+            tiny_network, intel, threads=4
         )
-        single = SelectionContext.create(
-            tiny_network, platform=intel, library=library, dt_graph=dt_graph, threads=1
-        )
+        single = Session(library=library, dt_graph=dt_graph).context_for(tiny_network, intel)
         assert multi.tables_single_thread.threads == 1
         assert multi.tables_single_thread.node_costs == single.tables.node_costs
         assert multi.tables.node_costs != single.tables.node_costs
@@ -233,7 +227,7 @@ def _assert_same_encoding(context):
 
 
 def _zoo_context(model, platform, dtype="fp32"):
-    return SelectionContext.create(build_model(model), platform=PLATFORMS[platform], dtype=dtype)
+    return Session().context_for(build_model(model), PLATFORMS[platform], dtype=dtype)
 
 
 PAPER_PLATFORMS = ("intel-haswell", "arm-cortex-a57")
@@ -250,11 +244,11 @@ class TestEncoderBitIdentity:
     @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
     def test_zoo_every_dtype(self, model, platform):
         network = build_model(model)
+        session = Session()
         for dtype in ("fp32", "fp16", "int8"):
-            context = SelectionContext.create(
-                network, platform=PLATFORMS[platform], dtype=dtype
+            _assert_same_encoding(
+                session.context_for(network, PLATFORMS[platform], dtype=dtype)
             )
-            _assert_same_encoding(context)
 
     @pytest.mark.parametrize("platform", PAPER_PLATFORMS)
     @pytest.mark.parametrize("model", ["googlenet", "resnet18", "mobilenet_v2"])
@@ -349,11 +343,6 @@ class TestPBQPSelection:
     def test_pbqp_cost_matches_plan_cost(self, intel_context):
         plan = PBQPSelector().select(intel_context)
         assert plan.total_cost == pytest.approx(plan.metadata["pbqp_cost"], rel=1e-9)
-
-    def test_select_primitives_convenience(self, tiny_network, intel):
-        plan = select_primitives(tiny_network, platform=intel)
-        assert plan.strategy == "pbqp"
-        assert plan.total_cost > 0
 
     def test_platform_specific_vector_factor(self, intel_context, arm_context):
         intel_plan = PBQPSelector().select(intel_context)
@@ -468,12 +457,9 @@ class TestFrameworkEmulations:
     def test_framework_mt_scaling_is_poorer_than_pbqp(
         self, tiny_network_session, library, dt_graph, intel
     ):
-        single = SelectionContext.create(
-            tiny_network_session, platform=intel, library=library, dt_graph=dt_graph, threads=1
-        )
-        multi = SelectionContext.create(
-            tiny_network_session, platform=intel, library=library, dt_graph=dt_graph, threads=4
-        )
+        session = Session(library=library, dt_graph=dt_graph)
+        single = session.context_for(tiny_network_session, intel)
+        multi = session.context_for(tiny_network_session, intel, threads=4)
         pbqp_scaling = (
             PBQPSelector().select(single).total_cost / PBQPSelector().select(multi).total_cost
         )

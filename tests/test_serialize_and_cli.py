@@ -1,13 +1,15 @@
 """Tests for cost-table / plan serialization and the command-line interface."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.cli import build_parser, main
 from repro.core.baselines import sum2d_plan
-from repro.core.selector import PBQPSelector, SelectionContext
+from repro.core.selector import PBQPSelector
 from repro.cost.serialize import (
     cost_tables_from_dict,
     load_cost_tables,
@@ -22,9 +24,7 @@ from repro.runtime import NetworkExecutor, WeightStore
 
 @pytest.fixture(scope="module")
 def context(tiny_network_session, library, dt_graph, intel):
-    return SelectionContext.create(
-        tiny_network_session, platform=intel, library=library, dt_graph=dt_graph, threads=1
-    )
+    return Session(library=library, dt_graph=dt_graph).context_for(tiny_network_session, intel)
 
 
 class TestCostTableSerialization:
@@ -87,15 +87,7 @@ class TestCostTableSerialization:
         path = tmp_path / "tables.json"
         save_cost_tables(context.tables, path)
         loaded_tables = load_cost_tables(path, dt_graph)
-        shipped_context = SelectionContext(
-            network=context.network,
-            library=context.library,
-            dt_graph=context.dt_graph,
-            platform_name=context.platform_name,
-            threads=context.threads,
-            tables=loaded_tables,
-            platform=context.platform,
-        )
+        shipped_context = dataclasses.replace(context, tables=loaded_tables)
         original = PBQPSelector().select(context)
         shipped = PBQPSelector().select(shipped_context)
         assert shipped.conv_selections() == original.conv_selections()

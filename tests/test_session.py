@@ -51,9 +51,9 @@ class TestPlanExecute:
         assert plan.total_ms == plan.network_plan.total_ms
         assert plan.input_shape() == (3, 32, 32)
 
-    def test_plan_fingerprints_a_hand_built_network_once(
-        self, session, tiny_network, monkeypatch
-    ):
+    @pytest.fixture
+    def fingerprint_calls(self, monkeypatch):
+        """The networks ``repro.api.network_fingerprint`` hashes, by name."""
         import repro.api
 
         calls = []
@@ -64,8 +64,60 @@ class TestPlanExecute:
             return original(network)
 
         monkeypatch.setattr(repro.api, "network_fingerprint", counting)
+        return calls
+
+    def test_plan_fingerprints_a_hand_built_network_once(
+        self, session, tiny_network, fingerprint_calls
+    ):
         session.plan(tiny_network, "intel-haswell")
-        assert calls == [tiny_network.name]
+        assert fingerprint_calls == [tiny_network.name]
+
+    def test_compare_fingerprints_a_hand_built_network_once(
+        self, session, tiny_network, fingerprint_calls
+    ):
+        report = session.compare(tiny_network, "intel-haswell")
+        assert len(report.results) > 1
+        assert fingerprint_calls == [tiny_network.name]
+
+    def test_plan_frontier_fingerprints_a_hand_built_network_once(
+        self, session, tiny_network, fingerprint_calls
+    ):
+        frontier = session.plan_frontier(tiny_network, "intel-haswell")
+        assert frontier.points
+        assert fingerprint_calls == [tiny_network.name]
+
+    def test_run_fingerprints_a_hand_built_network_once(
+        self, session, tiny_network, fingerprint_calls
+    ):
+        report = session.run(tiny_network, "intel-haswell")
+        assert report.layers
+        assert fingerprint_calls == [tiny_network.name]
+
+    def test_baseline_fingerprints_a_hand_built_network_once(
+        self, session, tiny_network, fingerprint_calls
+    ):
+        baseline = session.baseline(tiny_network, "intel-haswell")
+        assert baseline.strategy == "sum2d"
+        assert fingerprint_calls == [tiny_network.name]
+
+    def test_plan_from_file_fingerprints_a_hand_built_network_once(
+        self, session, tiny_network, tmp_path, fingerprint_calls
+    ):
+        path = tmp_path / "plan.json"
+        session.plan(tiny_network, "intel-haswell").save(path)
+        fingerprint_calls.clear()
+        session.plan_from_file(path, network=tiny_network)
+        assert fingerprint_calls == [tiny_network.name]
+
+    def test_plan_from_file_model_is_the_session_fingerprint(
+        self, session, tiny_network, tmp_path
+    ):
+        plan = session.plan(tiny_network, "intel-haswell")
+        path = tmp_path / "plan.json"
+        plan.save(path)
+        loaded = session.plan_from_file(path, network=tiny_network)
+        assert loaded.model == plan.model
+        assert loaded.execute().model == plan.execute().model
 
     def test_model_is_the_session_fingerprint(self, session, tiny_network):
         from repro.api import network_fingerprint
@@ -247,56 +299,6 @@ class TestCompare:
         assert "pbqp" in text
 
 
-class TestPlanManyParallel:
-    def test_groups_by_context_and_profiles_each_once(self, session, counting_builds):
-        requests = [
-            ("alexnet", "intel-haswell", "pbqp", 1),
-            ("alexnet", "intel-haswell", "local_optimal", 1),
-            ("alexnet", "arm-cortex-a57", "pbqp", 1),
-            ("alexnet", "intel-haswell", "sum2d", 1),
-        ]
-        results = session.plan_many(requests)
-        assert [r.strategy for r in results] == ["pbqp", "local_optimal", "pbqp", "sum2d"]
-        # Two distinct contexts, each profiled exactly once (on the pool).
-        assert len(counting_builds) == 2
-        info = session.cache_info()
-        assert info.misses == 2 and info.contexts == 2
-        # Every selection then hit the warm cache.
-        assert all(r.from_cache for r in results)
-
-    def test_single_context_stays_sequential(self, session, counting_builds):
-        results = session.plan_many(
-            [("alexnet", "intel-haswell", "pbqp", 1)], max_workers=4
-        )
-        assert len(results) == 1 and len(counting_builds) == 1
-
-    def test_max_workers_one_forces_sequential(self, session, counting_builds):
-        session.plan_many(
-            [
-                ("alexnet", "intel-haswell", "pbqp", 1),
-                ("alexnet", "arm-cortex-a57", "pbqp", 1),
-            ],
-            max_workers=1,
-        )
-        assert len(counting_builds) == 2
-        assert session.cache_info().misses == 2
-
-    def test_results_match_sequential_plans(self, library, dt_graph):
-        requests = [
-            ("alexnet", "intel-haswell", "pbqp", 1),
-            ("alexnet", "arm-cortex-a57", "pbqp", 1),
-        ]
-        parallel = Session(library=library, dt_graph=dt_graph).plan_many(requests)
-        single = Session(library=library, dt_graph=dt_graph)
-        sequential = [
-            single.plan(model, platform, strategy=strategy, threads=threads, verify=False)
-            for model, platform, strategy, threads in requests
-        ]
-        for p, s in zip(parallel, sequential):
-            assert p.network_plan.conv_selections() == s.network_plan.conv_selections()
-            assert p.total_ms == pytest.approx(s.total_ms)
-
-
 class TestProviders:
     def test_analytical_is_the_default(self, session):
         assert isinstance(session.provider, AnalyticalCostProvider)
@@ -462,7 +464,7 @@ class TestCostStore:
         """Regression: per-call unique temp names for the write-then-rename.
 
         A pid-suffixed temp name is shared by every thread of one process, so
-        two ``plan_many`` workers producing the same key used to interleave
+        two threads producing the same key used to interleave
         on one temp file and rename a torn JSON document.  Each writer must
         use its own temp file; afterwards the entry must parse and be served.
         """
@@ -756,22 +758,16 @@ class TestSharedWeights:
         session.clear_cache()
         assert session.cache_info().weight_stores == 0
 
-    def test_hand_built_plan_keeps_one_store(self, session, tiny_network):
+    def test_a_plan_needs_a_weight_source(self, session, tiny_network):
         planned = session.plan(tiny_network, "intel-haswell")
-        plan = Plan(
-            planned.network_plan,
-            planned.model,
-            tiny_network,
-            planned.library,
-            planned.dt_graph,
-        )
-        store = plan.executor(seed=4).weights
-        assert plan.executor(seed=4).weights is store
-        assert store is not planned.executor(seed=4).weights
-        assert plan.executor(seed=5).weights.seed == 5
-        np.testing.assert_array_equal(
-            plan.execute(seed=4).primary_output, planned.execute(seed=4).primary_output
-        )
+        with pytest.raises(TypeError, match="weight_source"):
+            Plan(
+                planned.network_plan,
+                planned.model,
+                tiny_network,
+                planned.library,
+                planned.dt_graph,
+            )
 
     def test_concurrent_executes_share_one_store(self, library, dt_graph, weight_misses):
         """Threads executing different plans of one network race the first

@@ -24,7 +24,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.selector import PBQPSelector, SelectionContext
+from repro.api import Session
+from repro.core.selector import PBQPSelector
 from repro.core.strategies import applicable_strategies, get_strategy
 from repro.graph.scenario import ConvScenario
 from repro.primitives.base import PrimitiveFamily
@@ -146,9 +147,7 @@ class TestPlanWorkspaceAccounting:
 
     @pytest.fixture(scope="class")
     def context(self, tiny_network_session, library, dt_graph, intel):
-        return SelectionContext.create(
-            tiny_network_session, platform=intel, library=library, dt_graph=dt_graph
-        )
+        return Session(library=library, dt_graph=dt_graph).context_for(tiny_network_session, intel)
 
     def test_peak_is_max_over_layer_decisions(self, context):
         plan = PBQPSelector().select(context)

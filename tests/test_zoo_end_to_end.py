@@ -12,7 +12,7 @@ depthwise stride cases included) to keep the reference execution cheap.
 import numpy as np
 import pytest
 
-from repro.api import Session, SelectionRequest
+from repro.api import Session
 from repro.cli import main
 from repro.models import (
     build_mobilenet_v1,
@@ -76,15 +76,15 @@ class TestPBQPDominates:
         ) > 1.0
 
 
-class TestSelectMany:
-    def test_batches_over_the_extended_zoo(self, session):
+class TestExtendedZooPlans:
+    def test_plans_over_the_extended_zoo(self, session):
         requests = [
-            SelectionRequest("resnet18", "intel-haswell"),
-            SelectionRequest("mobilenet_v1", "intel-haswell"),
-            SelectionRequest("resnet18", "arm-cortex-a57"),
-            SelectionRequest("mobilenet_v1", "arm-cortex-a57"),
+            ("resnet18", "intel-haswell"),
+            ("mobilenet_v1", "intel-haswell"),
+            ("resnet18", "arm-cortex-a57"),
+            ("mobilenet_v1", "arm-cortex-a57"),
         ]
-        results = session.plan_many(requests)
+        results = [session.plan(model, platform, verify=False) for model, platform in requests]
         assert [r.model for r in results] == [
             "resnet18",
             "mobilenet_v1",
