@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper (see the
-per-experiment index in DESIGN.md) and prints the reproduced rows so that
+Every benchmark regenerates one table or figure of the paper (README
+"Tests and benchmarks") and prints the reproduced rows so that
 ``pytest benchmarks/ --benchmark-only -s`` doubles as the reproduction report.
 
 Setting ``REPRO_BENCH_SMOKE=1`` runs the suite in *smoke mode*: scenario

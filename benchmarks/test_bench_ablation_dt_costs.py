@@ -1,4 +1,4 @@
-"""E10 — Ablations of the design choices DESIGN.md calls out.
+"""E10 — Ablations of two design choices of the selection pipeline.
 
 Two ablations:
 
@@ -21,16 +21,16 @@ SCALES = (0.0, 0.5, 1.0, 2.0, 4.0)
 
 
 @pytest.fixture(scope="module")
-def ablation_points(library, intel):
+def ablation_points(intel):
     return dt_cost_ablation(
-        model_name="googlenet", platform=intel, scales=SCALES, library=library
+        model_name="googlenet", platform=intel, scales=SCALES
     )
 
 
-def test_dt_cost_ablation(benchmark, library, intel, ablation_points):
+def test_dt_cost_ablation(benchmark, intel, ablation_points):
     benchmark.pedantic(
         lambda: dt_cost_ablation(
-            model_name="alexnet", platform=intel, scales=(1.0,), library=library
+            model_name="alexnet", platform=intel, scales=(1.0,)
         ),
         rounds=1,
         iterations=1,
@@ -54,9 +54,9 @@ def test_dt_cost_ablation(benchmark, library, intel, ablation_points):
     )
 
 
-def test_solver_mode_ablation(benchmark, library, intel):
+def test_solver_mode_ablation(benchmark, intel):
     results = benchmark.pedantic(
-        lambda: solver_mode_ablation(networks=["alexnet", "googlenet"], platform=intel, library=library),
+        lambda: solver_mode_ablation(networks=["alexnet", "googlenet"], platform=intel),
         rounds=1,
         iterations=1,
     )

@@ -10,9 +10,9 @@ from benchmarks.conftest import emit
 from repro.experiments.selections import alexnet_selection_comparison
 
 
-def test_figure4_alexnet_selections(benchmark, library):
+def test_figure4_alexnet_selections(benchmark):
     comparison = benchmark.pedantic(
-        lambda: alexnet_selection_comparison(threads=4, library=library), rounds=1, iterations=1
+        lambda: alexnet_selection_comparison(threads=4), rounds=1, iterations=1
     )
     emit(comparison.format())
 

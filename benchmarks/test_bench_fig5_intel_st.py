@@ -21,15 +21,15 @@ NETWORKS = smoke_networks(FIGURE_NETWORKS["intel-haswell"])
 
 
 @pytest.fixture(scope="module")
-def figure5_results(library, intel):
+def figure5_results(intel):
     return [
-        run_whole_network(name, intel, threads=1, library=library) for name in NETWORKS
+        run_whole_network(name, intel, threads=1) for name in NETWORKS
     ]
 
 
-def test_figure5_single_threaded_intel(benchmark, library, intel, figure5_results):
+def test_figure5_single_threaded_intel(benchmark, intel, figure5_results):
     benchmark.pedantic(
-        lambda: run_whole_network("alexnet", intel, threads=1, library=library),
+        lambda: run_whole_network("alexnet", intel, threads=1),
         rounds=1,
         iterations=1,
     )

@@ -22,15 +22,15 @@ NETWORKS = smoke_networks(FIGURE_NETWORKS["intel-haswell"])
 
 
 @pytest.fixture(scope="module")
-def figure6_results(library, intel):
+def figure6_results(intel):
     return [
-        run_whole_network(name, intel, threads=4, library=library) for name in NETWORKS
+        run_whole_network(name, intel, threads=4) for name in NETWORKS
     ]
 
 
-def test_figure6_multithreaded_intel(benchmark, library, intel, figure6_results):
+def test_figure6_multithreaded_intel(benchmark, intel, figure6_results):
     benchmark.pedantic(
-        lambda: run_whole_network("alexnet", intel, threads=4, library=library),
+        lambda: run_whole_network("alexnet", intel, threads=4),
         rounds=1,
         iterations=1,
     )
@@ -55,10 +55,8 @@ def test_figure6_pbqp_outperforms_vendor_library(figure6_results):
 def test_figure6_multithreading_amplifies_pbqp(figure5_speedup_factor=2.0):
     """PBQP's multithreaded bars are well above its single-threaded bars."""
     from repro.cost.platform import PLATFORMS
-    from repro.primitives.registry import default_primitive_library
 
-    library = default_primitive_library()
     intel = PLATFORMS["intel-haswell"]
-    single = run_whole_network("alexnet", intel, threads=1, library=library)
-    multi = run_whole_network("alexnet", intel, threads=4, library=library)
+    single = run_whole_network("alexnet", intel, threads=1)
+    multi = run_whole_network("alexnet", intel, threads=4)
     assert multi.speedup("pbqp") > figure5_speedup_factor * single.speedup("pbqp") / 1.5

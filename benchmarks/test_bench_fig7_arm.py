@@ -23,18 +23,18 @@ NETWORKS = smoke_networks(FIGURE_NETWORKS["arm-cortex-a57"])
 
 
 @pytest.fixture(scope="module")
-def figure7a_results(library, arm):
-    return [run_whole_network(name, arm, threads=1, library=library) for name in NETWORKS]
+def figure7a_results(arm):
+    return [run_whole_network(name, arm, threads=1) for name in NETWORKS]
 
 
 @pytest.fixture(scope="module")
-def figure7b_results(library, arm):
-    return [run_whole_network(name, arm, threads=4, library=library) for name in NETWORKS]
+def figure7b_results(arm):
+    return [run_whole_network(name, arm, threads=4) for name in NETWORKS]
 
 
-def test_figure7a_single_threaded_arm(benchmark, library, arm, figure7a_results):
+def test_figure7a_single_threaded_arm(benchmark, arm, figure7a_results):
     benchmark.pedantic(
-        lambda: run_whole_network("alexnet", arm, threads=1, library=library),
+        lambda: run_whole_network("alexnet", arm, threads=1),
         rounds=1,
         iterations=1,
     )
@@ -63,9 +63,9 @@ def test_figure7a_googlenet_shows_legalization_cost(figure7a_results):
     assert speedups["direct"] < speedups["local_optimal"]
 
 
-def test_figure7b_multithreaded_arm(benchmark, library, arm, figure7b_results):
+def test_figure7b_multithreaded_arm(benchmark, arm, figure7b_results):
     benchmark.pedantic(
-        lambda: run_whole_network("googlenet", arm, threads=4, library=library),
+        lambda: run_whole_network("googlenet", arm, threads=4),
         rounds=1,
         iterations=1,
     )

@@ -19,13 +19,13 @@ NETWORKS = smoke_networks(["alexnet", "vgg-b", "vgg-c", "vgg-e", "googlenet"],
 
 
 @pytest.fixture(scope="module")
-def overhead_entries(library, intel):
-    return solver_overhead_report(networks=NETWORKS, platform=intel, library=library)
+def overhead_entries(intel):
+    return solver_overhead_report(networks=NETWORKS, platform=intel)
 
 
-def test_solver_overhead_under_one_second(benchmark, library, intel, overhead_entries):
+def test_solver_overhead_under_one_second(benchmark, intel, overhead_entries):
     benchmark.pedantic(
-        lambda: solver_overhead_report(networks=["googlenet"], platform=intel, library=library),
+        lambda: solver_overhead_report(networks=["googlenet"], platform=intel),
         rounds=1,
         iterations=1,
     )

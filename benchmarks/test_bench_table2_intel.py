@@ -13,13 +13,13 @@ from repro.experiments.tables import format_absolute_table, run_absolute_time_ta
 
 
 @pytest.fixture(scope="module")
-def table2_rows(library, intel):
-    return run_absolute_time_table(intel, library=library)
+def table2_rows(intel):
+    return run_absolute_time_table(intel)
 
 
-def test_table2_absolute_times_intel(benchmark, library, intel, table2_rows):
+def test_table2_absolute_times_intel(benchmark, intel, table2_rows):
     benchmark.pedantic(
-        lambda: run_absolute_time_table(intel, networks=["alexnet"], thread_counts=(1,), library=library),
+        lambda: run_absolute_time_table(intel, networks=["alexnet"], thread_counts=(1,)),
         rounds=1,
         iterations=1,
     )

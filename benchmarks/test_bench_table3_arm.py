@@ -12,13 +12,13 @@ from repro.experiments.tables import format_absolute_table, run_absolute_time_ta
 
 
 @pytest.fixture(scope="module")
-def table3_rows(library, arm):
-    return run_absolute_time_table(arm, library=library)
+def table3_rows(arm):
+    return run_absolute_time_table(arm)
 
 
-def test_table3_absolute_times_arm(benchmark, library, arm, table3_rows):
+def test_table3_absolute_times_arm(benchmark, arm, table3_rows):
     benchmark.pedantic(
-        lambda: run_absolute_time_table(arm, networks=["alexnet"], thread_counts=(1,), library=library),
+        lambda: run_absolute_time_table(arm, networks=["alexnet"], thread_counts=(1,)),
         rounds=1,
         iterations=1,
     )
@@ -41,10 +41,10 @@ def test_table3_caffe_slower_than_baseline_for_googlenet(table3_rows):
     assert 0.7 < ratio < 1.6
 
 
-def test_table3_arm_slower_than_intel(table3_rows, library, intel):
+def test_table3_arm_slower_than_intel(table3_rows, intel):
     """The embedded platform is several times slower than the desktop part."""
     intel_rows = run_absolute_time_table(
-        intel, networks=["alexnet"], thread_counts=(1,), library=library
+        intel, networks=["alexnet"], thread_counts=(1,)
     )
     arm_alexnet = next(r for r in table3_rows if r.network == "alexnet" and r.mode == "S")
     intel_alexnet = intel_rows[0]

@@ -4,7 +4,8 @@ The package is organised by subsystem:
 
 * :mod:`repro.layouts` — data layouts, layout tensors and the DT graph;
 * :mod:`repro.graph` — the DNN graph IR (layers, scenarios, networks);
-* :mod:`repro.models` — AlexNet, VGG and GoogLeNet builders;
+* :mod:`repro.models` — the model zoo: AlexNet, VGG-A..E, GoogLeNet, ResNet
+  and MobileNet builders;
 * :mod:`repro.primitives` — the library of >70 convolution primitives;
 * :mod:`repro.pbqp` — the PBQP solver;
 * :mod:`repro.cost` — platform models, cost providers and the persistent
@@ -27,7 +28,7 @@ Quickstart (see README.md for the full walkthrough)
 The session owns the full pipeline: cost tables come from a pluggable
 :class:`~repro.cost.provider.CostProvider` (analytical platform model, host
 profiler, or a persistent disk-backed :class:`~repro.cost.store.CostStore`),
-strategies resolve through the registry in :mod:`repro.core.strategies`, and
+strategies resolve through the table in :mod:`repro.core.strategies`, and
 :meth:`~repro.api.Session.run` executes the selected plan with per-layer
 timing.  Every selection context and plan is built by a session.
 """
@@ -57,7 +58,6 @@ __all__ = [
     "CostStore",
     "STRATEGIES",
     "Strategy",
-    "register_strategy",
     "PLATFORMS",
     "default_primitive_library",
     "PlannerApp",
@@ -91,7 +91,7 @@ def __getattr__(name):
         import repro.cost
 
         return getattr(repro.cost, name)
-    if name in ("STRATEGIES", "Strategy", "register_strategy", "get_strategy"):
+    if name in ("STRATEGIES", "Strategy", "get_strategy"):
         import repro.core.strategies
 
         return getattr(repro.core.strategies, name)

@@ -1,8 +1,7 @@
 """Structured findings, reports, and the analysis-pass registry.
 
-The static-analysis layer mirrors the project's other open registries
-(:func:`repro.core.strategies.register_strategy`,
-:func:`repro.service.handlers.register_endpoint`): every verifier or lint
+The static-analysis layer mirrors the service's open registry
+(:func:`repro.service.handlers.register_endpoint`): every verifier or lint
 check is a plain function published through :func:`register_pass`, and the
 drivers (:mod:`repro.analysis.plan_verifier`, :mod:`repro.analysis.lint`,
 ``repro check`` / ``repro lint``) iterate the registry rather than a
@@ -155,7 +154,7 @@ class AnalysisPass:
 #: Signature of a pass body: one context object in, findings out.
 PassFn = Callable[..., Iterable[Finding]]
 
-#: The pass registry, in registration order (like ``STRATEGIES``/``ENDPOINTS``).
+#: The pass registry, in registration order (like ``ENDPOINTS``).
 PASSES: Dict[str, AnalysisPass] = {}
 
 

@@ -4,7 +4,7 @@ The paper's workflow is "profile once, select many": the cost tables for one
 (network, platform, thread-count) are produced ahead of time and then drive
 any number of selection queries.  :class:`Session` owns that whole pipeline —
 cost production (through a pluggable :class:`~repro.cost.provider.CostProvider`),
-selection (through the :data:`~repro.core.strategies.STRATEGIES` registry),
+selection (through the :data:`~repro.core.strategies.STRATEGIES` table),
 and execution (through :class:`~repro.runtime.executor.NetworkExecutor`):
 
 >>> from repro.api import Session
@@ -538,7 +538,7 @@ class Session:
     """Facade over the full pipeline: costs -> selection -> execution.
 
     The session owns one primitive library and one DT graph (shared by every
-    query), resolves strategies through the registry, and produces cost
+    query), resolves strategies through the strategy table, and produces cost
     tables through a pluggable :class:`~repro.cost.provider.CostProvider`.
     Profiled contexts are memoized in-process keyed by ``(network
     fingerprint, platform, threads, batch, dtype)`` — the platform by its
@@ -601,12 +601,15 @@ class Session:
     ) -> Tuple[Optional[Platform], str]:
         """Resolve a platform argument into (Platform or None, platform name).
 
-        ``None`` is allowed for providers that do not price a modelled
-        platform (e.g. the host profiler); the provider's name then labels
-        the context.
+        ``None`` stands for the provider's own platform: a provider built on
+        one platform's cost model prices (and gates) that platform, so it
+        labels and keys the context.  A provider with no platform (e.g. the
+        host profiler) labels the context with its name.
         """
         if platform is None:
-            return None, self.provider.name
+            platform = getattr(self.provider, "platform", None)
+            if platform is None:
+                return None, self.provider.name
         if isinstance(platform, Platform):
             return platform, platform.name
         resolved = get_platform(platform)
@@ -787,7 +790,7 @@ class Session:
         Raises
         ------
         ValueError
-            If the strategy's :meth:`~repro.core.strategies.Strategy.applies_to`
+            If the strategy's :attr:`~repro.core.strategies.Strategy.applies_to`
             gate rejects the context's platform (e.g. ``mkldnn`` on ARM).
         """
         return self._plan_query(

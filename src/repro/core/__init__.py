@@ -13,7 +13,8 @@ It also implements every comparison strategy of the evaluation section:
   the layout-conversion bill afterwards;
 * the "Local Optimal (CHW)" canonical-layout strategy;
 * emulations of the vendor frameworks the paper compares against (Caffe,
-  MKL-DNN, ARM Compute Library);
+  MKL-DNN, ARM Compute Library) and a cuDNN-style emulation for SIMT
+  platforms;
 * a "greedy ignoring DT costs" ablation strategy.
 """
 
@@ -32,7 +33,6 @@ from repro.core.strategies import (
     applicable_strategies,
     figure_strategy_names,
     get_strategy,
-    register_strategy,
     registered_names,
 )
 
@@ -44,7 +44,6 @@ __all__ = [
     "SelectionContext",
     "STRATEGIES",
     "Strategy",
-    "register_strategy",
     "get_strategy",
     "registered_names",
     "figure_strategy_names",

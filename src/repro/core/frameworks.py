@@ -1,4 +1,4 @@
-"""Emulated vendor-framework comparators (Caffe, MKL-DNN, ARM Compute Library).
+"""Emulated vendor-framework comparators (Caffe, MKL-DNN, ARM Compute Library, cuDNN).
 
 The paper compares its PBQP-selected networks against BVLC Caffe (with
 OpenBLAS) on both platforms, Intel MKL-DNN on the desktop platform, and the
@@ -6,8 +6,7 @@ ARM Compute Library on the embedded platform.  Those closed/pre-built
 frameworks cannot be run inside this reproduction, so each is **modelled as a
 fixed selection policy over the same analytical platform model**, with a small
 number of calibration constants capturing the framework-level behaviour the
-paper's measurements exhibit (see DESIGN.md, "Substitutions", and
-EXPERIMENTS.md for the calibration notes):
+paper's measurements exhibit (Tables 2 and 3, Figures 5-7):
 
 * **Caffe** lowers every convolution to im2col + a canonical-layout GEMM and
   pays a per-layer framework overhead (buffer allocation, thread-pool spinup)
@@ -19,6 +18,8 @@ EXPERIMENTS.md for the calibration notes):
   worse than the PBQP-selected code under multithreading (Figure 6).
 * **ARM Compute Library** uses NEON GEMM-based convolution of good quality
   with moderate per-layer overhead.
+* **cuDNN** (post-paper, for SIMT platforms) picks per layer among GEMM,
+  Winograd and FFT algorithms, blind to layout-conversion edges.
 
 These comparators deliberately do not use the PBQP machinery: each applies
 one uniform lowering to every layer, exactly like the real frameworks.

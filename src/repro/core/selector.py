@@ -139,7 +139,7 @@ class SelectionContext:
     def platform_features(self) -> frozenset:
         """Capability set of the target platform (empty when platform-less).
 
-        Strategy gating (:meth:`repro.core.strategies.Strategy.applies_to`)
+        Strategy gating (:attr:`repro.core.strategies.Strategy.applies_to`)
         consults this instead of hard-coding platform names, so registered
         third-party platforms gate correctly by declaring features.
         """

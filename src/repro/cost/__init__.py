@@ -8,8 +8,7 @@ the characteristics of those two processors, plus a **wall-clock profiler**
 (:class:`~repro.cost.profiler.WallClockProfiler`) that times the numpy-backed
 primitives on the host machine.  Both implement the same
 :class:`~repro.cost.model.CostModel` interface, so either can feed the
-selector; the analytical model is what regenerates the paper's figures (see
-DESIGN.md section 2 for the substitution rationale).
+selector; the analytical model is what regenerates the paper's figures.
 """
 
 from repro.cost.platform import (

@@ -2,8 +2,8 @@
 
 The paper profiles hand-optimized C/assembly primitives on two physical
 machines.  Those kernels and machines are not available here, so this module
-prices every primitive on a modelled platform instead (see DESIGN.md,
-"Substitutions").  The model is a calibrated roofline:
+prices every primitive on a modelled platform instead.  The model is a
+calibrated roofline:
 
 * **Compute time** — the primitive's actual arithmetic operation count (which
   differs per algorithm: Winograd performs fewer multiplications, FFT has a
@@ -59,8 +59,8 @@ class ModelParameters:
     """Calibration constants of the analytical model.
 
     The defaults were calibrated once against the qualitative structure of the
-    paper's figures (see EXPERIMENTS.md); they are exposed so the ablation
-    benchmarks can vary them.
+    paper's figures (Figures 5-7, Tables 2 and 3); they are exposed so the
+    ablation benchmarks can vary them.
     """
 
     #: Fraction of peak achieved by well-blocked GEMM-shaped inner kernels.

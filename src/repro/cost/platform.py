@@ -44,7 +44,7 @@ cached tables instead of silently serving stale ones).
 :meth:`repro.primitives.base.ConvPrimitive.supports` (per-platform primitive
 gating), by :class:`repro.cost.analytical.AnalyticalCostModel` (e.g. SIMT
 lane mapping, AVX-512 frequency derating, kernel-launch overhead) and by
-:meth:`repro.core.strategies.Strategy.applies_to` (framework-emulation
+:attr:`repro.core.strategies.Strategy.applies_to` (framework-emulation
 gating).  The feature names used by the built-in platforms are:
 
 =====================  =========================================================

@@ -93,10 +93,14 @@ class CostModelProvider:
 
     This is the one table-building body every shipped provider shares; the
     providers differ only in the model :meth:`cost_model` hands out.  Tables
-    are gated by the model's own ``platform`` when it has one.  Used
-    directly, it adapts an arbitrary model (the ablation harnesses drive a
-    session with scaled cost models this way).
+    are gated by the model's own ``platform`` when it has one, and a session
+    asked for no platform plans on that one.  Used directly, it adapts an
+    arbitrary model (the ablation harnesses drive a session with scaled cost
+    models this way).
     """
+
+    #: The platform the provider's one model prices, if any.
+    platform: Optional[Platform] = None
 
     def __init__(
         self, cost_model: CostModel, name: Optional[str] = None, version: str = "0"
@@ -104,6 +108,7 @@ class CostModelProvider:
         self._cost_model = cost_model
         self.name = name if name is not None else type(cost_model).__name__
         self.version = version
+        self.platform = getattr(cost_model, "platform", None)
 
     def cost_model(self, platform: Optional[Platform]) -> CostModel:
         """The model that prices a query on ``platform``."""

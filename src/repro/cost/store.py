@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import List, Optional, Union
 
-from repro.cost.platform import PLATFORMS, platform_version
+from repro.cost.platform import PLATFORMS, Platform, platform_version
 from repro.cost.provider import AnalyticalCostProvider, CostProvider, CostQuery
 from repro.cost.serialize import cost_tables_from_dict, cost_tables_to_dict
 from repro.cost.tables import CostTables
@@ -201,6 +201,11 @@ class CostStore:
     @property
     def version(self) -> str:
         return self.provider.version
+
+    @property
+    def platform(self) -> Optional[Platform]:
+        """The inner provider's own platform, if it has one."""
+        return getattr(self.provider, "platform", None)
 
     def tables(self, query: CostQuery) -> CostTables:
         """Load the query's tables from disk, or produce and persist them.

@@ -1,7 +1,7 @@
 """Experiment harnesses regenerating every table and figure of the paper.
 
-Each module corresponds to one artifact of the evaluation section (see the
-per-experiment index in DESIGN.md):
+Each module corresponds to one artifact of the paper's evaluation section
+(section 5):
 
 * :mod:`repro.experiments.whole_network` — Figures 5, 6, 7a, 7b (whole-network
   speedup over the single-threaded SUM2D baseline, per strategy);
@@ -13,8 +13,8 @@ per-experiment index in DESIGN.md):
   weaknesses of the algorithm families);
 * :mod:`repro.experiments.overhead` — section 5.4 (PBQP solve time);
 * :mod:`repro.experiments.pbqp_example` — Figure 2 (the worked PBQP example);
-* :mod:`repro.experiments.ablation` — the design-choice ablations called out
-  in DESIGN.md (DT-cost awareness, exact vs heuristic solving);
+* :mod:`repro.experiments.ablation` — ablations of two design choices
+  (DT-cost awareness, section 5.8; exact vs heuristic solving, section 5.4);
 * :mod:`repro.experiments.batch_scaling` — the post-paper batching study:
   how the PBQP selections shift as the minibatch size grows, versus replaying
   the batch-1 plan at larger batches;

@@ -1,4 +1,4 @@
-"""Ablations of the design choices called out in DESIGN.md.
+"""Ablations of two design choices of the paper's selection pipeline.
 
 Two ablations are provided:
 
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.selector import PBQPSelector
-from repro.core.strategies import get_strategy
 from repro.cost.analytical import AnalyticalCostModel
 from repro.cost.platform import PLATFORMS, Platform
 from repro.cost.provider import CostModelProvider
@@ -29,7 +28,6 @@ from repro.graph.scenario import ConvScenario
 from repro.layouts.transforms import LayoutTransform
 from repro.pbqp.solver import PBQPSolver
 from repro.primitives.base import ConvPrimitive
-from repro.primitives.registry import PrimitiveLibrary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api import Session
@@ -101,7 +99,6 @@ def dt_cost_ablation(
     platform: Optional[Platform] = None,
     scales: Tuple[float, ...] = (0.0, 0.5, 1.0, 2.0, 4.0),
     threads: int = 1,
-    library: Optional[PrimitiveLibrary] = None,
 ) -> List[DTCostAblationPoint]:
     """Sweep the cost of layout transformations and compare selection strategies.
 
@@ -119,20 +116,23 @@ def dt_cost_ablation(
         cost_model = ScaledTransformCostModel(base_model, scale)
         # Each scale gets its own session: the scaled model is injected as a
         # cost provider, so the selection pipeline is exactly the public one.
+        # It has no platform, so its plans carry the provider's name, which
+        # the verifier does not know.
         session = Session(
-            library=library,
-            provider=CostModelProvider(cost_model, name=f"scaled-dt[{scale}]"),
+            provider=CostModelProvider(cost_model, name=f"scaled-dt[{scale}]")
         )
-        context = session.context_for(model_name, None, threads)
-        pbqp = get_strategy("pbqp").build_plan(context)
-        greedy = get_strategy("greedy_ignore_dt").build_plan(context)
-        local = get_strategy("local_optimal").build_plan(context)
+
+        def total_ms(strategy: str) -> float:
+            return session.plan(
+                model_name, None, strategy, threads, verify=False
+            ).total_ms
+
         points.append(
             DTCostAblationPoint(
                 scale=scale,
-                pbqp_ms=pbqp.total_ms,
-                greedy_ignore_dt_ms=greedy.total_ms,
-                local_optimal_ms=local.total_ms,
+                pbqp_ms=total_ms("pbqp"),
+                greedy_ignore_dt_ms=total_ms("greedy_ignore_dt"),
+                local_optimal_ms=total_ms("local_optimal"),
             )
         )
     return points
@@ -161,14 +161,13 @@ def solver_mode_ablation(
     networks: Optional[List[str]] = None,
     platform: Optional[Platform] = None,
     threads: int = 1,
-    library: Optional[PrimitiveLibrary] = None,
 ) -> List[SolverModeResult]:
     """Compare the exact branch-and-bound core search against the RN heuristic."""
     from repro.api import Session
 
     networks = networks or ["alexnet", "googlenet"]
     platform = platform or PLATFORMS["intel-haswell"]
-    session = Session(library=library)
+    session = Session()
     results: List[SolverModeResult] = []
     for model_name in networks:
         context = session.context_for(model_name, platform, threads)

@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 from repro.core.legalize import finalize_plan
 from repro.core.plan import NetworkPlan
 from repro.cost.platform import PLATFORMS, Platform
-from repro.primitives.registry import PrimitiveLibrary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api import Session
@@ -139,7 +138,6 @@ def run_batch_scaling(
     platform: Platform,
     batches: Sequence[int] = DEFAULT_BATCHES,
     threads: int = 1,
-    library: Optional[PrimitiveLibrary] = None,
     session: Optional["Session"] = None,
 ) -> BatchScalingResult:
     """Sweep batch sizes for one network/platform, comparing fresh vs replayed plans.
@@ -150,7 +148,7 @@ def run_batch_scaling(
     if session is None:
         from repro.api import Session
 
-        session = Session(library=library)
+        session = Session()
     if 1 not in batches:
         batches = (1,) + tuple(batches)
     base = session.plan(

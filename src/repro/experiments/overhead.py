@@ -17,7 +17,6 @@ from typing import List, Optional, TYPE_CHECKING
 
 from repro.core.selector import PBQPSelector
 from repro.cost.platform import PLATFORMS, Platform
-from repro.primitives.registry import PrimitiveLibrary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api import Session
@@ -39,14 +38,13 @@ def solver_overhead_report(
     networks: Optional[List[str]] = None,
     platform: Optional[Platform] = None,
     threads: int = 1,
-    library: Optional[PrimitiveLibrary] = None,
     session: Optional["Session"] = None,
 ) -> List[SolverOverheadEntry]:
     """Measure PBQP construction + solve time for each evaluation network."""
     if session is None:
         from repro.api import Session
 
-        session = Session(library=library)
+        session = Session()
     networks = networks or ["alexnet", "vgg-b", "vgg-c", "vgg-e", "googlenet"]
     platform = platform or PLATFORMS["intel-haswell"]
     entries: List[SolverOverheadEntry] = []

@@ -39,7 +39,6 @@ from repro.cost.platform import PLATFORMS, Platform
 from repro.experiments.batch_scaling import replay_plan
 from repro.core.plan import NetworkPlan
 from repro.graph.scenario import DTYPES
-from repro.primitives.registry import PrimitiveLibrary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api import Session
@@ -129,7 +128,6 @@ def run_precision_scaling(
     platform: Platform,
     dtypes: Sequence[str] = DEFAULT_DTYPES,
     threads: int = 1,
-    library: Optional[PrimitiveLibrary] = None,
     session: Optional["Session"] = None,
 ) -> PrecisionScalingResult:
     """Sweep precisions for one network/platform, comparing fresh vs replayed plans.
@@ -140,7 +138,7 @@ def run_precision_scaling(
     if session is None:
         from repro.api import Session
 
-        session = Session(library=library)
+        session = Session()
     if "fp32" not in dtypes:
         dtypes = ("fp32",) + tuple(dtypes)
     base = session.plan(

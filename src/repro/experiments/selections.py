@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.cost.platform import PLATFORMS, Platform
-from repro.primitives.registry import PrimitiveLibrary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api import Session
@@ -58,7 +57,6 @@ def selection_comparison(
     network: str,
     threads: int = 4,
     platforms: Optional[List[Platform]] = None,
-    library: Optional[PrimitiveLibrary] = None,
     session: Optional["Session"] = None,
 ) -> SelectionComparison:
     """The per-layer PBQP selections for one zoo network across platforms.
@@ -70,7 +68,7 @@ def selection_comparison(
     if session is None:
         from repro.api import Session
 
-        session = Session(library=library)
+        session = Session()
     platforms = platforms or [PLATFORMS["arm-cortex-a57"], PLATFORMS["intel-haswell"]]
     comparison = SelectionComparison(network=network, threads=threads)
     for platform in platforms:
@@ -82,10 +80,9 @@ def selection_comparison(
 def alexnet_selection_comparison(
     threads: int = 4,
     platforms: Optional[List[Platform]] = None,
-    library: Optional[PrimitiveLibrary] = None,
     session: Optional["Session"] = None,
 ) -> SelectionComparison:
     """Reproduce Figure 4: the PBQP selections for AlexNet on ARM and Intel."""
     return selection_comparison(
-        "alexnet", threads=threads, platforms=platforms, library=library, session=session
+        "alexnet", threads=threads, platforms=platforms, session=session
     )

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.strategies import get_strategy
 from repro.cost.platform import Platform
-from repro.primitives.registry import PrimitiveLibrary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api import Session
@@ -52,7 +51,6 @@ def run_absolute_time_table(
     platform: Platform,
     networks: Optional[List[str]] = None,
     thread_counts: Tuple[int, ...] = (1, 4),
-    library: Optional[PrimitiveLibrary] = None,
     session: Optional["Session"] = None,
 ) -> List[AbsoluteTimeRow]:
     """Compute every row of Table 2 (Intel) or Table 3 (ARM) for a platform.
@@ -63,7 +61,7 @@ def run_absolute_time_table(
     if session is None:
         from repro.api import Session
 
-        session = Session(library=library)
+        session = Session()
     networks = networks if networks is not None else list(TABLE_NETWORKS)
     rows: List[AbsoluteTimeRow] = []
     for threads in thread_counts:
@@ -71,7 +69,11 @@ def run_absolute_time_table(
             context = session.context_for(model_name, platform, threads)
             row = AbsoluteTimeRow(network=model_name, threads=threads)
             for column, strategy_name in COLUMN_STRATEGIES.items():
-                plan = get_strategy(strategy_name).build_plan(context)
+                if not get_strategy(strategy_name).applies_to(context):
+                    continue  # e.g. the CPU-only Caffe on a SIMT platform
+                plan = session.plan(
+                    model_name, platform, strategy_name, threads, verify=False
+                )
                 row.times_ms[column] = plan.total_ms
             rows.append(row)
     return rows
@@ -85,7 +87,10 @@ def format_absolute_table(rows: List[AbsoluteTimeRow], title: str) -> str:
         label = f"({row.mode}) {row.network}"
         line = f"{label:<18}"
         for column in TABLE_COLUMNS:
-            line += f"{row.times_ms[column]:>12.2f}"
+            if column in row.times_ms:
+                line += f"{row.times_ms[column]:>12.2f}"
+            else:
+                line += f"{'-':>12}"
         lines.append(line)
     lines.append("(single inference time in ms; lower is better)")
     return "\n".join(lines)

@@ -19,15 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TYPE_CHECKING
 
-from repro.core.plan import NetworkPlan
 from repro.core.strategies import (
     BASELINE_STRATEGY,
-    applicable_strategies,
     figure_strategy_names,
-    get_strategy,
+    registered_names,
 )
 from repro.cost.platform import Platform
-from repro.primitives.registry import PrimitiveLibrary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api import Session
@@ -61,10 +58,8 @@ class WholeNetworkResult:
     threads: int
     #: Total time of the common baseline (single-threaded SUM2D), in ms.
     baseline_ms: float
-    #: Strategy name -> total time in ms.
+    #: Strategy name -> total time in ms, in registration order.
     times_ms: Dict[str, float] = field(default_factory=dict)
-    #: Strategy name -> the full plan (for inspection of selections).
-    plans: Dict[str, NetworkPlan] = field(default_factory=dict)
 
     def speedup(self, strategy: str) -> float:
         """Speedup of a strategy over the common single-threaded SUM2D baseline."""
@@ -87,7 +82,6 @@ def run_whole_network(
     model_name: str,
     platform: Platform,
     threads: int = 1,
-    library: Optional[PrimitiveLibrary] = None,
     include_frameworks: bool = True,
     session: Optional["Session"] = None,
 ) -> WholeNetworkResult:
@@ -103,30 +97,23 @@ def run_whole_network(
     if session is None:
         from repro.api import Session
 
-        session = Session(library=library)
-    context = session.context_for(model_name, platform, threads)
-    if threads == 1:
-        baseline_context = context
-    else:
-        baseline_context = session.context_for(model_name, platform, 1)
-
-    baseline = get_strategy(BASELINE_STRATEGY).build_plan(baseline_context)
-    result = WholeNetworkResult(
+        session = Session()
+    report = session.compare(
+        model_name, platform, threads, include_frameworks=include_frameworks
+    )
+    totals = {plan.strategy: plan.total_ms for plan in report}
+    return WholeNetworkResult(
         network=model_name,
         platform=platform.name,
         threads=threads,
-        baseline_ms=baseline.total_ms,
+        baseline_ms=report.baseline.total_ms,
+        # SUM2D is no bar of its own: it is the single-threaded baseline.
+        times_ms={
+            name: totals[name]
+            for name in registered_names()
+            if name in totals and name != BASELINE_STRATEGY
+        },
     )
-    result.plans["sum2d_baseline"] = baseline
-
-    for strategy in applicable_strategies(context, include_frameworks=include_frameworks):
-        if strategy.name == BASELINE_STRATEGY:
-            continue  # the baseline bar is the single-threaded plan above
-        plan = strategy.build_plan(context)
-        result.times_ms[strategy.name] = plan.total_ms
-        result.plans[strategy.name] = plan
-
-    return result
 
 
 def format_speedup_table(results: List[WholeNetworkResult], title: str) -> str:

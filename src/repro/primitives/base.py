@@ -13,7 +13,8 @@ suite verifies against the reference implementation.  In addition, each
 primitive exposes the quantities the analytical platform model prices —
 arithmetic operation count, memory traffic and workspace footprint — which is
 how the reproduction substitutes for wall-clock profiling of hand-tuned
-C/assembly kernels on the paper's two hardware platforms (see DESIGN.md).
+C/assembly kernels on the paper's two hardware platforms (see
+:mod:`repro.cost.analytical`).
 """
 
 from __future__ import annotations

@@ -1,12 +1,11 @@
 """One handler per endpoint, published through a decorator registry.
 
-Mirrors the shape of :func:`repro.core.strategies.register_strategy`: each
-handler is a plain function taking ``(app, params)`` — ``params`` already
+Each handler is a plain function taking ``(app, params)`` — ``params`` already
 validated against the endpoint's declared :class:`~repro.service.app.Field`
 specs — and returning the JSON-shaped response payload.  The
 :func:`register_endpoint` decorator records it in :data:`ENDPOINTS`, which
 :meth:`repro.service.app.PlannerApp.handle` routes from; adding an endpoint
-is one decorated function, exactly like adding a selection strategy.
+is one decorated function.
 
 Handlers raise :class:`~repro.service.app.ApiError` for domain errors that
 validation cannot catch declaratively (e.g. a platform-gated strategy on the

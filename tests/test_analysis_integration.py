@@ -112,22 +112,18 @@ def test_validate_endpoint(session, plan_doc):
 # Session verify hooks
 
 
-class _CorruptStrategy(Strategy):
+def _corrupt_plan(context):
     """Delegates to pbqp, then swaps in a phantom primitive: a buggy strategy."""
-
-    name = "corrupt-test"
-
-    def build_plan(self, context):
-        plan = get_strategy("pbqp").build_plan(context)
-        layer = next(
-            name for name, d in plan.layer_decisions.items() if d.primitive
-        )
-        plan.layer_decisions[layer].primitive = "conv_quantum9000"
-        return plan
+    plan = get_strategy("pbqp").build_plan(context)
+    layer = next(name for name, d in plan.layer_decisions.items() if d.primitive)
+    plan.layer_decisions[layer].primitive = "conv_quantum9000"
+    return plan
 
 
 def test_session_plan_verify_catches_buggy_strategy(monkeypatch):
-    monkeypatch.setitem(STRATEGIES, "corrupt-test", _CorruptStrategy())
+    monkeypatch.setitem(
+        STRATEGIES, "corrupt-test", Strategy("corrupt-test", "Buggy.", _corrupt_plan)
+    )
     session = Session()
     with pytest.raises(PlanVerificationError) as excinfo:
         session.plan("alexnet", "intel-haswell", strategy="corrupt-test")

@@ -1,19 +1,22 @@
-"""Tests for the strategy registry and the Session's cached selection."""
+"""Tests for the strategy table and the Session's cached selection."""
 
+import ast
+import inspect
 import json
 
 import pytest
 
+import repro.core.strategies as strategies_module
 import repro.cost.provider as provider_module
 from repro.analysis.plan_verifier import PlanVerificationError
 from repro.api import Session, network_fingerprint
+from repro.core.baselines import sum2d_plan
 from repro.core.strategies import (
     STRATEGIES,
     Strategy,
     applicable_strategies,
     figure_strategy_names,
     get_strategy,
-    register_strategy,
     registered_names,
 )
 from repro.cost.serialize import plan_to_dict
@@ -83,50 +86,38 @@ class TestRegistry:
         with pytest.raises(KeyError, match="unknown strategy"):
             get_strategy("resnet-magic")
 
-    def test_register_rejects_duplicates_and_anonymous(self):
-        with pytest.raises(ValueError, match="duplicate strategy name"):
+    def test_strategy_names_are_unique(self):
+        # A dict literal keeps only the last of two equal keys, so read the
+        # table's keys from its source, where a duplicate would still show.
+        tree = ast.parse(inspect.getsource(strategies_module))
+        (table,) = [
+            node.value
+            for node in tree.body
+            if isinstance(node, ast.AnnAssign) and node.target.id == "STRATEGIES"
+        ]
+        keys = [ast.literal_eval(key) for key in table.keys]
+        assert len(keys) == len(set(keys))
+        assert keys == registered_names()
+        assert [strategy.name for strategy in STRATEGIES.values()] == keys
 
-            @register_strategy
-            class Duplicate(Strategy):
-                name = "pbqp"
-
-        with pytest.raises(ValueError, match="non-empty name"):
-
-            @register_strategy
-            class Anonymous(Strategy):
-                pass
-
-    def test_figure_strategies_view_is_live(self):
-        @register_strategy
-        class LateBar(Strategy):
-            name = "test_late_bar"
-            figure_order = 99
-
-            def build_plan(self, context):
-                return get_strategy("sum2d").build_plan(context)
-
-        try:
-            # A strategy registered after import still gains a figure bar.
-            assert figure_strategy_names()[-1] == "test_late_bar"
-        finally:
-            del STRATEGIES["test_late_bar"]
+    def test_figure_strategies_view_is_live(self, monkeypatch):
+        late = Strategy("test_late_bar", "A late bar.", sum2d_plan, figure_order=99)
+        monkeypatch.setitem(STRATEGIES, late.name, late)
+        # A row added after import still gains a figure bar.
+        assert figure_strategy_names()[-1] == "test_late_bar"
+        monkeypatch.undo()
         assert "test_late_bar" not in figure_strategy_names()
 
-    def test_custom_strategy_registers_and_unregisters(self, session):
-        @register_strategy
-        class AlwaysSum2d(Strategy):
-            name = "test_always_sum2d"
-
-            def build_plan(self, context):
-                return get_strategy("sum2d").build_plan(context)
-
-        try:
-            plan = session.plan(
-                "alexnet", "intel-haswell", strategy="test_always_sum2d", verify=False
-            )
-            assert set(plan.network_plan.conv_selections().values()) == {"sum2d"}
-        finally:
-            del STRATEGIES["test_always_sum2d"]
+    def test_custom_strategy_registers_and_unregisters(self, session, monkeypatch):
+        always = Strategy("test_always_sum2d", "Always SUM2D.", sum2d_plan)
+        monkeypatch.setitem(STRATEGIES, always.name, always)
+        plan = session.plan(
+            "alexnet", "intel-haswell", strategy="test_always_sum2d", verify=False
+        )
+        assert set(plan.network_plan.conv_selections().values()) == {"sum2d"}
+        monkeypatch.undo()
+        with pytest.raises(KeyError, match="unknown strategy"):
+            get_strategy("test_always_sum2d")
 
 
 class TestAppliesToGating:
@@ -309,10 +300,10 @@ class TestSelectionResultDocumentsAreRefused:
 
 
 class TestRewiredHarnesses:
-    def test_run_whole_network_covers_registry(self, library, intel):
+    def test_run_whole_network_covers_registry(self, intel):
         from repro.experiments.whole_network import run_whole_network
 
-        result = run_whole_network("alexnet", intel, threads=1, library=library)
+        result = run_whole_network("alexnet", intel, threads=1)
         # Every applicable non-baseline registered strategy gets a bar
         # (armcl is NEON-only, cudnn SIMT-only — neither applies on Haswell).
         assert set(result.times_ms) == ALL_STRATEGY_NAMES - {"sum2d", "armcl", "cudnn"}

@@ -8,13 +8,19 @@ analytical platform model.
 
 import pytest
 
+from repro.api import Session
+from repro.core.strategies import registered_names
 from repro.cost.platform import PLATFORMS
 from repro.experiments.ablation import dt_cost_ablation, solver_mode_ablation
 from repro.experiments.family_traits import PROBE_SCENARIOS, family_traits_table
 from repro.experiments.overhead import format_overhead_report, solver_overhead_report
 from repro.experiments.pbqp_example import figure2_example
 from repro.experiments.selections import alexnet_selection_comparison
-from repro.experiments.tables import format_absolute_table, run_absolute_time_table
+from repro.experiments.tables import (
+    COLUMN_STRATEGIES,
+    format_absolute_table,
+    run_absolute_time_table,
+)
 from repro.experiments.whole_network import format_speedup_table, run_whole_network
 
 
@@ -29,13 +35,13 @@ def arm_platform():
 
 
 @pytest.fixture(scope="module")
-def alexnet_intel_st(intel_platform, library):
-    return run_whole_network("alexnet", intel_platform, threads=1, library=library)
+def alexnet_intel_st(intel_platform):
+    return run_whole_network("alexnet", intel_platform, threads=1)
 
 
 @pytest.fixture(scope="module")
-def googlenet_arm_st(arm_platform, library):
-    return run_whole_network("googlenet", arm_platform, threads=1, library=library)
+def googlenet_arm_st(arm_platform):
+    return run_whole_network("googlenet", arm_platform, threads=1)
 
 
 class TestFigure2Example:
@@ -88,22 +94,57 @@ class TestWholeNetworkHarness(object):
         text = format_speedup_table([alexnet_intel_st], title="figure 5")
         assert "figure 5" in text and "alexnet" in text and "pbqp" in text
 
+    def test_times_follow_registration_order(self, alexnet_intel_st, googlenet_arm_st):
+        for result in (alexnet_intel_st, googlenet_arm_st):
+            names = list(result.times_ms)
+            assert names == [name for name in registered_names() if name in names]
+            assert "sum2d" not in names
+
+    def test_cells_are_session_plans(self, intel_platform):
+        session = Session()
+        result = run_whole_network("alexnet", intel_platform, threads=4, session=session)
+        assert result.baseline_ms == session.baseline("alexnet", intel_platform).total_ms
+        assert result.times_ms == {
+            name: session.plan(
+                "alexnet", intel_platform, name, threads=4, verify=False
+            ).total_ms
+            for name in result.times_ms
+        }
+
+    def test_table_rows_are_session_plans(self, intel_platform):
+        session = Session()
+        rows = run_absolute_time_table(intel_platform, ["alexnet"], session=session)
+        for row in rows:
+            assert row.times_ms == {
+                column: session.plan(
+                    "alexnet", intel_platform, name, threads=row.threads, verify=False
+                ).total_ms
+                for column, name in COLUMN_STRATEGIES.items()
+            }
+        assert rows[0].times_ms["SUM2D"] == session.baseline("alexnet", intel_platform).total_ms
+
+    def test_table_leaves_gated_columns_blank(self):
+        # Caffe is a CPU framework: a SIMT platform gets no CAFFE column.
+        rows = run_absolute_time_table(PLATFORMS["gpu-sim"], ["alexnet"], (1,))
+        assert set(rows[0].times_ms) == {"SUM2D", "L.OPT", "PBQP"}
+        assert format_absolute_table(rows, "gpu").splitlines()[3].endswith(" -")
+
 
 class TestHeadlineClaims:
-    def test_winograd_family_wins_vgg_but_not_alexnet(self, intel_platform, library):
+    def test_winograd_family_wins_vgg_but_not_alexnet(self, intel_platform):
         """Section 5.8: Winograd excels on VGG (all K=3) but is poor for AlexNet/GoogLeNet."""
-        vgg = run_whole_network("vgg-b", intel_platform, threads=1, library=library)
-        alexnet = run_whole_network("alexnet", intel_platform, threads=1, library=library)
+        vgg = run_whole_network("vgg-b", intel_platform, threads=1)
+        alexnet = run_whole_network("alexnet", intel_platform, threads=1)
         assert vgg.speedup("winograd") == pytest.approx(vgg.speedup("pbqp"), rel=0.15)
         assert alexnet.speedup("winograd") < 0.6 * alexnet.speedup("pbqp")
 
-    def test_pbqp_outperforms_mkldnn_multithreaded_on_vgg(self, intel_platform, library):
+    def test_pbqp_outperforms_mkldnn_multithreaded_on_vgg(self, intel_platform):
         """Figure 6: the PBQP solution outperforms the vendor library by ~2x on VGG MT."""
-        result = run_whole_network("vgg-b", intel_platform, threads=4, library=library)
+        result = run_whole_network("vgg-b", intel_platform, threads=4)
         assert result.speedup("pbqp") > 1.5 * result.speedup("mkldnn")
 
-    def test_alexnet_selections_match_figure4_structure(self, library):
-        comparison = alexnet_selection_comparison(threads=4, library=library)
+    def test_alexnet_selections_match_figure4_structure(self):
+        comparison = alexnet_selection_comparison(threads=4)
         intel_sel = comparison.selections["intel-haswell"]
         arm_sel = comparison.selections["arm-cortex-a57"]
         # conv1 (K=11, stride 4) is an im2-family primitive on both platforms.
@@ -123,20 +164,18 @@ class TestHeadlineClaims:
             "winograd_2d" in intel_sel[layer] for layer in ("conv2", "conv3", "conv4", "conv5")
         )
 
-    def test_solver_overhead_below_one_second_and_optimal(self, library):
+    def test_solver_overhead_below_one_second_and_optimal(self):
         """Section 5.4: each network solves in well under a second, provably optimally."""
-        entries = solver_overhead_report(
-            networks=["alexnet", "vgg-b", "googlenet"], library=library
-        )
+        entries = solver_overhead_report(networks=["alexnet", "vgg-b", "googlenet"])
         for entry in entries:
             assert entry.solve_seconds < 1.0
             assert entry.optimal
         text = format_overhead_report(entries)
         assert "googlenet" in text
 
-    def test_absolute_time_table_ordering(self, intel_platform, library):
+    def test_absolute_time_table_ordering(self, intel_platform):
         """Tables 2/3: SUM2D > L.OPT > PBQP for every network and thread count."""
-        rows = run_absolute_time_table(intel_platform, networks=["alexnet"], library=library)
+        rows = run_absolute_time_table(intel_platform, networks=["alexnet"])
         for row in rows:
             assert row.times_ms["SUM2D"] > row.times_ms["L.OPT"] > row.times_ms["PBQP"]
         text = format_absolute_table(rows, title="Table 2")
@@ -179,9 +218,9 @@ class TestFamilyTraits:
 
 
 class TestAblations:
-    def test_dt_cost_ablation_scales(self, library, intel_platform):
+    def test_dt_cost_ablation_scales(self, intel_platform):
         points = dt_cost_ablation(
-            model_name="alexnet", platform=intel_platform, scales=(0.0, 1.0, 4.0), library=library
+            model_name="alexnet", platform=intel_platform, scales=(0.0, 1.0, 4.0)
         )
         assert [p.scale for p in points] == [0.0, 1.0, 4.0]
         # With free conversions, greedy per-layer selection matches PBQP.
@@ -193,10 +232,8 @@ class TestAblations:
         # The advantage over DT-blind greedy grows with the conversion cost.
         assert points[-1].pbqp_advantage_over_greedy >= points[0].pbqp_advantage_over_greedy
 
-    def test_solver_mode_ablation(self, library, intel_platform):
-        results = solver_mode_ablation(
-            networks=["alexnet"], platform=intel_platform, library=library
-        )
+    def test_solver_mode_ablation(self, intel_platform):
+        results = solver_mode_ablation(networks=["alexnet"], platform=intel_platform)
         (result,) = results
         assert result.exact_provably_optimal
         assert result.heuristic_cost >= result.exact_cost - 1e-12

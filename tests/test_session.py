@@ -19,7 +19,9 @@ from repro.cost.provider import (
     CostQuery,
     ProfiledCostProvider,
 )
+from repro.cost.serialize import plan_to_dict
 from repro.cost.store import CostStore, STORE_ENTRY_FORMAT
+from repro.experiments.ablation import ScaledTransformCostModel
 from repro.models import build_mobilenet_v2, build_resnet18
 from repro.runtime import NetworkExecutor, WeightStore
 
@@ -325,7 +327,28 @@ class TestProviders:
         assert provider.name == "adapted" and provider.version == "9"
         session = Session(library=library, dt_graph=dt_graph, provider=provider)
         plan = session.plan("alexnet", None, verify=False)
-        assert plan.network_plan.platform_name == "adapted"
+        # The model prices one platform, so that platform labels the plan.
+        assert plan.network_plan.platform_name == "intel-haswell"
+
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_platform_model_plans_verify_like_the_platform(
+        self, intel_cost_model, tmp_path, cache
+    ):
+        session = Session(
+            provider=CostModelProvider(intel_cost_model),
+            cache_dir=tmp_path if cache else None,
+        )
+        plan = session.plan("alexnet", None)
+        expected = Session().plan("alexnet", "intel-haswell")
+        assert plan_to_dict(plan.network_plan) == plan_to_dict(expected.network_plan)
+        assert session.context_for("alexnet", None) is session.context_for(
+            "alexnet", "intel-haswell"
+        )
+
+    def test_platformless_model_keeps_the_provider_label(self, tiny_network, intel_cost_model):
+        scaled = ScaledTransformCostModel(intel_cost_model, 2.0)
+        session = Session(provider=CostModelProvider(scaled, name="scaled"))
+        assert session.context_for(tiny_network, None).platform_name == "scaled"
 
     def test_providers_satisfy_protocol(self, tmp_path):
         assert isinstance(AnalyticalCostProvider(), CostProvider)
