@@ -9,17 +9,14 @@ The analysis layer proves facts about the system without running it:
 * :mod:`repro.analysis.lint` — project-specific AST lint over the source
   tree (``repro lint``, the CI ``static-analysis`` job);
 * :mod:`repro.analysis.passes` — the shared :class:`Finding`/:class:`Report`
-  model and the ``@register_pass`` registry both are built on.
+  model both produce.
+
+Each driver runs the plain check functions listed in its own table:
+:data:`~repro.analysis.plan_verifier.CHECKS` (per document kind) and
+:data:`~repro.analysis.lint.RULES`.
 """
 
-from repro.analysis.passes import (
-    PASSES,
-    AnalysisPass,
-    Finding,
-    Report,
-    register_pass,
-    registered_passes,
-)
+from repro.analysis.passes import Finding, Report
 from repro.analysis.plan_verifier import (
     KNOWN_FORMATS,
     PlanVerificationError,
@@ -32,12 +29,8 @@ from repro.analysis.plan_verifier import (
 from repro.analysis.lint import lint_file, lint_source, run_lint
 
 __all__ = [
-    "PASSES",
-    "AnalysisPass",
     "Finding",
     "Report",
-    "register_pass",
-    "registered_passes",
     "KNOWN_FORMATS",
     "PlanVerificationError",
     "detect_kind",

@@ -7,10 +7,10 @@ written against them directly:
 rule        meaning
 ==========  =================================================================
 ``LT200``   file does not parse (syntax error)
-``LT201``   a registry dict (``PLATFORMS``, ``STRATEGIES``, ``ENDPOINTS``,
-            ``MODEL_BUILDERS``, ``PASSES``, ``STANDARD_LAYOUTS``) is mutated
-            outside a ``register_*`` function — the registries are open, but
-            only through their published decorators
+``LT201``   a table (``PLATFORMS``, ``STRATEGIES``, ``ENDPOINTS``,
+            ``MODEL_BUILDERS``, ``STANDARD_LAYOUTS``) is mutated outside a
+            ``register_*`` function — each table is its literal, and only
+            ``PLATFORMS`` is open, through ``register_platform``
 ``LT202``   unseeded ``random`` in ``multiobj/`` — frontier construction and
             tie-breaking must be deterministic per seed (use
             ``random.Random(seed)``)
@@ -22,25 +22,23 @@ rule        meaning
 ==========  =================================================================
 
 Every rule can be silenced per line with ``# noqa: <CODE>`` (a bare
-``# noqa`` silences all rules on that line).  Rules are registered through
-the same :func:`~repro.analysis.passes.register_pass` registry as the
-document verifier, under the ``"source"`` kind.
+``# noqa`` silences all rules on that line).  The rules are the plain functions
+listed in :data:`RULES`, run in that order over every file.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Sequence, Set, Tuple, Union
+from typing import Callable, Iterator, List, Sequence, Set, Tuple, Union
 
-from repro.analysis.passes import Finding, Report, passes_for, register_pass
+from repro.analysis.passes import Finding, Report
 
-#: Open registries that must only be mutated through their ``register_*``
-#: publishers.
+#: Tables that are never mutated outside a ``register_*`` function.
 REGISTRY_NAMES = frozenset(
-    {"PLATFORMS", "STRATEGIES", "ENDPOINTS", "MODEL_BUILDERS", "PASSES", "STANDARD_LAYOUTS"}
+    {"PLATFORMS", "STRATEGIES", "ENDPOINTS", "MODEL_BUILDERS", "STANDARD_LAYOUTS"}
 )
 
 #: Methods that mutate a dict/list receiver in place.
@@ -75,7 +73,7 @@ _NOQA = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9_, ]+))?", re.IGNORECASE)
 
 @dataclass
 class SourceContext:
-    """One parsed source file handed to every ``"source"``-kind pass."""
+    """One parsed source file handed to every rule in :data:`RULES`."""
 
     path: str  # posix-style path label used for rule applicability
     tree: ast.AST
@@ -100,7 +98,7 @@ def _enclosing_register(func_stack: Sequence[str]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# LT201 — registry mutation outside register_* functions
+# LT201 — table mutation outside register_* functions
 # ---------------------------------------------------------------------------
 
 
@@ -118,14 +116,18 @@ class _RegistryMutationVisitor(ast.NodeVisitor):
         return ""
 
     def _flag(self, lineno: int, registry: str, action: str) -> None:
-        if not _enclosing_register(self.func_stack):
-            self.hits.append(
-                (
-                    lineno,
-                    f"registry {registry} is {action} outside a register_* "
-                    f"function; publish through the registry's decorator instead",
-                )
+        if _enclosing_register(self.func_stack):
+            return
+        if registry == "PLATFORMS":
+            noun, remedy = "registry", "publish through register_platform instead"
+        else:
+            noun, remedy = "table", f"add a row to the {registry} literal instead"
+        self.hits.append(
+            (
+                lineno,
+                f"{noun} {registry} is {action} outside a register_* function; {remedy}",
             )
+        )
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self.func_stack.append(node.name)
@@ -169,12 +171,8 @@ class _RegistryMutationVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-@register_pass(
-    "lint-registry-mutation",
-    kinds=("source",),
-    description="LT201: registries mutated only through register_* functions",
-)
 def lint_registry_mutation(ctx: SourceContext) -> Iterator[Finding]:
+    """LT201: tables mutated only inside register_* functions."""
     visitor = _RegistryMutationVisitor()
     visitor.visit(ctx.tree)
     for lineno, message in visitor.hits:
@@ -186,12 +184,8 @@ def lint_registry_mutation(ctx: SourceContext) -> Iterator[Finding]:
 # ---------------------------------------------------------------------------
 
 
-@register_pass(
-    "lint-unseeded-random",
-    kinds=("source",),
-    description="LT202: multiobj/ must use seeded random.Random instances",
-)
 def lint_unseeded_random(ctx: SourceContext) -> Iterator[Finding]:
+    """LT202: multiobj/ must use seeded random.Random instances."""
     if "/multiobj/" not in f"/{ctx.path}":
         return
     for node in ast.walk(ctx.tree):
@@ -241,12 +235,8 @@ def lint_unseeded_random(ctx: SourceContext) -> Iterator[Finding]:
 # ---------------------------------------------------------------------------
 
 
-@register_pass(
-    "lint-unsorted-json",
-    kinds=("source",),
-    description="LT203: serialization paths dump JSON with sort_keys=True",
-)
 def lint_unsorted_json(ctx: SourceContext) -> Iterator[Finding]:
+    """LT203: serialization paths dump JSON with sort_keys=True."""
     if not ctx.path.endswith(SERIALIZATION_MODULE_SUFFIXES):
         return
     for node in ast.walk(ctx.tree):
@@ -416,12 +406,8 @@ def _class_lock_attrs(node: ast.ClassDef) -> Set[str]:
     return lock_attrs
 
 
-@register_pass(
-    "lint-lock-discipline",
-    kinds=("source",),
-    description="LT204: lock-guarded attributes never touched outside the lock",
-)
 def lint_lock_discipline(ctx: SourceContext) -> Iterator[Finding]:
+    """LT204: lock-guarded attributes never touched outside the lock."""
     path = f"/{ctx.path}"
     if not (path.endswith("/api.py") or "/service/" in path):
         return
@@ -458,6 +444,15 @@ def lint_lock_discipline(ctx: SourceContext) -> Iterator[Finding]:
             )
 
 
+#: Every lint rule, in run order.
+RULES: Tuple[Callable[[SourceContext], Iterator[Finding]], ...] = (
+    lint_registry_mutation,
+    lint_unseeded_random,
+    lint_unsorted_json,
+    lint_lock_discipline,
+)
+
+
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
@@ -480,8 +475,8 @@ def lint_source(source: str, path: Union[str, Path]) -> List[Finding]:
         ]
     context = SourceContext(path=label, tree=tree, lines=lines)
     findings: List[Finding] = []
-    for analysis_pass in passes_for("source"):
-        for finding in analysis_pass.run(context):
+    for rule in RULES:
+        for finding in rule(context):
             _, _, lineno_text = finding.location.rpartition(":")
             lineno = int(lineno_text) if lineno_text.isdigit() else 0
             if not _suppressed(lines, lineno, finding.rule):

@@ -1,13 +1,11 @@
-"""Structured findings, reports, and the analysis-pass registry.
+"""Structured findings and reports, shared by the verifier and the lint.
 
-The static-analysis layer mirrors the service's open registry
-(:func:`repro.service.handlers.register_endpoint`): every verifier or lint
-check is a plain function published through :func:`register_pass`, and the
-drivers (:mod:`repro.analysis.plan_verifier`, :mod:`repro.analysis.lint`,
-``repro check`` / ``repro lint``) iterate the registry rather than a
-hard-coded list — adding a rule is one decorated function.
+Every verifier or lint check is a plain function listed in its driver's
+table (:data:`repro.analysis.plan_verifier.CHECKS`,
+:data:`repro.analysis.lint.RULES`); adding a check is one function plus one
+entry in that table.
 
-A pass produces :class:`Finding`\\ s — (rule code, severity, location,
+A check produces :class:`Finding`\\ s — (rule code, severity, location,
 message) — which the drivers collect into a :class:`Report`.  Reports
 serialize deterministically: findings are sorted, keys are sorted, and
 :meth:`Report.to_json` is byte-identical for identical inputs, so reports
@@ -22,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 #: Format identifier embedded in every serialized analysis report.
 REPORT_FORMAT = "repro/analysis-report/v1"
@@ -35,7 +33,7 @@ SEVERITIES = ("error", "warning")
 
 @dataclass(frozen=True)
 class Finding:
-    """One diagnostic produced by an analysis pass."""
+    """One diagnostic produced by a verifier or lint check."""
 
     #: Stable rule code (``"RV111"``, ``"LT203"``, ...).
     rule: str
@@ -125,60 +123,3 @@ class Report:
         )
         return "\n".join(lines)
 
-
-# ---------------------------------------------------------------------------
-# The pass registry
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AnalysisPass:
-    """One registered analysis pass.
-
-    ``kinds`` names the subject kinds the pass applies to: document kinds
-    (``"plan"``, ``"tables"``, ``"frontier"``, ``"store-entry"``,
-    ``"service-plan"``) for the verifier, or ``"source"`` for
-    lint rules.  The driver hands the pass a kind-specific context object
-    and collects the findings it yields.
-    """
-
-    name: str
-    kinds: Tuple[str, ...]
-    description: str
-    fn: Callable[..., Iterable[Finding]]
-
-    def run(self, context) -> List[Finding]:
-        return list(self.fn(context))
-
-
-#: Signature of a pass body: one context object in, findings out.
-PassFn = Callable[..., Iterable[Finding]]
-
-#: The pass registry, in registration order (like ``ENDPOINTS``).
-PASSES: Dict[str, AnalysisPass] = {}
-
-
-def register_pass(
-    name: str, kinds: Iterable[str], description: str = ""
-) -> Callable[[PassFn], PassFn]:
-    """Decorator publishing an analysis pass in :data:`PASSES`."""
-
-    def decorator(fn: PassFn) -> PassFn:
-        if name in PASSES:
-            raise ValueError(f"duplicate analysis pass {name!r}")
-        PASSES[name] = AnalysisPass(
-            name=name, kinds=tuple(kinds), description=description, fn=fn
-        )
-        return fn
-
-    return decorator
-
-
-def passes_for(kind: str) -> List[AnalysisPass]:
-    """Registered passes applying to one subject kind, in registration order."""
-    return [p for p in PASSES.values() if kind in p.kinds]
-
-
-def registered_passes() -> List[str]:
-    """Names of all registered passes, in registration order."""
-    return list(PASSES)

@@ -9,10 +9,10 @@ exactly one layout, and the serialized :class:`~repro.multiobj.vector.
 CostVector` must equal what the document's own decisions add up to.  This
 module proves those facts without executing anything — hand-edited plans,
 stale store entries, service documents and the output of brand-new
-strategies are all checked by the same passes.
+strategies are all checked the same way.
 
-Each check is an :func:`~repro.analysis.passes.register_pass`-registered
-pass producing findings with stable ``RV1xx`` rule codes:
+Each check is a plain function listed under its document kind in
+:data:`CHECKS`, producing findings with stable ``RV1xx`` rule codes:
 
 ==========  ========  =====================================================
 rule        severity  meaning
@@ -45,7 +45,7 @@ rule        severity  meaning
 ``RV153``   error     a frontier point's vector or a service plan
                       document's fields contradict the embedded plan
                       (store-entry keys report ``RV150``)
-``RV190``   error     an analysis pass crashed (verifier bug — report it)
+``RV190``   error     a check crashed (verifier bug — report it)
 ==========  ========  =====================================================
 
 Entry points: :func:`verify_document` (any raw JSON document),
@@ -60,9 +60,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.analysis.passes import Finding, Report, passes_for, register_pass
+from repro.analysis.passes import Finding, Report
 from repro.core.plan import NetworkPlan
 from repro.cost.platform import PLATFORMS, Platform, platform_version
 from repro.cost.serialize import (
@@ -155,7 +155,7 @@ def _default_env() -> VerifierEnv:
 
 @dataclass
 class PlanContext:
-    """A plan document plus everything its passes resolve up front."""
+    """A plan document plus everything its checks resolve up front."""
 
     document: dict
     env: VerifierEnv
@@ -168,7 +168,7 @@ class PlanContext:
     network: Optional[Network] = None
     #: Per-convolution-layer scenarios at the plan's (batch, dtype); ``None``
     #: when the network is unknown or the dtype/batch fields are themselves
-    #: invalid (those findings come from the ``plan-fields`` pass).
+    #: invalid (those findings come from :func:`check_plan_fields`).
     scenarios: Optional[Dict[str, ConvScenario]] = None
 
     def __post_init__(self) -> None:
@@ -214,7 +214,7 @@ class TablesContext:
     env: VerifierEnv
     prefix: str = ""
     scenarios: Dict[str, ConvScenario] = field(default_factory=dict)
-    #: Per-layer construction errors, reported by the ``tables-fields`` pass.
+    #: Per-layer construction errors, reported by :func:`check_tables_fields`.
     scenario_errors: Dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -237,30 +237,21 @@ class EnvelopeContext:
     prefix: str = ""
 
 
-_CONTEXT_BUILDERS = {
-    "plan": PlanContext,
-    "tables": TablesContext,
-    "frontier": EnvelopeContext,
-    "store-entry": EnvelopeContext,
-    "service-plan": EnvelopeContext,
-}
-
-
 def _run_kind(document: dict, kind: str, env: VerifierEnv, prefix: str) -> List[Finding]:
-    """All findings of every registered pass for one (sub)document."""
-    context = _CONTEXT_BUILDERS[kind](document, env, prefix)
+    """All findings of every check of one kind for one (sub)document."""
+    context_type, checks = CHECKS[kind]
+    context = context_type(document, env, prefix)
     findings: List[Finding] = []
-    for analysis_pass in passes_for(kind):
+    for check in checks:
         try:
-            findings.extend(analysis_pass.run(context))
-        except Exception as exc:  # noqa: BLE001 - a crashed pass is a finding
+            findings.extend(check(context))
+        except Exception as exc:  # noqa: BLE001 - a crashed check is a finding
             findings.append(
                 Finding(
                     "RV190",
                     "error",
                     prefix + kind,
-                    f"analysis pass {analysis_pass.name!r} crashed: "
-                    f"{type(exc).__name__}: {exc}",
+                    f"check {check.__name__!r} crashed: {type(exc).__name__}: {exc}",
                 )
             )
     return findings
@@ -286,16 +277,12 @@ def _child_plan(
 
 
 # ---------------------------------------------------------------------------
-# Plan passes
+# Plan checks
 # ---------------------------------------------------------------------------
 
 
-@register_pass(
-    "plan-fields",
-    kinds=("plan",),
-    description="scalar fields: dtype, threads, batch, platform registration",
-)
 def check_plan_fields(ctx: PlanContext) -> Iterator[Finding]:
+    """Scalar fields: dtype, threads, batch, platform registration."""
     doc = ctx.document
     prefix = ctx.prefix
     if not ctx.dtype_ok:
@@ -342,12 +329,8 @@ def check_plan_fields(ctx: PlanContext) -> Iterator[Finding]:
         )
 
 
-@register_pass(
-    "plan-structure",
-    kinds=("plan",),
-    description="decision/edge sets must match the network graph exactly",
-)
 def check_plan_structure(ctx: PlanContext) -> Iterator[Finding]:
+    """Decision/edge sets must match the network graph exactly."""
     if ctx.network is None:
         return
     prefix = ctx.prefix
@@ -388,12 +371,8 @@ def check_plan_structure(ctx: PlanContext) -> Iterator[Finding]:
         )
 
 
-@register_pass(
-    "plan-primitives",
-    kinds=("plan",),
-    description="every primitive exists, supports its scenario, and owns its layouts",
-)
 def check_plan_primitives(ctx: PlanContext) -> Iterator[Finding]:
+    """Every primitive exists, supports its scenario, and owns its layouts."""
     library = ctx.env.library
     for name, entry in ctx.decisions().items():
         location = f"{ctx.prefix}layers[{name}]"
@@ -469,12 +448,8 @@ def check_plan_primitives(ctx: PlanContext) -> Iterator[Finding]:
             )
 
 
-@register_pass(
-    "plan-joins",
-    kinds=("plan",),
-    description="one-layout-per-join: all inbound edges of a layer agree",
-)
 def check_plan_joins(ctx: PlanContext) -> Iterator[Finding]:
+    """One-layout-per-join: all inbound edges of a layer agree."""
     inbound: Dict[str, List[dict]] = {}
     for entry in ctx.edges:
         consumer = entry.get("consumer")
@@ -496,12 +471,8 @@ def check_plan_joins(ctx: PlanContext) -> Iterator[Finding]:
             )
 
 
-@register_pass(
-    "plan-chains",
-    kinds=("plan",),
-    description="conversion chains walk real DT-graph edges with consistent endpoints",
-)
 def check_plan_chains(ctx: PlanContext) -> Iterator[Finding]:
+    """Conversion chains walk real DT-graph edges with consistent endpoints."""
     dt_graph = ctx.env.dt_graph
     decisions = ctx.decisions()
     for entry in ctx.edges:
@@ -607,12 +578,8 @@ def _deduped_edge_total(edges: List[dict], key: str) -> float:
     return total + sum(group_max.values())
 
 
-@register_pass(
-    "plan-costs",
-    kinds=("plan",),
-    description="the serialized cost vector equals what the decisions add up to",
-)
 def check_plan_costs(ctx: PlanContext) -> Iterator[Finding]:
+    """The serialized cost vector equals what the decisions add up to."""
     doc = ctx.document
     prefix = ctx.prefix
     layers = ctx.layers
@@ -677,17 +644,13 @@ def check_plan_costs(ctx: PlanContext) -> Iterator[Finding]:
         )
 
 
-@register_pass(
-    "plan-fanout",
-    kinds=("plan",),
-    description="fan-out double pricing: shared conversion chains priced per edge",
-)
 def check_plan_fanout(ctx: PlanContext) -> Iterator[Finding]:
+    """Fan-out double pricing: shared conversion chains priced per edge."""
     # The executor dedups conversions by (producer, target layout) — see
     # NetworkExecutor.run_traced — and since the fan-out-aware encoding both
     # the PBQP objective and finalize_plan attribute each shared chain to
     # exactly one edge, so every canonical plan reports a delta of 0.0 here.
-    # The pass stays as the regression tripwire that keeps double pricing
+    # The check stays as the regression tripwire that keeps double pricing
     # from silently returning (CI runs `repro check --strict`, which
     # promotes this warning to a failure on freshly planned documents).
     groups: Dict[Tuple[str, str], List[dict]] = {}
@@ -724,16 +687,12 @@ def check_plan_fanout(ctx: PlanContext) -> Iterator[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# Cost-table passes
+# Cost-table checks
 # ---------------------------------------------------------------------------
 
 
-@register_pass(
-    "tables-fields",
-    kinds=("tables",),
-    description="table scalars and per-layer scenarios are mutually consistent",
-)
 def check_tables_fields(ctx: TablesContext) -> Iterator[Finding]:
+    """Table scalars and per-layer scenarios are mutually consistent."""
     doc = ctx.document
     prefix = ctx.prefix
     dtype = doc.get("dtype", "fp32")
@@ -782,12 +741,8 @@ def check_tables_fields(ctx: TablesContext) -> Iterator[Finding]:
             )
 
 
-@register_pass(
-    "tables-primitives",
-    kinds=("tables",),
-    description="every priced primitive exists and supports its scenario",
-)
 def check_tables_primitives(ctx: TablesContext) -> Iterator[Finding]:
+    """Every priced primitive exists and supports its scenario."""
     library = ctx.env.library
     node_costs = ctx.document.get("node_costs")
     if not isinstance(node_costs, dict):
@@ -826,12 +781,8 @@ def check_tables_primitives(ctx: TablesContext) -> Iterator[Finding]:
                 )
 
 
-@register_pass(
-    "tables-chains",
-    kinds=("tables",),
-    description="serialized conversion chains walk real DT-graph edges",
-)
 def check_tables_chains(ctx: TablesContext) -> Iterator[Finding]:
+    """Serialized conversion chains walk real DT-graph edges."""
     dt_graph = ctx.env.dt_graph
     dt_hops = ctx.document.get("dt_hops")
     if not isinstance(dt_hops, dict):
@@ -876,16 +827,12 @@ def check_tables_chains(ctx: TablesContext) -> Iterator[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# Envelope passes (frontier / store entry / service plan)
+# Envelope checks (frontier / store entry / service plan)
 # ---------------------------------------------------------------------------
 
 
-@register_pass(
-    "frontier-envelope",
-    kinds=("frontier",),
-    description="frontier points carry consistent vectors (and legal plans)",
-)
 def check_frontier_envelope(ctx: EnvelopeContext) -> Iterator[Finding]:
+    """Frontier points carry consistent vectors (and legal plans)."""
     doc = ctx.document
     prefix = ctx.prefix
     points = doc.get("points")
@@ -931,12 +878,8 @@ def check_frontier_envelope(ctx: EnvelopeContext) -> Iterator[Finding]:
                         )
 
 
-@register_pass(
-    "store-entry-envelope",
-    kinds=("store-entry",),
-    description="store key agrees with the embedded tables; version freshness",
-)
 def check_store_entry(ctx: EnvelopeContext) -> Iterator[Finding]:
+    """Store key agrees with the embedded tables; version freshness."""
     doc = ctx.document
     prefix = ctx.prefix
     key = doc.get("key")
@@ -1005,12 +948,8 @@ def check_store_entry(ctx: EnvelopeContext) -> Iterator[Finding]:
     yield from _run_kind(tables, "tables", ctx.env, prefix + "tables.")
 
 
-@register_pass(
-    "service-plan-envelope",
-    kinds=("service-plan",),
-    description="service plan document agrees with its embedded plan",
-)
 def check_service_plan_envelope(ctx: EnvelopeContext) -> Iterator[Finding]:
+    """Service plan document agrees with its embedded plan."""
     doc = ctx.document
     prefix = ctx.prefix
     plan_doc = doc.get("plan")
@@ -1049,6 +988,30 @@ def check_service_plan_envelope(ctx: EnvelopeContext) -> Iterator[Finding]:
         )
 
 
+#: Document kind -> (context type, its checks in run order).
+CHECKS: Dict[str, Tuple[Callable[..., object], Tuple[Callable[..., Iterator[Finding]], ...]]] = {
+    "plan": (
+        PlanContext,
+        (
+            check_plan_fields,
+            check_plan_structure,
+            check_plan_primitives,
+            check_plan_joins,
+            check_plan_chains,
+            check_plan_costs,
+            check_plan_fanout,
+        ),
+    ),
+    "tables": (
+        TablesContext,
+        (check_tables_fields, check_tables_primitives, check_tables_chains),
+    ),
+    "frontier": (EnvelopeContext, (check_frontier_envelope,)),
+    "store-entry": (EnvelopeContext, (check_store_entry,)),
+    "service-plan": (EnvelopeContext, (check_service_plan_envelope,)),
+}
+
+
 # ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
@@ -1062,7 +1025,7 @@ def verify_document(
     library: Optional[PrimitiveLibrary] = None,
     dt_graph: Optional[DTGraph] = None,
 ) -> Report:
-    """Run every applicable registered pass over one raw JSON document.
+    """Run every check of its kind over one raw JSON document.
 
     The document kind is detected from its ``format`` token; unknown formats
     produce a single ``RV100`` error.  Pass an explicit ``network`` to check

@@ -673,6 +673,12 @@ def _command_platforms(args: argparse.Namespace) -> int:
 
 def _command_figures(args: argparse.Namespace) -> int:
     platform = get_platform(args.platform)  # validated by main() already
+    if args.threads > platform.cores:
+        print(
+            f"error: --threads must be <= {platform.cores}, the cores of {platform.name}",
+            file=sys.stderr,
+        )
+        return 2
     networks = FIGURE_NETWORKS.get(platform.name, DEFAULT_FIGURE_NETWORKS)
     session = Session()
     results = [

@@ -55,8 +55,10 @@ def run_absolute_time_table(
 ) -> List[AbsoluteTimeRow]:
     """Compute every row of Table 2 (Intel) or Table 3 (ARM) for a platform.
 
-    Pass a shared :class:`repro.api.Session` to reuse profiled cost tables
-    across calls.
+    Thread counts above ``platform.cores`` are skipped: the cost model clamps
+    threads to the cores, so such a row would repeat a smaller count's.  Pass
+    a shared :class:`repro.api.Session` to reuse profiled cost tables across
+    calls.
     """
     if session is None:
         from repro.api import Session
@@ -65,6 +67,8 @@ def run_absolute_time_table(
     networks = networks if networks is not None else list(TABLE_NETWORKS)
     rows: List[AbsoluteTimeRow] = []
     for threads in thread_counts:
+        if threads > platform.cores:
+            continue
         for model_name in networks:
             context = session.context_for(model_name, platform, threads)
             row = AbsoluteTimeRow(network=model_name, threads=threads)

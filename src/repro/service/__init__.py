@@ -13,8 +13,8 @@ Layout (the ``api/services`` + ``api/workers`` split the ROADMAP cites):
 
 * :mod:`repro.service.app`      — the application object, request routing and
   schema validation (errors as structured JSON), and the HTTP server glue;
-* :mod:`repro.service.handlers` — one handler per endpoint, published through
-  the :func:`~repro.service.handlers.register_endpoint` decorator registry;
+* :mod:`repro.service.handlers` — one handler per endpoint, routed through
+  the :data:`~repro.service.handlers.ENDPOINTS` table;
 * :mod:`repro.service.workers`  — the background warming queue, drained by
   one dispatcher thread;
 * :mod:`repro.service.metrics`  — thread-safe counters and latency
@@ -23,9 +23,10 @@ Layout (the ``api/services`` + ``api/workers`` split the ROADMAP cites):
   examples and CI.
 
 Endpoints: ``POST /v1/plan``, ``POST /v1/compare``, ``POST /v1/frontier``,
-``GET /v1/platforms``, ``GET /v1/healthz``, ``GET /v1/metrics``.  Start a
-daemon with ``repro serve`` (optionally ``--warm zoo`` to pre-populate the
-whole zoo x platform x batch grid in the background), or in-process:
+``POST /v1/validate``, ``GET /v1/platforms``, ``GET /v1/healthz``,
+``GET /v1/metrics``.  Start a daemon with ``repro serve`` (optionally
+``--warm zoo`` to pre-populate the whole zoo x platform x batch grid in the
+background), or in-process:
 
 >>> from repro.service import PlannerApp, make_server           # doctest: +SKIP
 >>> server = make_server(PlannerApp(cache_dir="repro-cache"))   # doctest: +SKIP
@@ -34,7 +35,7 @@ whole zoo x platform x batch grid in the background), or in-process:
 
 from repro.service.app import PlannerApp, make_server, serve
 from repro.service.client import PlannerClient, ServiceError
-from repro.service.handlers import ENDPOINTS, register_endpoint
+from repro.service.handlers import ENDPOINTS
 from repro.service.metrics import Metrics
 from repro.service.workers import WarmJob, WarmingQueue, grid_jobs
 
@@ -45,7 +46,6 @@ __all__ = [
     "PlannerClient",
     "ServiceError",
     "ENDPOINTS",
-    "register_endpoint",
     "Metrics",
     "WarmJob",
     "WarmingQueue",

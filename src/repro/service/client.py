@@ -35,7 +35,10 @@ class ServiceError(Exception):
 
 
 class PlannerClient:
-    """Typed entry points over the daemon's six endpoints."""
+    """Typed entry points over six of the daemon's seven endpoints.
+
+    ``POST /v1/validate`` has no typed method; call it through :meth:`request`.
+    """
 
     def __init__(
         self, host: str = "127.0.0.1", port: int = 8735, timeout: float = 60.0

@@ -1,11 +1,11 @@
-"""One handler per endpoint, published through a decorator registry.
+"""One handler per endpoint, routed through the :data:`ENDPOINTS` table.
 
 Each handler is a plain function taking ``(app, params)`` — ``params`` already
 validated against the endpoint's declared :class:`~repro.service.app.Field`
-specs — and returning the JSON-shaped response payload.  The
-:func:`register_endpoint` decorator records it in :data:`ENDPOINTS`, which
-:meth:`repro.service.app.PlannerApp.handle` routes from; adding an endpoint
-is one decorated function.
+specs — and returning the JSON-shaped response payload.  :data:`ENDPOINTS`,
+the literal at the end of this module, pairs each handler with its method,
+path, fields and description; :meth:`repro.service.app.PlannerApp.handle`
+routes from it, so adding an endpoint is one function plus one row.
 
 Handlers raise :class:`~repro.service.app.ApiError` for domain errors that
 validation cannot catch declaratively (e.g. a platform-gated strategy on the
@@ -25,25 +25,6 @@ from repro.models import MODEL_BUILDERS
 from repro.multiobj.vector import OBJECTIVES
 from repro.pbqp.solver import solve_count
 from repro.service.app import ApiError, Endpoint, Field, Params, PlannerApp, ValidationError
-
-#: The endpoint registry: ``(method, path) -> Endpoint``, in registration order.
-ENDPOINTS: Dict[Tuple[str, str], Endpoint] = {}
-
-
-def register_endpoint(method: str, path: str, fields: Tuple[Field, ...] = (), description: str = ""):
-    """Decorator publishing a handler in :data:`ENDPOINTS`."""
-
-    def decorator(fn):
-        key = (method, path)
-        if key in ENDPOINTS:
-            raise ValueError(f"duplicate endpoint {method} {path}")
-        ENDPOINTS[key] = Endpoint(
-            method=method, path=path, fn=fn, fields=tuple(fields), description=description
-        )
-        return fn
-
-    return decorator
-
 
 # -- shared field specs --------------------------------------------------------
 
@@ -91,12 +72,6 @@ def _check_threads(params: Params) -> None:
 # -- planning endpoints --------------------------------------------------------
 
 
-@register_endpoint(
-    "POST",
-    "/v1/plan",
-    fields=(_MODEL, _PLATFORM, _STRATEGY, _THREADS, _BATCH, _DTYPE),
-    description="select one plan (cached; warm requests perform zero solves)",
-)
 def handle_plan(app: PlannerApp, params: Params) -> dict:
     _check_threads(params)
     try:
@@ -114,20 +89,6 @@ def handle_plan(app: PlannerApp, params: Params) -> dict:
     return {**document, "from_cache": cached}
 
 
-@register_endpoint(
-    "POST",
-    "/v1/compare",
-    fields=(
-        _MODEL,
-        _PLATFORM,
-        _THREADS,
-        _BATCH,
-        _DTYPE,
-        Field("strategies", "array", description="subset of strategies to evaluate"),
-        Field("include_frameworks", "boolean", default=True),
-    ),
-    description="evaluate every applicable strategy, ranked by total cost",
-)
 def handle_compare(app: PlannerApp, params: Params) -> dict:
     _check_threads(params)
     strategies = params["strategies"]
@@ -187,31 +148,6 @@ def handle_compare(app: PlannerApp, params: Params) -> dict:
     return {**document, "from_cache": cached}
 
 
-@register_endpoint(
-    "POST",
-    "/v1/frontier",
-    fields=(
-        _MODEL,
-        _PLATFORM,
-        _THREADS,
-        _BATCH,
-        Field("seed", "integer", default=0, minimum=0),
-        Field("budget_steps", "integer", minimum=1),
-        Field(
-            "dtypes",
-            "array",
-            description="precisions spanned by the front (default: all registered)",
-        ),
-        Field("constraints", "object", description="{objective}_max bounds"),
-        Field(
-            "include_plans",
-            "boolean",
-            default=False,
-            description="embed full serialized plans for every frontier point",
-        ),
-    ),
-    description="build the multi-objective Pareto frontier of plans",
-)
 def handle_frontier(app: PlannerApp, params: Params) -> dict:
     _check_threads(params)
     dtypes = params["dtypes"]
@@ -292,20 +228,6 @@ def handle_frontier(app: PlannerApp, params: Params) -> dict:
     return {**document, "from_cache": cached}
 
 
-@register_endpoint(
-    "POST",
-    "/v1/validate",
-    fields=(
-        Field(
-            "document",
-            "object",
-            required=True,
-            description="a serialized plan/tables/frontier/store-entry/"
-            "service document to verify statically",
-        ),
-    ),
-    description="statically verify a serialized document without executing it",
-)
 def handle_validate(app: PlannerApp, params: Params) -> dict:
     from repro.analysis.plan_verifier import verify_document
 
@@ -324,9 +246,6 @@ def handle_validate(app: PlannerApp, params: Params) -> dict:
 # -- introspection endpoints ---------------------------------------------------
 
 
-@register_endpoint(
-    "GET", "/v1/platforms", description="every registered platform with its parameters"
-)
 def handle_platforms(app: PlannerApp, params: Params) -> dict:
     platforms = []
     for name in list_platforms():
@@ -346,7 +265,6 @@ def handle_platforms(app: PlannerApp, params: Params) -> dict:
     return {"format": "repro/service/v1", "platforms": platforms}
 
 
-@register_endpoint("GET", "/v1/healthz", description="liveness and warm-state probe")
 def handle_healthz(app: PlannerApp, params: Params) -> dict:
     return {
         "status": "ok",
@@ -360,9 +278,6 @@ def handle_healthz(app: PlannerApp, params: Params) -> dict:
     }
 
 
-@register_endpoint(
-    "GET", "/v1/metrics", description="counters, latency histograms, store and solver state"
-)
 def handle_metrics(app: PlannerApp, params: Params) -> dict:
     document = app.metrics.snapshot()
     document["uptime_s"] = app.uptime_s
@@ -388,3 +303,94 @@ def handle_metrics(app: PlannerApp, params: Params) -> dict:
         }
     document["warming"] = app.warming.state()
     return document
+
+
+# -- the routing table ---------------------------------------------------------
+
+#: Every endpoint, ``(method, path) -> Endpoint``, in routing order.
+ENDPOINTS: Dict[Tuple[str, str], Endpoint] = {
+    (endpoint.method, endpoint.path): endpoint
+    for endpoint in (
+        Endpoint(
+            "POST",
+            "/v1/plan",
+            handle_plan,
+            fields=(_MODEL, _PLATFORM, _STRATEGY, _THREADS, _BATCH, _DTYPE),
+            description="select one plan (cached; warm requests perform zero solves)",
+        ),
+        Endpoint(
+            "POST",
+            "/v1/compare",
+            handle_compare,
+            fields=(
+                _MODEL,
+                _PLATFORM,
+                _THREADS,
+                _BATCH,
+                _DTYPE,
+                Field("strategies", "array", description="subset of strategies to evaluate"),
+                Field("include_frameworks", "boolean", default=True),
+            ),
+            description="evaluate every applicable strategy, ranked by total cost",
+        ),
+        Endpoint(
+            "POST",
+            "/v1/frontier",
+            handle_frontier,
+            fields=(
+                _MODEL,
+                _PLATFORM,
+                _THREADS,
+                _BATCH,
+                Field("seed", "integer", default=0, minimum=0),
+                Field("budget_steps", "integer", minimum=1),
+                Field(
+                    "dtypes",
+                    "array",
+                    description="precisions spanned by the front (default: all registered)",
+                ),
+                Field("constraints", "object", description="{objective}_max bounds"),
+                Field(
+                    "include_plans",
+                    "boolean",
+                    default=False,
+                    description="embed full serialized plans for every frontier point",
+                ),
+            ),
+            description="build the multi-objective Pareto frontier of plans",
+        ),
+        Endpoint(
+            "POST",
+            "/v1/validate",
+            handle_validate,
+            fields=(
+                Field(
+                    "document",
+                    "object",
+                    required=True,
+                    description="a serialized plan/tables/frontier/store-entry/"
+                    "service document to verify statically",
+                ),
+            ),
+            description="statically verify a serialized document without executing it",
+        ),
+        Endpoint(
+            "GET",
+            "/v1/platforms",
+            handle_platforms,
+            description="every registered platform with its parameters",
+        ),
+        Endpoint(
+            "GET",
+            "/v1/healthz",
+            handle_healthz,
+            description="liveness and warm-state probe",
+        ),
+        Endpoint(
+            "GET",
+            "/v1/metrics",
+            handle_metrics,
+            description="counters, latency histograms, store and solver state",
+        ),
+    )
+}

@@ -5,10 +5,7 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
-import pytest
-
-from repro.analysis.lint import lint_file, lint_source, run_lint
-from repro.analysis.passes import PASSES, register_pass, registered_passes
+from repro.analysis.lint import RULES, lint_file, lint_source, run_lint
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -78,6 +75,37 @@ def test_registry_mutator_method_call_is_flagged():
         "src/repro/sneaky.py",
     )
     assert "LT201" in rules_of(report)
+
+
+def test_table_mutation_message_points_at_the_literal():
+    findings = lint(
+        """
+        from repro.core.strategies import STRATEGIES
+
+        STRATEGIES["rogue"] = object()
+        """,
+        "src/repro/rogue.py",
+    )
+    [finding] = findings
+    assert finding.rule == "LT201"
+    assert finding.message == (
+        "table STRATEGIES is assigned into outside a register_* function; "
+        "add a row to the STRATEGIES literal instead"
+    )
+
+
+def test_platform_mutation_message_points_at_register_platform():
+    findings = lint(
+        """
+        from repro.cost.platform import PLATFORMS
+
+        PLATFORMS.pop("gpu-sim")
+        """,
+        "src/repro/rogue.py",
+    )
+    [finding] = findings
+    assert finding.rule == "LT201"
+    assert finding.message.endswith("; publish through register_platform instead")
 
 
 # ---------------------------------------------------------------------------
@@ -248,20 +276,14 @@ def test_lint_file_reads_real_modules(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# pass registry
+# the rule table
 
 
-def test_registered_passes_cover_plan_and_source_kinds():
-    names = set(registered_passes())
-    assert {"plan-fields", "plan-costs", "plan-fanout", "lint-registry-mutation"} <= names
-    kinds = {kind for p in PASSES.values() for kind in p.kinds}
-    assert {"plan", "tables", "source"} <= kinds
-
-
-def test_duplicate_pass_registration_is_rejected():
-    assert "plan-fields" in PASSES
-    with pytest.raises(ValueError, match="plan-fields"):
-
-        @register_pass("plan-fields", kinds=("plan",))
-        def shadow(context):  # pragma: no cover - never runs
-            return []
+def test_rules_table_lists_each_rule_once():
+    names = [rule.__name__ for rule in RULES]
+    assert names == [
+        "lint_registry_mutation",
+        "lint_unseeded_random",
+        "lint_unsorted_json",
+        "lint_lock_discipline",
+    ]

@@ -19,7 +19,9 @@ import re
 
 import pytest
 
+from repro.analysis import plan_verifier
 from repro.analysis.plan_verifier import (
+    CHECKS,
     KNOWN_FORMATS,
     PlanVerificationError,
     detect_kind,
@@ -347,3 +349,40 @@ def test_report_json_is_byte_identical_across_runs(alexnet_doc):
     parsed = json.loads(first)
     assert parsed["format"] == "repro/analysis-report/v1"
     assert json.dumps(parsed, indent=2, sort_keys=True) == first
+
+
+# ---------------------------------------------------------------------------
+# the check table
+
+
+def test_checks_table_covers_every_kind_and_check_once():
+    """A repeated kind would silently drop a row of checks."""
+    assert set(CHECKS) == set(KNOWN_FORMATS.values())
+    listed = [check for _, checks in CHECKS.values() for check in checks]
+    defined = [
+        fn for name, fn in vars(plan_verifier).items() if name.startswith("check_")
+    ]
+    assert len(listed) == len(set(listed)) == len(defined) == 13
+    assert set(listed) == set(defined)
+
+
+def test_crashing_check_is_one_rv190_naming_it(alexnet_doc, monkeypatch):
+    def check_that_crashes(ctx):
+        raise RuntimeError("boom")
+        yield  # pragma: no cover - makes this a generator like the real checks
+
+    doc = copy.deepcopy(alexnet_doc)
+    mutate_total_ms(doc, random.Random(CORPUS_SEED))
+    expected = verify_document(doc).findings
+    assert "RV131" in {finding.rule for finding in expected}
+    context_type, checks = CHECKS["plan"]
+    monkeypatch.setitem(
+        CHECKS, "plan", (context_type, checks[:1] + (check_that_crashes,) + checks[1:])
+    )
+    report = verify_document(doc)
+    crashes = [finding for finding in report.findings if finding.rule == "RV190"]
+    assert len(crashes) == 1
+    assert crashes[0].severity == "error"
+    assert "'check_that_crashes' crashed: RuntimeError: boom" in crashes[0].message
+    # Every other check still ran, the ones after the crashed one included.
+    assert [finding for finding in report.findings if finding.rule != "RV190"] == expected

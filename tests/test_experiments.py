@@ -129,6 +129,11 @@ class TestWholeNetworkHarness(object):
         assert set(rows[0].times_ms) == {"SUM2D", "L.OPT", "PBQP"}
         assert format_absolute_table(rows, "gpu").splitlines()[3].endswith(" -")
 
+    def test_table_skips_thread_counts_above_the_cores(self):
+        # gpu-sim has one core: a 4-thread row would repeat the 1-thread row.
+        rows = run_absolute_time_table(PLATFORMS["gpu-sim"], ["alexnet"], (1, 4))
+        assert [row.threads for row in rows] == [1]
+
 
 class TestHeadlineClaims:
     def test_winograd_family_wins_vgg_but_not_alexnet(self, intel_platform):

@@ -167,6 +167,12 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "PBQP" in out and "googlenet" in out
 
+    def test_figures_refuse_threads_above_the_cores(self, capsys):
+        assert main(["figures", "--platform", "gpu-sim", "--threads", "4"]) == 2
+        captured = capsys.readouterr()
+        assert "must be <= 1, the cores of gpu-sim" in captured.err
+        assert "multithreaded" not in captured.out
+
     def test_unknown_model_rejected(self):
         with pytest.raises(SystemExit):
             main(["select", "resnet-50"])

@@ -541,14 +541,16 @@ class TestMetricsUnit:
 
 
 class TestRegistry:
-    def test_duplicate_endpoint_is_rejected(self):
-        from repro.service.handlers import register_endpoint
+    def test_every_handler_is_routed_exactly_once(self):
+        """A repeated (method, path) row would silently drop a handler."""
+        from repro.service import handlers
 
-        with pytest.raises(ValueError, match="duplicate endpoint"):
-
-            @register_endpoint("GET", "/v1/healthz")
-            def clashing(app, params):  # pragma: no cover - never called
-                return {}
+        defined = [
+            fn for name, fn in vars(handlers).items() if name.startswith("handle_")
+        ]
+        routed = [endpoint.fn for endpoint in handlers.ENDPOINTS.values()]
+        assert len(routed) == len(set(routed)) == len(defined) == 7
+        assert set(routed) == set(defined)
 
     def test_every_endpoint_has_a_description(self, service):
         app, _ = service
