@@ -15,7 +15,7 @@ brand-new session over the last cold start's store.
 import statistics
 import time
 
-import repro.cost.provider as provider_module
+import repro.api as api_module
 from benchmarks.conftest import SMOKE, emit, record_metric
 from repro.api import Session
 
@@ -27,13 +27,13 @@ ROUNDS = 5
 
 def test_store_warm_start_skips_profiling(benchmark, library, intel, tmp_path, monkeypatch):
     builds = []
-    original = provider_module.build_cost_tables
+    original = api_module.build_cost_tables
 
     def counting_build(*args, **kwargs):
         builds.append(kwargs.get("threads"))
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(provider_module, "build_cost_tables", counting_build)
+    monkeypatch.setattr(api_module, "build_cost_tables", counting_build)
 
     cold_seconds = []
     for round_index in range(ROUNDS):

@@ -3,14 +3,14 @@
 
 The other examples drive selection with the analytical platform model.  This
 one uses the paper's original methodology end to end on the host machine,
-through the Session API's pluggable cost providers:
+by handing the Session a different cost model:
 
 1. a small CNN is defined with the graph-building API;
-2. a :class:`repro.ProfiledCostProvider` *actually times* the numpy-backed
-   primitives on tensors of each layer's size (the wall-clock profiler — the
-   paper's layerwise profiling) — and because the session wraps it in a
-   persistent :class:`repro.CostStore`, a second run of this script skips the
-   slow profiling entirely;
+2. a :class:`repro.cost.WallClockProfiler` *actually times* the numpy-backed
+   primitives on tensors of each layer's size (the paper's layerwise
+   profiling) — and because the session persists the measured tables in a
+   :class:`repro.CostStore`, a second run of this script skips the slow
+   profiling entirely;
 3. the PBQP selector consumes those measured costs;
 4. the resulting plan is executed on a real input and its output is verified
    against the all-SUM2D reference execution, demonstrating that the selected
@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from repro.api import Session
-from repro.cost.provider import ProfiledCostProvider
+from repro.cost import WallClockProfiler
 from repro.graph.layer import (
     ConcatLayer,
     ConvLayer,
@@ -68,7 +68,7 @@ def main() -> None:
     # Layerwise profiling on the host machine (measured, not modelled), with
     # the measured tables persisted on disk for the next run of this script.
     session = Session(
-        provider=ProfiledCostProvider(repetitions=3, warmup=1),
+        cost_model=WallClockProfiler(repetitions=3, warmup=1),
         cache_dir="repro-cache-profiled",
     )
     print("Profiling every applicable primitive for every convolution layer ...")

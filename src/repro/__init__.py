@@ -8,7 +8,7 @@ The package is organised by subsystem:
   and MobileNet builders;
 * :mod:`repro.primitives` — the library of >70 convolution primitives;
 * :mod:`repro.pbqp` — the PBQP solver;
-* :mod:`repro.cost` — platform models, cost providers and the persistent
+* :mod:`repro.cost` — platform models, cost models and the persistent
   cost-table store;
 * :mod:`repro.core` — the paper's contribution: PBQP-based primitive selection
   with data layout transformations, plus the baseline strategies;
@@ -25,9 +25,10 @@ Quickstart (see README.md for the full walkthrough)
 >>> report = plan.execute()                             # doctest: +SKIP
 >>> comparison = session.compare("alexnet", "intel-haswell")  # doctest: +SKIP
 
-The session owns the full pipeline: cost tables come from a pluggable
-:class:`~repro.cost.provider.CostProvider` (analytical platform model, host
-profiler, or a persistent disk-backed :class:`~repro.cost.store.CostStore`),
+The session owns the full pipeline: cost tables come from one
+:class:`~repro.cost.model.CostModel` (by default each platform's analytical
+model, or e.g. the host profiler) and optionally persist in a disk-backed
+:class:`~repro.cost.store.CostStore`,
 strategies resolve through the table in :mod:`repro.core.strategies`, and
 :meth:`~repro.api.Session.run` executes the selected plan with per-layer
 timing.  Every selection context and plan is built by a session.
@@ -51,10 +52,6 @@ __all__ = [
     "Plan",
     "ExecutionReport",
     "ComparisonReport",
-    "CostProvider",
-    "AnalyticalCostProvider",
-    "ProfiledCostProvider",
-    "CostModelProvider",
     "CostStore",
     "STRATEGIES",
     "Strategy",
@@ -72,10 +69,6 @@ _API_NAMES = (
     "ComparisonReport",
 )
 _COST_NAMES = (
-    "CostProvider",
-    "AnalyticalCostProvider",
-    "ProfiledCostProvider",
-    "CostModelProvider",
     "CostStore",
     "PLATFORMS",
 )

@@ -3,9 +3,10 @@
 The paper's workflow is "profile once, select many": the cost tables for one
 (network, platform, thread-count) are produced ahead of time and then drive
 any number of selection queries.  :class:`Session` owns that whole pipeline —
-cost production (through a pluggable :class:`~repro.cost.provider.CostProvider`),
-selection (through the :data:`~repro.core.strategies.STRATEGIES` table),
-and execution (through :class:`~repro.runtime.executor.NetworkExecutor`):
+cost production (one :class:`~repro.cost.model.CostModel` through
+:func:`~repro.cost.tables.build_cost_tables`), selection (through the
+:data:`~repro.core.strategies.STRATEGIES` table), and execution (through
+:class:`~repro.runtime.executor.NetworkExecutor`):
 
 >>> from repro.api import Session
 >>> session = Session(cache_dir="~/.cache/repro")                 # doctest: +SKIP
@@ -52,10 +53,12 @@ from repro.core.strategies import (
     applicable_strategies,
     get_strategy,
 )
+from repro.cost.analytical import AnalyticalCostModel
+from repro.cost.model import CostModel
 from repro.cost.platform import Platform, get_platform
-from repro.cost.provider import AnalyticalCostProvider, CostProvider, CostQuery
 from repro.cost.serialize import plan_from_dict, save_plan
 from repro.cost.store import CostStore
+from repro.cost.tables import CostQuery, CostTables, build_cost_tables
 from repro.graph.layer import InputLayer
 from repro.graph.network import Network
 from repro.graph.scenario import DTYPES
@@ -164,7 +167,7 @@ class ExecutionReport:
     """What one executed forward pass did, against what the plan predicted.
 
     The predicted numbers come from the plan's cost model (for the default
-    analytical provider they describe the *modelled* platform, not this
+    analytical model they describe the *modelled* platform, not this
     host, so their absolute scale differs from the measured numbers; the
     per-layer *proportions* are the comparable quantity).
     """
@@ -346,10 +349,7 @@ class Plan:
         )
 
     def execute(
-        self,
-        input: Optional[np.ndarray] = None,
-        seed: int = 0,
-        keep_outputs: bool = False,
+        self, input: Optional[np.ndarray] = None, seed: int = 0
     ) -> ExecutionReport:
         """Run one forward pass and report measured against predicted costs.
 
@@ -366,8 +366,6 @@ class Plan:
             Weights are shared per network and seed: every plan a Session
             built for one network reuses one store, so only the first pass
             at a seed synthesizes them.
-        keep_outputs:
-            Keep every layer's output tensor on the returned trace.
         """
         batch = self.network_plan.batch
         if input is None:
@@ -392,9 +390,7 @@ class Plan:
                     f"batch={input_batch} (or reshape the input) to compare "
                     "like with like"
                 )
-        output, trace = self.executor(seed=seed).run_traced(
-            input, keep_outputs=keep_outputs
-        )
+        output, trace = self.executor(seed=seed).run_traced(input)
         return self._report(output, trace)
 
     def _report(
@@ -538,15 +534,15 @@ class Session:
     """Facade over the full pipeline: costs -> selection -> execution.
 
     The session owns one primitive library and one DT graph (shared by every
-    query), resolves strategies through the strategy table, and produces cost
-    tables through a pluggable :class:`~repro.cost.provider.CostProvider`.
+    query), resolves strategies through the strategy table, and prices cost
+    tables with one :class:`~repro.cost.model.CostModel`.
     Profiled contexts are memoized in-process keyed by ``(network
     fingerprint, platform, threads, batch, dtype)`` — the platform by its
     value, not its name — in a bounded memo that
     evicts the least recently used context above
-    :data:`repro.lru.CAPACITY`; passing ``cache_dir`` wraps the provider in a
-    persistent :class:`~repro.cost.store.CostStore`, so warm selections also
-    survive process restarts.
+    :data:`repro.lru.CAPACITY`; passing ``cache_dir`` persists the tables in
+    a :class:`~repro.cost.store.CostStore`, so warm selections also survive
+    process restarts.
 
     Parameters
     ----------
@@ -554,20 +550,21 @@ class Session:
         The primitive library (default: the full >80-variant library).
     dt_graph:
         The layout-transformation graph (default: built from the library).
-    provider:
-        Where cost tables come from (default:
-        :class:`~repro.cost.provider.AnalyticalCostProvider`).
+    cost_model:
+        What prices the tables.  ``None`` (the default) prices each query's
+        platform with that platform's
+        :class:`~repro.cost.analytical.AnalyticalCostModel`.  A model with a
+        ``platform`` plans on it when a query names none; a model without
+        one (the host profiler) labels its plans with its ``name``.
     cache_dir:
-        If given, persist produced cost tables in this directory (the
-        provider is wrapped in a :class:`~repro.cost.store.CostStore` unless
-        it already is one).
+        If given, persist produced cost tables in this directory.
     """
 
     def __init__(
         self,
         library: Optional[PrimitiveLibrary] = None,
         dt_graph: Optional[DTGraph] = None,
-        provider: Optional[CostProvider] = None,
+        cost_model: Optional[CostModel] = None,
         cache_dir: Optional[Union[str, Path]] = None,
     ) -> None:
         self.library = library if library is not None else default_primitive_library()
@@ -576,10 +573,15 @@ class Session:
             if dt_graph is not None
             else DTGraph(self.library.layouts_used(), default_transform_library())
         )
-        resolved = provider if provider is not None else AnalyticalCostProvider()
-        if cache_dir is not None and not isinstance(resolved, CostStore):
-            resolved = CostStore(cache_dir, resolved)
-        self.provider: CostProvider = resolved
+        self.cost_model = cost_model
+        #: The persistent cost store, if this session has one.
+        self.store: Optional[CostStore] = (
+            CostStore(cache_dir) if cache_dir is not None else None
+        )
+        # Without a model of its own, the session prices each platform with
+        # that platform's analytical model, keyed by the platform's value so
+        # a platform that reuses a name with other numbers gets its own.
+        self._analytical: Dict[Platform, AnalyticalCostModel] = {}
         self._contexts: BuildOnceLRU[SelectionContext] = BuildOnceLRU()
         self._networks: Dict[str, Network] = {}
         # Execution weights: at most one store per resolved network, keyed
@@ -591,25 +593,22 @@ class Session:
 
     # -- cache plumbing ---------------------------------------------------------
 
-    @property
-    def store(self) -> Optional[CostStore]:
-        """The persistent cost store, if this session has one."""
-        return self.provider if isinstance(self.provider, CostStore) else None
-
     def _resolve_platform(
         self, platform: PlatformLike
     ) -> Tuple[Optional[Platform], str]:
         """Resolve a platform argument into (Platform or None, platform name).
 
-        ``None`` stands for the provider's own platform: a provider built on
-        one platform's cost model prices (and gates) that platform, so it
-        labels and keys the context.  A provider with no platform (e.g. the
-        host profiler) labels the context with its name.
+        ``None`` stands for the cost model's own platform: a model built on
+        one platform prices (and gates) that platform, so it labels and keys
+        the context.  A model with no platform (e.g. the host profiler)
+        labels the context with its name.
         """
         if platform is None:
-            platform = getattr(self.provider, "platform", None)
+            platform = getattr(self.cost_model, "platform", None)
             if platform is None:
-                return None, self.provider.name
+                if self.cost_model is None:
+                    raise ValueError("the analytical cost model requires a platform")
+                return None, self.cost_model.name
         if isinstance(platform, Platform):
             return platform, platform.name
         resolved = get_platform(platform)
@@ -676,6 +675,9 @@ class Session:
             raise ValueError("batch must be >= 1")
         _check_dtype(dtype)
         resolved, platform_name = self._resolve_platform(platform)
+        message = None if resolved is None else resolved.threads_error(threads)
+        if message is not None:
+            raise ValueError(f"threads {message}")
         fingerprint, network = self._resolve_network(model)
         return CostQuery(
             network=network,
@@ -705,25 +707,52 @@ class Session:
             query.dtype,
         )
 
+    def _cost_model_for(self, platform: Optional[Platform]) -> CostModel:
+        """The model that prices a query on ``platform``."""
+        if self.cost_model is not None:
+            return self.cost_model
+        model = self._analytical.get(platform)
+        if model is None:
+            model = self._analytical.setdefault(platform, AnalyticalCostModel(platform))
+        return model
+
+    def _tables(self, query: CostQuery) -> CostTables:
+        """The query's cost tables: from the store when it holds them, else built."""
+        model = self._cost_model_for(query.platform)
+        build = functools.partial(
+            build_cost_tables,
+            query.network,
+            query.library,
+            query.dt_graph,
+            model,
+            threads=query.threads,
+            batch=query.batch,
+            dtype=query.dtype,
+        )
+        if self.store is None:
+            return build()
+        return self.store.tables(query, model, build)
+
     def _build_context(self, query: CostQuery) -> SelectionContext:
-        """Build a selection context with tables from the cost provider."""
+        """Build a selection context around the query's cost tables."""
         context = SelectionContext(
             network=query.network,
             library=self.library,
             dt_graph=self.dt_graph,
             platform_name=query.platform_name,
             threads=query.threads,
-            tables=self.provider.tables(query),
+            tables=self._tables(query),
             platform=query.platform,
             batch=query.batch,
             dtype=query.dtype,
         )
         if query.threads != 1:
-            # Framework emulations lazily need single-threaded tables; route
-            # that rebuild through the provider so a persistent store serves
-            # (and captures) it too.
-            single = query.with_threads(1)
-            context.single_thread_tables_factory = lambda: self.provider.tables(single)
+            # Framework emulations lazily need single-threaded tables; build
+            # them through the same path, so a persistent store serves (and
+            # captures) them too.
+            context.single_thread_tables_factory = functools.partial(
+                self._tables, query.with_threads(1)
+            )
         return context
 
     def _ensure_context(self, query: CostQuery) -> Tuple[SelectionContext, bool]:
@@ -784,7 +813,7 @@ class Session:
         (:mod:`repro.analysis.plan_verifier`) over the selected plan and
         raises :class:`~repro.analysis.plan_verifier.PlanVerificationError`
         if any error-severity finding survives — a buggy strategy or cost
-        provider is caught here, before anything executes.  Pass
+        model is caught here, before anything executes.  Pass
         ``verify=False`` to opt out (e.g. in tight benchmarking loops).
 
         Raises
@@ -992,6 +1021,6 @@ class Session:
     def __repr__(self) -> str:  # pragma: no cover - trivial
         info = self.cache_info()
         return (
-            f"{type(self).__name__}(provider={self.provider.name!r}, "
+            f"{type(self).__name__}(cost_model={self.cost_model!r}, "
             f"contexts={info.contexts}, hits={info.hits}, misses={info.misses})"
         )

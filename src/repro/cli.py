@@ -389,19 +389,15 @@ def _solver_note(plan) -> str:
 
 def _command_select(args: argparse.Namespace) -> int:
     session = _session(args)
-    try:
-        selected = session.plan(
-            args.model,
-            args.platform,
-            strategy=args.strategy,
-            threads=args.threads,
-            batch=args.batch,
-            dtype=args.dtype,
-            verify=False,
-        )
-    except ValueError as exc:  # e.g. a platform-gated strategy on the wrong platform
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    selected = session.plan(
+        args.model,
+        args.platform,
+        strategy=args.strategy,
+        threads=args.threads,
+        batch=args.batch,
+        dtype=args.dtype,
+        verify=False,
+    )
     # The speedup denominator is the paper's common baseline: *single-threaded*
     # SUM2D, matching the figures' methodology regardless of --threads (but
     # priced at the same --batch, so the ratio compares like with like).
@@ -673,11 +669,9 @@ def _command_platforms(args: argparse.Namespace) -> int:
 
 def _command_figures(args: argparse.Namespace) -> int:
     platform = get_platform(args.platform)  # validated by main() already
-    if args.threads > platform.cores:
-        print(
-            f"error: --threads must be <= {platform.cores}, the cores of {platform.name}",
-            file=sys.stderr,
-        )
+    message = platform.threads_error(args.threads)
+    if message is not None:
+        print(f"error: --threads {message}", file=sys.stderr)
         return 2
     networks = FIGURE_NETWORKS.get(platform.name, DEFAULT_FIGURE_NETWORKS)
     session = Session()
@@ -743,7 +737,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "platforms": _command_platforms,
         "list": _command_list,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ValueError as exc:  # e.g. a gated strategy or threads above the cores
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via python -m repro

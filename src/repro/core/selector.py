@@ -105,8 +105,8 @@ class CostVariants(Protocol):
 class SelectionContext:
     """Everything a selection strategy needs about one (network, platform, threads).
 
-    :meth:`repro.api.Session.context_for` builds one from the session's cost
-    provider; the cost tables are profiled once at construction and shared by
+    :meth:`repro.api.Session.context_for` builds one with tables priced by the
+    session's cost model; the tables are profiled once at construction and shared by
     every strategy, mirroring the paper's "profile once, ship the cost
     tables" workflow.
     """
@@ -124,8 +124,8 @@ class SelectionContext:
     dtype: str = "fp32"
     _single_thread_tables: Optional[CostTables] = field(default=None, repr=False)
     #: Produces the single-threaded tables of a multithreaded context on
-    #: first use.  The Session routes them through its cost provider (and
-    #: therefore through a persistent store).
+    #: first use.  The Session builds them like any other tables (and
+    #: therefore through its persistent store, if it has one).
     single_thread_tables_factory: Optional[Callable[[], CostTables]] = field(
         default=None, repr=False, compare=False
     )

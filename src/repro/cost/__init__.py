@@ -9,6 +9,10 @@ the characteristics of those two processors, plus a **wall-clock profiler**
 primitives on the host machine.  Both implement the same
 :class:`~repro.cost.model.CostModel` interface, so either can feed the
 selector; the analytical model is what regenerates the paper's figures.
+
+A :class:`repro.api.Session` prices with one such model (by default, each
+platform's analytical model) through :func:`~repro.cost.tables.build_cost_tables`;
+:class:`~repro.cost.store.CostStore` persists the resulting tables on disk.
 """
 
 from repro.cost.platform import (
@@ -28,14 +32,7 @@ from repro.cost.platform import (
 from repro.cost.model import CostModel
 from repro.cost.analytical import AnalyticalCostModel
 from repro.cost.profiler import WallClockProfiler
-from repro.cost.tables import CostTables, build_cost_tables
-from repro.cost.provider import (
-    AnalyticalCostProvider,
-    CostModelProvider,
-    CostProvider,
-    CostQuery,
-    ProfiledCostProvider,
-)
+from repro.cost.tables import CostQuery, CostTables, build_cost_tables
 from repro.cost.store import CostStore, StoreEntry, StoreKey, StoreStats
 
 __all__ = [
@@ -56,11 +53,7 @@ __all__ = [
     "WallClockProfiler",
     "CostTables",
     "build_cost_tables",
-    "CostProvider",
     "CostQuery",
-    "AnalyticalCostProvider",
-    "ProfiledCostProvider",
-    "CostModelProvider",
     "CostStore",
     "StoreKey",
     "StoreEntry",

@@ -122,6 +122,10 @@ class ModelParameters:
 class AnalyticalCostModel:
     """Price primitives and layout transformations on a modelled platform."""
 
+    name = "analytical"
+    #: Bump when the model's pricing changes incompatibly.
+    version = "1"
+
     def __init__(self, platform: Platform, parameters: ModelParameters | None = None) -> None:
         self.platform = platform
         self.parameters = parameters or ModelParameters()

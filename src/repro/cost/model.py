@@ -8,6 +8,10 @@ or price them on a modelled platform
 three queries: the cost vectors of one layer's primitives, and the time and
 energy of one direct layout-transformation routine on a tensor of a given
 shape.  Times are in seconds, energies in joules.
+
+A model is also the one cost source a :class:`repro.api.Session` prices
+with: its ``name`` and ``version`` label platform-less plans and key the
+tables a :class:`~repro.cost.store.CostStore` persists.
 """
 
 from __future__ import annotations
@@ -26,7 +30,20 @@ class CostModel(Protocol):
     :meth:`price_layer` call and each conversion hop with
     :meth:`transform_cost` and :meth:`transform_energy`.  A model that also
     has a ``platform`` attribute gates primitives by it.
+
+    Attributes
+    ----------
+    name:
+        Short identifier of the cost source: the label of a platform-less
+        plan and the ``provider`` field of a store key.
+    version:
+        Version tag of the model's pricing.  A persistent
+        :class:`~repro.cost.store.CostStore` includes it in the on-disk key,
+        so bumping it invalidates previously stored tables.
     """
+
+    name: str
+    version: str
 
     def price_layer(
         self,

@@ -79,7 +79,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, FrozenSet, List, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Union
 
 
 #: Version of the platform registry's modelling schema.  Participates in
@@ -170,6 +170,17 @@ class Platform:
     def has_feature(self, feature: str) -> bool:
         """Whether this platform declares a capability."""
         return feature in self.features
+
+    def threads_error(self, threads: int) -> Optional[str]:
+        """Why ``threads`` is refused on this platform, or ``None``.
+
+        The cost model clamps threads to the cores, so a larger count would
+        price the same plan under a new cache key.  The session, the
+        service and ``repro figures`` all refuse it with this message.
+        """
+        if threads > self.cores:
+            return f"must be <= {self.cores}, the cores of {self.name}"
+        return None
 
     # -- derived throughputs ----------------------------------------------------
 

@@ -43,7 +43,14 @@ class WallClockProfiler:
         initialization inside numpy).
     seed:
         Seed for the random input generator, so profiles are reproducible.
+
+    The profiler has no ``platform``: measurements describe the host, which
+    runs every variant, so its tables are not platform-gated and a session
+    labels its platform-less plans ``"profiled"``.
     """
+
+    name = "profiled"
+    version = "1"
 
     def __init__(self, repetitions: int = 3, warmup: int = 1, seed: int = 0) -> None:
         if repetitions < 1:

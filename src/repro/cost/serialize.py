@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.plan import EdgeDecision, LayerDecision, NetworkPlan
 from repro.cost.platform import PLATFORMS
@@ -42,10 +42,11 @@ PathLike = Union[str, Path]
 COST_TABLE_FORMAT = "repro/cost-tables/v3"
 PLAN_FORMAT = "repro/plan/v2"
 
-#: Context labels a session records as a plan's ``platform`` when planning
-#: against a provider with no modelled platform (``Session._resolve_platform``
-#: falls back to the provider's name).  Plans carrying these labels are legal
-#: even though the labels never appear in the platform registry.
+#: Context labels a session records as a plan's ``platform`` when it prices
+#: with a cost model that has no modelled platform
+#: (``Session._resolve_platform`` falls back to the model's ``name``, e.g.
+#: ``"profiled"`` for the host profiler).  Plans carrying these labels are
+#: legal even though the labels never appear in the platform registry.
 PROVIDER_PLATFORM_LABELS = ("analytical", "profiled")
 
 
@@ -56,6 +57,47 @@ def _shape_key(shape: Tuple[int, int, int]) -> str:
 def _parse_shape(key: str) -> Tuple[int, int, int]:
     c, h, w = (int(part) for part in key.split("x"))
     return (c, h, w)
+
+
+def _chain_to_hops(chain: Optional[TransformChain]) -> Optional[List[str]]:
+    """A conversion chain as the layout names it walks.
+
+    ``None`` is no chain (an unreachable pair) and ``[]`` the empty chain.
+    """
+    if chain is None:
+        return None
+    if not len(chain):
+        return []
+    return [chain.source.name] + [hop.target.name for hop in chain.transforms]
+
+
+def _chain_from_hops(
+    hops: Optional[List[str]],
+    dt_graph: DTGraph,
+    chains: Dict[Tuple[str, ...], TransformChain],
+) -> Optional[TransformChain]:
+    """Resolve a hop list against ``dt_graph``; the inverse of :func:`_chain_to_hops`.
+
+    ``chains`` memoizes resolved hop lists for one document: most tensor
+    shapes and edges share their chains, so each is resolved once.
+    """
+    if hops is None:
+        return None
+    chain = chains.get(tuple(hops))
+    if chain is None:
+        transforms = []
+        for source_name, target_name in zip(hops, hops[1:]):
+            transform = dt_graph.direct_transform(
+                get_layout(source_name), get_layout(target_name)
+            )
+            if transform is None:
+                raise ValueError(
+                    f"serialized chain uses unknown direct transform "
+                    f"{source_name}->{target_name}"
+                )
+            transforms.append(transform)
+        chain = chains[tuple(hops)] = TransformChain(transforms=tuple(transforms))
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -90,15 +132,7 @@ def cost_tables_to_dict(tables: CostTables) -> dict:
     }
     dt_hops = {
         _shape_key(shape): {
-            f"{src}->{dst}": (
-                None
-                if path.chain is None
-                else []
-                if len(path.chain) == 0
-                else [path.chain.source.name]
-                + [hop.target.name for hop in path.chain.transforms]
-            )
-            for (src, dst), path in pairs.items()
+            f"{src}->{dst}": _chain_to_hops(path.chain) for (src, dst), path in pairs.items()
         }
         for shape, pairs in tables.dt_paths.items()
     }
@@ -142,8 +176,6 @@ def cost_tables_from_dict(document: dict, dt_graph: DTGraph) -> CostTables:
     dt_costs: Dict[Tuple[int, int, int], Dict[Tuple[str, str], float]] = {}
     dt_paths: Dict[Tuple[int, int, int], Dict[Tuple[str, str], DTPath]] = {}
     dt_energy: Dict[Tuple[int, int, int], Dict[Tuple[str, str], float]] = {}
-    # Most shapes share their chains (as DTGraph.shortest_paths_by_shape
-    # does), so each distinct hop list is resolved once per load.
     chains: Dict[Tuple[str, ...], TransformChain] = {}
     for shape_key, pairs in document.get("dt_energy", {}).items():
         dt_energy[_parse_shape(shape_key)] = {
@@ -158,27 +190,7 @@ def cost_tables_from_dict(document: dict, dt_graph: DTGraph) -> CostTables:
         for pair_key, cost in pairs.items():
             src, dst = pair_key.split("->")
             costs[(src, dst)] = float(cost)
-            hop_names = hops_for_shape[pair_key]
-            chain: Optional[TransformChain]
-            if hop_names is None:
-                chain = None
-            else:
-                chain = chains.get(tuple(hop_names))
-                if chain is None:
-                    transforms = []
-                    for source_name, target_name in zip(hop_names, hop_names[1:]):
-                        transform = dt_graph.direct_transform(
-                            get_layout(source_name), get_layout(target_name)
-                        )
-                        if transform is None:
-                            raise ValueError(
-                                f"serialized chain uses unknown direct transform "
-                                f"{source_name}->{target_name}"
-                            )
-                        transforms.append(transform)
-                    chain = chains[tuple(hop_names)] = TransformChain(
-                        transforms=tuple(transforms)
-                    )
+            chain = _chain_from_hops(hops_for_shape[pair_key], dt_graph, chains)
             paths[(src, dst)] = DTPath(
                 source=get_layout(src), target=get_layout(dst), cost=float(cost), chain=chain
             )
@@ -263,13 +275,7 @@ def plan_to_dict(plan: NetworkPlan) -> dict:
                 "consumer": e.consumer,
                 "source_layout": e.source_layout.name,
                 "target_layout": e.target_layout.name,
-                "hops": None
-                if e.chain is None
-                else (
-                    [e.chain.source.name] + [hop.target.name for hop in e.chain.transforms]
-                    if len(e.chain)
-                    else []
-                ),
+                "hops": _chain_to_hops(e.chain),
                 "cost": e.cost,
                 "energy_j": e.energy_j,
             }
@@ -317,31 +323,15 @@ def plan_from_dict(document: dict, dt_graph: DTGraph) -> NetworkPlan:
             energy_j=float(entry.get("energy_j", 0.0)),
             accuracy_loss=float(entry.get("accuracy_loss", 0.0)),
         )
+    chains: Dict[Tuple[str, ...], TransformChain] = {}
     for entry in document["edges"]:
-        hops = entry["hops"]
-        if hops is None:
-            chain = None
-        elif not hops:
-            chain = TransformChain(transforms=())
-        else:
-            transforms = []
-            for source_name, target_name in zip(hops, hops[1:]):
-                transform = dt_graph.direct_transform(
-                    get_layout(source_name), get_layout(target_name)
-                )
-                if transform is None:
-                    raise ValueError(
-                        f"serialized plan uses unknown direct transform {source_name}->{target_name}"
-                    )
-                transforms.append(transform)
-            chain = TransformChain(transforms=tuple(transforms))
         plan.edge_decisions.append(
             EdgeDecision(
                 producer=entry["producer"],
                 consumer=entry["consumer"],
                 source_layout=get_layout(entry["source_layout"]),
                 target_layout=get_layout(entry["target_layout"]),
-                chain=chain,
+                chain=_chain_from_hops(entry["hops"], dt_graph, chains),
                 cost=float(entry["cost"]),
                 energy_j=float(entry.get("energy_j", 0.0)),
             )

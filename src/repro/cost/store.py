@@ -6,15 +6,16 @@ before deployment, and ship them with the trained model".  The in-process
 caches of :class:`repro.api.Session` realize "profile once, select many"
 within one process; :class:`CostStore` extends it across processes: every
 produced table set is written to a cache directory as a JSON document keyed
-by ``(network fingerprint, platform, threads, batch, provider name, provider
+by ``(network fingerprint, platform, threads, batch, cost-model name, cost-model
 version, platform registry version)``, and any later session pointed at the
 same directory loads the tables instead of re-profiling.
 
-The store is itself a :class:`~repro.cost.provider.CostProvider` — it
-decorates any other provider, so the same persistence works for analytically
-priced tables and for host-profiled ones (where re-profiling is genuinely
-expensive).  The provider version participates in the key, so bumping a
-provider's ``version`` invalidates stale entries instead of silently serving
+The store wraps nothing: the session hands it the build to run on a miss,
+so the same persistence works for analytically priced tables and for
+host-profiled ones (where re-profiling is genuinely expensive).  The key's
+``provider`` and ``provider_version`` fields hold the pricing
+:class:`~repro.cost.model.CostModel`'s ``name`` and ``version``, so bumping
+a model's ``version`` invalidates stale entries instead of silently serving
 them.
 """
 
@@ -27,12 +28,12 @@ import tempfile
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Callable, List, Optional, Union
 
-from repro.cost.platform import PLATFORMS, Platform, platform_version
-from repro.cost.provider import AnalyticalCostProvider, CostProvider, CostQuery
+from repro.cost.model import CostModel
+from repro.cost.platform import PLATFORMS, platform_version
 from repro.cost.serialize import cost_tables_from_dict, cost_tables_to_dict
-from repro.cost.tables import CostTables
+from repro.cost.tables import CostQuery, CostTables
 
 PathLike = Union[str, Path]
 
@@ -60,6 +61,8 @@ class StoreKey:
     fingerprint: str
     platform: str
     threads: int
+    #: Name and version of the cost model that priced the tables (the field
+    #: names predate cost models and stay, so existing entries keep hitting).
     provider: str
     provider_version: str
     #: Digest of the primitive library and DT graph the tables were built
@@ -71,7 +74,7 @@ class StoreKey:
     batch: int = 1
     #: Registry version plus parameter digest of the modelled platform (see
     #: :func:`repro.cost.platform.platform_version`); empty for platform-less
-    #: providers (the host profiler).  Part of the key, so editing a
+    #: cost models (the host profiler).  Part of the key, so editing a
     #: platform's numbers invalidates its stored tables.
     platform_version: str = ""
     #: Numeric precision the tables were priced for.  Part of the key, so
@@ -168,54 +171,37 @@ def _slug(text: str) -> str:
 
 
 class CostStore:
-    """Disk-backed cost tables: a persistent decorator around a provider.
+    """Disk-backed cost tables: one JSON entry per key in ``cache_dir``.
 
     Parameters
     ----------
     cache_dir:
         Directory holding the JSON entries (created if absent).
-    provider:
-        The provider that produces tables on a miss (default: the analytical
-        provider, matching :class:`repro.api.Session`'s default).
     """
 
-    def __init__(
-        self, cache_dir: PathLike, provider: Optional[CostProvider] = None
-    ) -> None:
+    def __init__(self, cache_dir: PathLike) -> None:
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self.provider = provider if provider is not None else AnalyticalCostProvider()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
 
-    # -- CostProvider interface ---------------------------------------------------
+    def tables(
+        self,
+        query: CostQuery,
+        cost_model: CostModel,
+        build: Callable[[], CostTables],
+    ) -> CostTables:
+        """Load the query's tables from disk, or run ``build`` and persist them.
 
-    @property
-    def name(self) -> str:
-        """The inner provider's name: the store changes where tables come
-        from, not what they describe, so platform-less contexts keep the
-        inner provider's label (and its on-disk keys already carry it)."""
-        return self.provider.name
-
-    @property
-    def version(self) -> str:
-        return self.provider.version
-
-    @property
-    def platform(self) -> Optional[Platform]:
-        """The inner provider's own platform, if it has one."""
-        return getattr(self.provider, "platform", None)
-
-    def tables(self, query: CostQuery) -> CostTables:
-        """Load the query's tables from disk, or produce and persist them.
-
-        An on-disk entry in an older (or corrupt) format is a *miss*, not an
-        error: the entry filename encodes the key but not the entry format,
-        so a format bump would otherwise turn every warm cache directory into
-        a crash.  Stale entries are regenerated and overwritten in place.
+        ``cost_model`` is the model ``build`` prices with; its name and
+        version are part of the key.  An on-disk entry in an older (or
+        corrupt) format is a *miss*, not an error: the entry filename encodes
+        the key but not the entry format, so a format bump would otherwise
+        turn every warm cache directory into a crash.  Stale entries are
+        regenerated and overwritten in place.
         """
-        key = self.key_for(query)
+        key = self.key_for(query, cost_model)
         path = self.path_for(key)
         if path.exists():
             try:
@@ -226,26 +212,30 @@ class CostStore:
                     return loaded
             except (OSError, json.JSONDecodeError, KeyError, ValueError):
                 pass
-        tables = self.provider.tables(query)
+        tables = build()
         self._misses += 1
         self._write(path, key, tables)
         return tables
 
     # -- keying and paths ---------------------------------------------------------
 
-    def key_for(self, query: CostQuery) -> StoreKey:
-        """The persistent identity of a query's tables."""
+    def key_for(self, query: CostQuery, cost_model: CostModel) -> StoreKey:
+        """The persistent identity of a query's tables priced by ``cost_model``.
+
+        A model with a ``platform`` prices that platform whatever the query
+        is labelled, so its platform's version is recorded: tables one
+        platform's model priced never answer for another platform.
+        """
+        priced_on = getattr(cost_model, "platform", None) or query.platform
         return StoreKey(
             fingerprint=query.fingerprint,
             platform=query.platform_name,
             threads=query.threads,
-            provider=self.provider.name,
-            provider_version=self.provider.version,
+            provider=cost_model.name,
+            provider_version=cost_model.version,
             components=components_digest(query.library, query.dt_graph),
             batch=query.batch,
-            platform_version=(
-                "" if query.platform is None else platform_version(query.platform)
-            ),
+            platform_version="" if priced_on is None else platform_version(priced_on),
             dtype=query.dtype,
         )
 
@@ -266,10 +256,6 @@ class CostStore:
             f"_{key.threads}t_b{key.batch}_{_slug(key.dtype)}"
         )
         return self.shard_for(key) / f"{prefix}_{key.digest()}.json"
-
-    def contains(self, query: CostQuery) -> bool:
-        """Whether the store already holds tables for a query."""
-        return self.path_for(self.key_for(query)).exists()
 
     # -- management ---------------------------------------------------------------
 
@@ -436,5 +422,5 @@ class CostStore:
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
             f"CostStore(cache_dir={str(self.cache_dir)!r}, "
-            f"provider={self.provider.name!r}, hits={self._hits}, misses={self._misses})"
+            f"hits={self._hits}, misses={self._misses})"
         )

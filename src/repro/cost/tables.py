@@ -30,10 +30,12 @@ outputs are plain dicts, in layer and first-seen shape order.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cost.model import CostModel
+from repro.cost.platform import Platform
 from repro.graph.network import Network
 from repro.graph.scenario import ConvScenario
 from repro.layouts.dt_graph import DTGraph, DTPath
@@ -125,6 +127,30 @@ class CostTables:
         nodes = sum(len(costs) for costs in self.node_costs.values())
         edges = sum(len(costs) for costs in self.dt_costs.values())
         return nodes + edges
+
+
+@dataclass(frozen=True, eq=False)
+class CostQuery:
+    """One request for cost tables, as a :class:`repro.api.Session` resolves it.
+
+    ``(fingerprint, platform_name, threads, batch, dtype)`` identifies the
+    tuple the tables describe; the remaining fields carry the live components
+    the tables are built (or loaded) against.
+    """
+
+    network: Network
+    fingerprint: str
+    platform: Optional[Platform]
+    platform_name: str
+    threads: int
+    library: PrimitiveLibrary
+    dt_graph: DTGraph
+    batch: int = 1
+    dtype: str = "fp32"
+
+    def with_threads(self, threads: int) -> "CostQuery":
+        """The same query at a different thread count."""
+        return dataclasses.replace(self, threads=threads)
 
 
 def build_cost_tables(

@@ -22,8 +22,8 @@ from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.selector import PBQPSelector
 from repro.cost.analytical import AnalyticalCostModel
+from repro.cost.model import CostModel
 from repro.cost.platform import PLATFORMS, Platform
-from repro.cost.provider import CostModelProvider
 from repro.graph.scenario import ConvScenario
 from repro.layouts.transforms import LayoutTransform
 from repro.pbqp.solver import PBQPSolver
@@ -37,14 +37,17 @@ class ScaledTransformCostModel:
     """Wrap a cost model, scaling only the layout-transformation times.
 
     Primitive pricing and conversion energy are the inner model's.  The
-    wrapper has no ``platform``, so its tables are not platform-gated.
+    wrapper has no ``platform``, so its tables are not platform-gated, and a
+    session labels its plans with the wrapper's name, ``scaled-dt[<scale>]``.
     """
 
-    def __init__(self, inner, scale: float) -> None:
+    def __init__(self, inner: CostModel, scale: float) -> None:
         if scale < 0:
             raise ValueError("scale must be non-negative")
         self.inner = inner
         self.scale = scale
+        self.name = f"scaled-dt[{scale}]"
+        self.version = inner.version
 
     def price_layer(
         self,
@@ -114,13 +117,11 @@ def dt_cost_ablation(
     points: List[DTCostAblationPoint] = []
     for scale in scales:
         cost_model = ScaledTransformCostModel(base_model, scale)
-        # Each scale gets its own session: the scaled model is injected as a
-        # cost provider, so the selection pipeline is exactly the public one.
-        # It has no platform, so its plans carry the provider's name, which
-        # the verifier does not know.
-        session = Session(
-            provider=CostModelProvider(cost_model, name=f"scaled-dt[{scale}]")
-        )
+        # Each scale gets its own session pricing with the scaled model, so
+        # the selection pipeline is exactly the public one.  The model has no
+        # platform, so its plans carry its name, which the verifier does not
+        # know.
+        session = Session(cost_model=cost_model)
 
         def total_ms(strategy: str) -> float:
             return session.plan(

@@ -35,6 +35,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 from urllib.parse import urlsplit
 
 from repro.api import Session
+from repro.cost.analytical import AnalyticalCostModel
 from repro.lru import BuildOnceLRU
 from repro.service.metrics import Metrics, labelled
 
@@ -457,10 +458,12 @@ def serve(
 ) -> int:
     """Run the daemon until interrupted (the ``repro serve`` entry point)."""
     server = make_server(app, host, port)
+    # A session without a cost model of its own prices with the analytical one.
+    cost_model = app.session.cost_model or AnalyticalCostModel
     bound_host, bound_port = server.server_address[:2]
     announce(
         f"repro planner listening on http://{bound_host}:{bound_port} "
-        f"(provider {app.session.provider.name}; endpoints: "
+        f"(cost model {cost_model.name}; endpoints: "
         + ", ".join(sorted({p for (_, p) in app.endpoints}))
         + ")"
     )

@@ -52,21 +52,10 @@ _CONSTRAINT_KEYS = tuple(f"{objective}_max" for objective in OBJECTIVES)
 
 
 def _check_threads(params: Params) -> None:
-    """Refuse ``threads`` above the platform's cores.
-
-    The cost model clamps threads to the cores, so a larger count would price
-    the same plan under a new cache key.
-    """
-    cores = PLATFORMS[params["platform"]].cores
-    if params["threads"] > cores:
-        raise ValidationError(
-            [
-                {
-                    "field": "threads",
-                    "message": f"must be <= {cores}, the cores of {params['platform']}",
-                }
-            ]
-        )
+    """Refuse ``threads`` above the platform's cores (see :meth:`Platform.threads_error`)."""
+    message = PLATFORMS[params["platform"]].threads_error(params["threads"])
+    if message is not None:
+        raise ValidationError([{"field": "threads", "message": message}])
 
 
 # -- planning endpoints --------------------------------------------------------

@@ -7,7 +7,7 @@ import json
 import pytest
 
 import repro.core.strategies as strategies_module
-import repro.cost.provider as provider_module
+import repro.api as api_module
 from repro.analysis.plan_verifier import PlanVerificationError
 from repro.api import Session, network_fingerprint
 from repro.core.baselines import sum2d_plan
@@ -152,15 +152,14 @@ class TestAppliesToGating:
 class TestSessionCache:
     def test_second_select_reuses_context(self, session, monkeypatch):
         builds = []
-        original = provider_module.build_cost_tables
+        original = api_module.build_cost_tables
 
         def counting_build(*args, **kwargs):
             builds.append(kwargs.get("threads"))
             return original(*args, **kwargs)
 
-        # Profiling flows through the cost-provider layer since the Session
-        # redesign; count it there.
-        monkeypatch.setattr(provider_module, "build_cost_tables", counting_build)
+        # The session builds every table set itself; count it there.
+        monkeypatch.setattr(api_module, "build_cost_tables", counting_build)
 
         first = session.plan("alexnet", "intel-haswell", strategy="pbqp", verify=False)
         built_once = len(builds)

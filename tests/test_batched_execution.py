@@ -19,8 +19,6 @@ import numpy as np
 import pytest
 
 from repro.api import Session
-from repro.cost.provider import AnalyticalCostProvider
-from repro.cost.store import CostStore
 from repro.graph.scenario import ConvScenario
 from repro.layouts.layout import CHW, HWC, STANDARD_LAYOUTS
 from repro.layouts.tensor import LayoutTensor
@@ -412,14 +410,13 @@ class TestBatchedCosts:
         assert eight < 8.0 * one
 
     def test_cost_query_batch_reaches_tables(self, tiny_network, intel):
-        provider = AnalyticalCostProvider()
-        session = Session(provider=provider)
+        session = Session()
         tables = session.context_for(tiny_network, intel, batch=4).tables
         assert tables.batch == 4
 
     def test_store_clear_then_recount(self, tiny_network, intel, tmp_path):
-        store = CostStore(tmp_path)
-        session = Session(provider=store)
+        session = Session(cache_dir=tmp_path)
+        store = session.store
         session.plan(tiny_network, intel, batch=1, verify=False)
         session.plan(tiny_network, intel, batch=4, verify=False)
         assert store.stats().entries == 2

@@ -465,7 +465,7 @@ def assert_tables_match_reference(tables, reference):
         for layer in tables.node_costs
     }
     # Exact equality, key order included: the fused build must not move a
-    # single ulp (stored tables stay valid without a provider version bump).
+    # single ulp (stored tables stay valid without a cost-model version bump).
     assert list(built) == list(node)
     for layer in node:
         assert list(built[layer].items()) == list(node[layer].items()), layer

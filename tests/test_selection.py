@@ -21,7 +21,6 @@ from repro.core.legalize import finalize_plan, fixed_layouts, follow_producer_la
 from repro.core.selector import PBQPSelector
 from repro.cost.analytical import AnalyticalCostModel
 from repro.cost.platform import PLATFORMS
-from repro.cost.provider import CostModelProvider
 from repro.graph.layer import LayerKind
 from repro.layouts.layout import CHW
 from repro.models import MODEL_BUILDERS, build_model
@@ -58,8 +57,8 @@ class TestSelectionContext:
         assert context.platform_vector_width == 8
 
     def test_explicit_cost_model_wins(self, tiny_network, intel, arm):
-        provider = CostModelProvider(AnalyticalCostModel(intel))
-        context = Session(provider=provider).context_for(tiny_network, arm)
+        session = Session(cost_model=AnalyticalCostModel(intel))
+        context = session.context_for(tiny_network, arm)
         expected = Session().context_for(tiny_network, intel)
         assert context.tables.node_costs == expected.tables.node_costs
         assert context.tables.dt_costs == expected.tables.dt_costs

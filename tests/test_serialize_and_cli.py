@@ -12,6 +12,7 @@ from repro.core.baselines import sum2d_plan
 from repro.core.selector import PBQPSelector
 from repro.cost.serialize import (
     cost_tables_from_dict,
+    cost_tables_to_dict,
     load_cost_tables,
     load_plan,
     plan_from_dict,
@@ -82,6 +83,17 @@ class TestCostTableSerialization:
         with pytest.raises(ValueError):
             cost_tables_from_dict({"format": "something-else"}, dt_graph)
 
+    def test_unknown_direct_transform_rejected(self, context, dt_graph):
+        document = cost_tables_to_dict(context.tables)
+        hops = next(iter(document["dt_hops"].values()))
+        pair = next(iter(hops))
+        layout = pair.split("->")[0]
+        hops[pair] = [layout, layout]
+        with pytest.raises(
+            ValueError, match=f"unknown direct transform {layout}->{layout}"
+        ):
+            cost_tables_from_dict(document, dt_graph)
+
     def test_loaded_tables_drive_selection_identically(self, context, dt_graph, tmp_path):
         """Selection from reloaded (shipped) cost tables matches the original."""
         path = tmp_path / "tables.json"
@@ -119,6 +131,16 @@ class TestPlanSerialization:
     def test_wrong_format_rejected(self, dt_graph):
         with pytest.raises(ValueError):
             plan_from_dict({"format": "nope"}, dt_graph)
+
+    def test_unknown_direct_transform_rejected(self, context, dt_graph):
+        document = plan_to_dict(PBQPSelector().select(context))
+        edge = document["edges"][0]
+        layout = edge["source_layout"]
+        edge["hops"] = [layout, layout]
+        with pytest.raises(
+            ValueError, match=f"unknown direct transform {layout}->{layout}"
+        ):
+            plan_from_dict(document, dt_graph)
 
     def test_plan_dict_contains_strategy_and_platform(self, context):
         plan = sum2d_plan(context)
@@ -172,6 +194,12 @@ class TestCLI:
         captured = capsys.readouterr()
         assert "must be <= 1, the cores of gpu-sim" in captured.err
         assert "multithreaded" not in captured.out
+
+    def test_select_refuses_threads_above_the_cores(self, capsys):
+        assert main(["select", "alexnet", "--platform", "gpu-sim", "--threads", "4"]) == 2
+        captured = capsys.readouterr()
+        assert "error: threads must be <= 1, the cores of gpu-sim" in captured.err
+        assert "4 threads" not in captured.out
 
     def test_unknown_model_rejected(self):
         with pytest.raises(SystemExit):

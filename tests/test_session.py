@@ -1,26 +1,22 @@
-"""Tests for the Session API: plan→execute, cost providers and the CostStore."""
+"""Tests for the Session API: plan→execute, cost models and the CostStore."""
 
 import json
 
 import numpy as np
 import pytest
 
-import repro.cost.provider as provider_module
+import repro.api as api_module
 from repro.api import (
     ComparisonReport,
     ExecutionReport,
     Plan,
     Session,
 )
-from repro.cost.provider import (
-    AnalyticalCostProvider,
-    CostModelProvider,
-    CostProvider,
-    CostQuery,
-    ProfiledCostProvider,
-)
+from repro.cost.analytical import AnalyticalCostModel
+from repro.cost.profiler import WallClockProfiler
 from repro.cost.serialize import plan_to_dict
 from repro.cost.store import CostStore, STORE_ENTRY_FORMAT
+from repro.cost.tables import CostQuery, build_cost_tables
 from repro.experiments.ablation import ScaledTransformCostModel
 from repro.models import build_mobilenet_v2, build_resnet18
 from repro.runtime import NetworkExecutor, WeightStore
@@ -35,13 +31,13 @@ def session(library, dt_graph):
 def counting_builds(monkeypatch):
     """Count every cost-table build (i.e. every act of profiling)."""
     builds = []
-    original = provider_module.build_cost_tables
+    original = api_module.build_cost_tables
 
     def counting(*args, **kwargs):
         builds.append(kwargs.get("threads"))
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(provider_module, "build_cost_tables", counting)
+    monkeypatch.setattr(api_module, "build_cost_tables", counting)
     return builds
 
 
@@ -301,18 +297,29 @@ class TestCompare:
         assert "pbqp" in text
 
 
-class TestProviders:
-    def test_analytical_is_the_default(self, session):
-        assert isinstance(session.provider, AnalyticalCostProvider)
-        assert session.provider.name == "analytical"
+class TestCostModels:
+    def test_analytical_is_the_default(self, session, intel_cost_model, tiny_network):
+        assert session.cost_model is None
+        tables = session.context_for(tiny_network, "intel-haswell").tables
+        expected = build_cost_tables(
+            tiny_network, session.library, session.dt_graph, intel_cost_model
+        )
+        assert tables.node_costs == expected.node_costs
+        assert tables.dt_costs == expected.dt_costs
 
-    def test_analytical_requires_platform(self):
+    def test_analytical_requires_platform(self, session):
         with pytest.raises(ValueError, match="requires a platform"):
-            AnalyticalCostProvider().cost_model(None)
+            session.plan("alexnet", None)
 
-    def test_profiled_provider_drives_selection(self, library, dt_graph, tiny_network):
+    def test_models_name_their_cost_source(self, intel_cost_model):
+        assert (intel_cost_model.name, intel_cost_model.version) == ("analytical", "1")
+        profiler = WallClockProfiler()
+        assert (profiler.name, profiler.version) == ("profiled", "1")
+        assert ScaledTransformCostModel(intel_cost_model, 0.5).name == "scaled-dt[0.5]"
+
+    def test_profiler_drives_selection(self, library, dt_graph, tiny_network):
         session = Session(
-            library=library, dt_graph=dt_graph, provider=ProfiledCostProvider()
+            library=library, dt_graph=dt_graph, cost_model=WallClockProfiler()
         )
         plan = session.plan(tiny_network, None, verify=False)
         assert plan.network_plan.platform_name == "profiled"
@@ -322,10 +329,8 @@ class TestProviders:
         for costs in context.tables.node_costs.values():
             assert all(value > 0 for value in costs.values())
 
-    def test_cost_model_provider_adapts_any_model(self, library, dt_graph, intel_cost_model):
-        provider = CostModelProvider(intel_cost_model, name="adapted", version="9")
-        assert provider.name == "adapted" and provider.version == "9"
-        session = Session(library=library, dt_graph=dt_graph, provider=provider)
+    def test_session_prices_with_any_model(self, library, dt_graph, intel_cost_model):
+        session = Session(library=library, dt_graph=dt_graph, cost_model=intel_cost_model)
         plan = session.plan("alexnet", None, verify=False)
         # The model prices one platform, so that platform labels the plan.
         assert plan.network_plan.platform_name == "intel-haswell"
@@ -335,7 +340,7 @@ class TestProviders:
         self, intel_cost_model, tmp_path, cache
     ):
         session = Session(
-            provider=CostModelProvider(intel_cost_model),
+            cost_model=intel_cost_model,
             cache_dir=tmp_path if cache else None,
         )
         plan = session.plan("alexnet", None)
@@ -345,23 +350,29 @@ class TestProviders:
             "alexnet", "intel-haswell"
         )
 
-    def test_platformless_model_keeps_the_provider_label(self, tiny_network, intel_cost_model):
+    def test_platformless_model_labels_plans_with_its_name(
+        self, tiny_network, intel_cost_model
+    ):
         scaled = ScaledTransformCostModel(intel_cost_model, 2.0)
-        session = Session(provider=CostModelProvider(scaled, name="scaled"))
-        assert session.context_for(tiny_network, None).platform_name == "scaled"
+        session = Session(cost_model=scaled)
+        assert session.context_for(tiny_network, None).platform_name == "scaled-dt[2.0]"
 
-    def test_providers_satisfy_protocol(self, tmp_path):
-        assert isinstance(AnalyticalCostProvider(), CostProvider)
-        assert isinstance(ProfiledCostProvider(), CostProvider)
-        assert isinstance(CostStore(tmp_path), CostProvider)
+    def test_threads_above_the_cores_are_refused(self, session):
+        with pytest.raises(ValueError, match=r"threads must be <= 1, the cores of gpu-sim"):
+            session.plan("alexnet", "gpu-sim", threads=4)
+        # Nothing was priced for the refused count.
+        assert session.cache_info().misses == 0
+        session.plan("alexnet", "gpu-sim", threads=1)
+        assert session.cache_info().misses == 1
 
 
 class TestCostStore:
-    def test_session_cache_dir_wraps_provider(self, library, dt_graph, tmp_path):
+    def test_session_cache_dir_builds_a_store(self, library, dt_graph, tmp_path):
+        assert Session(library=library, dt_graph=dt_graph).store is None
         session = Session(library=library, dt_graph=dt_graph, cache_dir=tmp_path)
-        assert isinstance(session.provider, CostStore)
-        assert session.store is session.provider
-        assert session.store.provider.name == "analytical"
+        assert isinstance(session.store, CostStore)
+        assert session.store.cache_dir == tmp_path
+        assert session.cost_model is None
 
     def test_fresh_session_skips_profiling(
         self, library, dt_graph, tiny_network, tmp_path, counting_builds
@@ -379,6 +390,20 @@ class TestCostStore:
         assert warm.network_plan.conv_selections() == cold.network_plan.conv_selections()
         assert warm.total_ms == pytest.approx(cold.total_ms)
 
+    def test_entry_file_names_are_pinned(self, tiny_network, tmp_path):
+        """The file name, digest included, is fixed for one analytical and one
+        profiled key, so existing cache directories keep hitting."""
+        Session(cache_dir=tmp_path / "a").plan("alexnet", "intel-haswell", verify=False)
+        Session(
+            cost_model=WallClockProfiler(repetitions=1, warmup=0),
+            cache_dir=tmp_path / "p",
+        ).plan(tiny_network, None, verify=False)
+        names = sorted(path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*.json"))
+        assert names == [
+            "a/intel-haswell/alexnet_intel-haswell_1t_b1_fp32_4a2fd7879671ce96.json",
+            "p/profiled/tiny_78f3e10d4f839d78_profiled_1t_b1_fp32_6d70b6fbcbeaf1b4.json",
+        ]
+
     def test_profiled_store_plans_without_a_platform(
         self, library, dt_graph, tiny_network, tmp_path
     ):
@@ -386,12 +411,12 @@ class TestCostStore:
             return Session(
                 library=library,
                 dt_graph=dt_graph,
-                provider=ProfiledCostProvider(repetitions=1, warmup=0),
+                cost_model=WallClockProfiler(repetitions=1, warmup=0),
                 cache_dir=tmp_path / "store",
             )
 
         first = session()
-        assert first.provider.name == "profiled"
+        assert first.cost_model.name == "profiled"
         plan = first.plan(tiny_network, None)  # verified by default
         assert plan.network_plan.platform_name == "profiled"
         assert first.store.stats().misses == 1
@@ -415,14 +440,14 @@ class TestCostStore:
         assert platforms == {"intel-haswell", "arm-cortex-a57"}
         for entry in entries:
             assert entry.key.provider == "analytical"
-            assert entry.key.provider_version == AnalyticalCostProvider.version
+            assert entry.key.provider_version == AnalyticalCostModel.version
             document = json.loads(entry.path.read_text())
             assert document["format"] == STORE_ENTRY_FORMAT
 
-    def test_provider_version_invalidates_entries(
-        self, library, dt_graph, tiny_network, tmp_path, counting_builds
+    def test_model_version_invalidates_entries(
+        self, library, dt_graph, tiny_network, intel, tmp_path, counting_builds
     ):
-        class BumpedProvider(AnalyticalCostProvider):
+        class BumpedModel(AnalyticalCostModel):
             version = "999-test"
 
         first = Session(library=library, dt_graph=dt_graph, cache_dir=tmp_path)
@@ -432,12 +457,26 @@ class TestCostStore:
         bumped = Session(
             library=library,
             dt_graph=dt_graph,
-            provider=CostStore(tmp_path, BumpedProvider()),
+            cost_model=BumpedModel(intel),
+            cache_dir=tmp_path,
         )
         bumped.plan(tiny_network, "intel-haswell", verify=False)
-        # The stale v1 entry is not served for the bumped provider.
+        # The stale v1 entry is not served for the bumped model.
         assert len(counting_builds) == 2
         assert len(bumped.store.entries()) == 2
+
+    def test_tables_priced_for_another_platform_are_not_served(
+        self, library, dt_graph, tiny_network, intel_cost_model, tmp_path, counting_builds
+    ):
+        # A one-platform model prices that platform whatever the plan is
+        # labelled, so its entry must not answer for the labelled platform.
+        Session(
+            library=library, dt_graph=dt_graph, cost_model=intel_cost_model, cache_dir=tmp_path
+        ).plan(tiny_network, "arm-cortex-a57", verify=False)
+        arm = Session(library=library, dt_graph=dt_graph, cache_dir=tmp_path)
+        arm.plan(tiny_network, "arm-cortex-a57", verify=False)
+        assert len(counting_builds) == 2
+        assert arm.store.stats().hits == 0
 
     def test_clear_removes_entries(self, library, dt_graph, tiny_network, tmp_path):
         session = Session(library=library, dt_graph=dt_graph, cache_dir=tmp_path)
@@ -496,7 +535,8 @@ class TestCostStore:
         from repro.api import network_fingerprint
         from repro.cost.platform import PLATFORMS
 
-        store = CostStore(tmp_path, AnalyticalCostProvider())
+        store = CostStore(tmp_path)
+        model = AnalyticalCostModel(PLATFORMS["intel-haswell"])
         query = CostQuery(
             network=tiny_network,
             fingerprint=network_fingerprint(tiny_network),
@@ -506,8 +546,8 @@ class TestCostStore:
             library=library,
             dt_graph=dt_graph,
         )
-        tables = store.provider.tables(query)
-        key = store.key_for(query)
+        tables = build_cost_tables(tiny_network, library, dt_graph, model)
+        key = store.key_for(query, model)
         path = store.path_for(key)
 
         barrier = threading.Barrier(8)
@@ -533,8 +573,8 @@ class TestCostStore:
         assert [entry.path for entry in store.entries()] == [path]
         assert not list(tmp_path.glob("*.tmp")) and not list(tmp_path.glob(".*"))
         # And a fresh store serves it.
-        fresh = CostStore(tmp_path, AnalyticalCostProvider())
-        served = fresh.tables(query)
+        fresh = CostStore(tmp_path)
+        served = fresh.tables(query, model, build=lambda: pytest.fail("rebuilt, not served"))
         assert served.node_costs == tables.node_costs
         assert fresh.stats().hits == 1
 
