@@ -117,4 +117,3 @@ def test_service_warm_throughput(benchmark, tmp_path):
     finally:
         server.shutdown()
         server.server_close()
-        app.close()

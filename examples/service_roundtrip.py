@@ -95,7 +95,6 @@ def main() -> int:
     finally:
         server.shutdown()
         server.server_close()
-        app.close()
 
 
 if __name__ == "__main__":

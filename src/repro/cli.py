@@ -18,7 +18,7 @@ Twelve subcommands cover the workflows a downstream user needs:
   ``LT2xx``: registry mutation, unseeded random, unsorted JSON, lock
   discipline);
 * ``repro serve``   — run the planning daemon (``POST /v1/plan`` et al.) over
-  a shared thread-safe session, optionally pre-warming the zoo grid;
+  a shared thread-safe session, warm-started from ``--cache-dir``;
 * ``repro figures`` — regenerate the full set of whole-network figures;
 * ``repro tables``  — regenerate the absolute-time tables (Tables 2 and 3);
 * ``repro platforms`` — list every registered platform with its calibration
@@ -322,35 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8735, help="bind port (default: 8735; 0 = ephemeral)"
     )
     _add_cache_dir_argument(serve)
-    serve.add_argument(
-        "--warm",
-        choices=("zoo",),
-        default=None,
-        help="pre-warm the model-zoo x platform grid in the background",
-    )
-    serve.add_argument(
-        "--warm-models",
-        nargs="+",
-        metavar="MODEL",
-        default=None,
-        help="restrict warming to these zoo models (default: the whole zoo)",
-    )
-    serve.add_argument(
-        "--warm-dtypes",
-        nargs="+",
-        choices=DTYPES,
-        default=["fp32"],
-        metavar="DTYPE",
-        help="precisions to warm (default: fp32)",
-    )
-    serve.add_argument(
-        "--warm-batches",
-        nargs="+",
-        type=int,
-        metavar="N",
-        default=[1],
-        help="minibatch sizes to warm (default: 1)",
-    )
 
     figures = subparsers.add_parser(
         "figures", help="regenerate the whole-network figures (5/6/7a/7b)"
@@ -636,15 +607,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     # registry, which no other subcommand needs.
     from repro.service import PlannerApp, serve
 
-    app = PlannerApp(cache_dir=args.cache_dir)
-    if args.warm == "zoo" or args.warm_models:
-        enqueued = app.start_warming(
-            models=args.warm_models,
-            batches=tuple(args.warm_batches),
-            dtypes=tuple(args.warm_dtypes),
-        )
-        print(f"warming {enqueued} grid combinations in the background")
-    return serve(app, host=args.host, port=args.port)
+    return serve(PlannerApp(cache_dir=args.cache_dir), host=args.host, port=args.port)
 
 
 def _command_platforms(args: argparse.Namespace) -> int:

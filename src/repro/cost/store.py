@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import re
 import tempfile
+import threading
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -36,6 +38,29 @@ from repro.cost.serialize import cost_tables_from_dict, cost_tables_to_dict
 from repro.cost.tables import CostQuery, CostTables
 
 PathLike = Union[str, Path]
+
+logger = logging.getLogger(__name__)
+
+# An entry that exists but cannot be served is a degraded path: the tables are
+# rebuilt, so a cache directory full of such entries silently cold-starts
+# every process pointed at it.  It is logged once per process, so a
+# long-running daemon reports it without flooding its log.
+_SKIPPED_ENTRY_LOGGED = False
+_SKIPPED_ENTRY_LOCK = threading.Lock()
+
+
+def _log_skipped_entry(path: Path, reason: str) -> None:
+    global _SKIPPED_ENTRY_LOGGED
+    with _SKIPPED_ENTRY_LOCK:
+        if _SKIPPED_ENTRY_LOGGED:
+            return
+        _SKIPPED_ENTRY_LOGGED = True
+    logger.warning(
+        "cost-store entry %s cannot be served (%s); rebuilding its tables and "
+        "overwriting it (further skipped entries are only counted as misses)",
+        path,
+        reason,
+    )
 
 #: Format identifier embedded in every store entry.  v2 added ``batch`` to
 #: the key schema (and to the filename digest); v3 added ``platform_version``
@@ -199,19 +224,22 @@ class CostStore:
         corrupt) format is a *miss*, not an error: the entry filename encodes
         the key but not the entry format, so a format bump would otherwise
         turn every warm cache directory into a crash.  Stale entries are
-        regenerated and overwritten in place.
+        regenerated and overwritten in place, and the first one a process
+        meets is logged as a WARNING on ``repro.cost.store``.
         """
         key = self.key_for(query, cost_model)
         path = self.path_for(key)
         if path.exists():
             try:
                 document = json.loads(path.read_text())
-                if document.get("format") == STORE_ENTRY_FORMAT:
+                entry_format = document.get("format") if isinstance(document, dict) else None
+                if entry_format == STORE_ENTRY_FORMAT:
                     loaded = cost_tables_from_dict(document["tables"], query.dt_graph)
                     self._hits += 1
                     return loaded
-            except (OSError, json.JSONDecodeError, KeyError, ValueError):
-                pass
+                _log_skipped_entry(path, f"format {entry_format!r}, not {STORE_ENTRY_FORMAT!r}")
+            except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+                _log_skipped_entry(path, f"{type(exc).__name__}: {exc}")
         tables = build()
         self._misses += 1
         self._write(path, key, tables)

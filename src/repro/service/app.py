@@ -93,6 +93,7 @@ class Field:
     default: Any = None
     choices: Optional[Callable[[], Iterable[str]]] = None
     minimum: Optional[float] = None
+    maximum: Optional[float] = None
     description: str = ""
 
 
@@ -132,6 +133,11 @@ def validate_body(body: Any, fields: Sequence[Field]) -> Dict[str, Any]:
         if spec.minimum is not None and value < spec.minimum:
             details.append(
                 {"field": spec.name, "message": f"must be >= {spec.minimum:g}"}
+            )
+            continue
+        if spec.maximum is not None and value > spec.maximum:
+            details.append(
+                {"field": spec.name, "message": f"must be <= {spec.maximum:g}"}
             )
             continue
         if spec.choices is not None:
@@ -225,7 +231,6 @@ class PlannerApp:
         # Deferred import: handlers imports the schema machinery from this
         # module, so the registry is pulled in at construction time instead.
         from repro.service.handlers import ENDPOINTS
-        from repro.service.workers import WarmingQueue
 
         self.session = session if session is not None else Session(cache_dir=cache_dir)
         self.metrics = metrics if metrics is not None else Metrics()
@@ -233,7 +238,6 @@ class PlannerApp:
         self.endpoints = ENDPOINTS
         self.started = time.time()
         self._started_monotonic = time.monotonic()
-        self.warming = WarmingQueue(self._warm_one, metrics=self.metrics)
 
     # -- shared planning entry points -------------------------------------------
 
@@ -265,37 +269,11 @@ class PlannerApp:
         self.metrics.inc("plan_cache_hits" if cached else "plan_cache_misses")
         return document, cached
 
-    def _warm_one(self, job) -> None:
-        """Warming-queue callback: build (and thereby cache) one 1-thread PBQP plan."""
-        self.plan_document(job.model, job.platform, batch=job.batch, dtype=job.dtype)
-
-    def start_warming(
-        self,
-        models: Optional[Sequence[str]] = None,
-        platforms: Optional[Sequence[str]] = None,
-        batches: Sequence[int] = (1,),
-        dtypes: Sequence[str] = ("fp32",),
-    ) -> int:
-        """Enqueue the zoo x platform x batch x dtype grid for background warming.
-
-        Returns the number of jobs enqueued.  Foreground requests are never
-        blocked: the queue drains on its own thread, and a request for a
-        combination the warmer has already finished is a cache hit.
-        """
-        from repro.service.workers import grid_jobs
-
-        jobs = grid_jobs(models=models, platforms=platforms, batches=batches, dtypes=dtypes)
-        return self.warming.enqueue(jobs)
-
     # -- bookkeeping --------------------------------------------------------------
 
     @property
     def uptime_s(self) -> float:
         return time.monotonic() - self._started_monotonic
-
-    def close(self) -> None:
-        """Stop the warming queue (idempotent)."""
-        self.warming.stop()
 
     # -- routing ------------------------------------------------------------------
 
@@ -474,7 +452,6 @@ def serve(
     finally:
         server.shutdown()
         server.server_close()
-        app.close()
     return 0
 
 

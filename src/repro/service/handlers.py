@@ -41,7 +41,10 @@ _STRATEGY = Field(
     description="registered selection strategy",
 )
 _THREADS = Field("threads", "integer", default=1, minimum=1)
-_BATCH = Field("batch", "integer", default=1, minimum=1)
+#: 64 is the largest batch any study in the repo prices
+#: (``batch_scaling.DEFAULT_BATCHES``); each distinct batch mints its own
+#: context and documents, so the bound keeps the caches' hit ratio honest.
+_BATCH = Field("batch", "integer", default=1, minimum=1, maximum=64)
 _DTYPE = Field(
     "dtype", "string", default="fp32", choices=lambda: DTYPES,
     description="numeric precision the plan is priced and executed in",
@@ -263,7 +266,6 @@ def handle_healthz(app: PlannerApp, params: Params) -> dict:
         "platforms": len(PLATFORMS),
         "strategies": len(registered_names()),
         "cached_documents": len(app.documents),
-        "warming": app.warming.state(),
     }
 
 
@@ -290,7 +292,6 @@ def handle_metrics(app: PlannerApp, params: Params) -> dict:
             "entries": stats.entries,
             "bytes_on_disk": stats.bytes_on_disk,
         }
-    document["warming"] = app.warming.state()
     return document
 
 
@@ -373,7 +374,7 @@ ENDPOINTS: Dict[Tuple[str, str], Endpoint] = {
             "GET",
             "/v1/healthz",
             handle_healthz,
-            description="liveness and warm-state probe",
+            description="liveness probe",
         ),
         Endpoint(
             "GET",

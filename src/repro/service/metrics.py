@@ -5,7 +5,7 @@ under :class:`~http.server.ThreadingHTTPServer`), so every mutation here goes
 through one lock.  Two instrument kinds cover what ``GET /v1/metrics`` needs:
 
 * **counters** — monotonically increasing integers (requests by endpoint and
-  status, plan-cache hits/misses, warm jobs completed/failed, 5xx count);
+  status, plan-cache hits/misses, 5xx count);
 * **latency histograms** — per-endpoint request latencies with running
   count/mean/max over *every* observation and p50/p90/p99 quantiles over a
   bounded window of the most recent observations (so a long-running daemon's

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -204,3 +205,14 @@ class TestCLI:
     def test_unknown_model_rejected(self):
         with pytest.raises(SystemExit):
             main(["select", "resnet-50"])
+
+    def test_serve_takes_only_host_port_and_cache_dir(self, capsys):
+        parser = build_parser()
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(["serve", "--help"])
+        assert exit_info.value.code == 0
+        options = set(re.findall(r"(--[a-z][a-z-]*)", capsys.readouterr().out))
+        assert options == {"--help", "--host", "--port", "--cache-dir"}
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(["serve", "--warm", "zoo"])
+        assert exit_info.value.code == 2

@@ -10,24 +10,20 @@ direct :meth:`Session.plan` calls, and warm requests perform zero PBQP solves
 
 import http.client
 import json
-import logging
 import statistics
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import pytest
 
-from repro.api import Session
 from repro.cost.serialize import plan_to_dict
 from repro.pbqp.solver import solve_count
 from repro.service import (
     PlannerApp,
     PlannerClient,
     ServiceError,
-    WarmJob,
-    WarmingQueue,
-    grid_jobs,
     make_server,
 )
 from repro.service.app import Field, ValidationError, validate_body
@@ -36,22 +32,50 @@ from repro.service.metrics import LatencyHistogram, Metrics, labelled, quantile
 MODELS = ("alexnet", "resnet18")
 PLATFORMS_UNDER_TEST = ("intel-haswell", "arm-cortex-a57")
 
+#: The exact top-level keys of ``/v1/healthz`` and of a store-backed
+#: daemon's ``/v1/metrics``.
+HEALTHZ_KEYS = {
+    "status",
+    "uptime_s",
+    "python",
+    "models",
+    "platforms",
+    "strategies",
+    "cached_documents",
+}
+METRICS_KEYS = {
+    "counters",
+    "latencies_ms",
+    "uptime_s",
+    "cached_documents",
+    "pbqp_solves_total",
+    "session",
+    "store",
+}
 
-@pytest.fixture(scope="module")
-def service(tmp_path_factory):
-    """One daemon over a store-backed session, shared by the module."""
-    cache_dir = tmp_path_factory.mktemp("service-store")
-    app = PlannerApp(cache_dir=str(cache_dir))
+
+@contextmanager
+def booted(app):
+    """Serve ``app`` on an ephemeral port; yields a ready client."""
     server = make_server(app)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     client = PlannerClient(*server.server_address[:2])
-    client.wait_until_ready()
-    yield app, client
-    server.shutdown()
-    server.server_close()
-    app.close()
-    thread.join(timeout=10)
+    try:
+        client.wait_until_ready()
+        yield client
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+@pytest.fixture(scope="module")
+def service(tmp_path_factory):
+    """One daemon over a store-backed session, shared by the module."""
+    app = PlannerApp(cache_dir=str(tmp_path_factory.mktemp("service-store")))
+    with booted(app) as client:
+        yield app, client
 
 
 def canonical(document: dict) -> str:
@@ -65,7 +89,7 @@ class TestEnvelopes:
         assert health["status"] == "ok"
         assert health["models"] >= 9 and health["platforms"] >= 4
         assert health["uptime_s"] >= 0
-        assert set(health["warming"]) >= {"pending", "completed", "failed"}
+        assert set(health) == HEALTHZ_KEYS
 
     def test_platforms_lists_every_registered_platform(self, service):
         from repro.cost.platform import list_platforms
@@ -79,14 +103,7 @@ class TestEnvelopes:
     def test_metrics_shape(self, service):
         _, client = service
         metrics = client.metrics()
-        assert set(metrics) >= {
-            "counters",
-            "latencies_ms",
-            "pbqp_solves_total",
-            "session",
-            "store",
-            "warming",
-        }
+        assert set(metrics) == METRICS_KEYS
         assert metrics["store"] is not None  # the session wraps a CostStore
         assert metrics["counters"]["requests_total"] >= 1
 
@@ -236,9 +253,50 @@ class TestValidation:
         assert payload["error"]["code"] == "method_not_allowed"
         assert payload["error"]["allowed"] == ["POST"]
 
+    def test_batch_at_the_bound_is_accepted(self, service):
+        app, _ = service
+        status, payload = app.handle(
+            "POST", "/v1/plan", {"model": "alexnet", "platform": "intel-haswell", "batch": 64}
+        )
+        assert status == 200, payload
+        assert payload["batch"] == 64
+
+    def test_batch_above_the_bound_is_a_validation_error(self, service):
+        app, _ = service
+        before = solve_count()
+        status, payload = app.handle(
+            "POST", "/v1/plan", {"model": "alexnet", "platform": "intel-haswell", "batch": 65}
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "validation_error"
+        assert payload["error"]["details"] == [{"field": "batch", "message": "must be <= 64"}]
+        assert solve_count() == before
+
     def test_validate_body_rejects_non_object(self):
         with pytest.raises(ValidationError):
             validate_body([1, 2], (Field("x"),))
+
+    def test_validate_body_checks_maximum_beside_minimum(self):
+        fields = (Field("n", "integer", minimum=1, maximum=4),)
+        assert validate_body({"n": 4}, fields) == {"n": 4}
+        with pytest.raises(ValidationError) as error:
+            validate_body({"n": 0, "extra": 1}, fields)
+        assert {"field": "n", "message": "must be >= 1"} in error.value.details
+        with pytest.raises(ValidationError) as error:
+            validate_body({"n": 5}, fields)
+        assert error.value.details == [{"field": "n", "message": "must be <= 4"}]
+
+    @pytest.mark.parametrize("path", ["/v1/compare", "/v1/frontier"])
+    def test_batch_bound_holds_on_every_batched_endpoint(self, service, path):
+        app, _ = service
+        before = solve_count()
+        status, payload = app.handle(
+            "POST", path, {"model": "alexnet", "platform": "intel-haswell", "batch": 65}
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "validation_error"
+        assert {"field": "batch", "message": "must be <= 64"} in payload["error"]["details"]
+        assert solve_count() == before
 
 
 class TestCompareAndFrontier:
@@ -380,12 +438,7 @@ class TestConcurrency:
 
     def test_cold_stampede_builds_each_document_once(self, tmp_path):
         """Same-key concurrent cold requests: one build, identical answers."""
-        app = PlannerApp(cache_dir=str(tmp_path))
-        server = make_server(app)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        client = PlannerClient(*server.server_address[:2])
-        try:
-            client.wait_until_ready()
+        with booted(PlannerApp(cache_dir=str(tmp_path))) as client:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 documents = list(
                     pool.map(
@@ -397,109 +450,6 @@ class TestConcurrency:
             counters = client.metrics()["counters"]
             assert counters["plan_cache_misses"] == 1
             assert counters["plan_cache_hits"] == 7
-        finally:
-            server.shutdown()
-            server.server_close()
-            app.close()
-
-
-class TestWarming:
-    def test_background_warming_makes_requests_solve_free(self, tmp_path):
-        app = PlannerApp(cache_dir=str(tmp_path))
-        try:
-            enqueued = app.start_warming(
-                models=["alexnet"], platforms=list(PLATFORMS_UNDER_TEST)
-            )
-            assert enqueued == 2
-            assert app.warming.join(timeout=300)
-            state = app.warming.state()
-            assert state["completed"] == 2 and state["failed"] == 0
-            before = solve_count()
-            document, cached = app.plan_document("alexnet", "intel-haswell")
-            assert cached is True and solve_count() == before
-        finally:
-            app.close()
-
-    def test_failed_jobs_are_counted_not_fatal(self):
-        metrics = Metrics()
-        calls = []
-
-        def run(job):
-            calls.append(job)
-            if job.model == "bad":
-                raise RuntimeError("boom")
-
-        queue = WarmingQueue(run, metrics=metrics)
-        try:
-            queue.enqueue([WarmJob("good", "intel-haswell"), WarmJob("bad", "intel-haswell")])
-            assert queue.join(timeout=30)
-            state = queue.state()
-            assert state["completed"] == 1 and state["failed"] == 1
-            counters = metrics.snapshot()["counters"]
-            assert counters["warm_jobs_completed"] == 1
-            assert counters["warm_jobs_failed"] == 1
-        finally:
-            queue.stop()
-
-    def test_failed_jobs_log_once(self, caplog, monkeypatch):
-        from repro.service import workers
-
-        monkeypatch.setattr(workers, "_WARM_FAILURE_LOGGED", False)
-        caplog.set_level(logging.WARNING, logger="repro.service.workers")
-        metrics = Metrics()
-
-        def run(job):
-            raise RuntimeError(f"boom {job.model}")
-
-        queue = WarmingQueue(run, metrics=metrics)
-        try:
-            queue.enqueue([WarmJob("first", "intel-haswell"), WarmJob("second", "gpu-sim")])
-            assert queue.join(timeout=30)
-        finally:
-            queue.stop()
-        records = [r for r in caplog.records if r.name == "repro.service.workers"]
-        assert len(records) == 1
-        assert records[0].levelno == logging.WARNING
-        message = records[0].getMessage()
-        assert "model='first'" in message and "RuntimeError: boom first" in message
-        assert metrics.snapshot()["counters"]["warm_jobs_failed"] == 2
-        assert queue.state()["failed"] == 2
-
-    def test_successful_jobs_stay_silent(self, caplog, monkeypatch):
-        from repro.service import workers
-
-        monkeypatch.setattr(workers, "_WARM_FAILURE_LOGGED", False)
-        caplog.set_level(logging.WARNING, logger="repro.service.workers")
-        queue = WarmingQueue(lambda job: None)
-        try:
-            queue.enqueue([WarmJob("alexnet", "intel-haswell")])
-            assert queue.join(timeout=30)
-        finally:
-            queue.stop()
-        assert not [r for r in caplog.records if r.name == "repro.service.workers"]
-
-    def test_warming_state_names_no_executor(self, service):
-        _, client = service
-        assert set(client.healthz()["warming"]) == {"pending", "completed", "failed", "running"}
-
-    def test_stop_runs_the_queued_jobs_first(self):
-        done = []
-        queue = WarmingQueue(lambda job: done.append(job.model))
-        queue.enqueue([WarmJob(str(i), "intel-haswell") for i in range(5)])
-        queue.stop()
-        assert done == ["0", "1", "2", "3", "4"]
-        assert queue.state()["running"] is False
-        with pytest.raises(RuntimeError, match="stopped"):
-            queue.enqueue([WarmJob("late", "intel-haswell")])
-
-    def test_grid_jobs_covers_the_full_product(self):
-        from repro.cost.platform import list_platforms
-        from repro.models import MODEL_BUILDERS
-
-        jobs = grid_jobs(batches=(1, 4))
-        assert len(jobs) == len(MODEL_BUILDERS) * len(list_platforms()) * 2
-        jobs = grid_jobs(models=["alexnet"], platforms=["gpu-sim"])
-        assert jobs == [WarmJob("alexnet", "gpu-sim")]
 
 
 class TestMetricsUnit:
@@ -559,15 +509,21 @@ class TestRegistry:
 
 
 class TestStoreIntegration:
-    def test_fresh_daemon_over_warm_store_skips_profiling(self, service, tmp_path):
-        """The shared disk tier: a new daemon reuses persisted cost tables."""
+    def test_fresh_daemon_over_warm_store_skips_profiling(self, service):
+        """The daemon's warm start: a restarted daemon over the same
+        ``--cache-dir`` serves its first plans from the persisted tables."""
         app, client = service
-        client.plan("alexnet", "intel-haswell")  # ensure the store is warm
-        store_dir = app.session.store.cache_dir
-        fresh = Session(cache_dir=store_dir)
-        fresh.plan("alexnet", "intel-haswell")
-        assert fresh.store.stats().hits >= 1
-        assert fresh.store.stats().misses == 0
+        for platform in PLATFORMS_UNDER_TEST:  # ensure the store is warm
+            client.plan("alexnet", platform)
+        fresh = PlannerApp(cache_dir=str(app.session.store.cache_dir))
+        with booted(fresh) as fresh_client:
+            for platform in PLATFORMS_UNDER_TEST:
+                assert fresh_client.plan("alexnet", platform)["from_cache"] is False
+            assert set(fresh_client.healthz()) == HEALTHZ_KEYS
+            metrics = fresh_client.metrics()
+        assert set(metrics) == METRICS_KEYS
+        assert metrics["store"]["misses"] == 0
+        assert metrics["store"]["hits"] >= 1
 
     def test_store_entries_land_in_platform_shards(self, service):
         app, client = service

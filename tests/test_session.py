@@ -1,11 +1,13 @@
 """Tests for the Session API: plan→execute, cost models and the CostStore."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
 
 import repro.api as api_module
+import repro.cost.store as store_module
 from repro.api import (
     ComparisonReport,
     ExecutionReport,
@@ -477,6 +479,45 @@ class TestCostStore:
         arm.plan(tiny_network, "arm-cortex-a57", verify=False)
         assert len(counting_builds) == 2
         assert arm.store.stats().hits == 0
+
+    @pytest.mark.parametrize("other", [{"format": "repro/cost-store-entry/v4"}, []])
+    def test_skipped_entries_are_logged_once_and_rewritten(
+        self, library, dt_graph, tiny_network, tmp_path, caplog, monkeypatch, other
+    ):
+        monkeypatch.setattr(store_module, "_SKIPPED_ENTRY_LOGGED", False)
+        platforms = ("intel-haswell", "arm-cortex-a57")
+        warm = Session(library=library, dt_graph=dt_graph, cache_dir=tmp_path)
+        for platform in platforms:
+            warm.plan(tiny_network, platform, verify=False)
+        paths = sorted(entry.path for entry in warm.store.entries())
+        assert len(paths) == 2
+        # One entry does not parse, the other is not a current-format entry.
+        paths[0].write_text("{not json")
+        paths[1].write_text(json.dumps(other))
+
+        caplog.set_level(logging.WARNING, logger="repro.cost.store")
+        fresh = Session(library=library, dt_graph=dt_graph, cache_dir=tmp_path)
+        for platform in platforms:
+            fresh.plan(tiny_network, platform, verify=False)
+        records = [r for r in caplog.records if r.name == "repro.cost.store"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.WARNING
+        assert fresh.store.stats().misses == 2 and fresh.store.stats().hits == 0
+        for path in paths:
+            assert json.loads(path.read_text())["format"] == STORE_ENTRY_FORMAT
+
+    def test_served_entries_stay_silent(
+        self, library, dt_graph, tiny_network, tmp_path, caplog, monkeypatch
+    ):
+        monkeypatch.setattr(store_module, "_SKIPPED_ENTRY_LOGGED", False)
+        caplog.set_level(logging.WARNING, logger="repro.cost.store")
+        Session(library=library, dt_graph=dt_graph, cache_dir=tmp_path).plan(
+            tiny_network, "intel-haswell", verify=False
+        )
+        fresh = Session(library=library, dt_graph=dt_graph, cache_dir=tmp_path)
+        fresh.plan(tiny_network, "intel-haswell", verify=False)
+        assert fresh.store.stats().hits == 1 and fresh.store.stats().misses == 0
+        assert not [r for r in caplog.records if r.name == "repro.cost.store"]
 
     def test_clear_removes_entries(self, library, dt_graph, tiny_network, tmp_path):
         session = Session(library=library, dt_graph=dt_graph, cache_dir=tmp_path)
