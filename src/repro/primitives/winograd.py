@@ -20,6 +20,14 @@ The transform matrices ``A^T``, ``G`` and ``B^T`` are generated for arbitrary
 over the standard interpolation points plus the point at infinity); ``B^T``
 is recovered by solving the bilinear correctness conditions exactly, and the
 construction is validated numerically at build time.
+
+Execution follows Lavin & Gray (*Fast Algorithms for Convolutional Neural
+Networks*, CVPR 2016): the 2D form gathers every input tile position-major,
+applies each transform as two GEMMs over all tiles at once, and reduces over
+channels with one batched GEMM per transformed position.  The transformed
+kernel ``U = G g G^T`` is recomputed on every call, so it is part of a
+layer's measured time, but ``arithmetic_ops`` does not charge it: the
+weights are static, and a deployment would ship ``U``.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.graph.scenario import ConvScenario
 from repro.layouts.layout import CHW, HCW, Layout
@@ -116,6 +125,16 @@ def winograd_matrices(m: int, r: int) -> Tuple[np.ndarray, np.ndarray, np.ndarra
             f"(max error {np.max(np.abs(reconstruction - d)):.3e})"
         )
     return at, g, bt
+
+
+def _sandwich(a: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """``a @ X @ a.T`` for every ``(p, p)`` slice ``X = blocks[:, :, b]``, as two GEMMs.
+
+    ``a`` is ``(q, p)`` and ``blocks`` is ``(p, p, B)``; returns ``(q, q, B)``.
+    """
+    q, p = a.shape
+    half = (a @ blocks.reshape(p, -1)).reshape(q, p, -1)
+    return np.matmul(a, half)
 
 
 class _WinogradBase(ConvPrimitive):
@@ -239,10 +258,26 @@ class Winograd2DPrimitive(_WinogradBase):
     # -- execution ------------------------------------------------------------------
 
     def _compute(self, x_chw: np.ndarray, kernel: np.ndarray, scenario: ConvScenario) -> np.ndarray:
+        """``F(m x m, r x r)`` over the whole image as a handful of GEMMs.
+
+        The ``T`` input tiles of every channel are gathered position-major,
+        as a ``(n, n, C*T)`` block, so each transform ``V = B^T d B``,
+        ``U = G g G^T`` and ``Y = A^T M A`` is two GEMMs over all tiles at
+        once (:func:`_sandwich`), and the channel reduction is one batched
+        ``(n^2, M, C) @ (n^2, C, T)`` product over the ``n^2`` transformed
+        positions (Lavin & Gray's formulation).  Every stage buffer is
+        released as soon as the next one is built; the live scratch peaks
+        inside the input transform, where the gathered tiles, their half
+        transform and ``V`` (``n^2 * C * T`` elements each) are live
+        together.  ``U`` is recomputed on every call and counted in
+        ``measured_ms``, although :meth:`arithmetic_ops` does not charge it
+        (static weights).
+        """
         at, g, bt = winograd_matrices(self.tile, self.kernel_size)
-        m_tile, n = self.tile, self.tile_input
-        out_h, out_w = scenario.out_h, scenario.out_w
+        m_tile, n, r = self.tile, self.tile_input, self.kernel_size
+        c, filters = scenario.c, scenario.m
         tiles_h, tiles_w = self._tiles(scenario)
+        tiles = tiles_h * tiles_w
 
         # Pad the input so that an integer number of tiles covers the output.
         pad_h = (tiles_h - 1) * m_tile + n - scenario.h
@@ -253,47 +288,25 @@ class Winograd2DPrimitive(_WinogradBase):
             mode="constant",
         )
 
-        # Gather input tiles: (C, tiles_h, tiles_w, n, n).
-        c = scenario.c
-        tiles = np.empty((c, tiles_h, tiles_w, n, n), dtype=np.float64)
-        for th in range(tiles_h):
-            for tw in range(tiles_w):
-                tiles[:, th, tw] = x64[
-                    :, th * m_tile : th * m_tile + n, tw * m_tile : tw * m_tile + n
-                ]
+        # Gather the tiles position-major: (n, n, C * tiles).
+        windows = sliding_window_view(x64, (n, n), axis=(1, 2))[:, ::m_tile, ::m_tile]
+        d = np.ascontiguousarray(windows.transpose(3, 4, 0, 1, 2)).reshape(n, n, c * tiles)
+        del windows, x64
+        v = _sandwich(bt, d).reshape(n * n, c, tiles)
+        del d
+        flat_kernel = kernel.astype(np.float64, copy=False).transpose(2, 3, 0, 1)
+        u = _sandwich(g, flat_kernel.reshape(r, r, filters * c)).reshape(n * n, filters, c)
 
-        # Transform: V = BT @ d @ BT^T ; U = G @ g @ G^T.  The transforms run
-        # one two-operand product at a time and every stage buffer is released
-        # as soon as the next is built, so the live scratch stays at the
-        # transformed input and output tile sets, as workspace_elements models.
-        half = np.einsum("ij,cxyjk->cxyik", bt, tiles)
-        del tiles
-        v = np.einsum("cxyik,lk->cxyil", half, bt)
-        del half
-        u = np.einsum("ij,mcjk,lk->mcil", g, kernel.astype(np.float64, copy=False), g, optimize=True)
-
-        # Elementwise product summed over channels: (M, tiles_h, tiles_w, n, n),
-        # accumulated per transformed-domain position to avoid broadcast copies.
-        prod = np.empty((scenario.m, tiles_h, tiles_w, n, n), dtype=np.float64)
-        for i in range(n):
-            for l in range(n):
-                prod[:, :, :, i, l] = np.tensordot(u[:, :, i, l], v[:, :, :, i, l], axes=1)
-        del v
-
-        # Inverse transform: Y = AT @ M @ AT^T, shape (M, tiles_h, tiles_w, m, m).
-        half = np.einsum("pi,mxyil->mxypl", at, prod)
+        # Channel reduction: one GEMM per transformed position.
+        prod = np.matmul(u, v).reshape(n, n, filters * tiles)
+        del u, v
+        y = _sandwich(at, prod)
         del prod
-        y = np.einsum("mxypl,ql->mxypq", half, at)
-        del half
 
-        # Scatter tiles back into the output plane and crop.
-        out_full = np.zeros((scenario.m, tiles_h * m_tile, tiles_w * m_tile), dtype=np.float64)
-        for th in range(tiles_h):
-            for tw in range(tiles_w):
-                out_full[
-                    :, th * m_tile : (th + 1) * m_tile, tw * m_tile : (tw + 1) * m_tile
-                ] = y[:, th, tw]
-        return out_full[:, :out_h, :out_w]
+        # Scatter: (m, m, M, tiles_h, tiles_w) -> (M, tiles_h * m, tiles_w * m), cropped.
+        y = y.reshape(m_tile, m_tile, filters, tiles_h, tiles_w).transpose(2, 3, 0, 4, 1)
+        out = y.reshape(filters, tiles_h * m_tile, tiles_w * m_tile)
+        return out[:, : scenario.out_h, : scenario.out_w]
 
 
 class Winograd1DPrimitive(_WinogradBase):
@@ -320,12 +333,6 @@ class Winograd1DPrimitive(_WinogradBase):
             vector_factor,
             excluded_features=("simt",),
         )
-        #: When set, :meth:`_compute` takes the row-streamed path whose live
-        #: scratch matches :meth:`workspace_elements` (one row of transformed
-        #: tiles plus one row of output partials).  The default vectorized
-        #: path computes the identical result but trades memory for numpy
-        #: efficiency by materializing every row's tiles at once.
-        self.streaming = False
 
     def traits(self) -> PrimitiveTraits:
         return PrimitiveTraits(
@@ -377,8 +384,13 @@ class Winograd1DPrimitive(_WinogradBase):
         return float((c + scenario.m // scenario.groups) * n)
 
     def _compute(self, x_chw: np.ndarray, kernel: np.ndarray, scenario: ConvScenario) -> np.ndarray:
-        if self.streaming:
-            return self._compute_streamed(x_chw, kernel, scenario)
+        """All output rows at once, one pass per kernel row.
+
+        This trades the row-streamed form's footprint for numpy efficiency:
+        every row's transformed tiles are live at once.  The result equals
+        :meth:`_compute_streamed`, whose scratch is what
+        :meth:`workspace_elements` models.
+        """
         at, g, bt = winograd_matrices(self.tile, self.kernel_size)
         m_tile, n = self.tile, self.tile_input
         r = self.kernel_size
@@ -400,10 +412,8 @@ class Winograd1DPrimitive(_WinogradBase):
         for kh in range(r):
             # Rows of the input that align with output rows for this kernel row.
             slab = x64[:, kh : kh + out_h, :]  # (C, out_h, padded_w)
-            # Gather width tiles: (C, out_h, tiles_w, n).
-            tiles = np.empty((scenario.c, out_h, tiles_w, n), dtype=np.float64)
-            for tw in range(tiles_w):
-                tiles[:, :, tw, :] = slab[:, :, tw * m_tile : tw * m_tile + n]
+            # Width tiles as a strided view: (C, out_h, tiles_w, n).
+            tiles = sliding_window_view(slab, n, axis=2)[:, :, ::m_tile]
             v = np.einsum("ij,chtj->chti", bt, tiles, optimize=True)
             prod = np.einsum("mci,chti->mhti", u_rows[kh], v, optimize=True)
             y = np.einsum("pi,mhti->mhtp", at, prod, optimize=True)
@@ -418,7 +428,9 @@ class Winograd1DPrimitive(_WinogradBase):
         Processes one output row at a time, so the live scratch is exactly
         what :meth:`workspace_elements` models: one row of transformed input
         tiles, one row of output partials and the transformed kernel rows.
-        Numerically identical to the vectorized :meth:`_compute` path.
+        It computes the vectorized :meth:`_compute` result to rounding and is
+        not on the execution path: it exists so that the workspace model can
+        be checked against a real execution.
         """
         at, g, bt = winograd_matrices(self.tile, self.kernel_size)
         m_tile, n = self.tile, self.tile_input

@@ -9,7 +9,7 @@ them to run whole networks end to end.  All operators work on canonical
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -24,10 +24,13 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def _pool_windows(
+def _pool_slices(
     x: np.ndarray, kernel: int, stride: int, padding: int, out_h: int, out_w: int, pad_value: float
-) -> np.ndarray:
-    """Gather pooling windows into a (..., C, out_h, out_w, kernel*kernel) array."""
+) -> Iterator[np.ndarray]:
+    """Yield the kernel*kernel strided (..., C, out_h, out_w) views of the padded input.
+
+    One view per window offset, in row-major offset order.
+    """
     lead = x.shape[:-3]
     c, h, w = x.shape[-3:]
     padded = np.full(
@@ -36,17 +39,22 @@ def _pool_windows(
         dtype=x.dtype,
     )
     padded[..., padding : padding + h, padding : padding + w] = x
-    windows = np.empty(lead + (c, out_h, out_w, kernel * kernel), dtype=x.dtype)
-    index = 0
     for kh in range(kernel):
         for kw in range(kernel):
-            windows[..., index] = padded[
+            yield padded[
                 ...,
                 kh : kh + (out_h - 1) * stride + 1 : stride,
                 kw : kw + (out_w - 1) * stride + 1 : stride,
             ]
-            index += 1
-    return windows
+
+
+def _pool_windows(
+    x: np.ndarray, kernel: int, stride: int, padding: int, out_h: int, out_w: int, pad_value: float
+) -> np.ndarray:
+    """Gather pooling windows into a (..., C, out_h, out_w, kernel*kernel) array."""
+    return np.stack(
+        list(_pool_slices(x, kernel, stride, padding, out_h, out_w, pad_value)), axis=-1
+    )
 
 
 def max_pool(
@@ -56,10 +64,18 @@ def max_pool(
     padding: int,
     output_shape: Tuple[int, int, int],
 ) -> np.ndarray:
-    """Max pooling with Caffe-compatible output geometry supplied by the caller."""
+    """Max pooling with Caffe-compatible output geometry supplied by the caller.
+
+    A running maximum over the window offsets: a maximum does not depend on
+    the order it is taken in, so this equals the maximum over gathered
+    windows bit for bit without materializing them.
+    """
     _, out_h, out_w = output_shape
-    windows = _pool_windows(x, kernel, stride, padding, out_h, out_w, pad_value=-np.inf)
-    return windows.max(axis=-1)
+    slices = _pool_slices(x, kernel, stride, padding, out_h, out_w, pad_value=-np.inf)
+    out = next(slices).copy()
+    for window in slices:
+        np.maximum(out, window, out=out)
+    return out
 
 
 def average_pool(
@@ -69,7 +85,11 @@ def average_pool(
     padding: int,
     output_shape: Tuple[int, int, int],
 ) -> np.ndarray:
-    """Average pooling (zero padded, dividing by the full window size)."""
+    """Average pooling (zero padded, dividing by the full window size).
+
+    The windows are gathered so that each is summed along one contiguous
+    axis: a running sum would change the summation order, and so the bits.
+    """
     _, out_h, out_w = output_shape
     windows = _pool_windows(x, kernel, stride, padding, out_h, out_w, pad_value=0.0)
     return windows.sum(axis=-1) / float(kernel * kernel)

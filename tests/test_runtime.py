@@ -8,6 +8,8 @@ import pytest
 from repro.api import Session
 from repro.core.baselines import local_optimal_plan, sum2d_plan
 from repro.core.selector import PBQPSelector
+from repro.graph.layer import PoolLayer
+from repro.models import MODEL_BUILDERS
 from repro.runtime import NetworkExecutor, WeightStore
 from repro.runtime import reference_ops as ops
 from repro.runtime.codegen import generate_schedule, render_schedule
@@ -27,6 +29,29 @@ class TestReferenceOps:
         x = np.arange(25.0).reshape(1, 5, 5)
         pooled = ops.max_pool(x, kernel=3, stride=2, padding=0, output_shape=(1, 2, 2))
         np.testing.assert_allclose(pooled, [[[12.0, 14.0], [22.0, 24.0]]])
+
+    def test_max_pool_equals_max_over_gathered_windows_on_zoo_shapes(self):
+        """The running maximum is bit-identical to reducing gathered windows."""
+        cases = set()
+        for build in MODEL_BUILDERS.values():
+            network = build()
+            shapes = network.infer_shapes()
+            for layer in network.layers():
+                if isinstance(layer, PoolLayer):
+                    (producer,) = network.inputs_of(layer.name)
+                    geometry = (layer.kernel, layer.stride, layer.padding)
+                    cases.add((shapes[producer], *geometry, shapes[layer.name]))
+        assert len(cases) >= 10
+        rng = np.random.default_rng(0)
+        for in_shape, kernel, stride, padding, out_shape in sorted(cases):
+            for lead in ((), (2,)):
+                x = rng.standard_normal(lead + tuple(in_shape)).astype(np.float32)
+                gathered = ops._pool_windows(
+                    x, kernel, stride, padding, out_shape[1], out_shape[2], pad_value=-np.inf
+                ).max(axis=-1)
+                pooled = ops.max_pool(x, kernel, stride, padding, out_shape)
+                assert pooled.dtype == gathered.dtype
+                assert np.array_equal(pooled, gathered), (lead, in_shape, kernel, stride, padding)
 
     def test_average_pool(self):
         x = np.ones((2, 4, 4))

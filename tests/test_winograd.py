@@ -1,5 +1,7 @@
 """Tests for the Winograd transform generation and the Winograd primitives."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 
 from repro.graph.scenario import ConvScenario
 from repro.layouts.tensor import LayoutTensor
-from repro.primitives.reference import reference_convolution
+from repro.primitives.base import _pad_scenario
+from repro.primitives.reference import Sum2DPrimitive, reference_convolution
 from repro.primitives.winograd import (
     Winograd1DPrimitive,
     Winograd2DPrimitive,
@@ -16,6 +19,50 @@ from repro.primitives.winograd import (
 
 #: All (m, r) pairs the registry instantiates.
 TILE_KERNEL_PAIRS = [(2, 3), (3, 3), (4, 3), (2, 5), (3, 5)]
+
+
+def _loop_gathered_1d(primitive, x_chw, kernel, scenario):
+    """The 1D Winograd path with its width tiles gathered by a Python loop.
+
+    The same einsums as :meth:`Winograd1DPrimitive._compute`, over tiles
+    copied one tile column at a time instead of taken as a strided view.
+    """
+    at, g, bt = winograd_matrices(primitive.tile, primitive.kernel_size)
+    m_tile, n = primitive.tile, primitive.tile_input
+    out_h, out_w = scenario.out_h, scenario.out_w
+    tiles_w = primitive._tiles_w(scenario)
+    pad_w = (tiles_w - 1) * m_tile + n - scenario.w
+    x64 = np.pad(x_chw.astype(np.float64), ((0, 0), (0, 0), (0, max(pad_w, 0))))
+    u_rows = np.einsum("ij,mckj->kmci", g, kernel.astype(np.float64), optimize=True)
+    out = np.zeros((scenario.m, out_h, out_w), dtype=np.float64)
+    for kh in range(primitive.kernel_size):
+        slab = x64[:, kh : kh + out_h, :]
+        tiles = np.empty((scenario.c, out_h, tiles_w, n), dtype=np.float64)
+        for tw in range(tiles_w):
+            tiles[:, :, tw, :] = slab[:, :, tw * m_tile : tw * m_tile + n]
+        v = np.einsum("ij,chtj->chti", bt, tiles, optimize=True)
+        prod = np.einsum("mci,chti->mhti", u_rows[kh], v, optimize=True)
+        y = np.einsum("pi,mhti->mhtp", at, prod, optimize=True)
+        out += y.reshape(scenario.m, out_h, tiles_w * m_tile)[:, :, :out_w]
+    return out
+
+
+@st.composite
+def winograd_cases(draw):
+    """A random Winograd scenario, with partial tiles and single-tile images."""
+    m, r = draw(st.sampled_from(TILE_KERNEL_PAIRS))
+    groups = draw(st.sampled_from([1, 2]))
+    scenario = ConvScenario(
+        c=groups * draw(st.integers(1, 8 // groups)),
+        h=draw(st.integers(r, 20)),
+        w=draw(st.integers(r, 20)),
+        stride=1,
+        k=r,
+        m=groups * draw(st.integers(1, 8 // groups)),
+        padding=draw(st.integers(0, r // 2)),
+        groups=groups,
+    )
+    return m, scenario, draw(st.integers(0, 2**32 - 1))
 
 
 class TestTransformGeneration:
@@ -138,3 +185,45 @@ class TestWinogradPrimitives:
         reference = reference_convolution(x, kernel, scenario)
         output = primitive.execute(LayoutTensor.from_chw(x, primitive.input_layout), kernel, scenario)
         np.testing.assert_allclose(output.to_chw(), reference, rtol=1e-4, atol=1e-4)
+
+    @pytest.mark.parametrize("m,r", TILE_KERNEL_PAIRS)
+    @pytest.mark.parametrize("size", [(5, 5), (8, 9), (11, 13), (16, 20)])
+    def test_1d_strided_gather_is_bit_identical_to_loop_gather(self, m, r, size):
+        h, w = size
+        scenario = ConvScenario(c=3, h=h, w=w, stride=1, k=r, m=4, padding=r // 2)
+        primitive = Winograd1DPrimitive(name="w1", tile=m, kernel_size=r)
+        rng = np.random.default_rng(h * 100 + w)
+        x = rng.standard_normal(scenario.input_shape).astype(np.float32)
+        kernel = rng.standard_normal(scenario.kernel_shape).astype(np.float32)
+        padded, inner = _pad_scenario(x, scenario)
+        assert np.array_equal(
+            primitive._compute(padded, kernel, inner),
+            _loop_gathered_1d(primitive, padded, kernel, inner),
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=winograd_cases())
+    def test_matches_reference_and_sum2d_on_random_scenarios(self, case):
+        m, scenario, seed = case
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(scenario.input_shape).astype(np.float32)
+        kernel = rng.standard_normal(scenario.kernel_shape).astype(np.float32)
+        reference = reference_convolution(x, kernel, scenario)
+        # At int8 both sum the same quantized integers in float64 (a float64
+        # input keeps the output unrounded); only the fractional Winograd
+        # transforms round.
+        int8 = replace(scenario, dtype="int8")
+        x64 = x.astype(np.float64)
+        sum2d = Sum2DPrimitive()
+        exact = sum2d.execute(LayoutTensor.from_chw(x64, sum2d.input_layout), kernel, int8).to_chw()
+
+        for kind in (Winograd2DPrimitive, Winograd1DPrimitive):
+            primitive = kind(name="w", tile=m, kernel_size=scenario.k)
+            tensor = LayoutTensor.from_chw(x, primitive.input_layout)
+            output = primitive.execute(tensor, kernel, scenario).to_chw()
+            np.testing.assert_allclose(output, reference, rtol=1e-4, atol=1e-4)
+
+            tensor = LayoutTensor.from_chw(x64, primitive.input_layout)
+            quantized = primitive.execute(tensor, kernel, int8).to_chw()
+            assert quantized.dtype == np.float64
+            assert np.abs(quantized - exact).max() <= 1e-9 * np.abs(exact).max()

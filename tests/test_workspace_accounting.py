@@ -28,7 +28,8 @@ from repro.api import Session
 from repro.core.selector import PBQPSelector
 from repro.core.strategies import applicable_strategies, get_strategy
 from repro.graph.scenario import ConvScenario
-from repro.primitives.base import PrimitiveFamily
+from repro.primitives.base import PrimitiveFamily, _pad_scenario
+from repro.primitives.winograd import Winograd1DPrimitive
 from repro.runtime import NetworkExecutor
 
 #: Reference execution computes in float64 / complex128: twice the modelled
@@ -53,6 +54,20 @@ def _measure_peak(function) -> int:
 
 #: One representative scenario every family supports (unit stride for kn2).
 SCENARIO = ConvScenario(c=16, h=32, w=32, stride=1, k=3, m=16, padding=1)
+
+
+def _run_modelled_form(primitive, x, kernel):
+    """Run the form of ``primitive`` whose scratch its workspace model describes.
+
+    The 1D Winograd model describes its row-streamed form; the default path
+    trades memory for numpy vectorization, so the footprint is measured on
+    the streamed path, padded copy included (and the two paths are asserted
+    identical below).
+    """
+    if isinstance(primitive, Winograd1DPrimitive):
+        padded, inner = _pad_scenario(x, SCENARIO)
+        return primitive._compute_streamed(padded, kernel, inner)
+    return primitive._run_grouped(x, kernel, SCENARIO)
 
 
 def _family_members(library, family):
@@ -85,20 +100,7 @@ class TestPrimitiveWorkspaceBounds:
 
         for primitive in _family_members(library, family):
             modelled = 4.0 * primitive.workspace_elements(SCENARIO)
-            # The 1D Winograd model describes its row-streamed form; the
-            # default path trades memory for numpy vectorization, so the
-            # footprint is measured on the streamed path (and the two paths
-            # are asserted identical below).
-            streaming = hasattr(primitive, "streaming")
-            if streaming:
-                primitive.streaming = True
-            try:
-                peak = _measure_peak(
-                    lambda: primitive._run_grouped(x, kernel, SCENARIO)
-                )
-            finally:
-                if streaming:
-                    primitive.streaming = False
+            peak = _measure_peak(lambda: _run_modelled_form(primitive, x, kernel))
             bound = io_allowance + DTYPE_WIDENING * modelled + SLACK_BYTES
             assert peak <= bound, (
                 f"{primitive.name}: reference execution peaked at {peak} bytes, "
@@ -109,16 +111,13 @@ class TestPrimitiveWorkspaceBounds:
         """The memory-faithful streamed 1D form computes the identical result."""
         x = rng.standard_normal(SCENARIO.input_shape).astype(np.float32)
         kernel = rng.standard_normal(SCENARIO.kernel_shape).astype(np.float32)
+        padded, inner = _pad_scenario(x, SCENARIO)
         checked = 0
         for primitive in _family_members(library, PrimitiveFamily.WINOGRAD):
-            if not hasattr(primitive, "streaming"):
+            if not isinstance(primitive, Winograd1DPrimitive):
                 continue
-            vectorized = primitive._run_grouped(x, kernel, SCENARIO)
-            primitive.streaming = True
-            try:
-                streamed = primitive._run_grouped(x, kernel, SCENARIO)
-            finally:
-                primitive.streaming = False
+            vectorized = primitive._compute(padded, kernel, inner)
+            streamed = primitive._compute_streamed(padded, kernel, inner)
             np.testing.assert_allclose(streamed, vectorized, rtol=1e-10, atol=1e-10)
             checked += 1
         assert checked > 0
