@@ -68,7 +68,6 @@ from repro.cost.platform import PLATFORMS, Platform, platform_version
 from repro.cost.serialize import (
     COST_TABLE_FORMAT,
     PLAN_FORMAT,
-    PROVIDER_PLATFORM_LABELS,
     plan_to_dict,
 )
 from repro.cost.store import STORE_ENTRY_FORMAT
@@ -307,11 +306,7 @@ def check_plan_fields(ctx: PlanContext) -> Iterator[Finding]:
                 "RV103", "error", prefix + name, f"{name} must be a list"
             )
     platform = doc.get("platform")
-    if (
-        platform is not None
-        and platform not in PLATFORMS
-        and platform not in PROVIDER_PLATFORM_LABELS
-    ):
+    if platform is not None and platform not in PLATFORMS:
         yield Finding(
             "RV101",
             "error",
@@ -924,9 +919,9 @@ def check_store_entry(ctx: EnvelopeContext) -> Iterator[Finding]:
     platform_name = key.get("platform")
     # Unregistered platforms are only a warning here: the store deliberately
     # keeps such entries (the owning registration may not be loaded), see
-    # CostStore.evict.
+    # CostStore.evict.  A platform-less key is named after its model.
     if platform_name and platform_name not in PLATFORMS:
-        if platform_name not in PROVIDER_PLATFORM_LABELS:
+        if platform_name != key.get("provider"):
             yield Finding(
                 "RV101",
                 "warning",

@@ -46,7 +46,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.plan import NetworkPlan, conversion_groups
+from repro.core.plan import NetworkPlan, conversion_groups, platform_label
 from repro.core.selector import SelectionContext
 from repro.core.strategies import (
     BASELINE_STRATEGY,
@@ -173,7 +173,8 @@ class ExecutionReport:
     """
 
     model: str
-    platform: str
+    #: The plan's platform name, ``None`` for a platform-less cost model.
+    platform: Optional[str]
     threads: int
     strategy: str
     #: Output of the network's output layer in canonical CHW order — or, for
@@ -254,13 +255,14 @@ class ExecutionReport:
         """Human-readable per-layer report."""
         plural = "s" if self.threads != 1 else ""
         batch = f", batch {self.batch}" if self.batch != 1 else ""
+        platform = platform_label(self.platform)
         lines = [
-            f"Execution report — {self.model} [{self.strategy}] on {self.platform} "
+            f"Execution report — {self.model} [{self.strategy}] on {platform} "
             f"({self.threads} thread{plural}{batch})",
             f"  measured {self.measured_total_ms:.2f} ms on this host "
             f"({self.conversions_executed}/{self.conversions_planned} planned layout "
             f"conversions executed, costing {self.measured_conversion_ms:.2f} ms)",
-            f"  predicted {self.predicted_total_ms:.2f} ms on {self.platform} "
+            f"  predicted {self.predicted_total_ms:.2f} ms on {platform} "
             f"(measured/predicted ratio {self.prediction_ratio:.1f}x)",
             f"  {'layer':<24} {'primitive':<28} {'predicted ms':>13} {'measured ms':>12}",
         ]
@@ -477,7 +479,8 @@ class ComparisonReport:
     """
 
     model: str
-    platform: str
+    #: The plan's platform name, ``None`` for a platform-less cost model.
+    platform: Optional[str]
     threads: int
     baseline: Plan
     results: List[Plan]
@@ -511,7 +514,7 @@ class ComparisonReport:
         batch = f", batch {self.batch}" if self.batch != 1 else ""
         dtype = f", {self.dtype}" if self.dtype != "fp32" else ""
         title = title or (
-            f"Strategy comparison — {self.model} on {self.platform}, "
+            f"Strategy comparison — {self.model} on {platform_label(self.platform)}, "
             f"{self.threads} thread{plural}{batch}{dtype}"
         )
         header = f"{'strategy':<20}{'total ms':>12}{'speedup':>10}"
@@ -593,26 +596,21 @@ class Session:
 
     # -- cache plumbing ---------------------------------------------------------
 
-    def _resolve_platform(
-        self, platform: PlatformLike
-    ) -> Tuple[Optional[Platform], str]:
-        """Resolve a platform argument into (Platform or None, platform name).
+    def _resolve_platform(self, platform: PlatformLike) -> Optional[Platform]:
+        """Resolve a platform argument into a Platform, or None.
 
         ``None`` stands for the cost model's own platform: a model built on
         one platform prices (and gates) that platform, so it labels and keys
         the context.  A model with no platform (e.g. the host profiler)
-        labels the context with its name.
+        plans platform-less: its plans record ``platform: null``.
         """
         if platform is None:
             platform = getattr(self.cost_model, "platform", None)
-            if platform is None:
-                if self.cost_model is None:
-                    raise ValueError("the analytical cost model requires a platform")
-                return None, self.cost_model.name
-        if isinstance(platform, Platform):
-            return platform, platform.name
-        resolved = get_platform(platform)
-        return resolved, resolved.name
+            if platform is None and self.cost_model is None:
+                raise ValueError("the analytical cost model requires a platform")
+        if platform is None or isinstance(platform, Platform):
+            return platform
+        return get_platform(platform)
 
     def _resolve_network(self, model: ModelLike) -> Tuple[str, Network]:
         """Resolve a model name or network into (fingerprint, network)."""
@@ -674,7 +672,7 @@ class Session:
         if batch < 1:
             raise ValueError("batch must be >= 1")
         _check_dtype(dtype)
-        resolved, platform_name = self._resolve_platform(platform)
+        resolved = self._resolve_platform(platform)
         message = None if resolved is None else resolved.threads_error(threads)
         if message is not None:
             raise ValueError(f"threads {message}")
@@ -683,7 +681,6 @@ class Session:
             network=network,
             fingerprint=fingerprint,
             platform=resolved,
-            platform_name=platform_name,
             threads=threads,
             library=self.library,
             dt_graph=self.dt_graph,
@@ -695,12 +692,12 @@ class Session:
     def _context_key(query: CostQuery) -> Tuple:
         """The in-process memo key of a query's context.
 
-        The platform is keyed by its value, not only its name, so a platform
-        that reuses a name with other numbers never aliases a cached context.
+        The platform is keyed by its value, so a platform that reuses a name
+        with other numbers never aliases a cached context.  A session has one
+        cost model, so a platform-less key needs no model name.
         """
         return (
             query.fingerprint,
-            query.platform_name,
             query.platform,
             query.threads,
             query.batch,
@@ -739,7 +736,7 @@ class Session:
             network=query.network,
             library=self.library,
             dt_graph=self.dt_graph,
-            platform_name=query.platform_name,
+            platform_name=None if query.platform is None else query.platform.name,
             threads=query.threads,
             tables=self._tables(query),
             platform=query.platform,
@@ -998,7 +995,7 @@ class Session:
         baseline = self._plan_query(query.with_threads(1), BASELINE_STRATEGY, verify=False)
         return ComparisonReport(
             model=query.fingerprint,
-            platform=query.platform_name,
+            platform=context.platform_name,
             threads=threads,
             baseline=baseline,
             results=sorted(results, key=lambda plan: plan.total_ms),

@@ -367,7 +367,6 @@ def _command_select(args: argparse.Namespace) -> int:
         threads=args.threads,
         batch=args.batch,
         dtype=args.dtype,
-        verify=False,
     )
     # The speedup denominator is the paper's common baseline: *single-threaded*
     # SUM2D, matching the figures' methodology regardless of --threads (but

@@ -12,6 +12,8 @@ layer, it walks every data-flow edge, looks up the cheapest conversion chain
 between the producer's output layout and the consumer's required input layout
 (the all-pairs shortest paths of the DT graph, already priced in the cost
 tables), and assembles the resulting :class:`~repro.core.plan.NetworkPlan`.
+:func:`replay_plan` runs the same phase over an existing plan's choices
+under another context, so the plan is re-priced there.
 """
 
 from __future__ import annotations
@@ -143,6 +145,25 @@ def finalize_plan(
         batch=context.batch,
         dtype=context.dtype,
     )
+
+
+def replay_plan(
+    context: "SelectionContext", base_plan: NetworkPlan, strategy: str = "replay"
+) -> NetworkPlan:
+    """Re-price a plan's choices under another context's cost tables.
+
+    Keeps every per-layer choice of ``base_plan`` — the convolution
+    primitives and the layouts of the non-convolution layers — and legalizes
+    them against ``context`` (typically the same network priced at a
+    different batch size or precision), so the returned plan carries the
+    costs that fixed assignment would incur there.
+    """
+    wildcard_layouts = {
+        name: decision.output_layout
+        for name, decision in base_plan.layer_decisions.items()
+        if decision.primitive is None
+    }
+    return finalize_plan(context, strategy, base_plan.conv_selections(), wildcard_layouts)
 
 
 def follow_producer_layouts(

@@ -18,6 +18,11 @@ from repro.layouts.transforms import TransformChain
 from repro.multiobj.vector import CostVector
 
 
+def platform_label(platform_name: Optional[str]) -> str:
+    """How text output names a plan's platform: platform-less plans say so."""
+    return "a platform-less cost model" if platform_name is None else platform_name
+
+
 @dataclass
 class LayerDecision:
     """The selection made for one layer.
@@ -90,7 +95,9 @@ class NetworkPlan:
 
     network_name: str
     strategy: str
-    platform_name: str
+    #: A registered platform's name, or ``None`` for a platform-less cost
+    #: model (the host profiler, the DT-cost ablation's scaled model).
+    platform_name: Optional[str]
     threads: int
     layer_decisions: Dict[str, LayerDecision] = field(default_factory=dict)
     #: Minibatch size the plan's costs describe (1 = the paper's setting).
@@ -196,8 +203,9 @@ class NetworkPlan:
         batch = f", batch {self.batch}" if self.batch != 1 else ""
         dtype = f", {self.dtype}" if self.dtype != "fp32" else ""
         per_image = f", {self.per_image_ms:.2f} ms/image" if self.batch != 1 else ""
+        platform = platform_label(self.platform_name)
         lines = [
-            f"Plan for {self.network_name!r} [{self.strategy}] on {self.platform_name} "
+            f"Plan for {self.network_name!r} [{self.strategy}] on {platform} "
             f"({self.threads} thread{'s' if self.threads != 1 else ''}{batch}{dtype})",
             f"  total {self.total_ms:.2f} ms{per_image}  (conv {1e3 * self.conv_cost:.2f} ms, "
             f"layout transforms {1e3 * self.dt_cost:.2f} ms, "

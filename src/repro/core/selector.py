@@ -114,7 +114,7 @@ class SelectionContext:
     network: Network
     library: PrimitiveLibrary
     dt_graph: DTGraph
-    platform_name: str
+    platform_name: Optional[str]
     threads: int
     tables: CostTables
     platform: Optional[Platform] = None

@@ -45,8 +45,9 @@ class WallClockProfiler:
         Seed for the random input generator, so profiles are reproducible.
 
     The profiler has no ``platform``: measurements describe the host, which
-    runs every variant, so its tables are not platform-gated and a session
-    labels its platform-less plans ``"profiled"``.
+    runs every variant, so its tables are not platform-gated.  Platform-less
+    plans record ``platform: null``; the store names their shard after the
+    model, ``"profiled"``.
     """
 
     name = "profiled"

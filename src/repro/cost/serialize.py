@@ -38,16 +38,12 @@ PathLike = Union[str, Path]
 #: layout) group (see :func:`~repro.core.plan.conversion_groups`), so v1
 #: documents, which price the chain on *every* edge, carry totals the
 #: executor never pays.  They are refused like any other unknown format and
-#: must be re-planned.
+#: must be re-planned.  A plan's ``platform`` is a registered platform's
+#: name; platform-less plans (the host profiler's, or any cost model's
+#: without a ``platform``) record ``platform: null``, and the store names
+#: their shard after the model.
 COST_TABLE_FORMAT = "repro/cost-tables/v3"
 PLAN_FORMAT = "repro/plan/v2"
-
-#: Context labels a session records as a plan's ``platform`` when it prices
-#: with a cost model that has no modelled platform
-#: (``Session._resolve_platform`` falls back to the model's ``name``, e.g.
-#: ``"profiled"`` for the host profiler).  Plans carrying these labels are
-#: legal even though the labels never appear in the platform registry.
-PROVIDER_PLATFORM_LABELS = ("analytical", "profiled")
 
 
 def _shape_key(shape: Tuple[int, int, int]) -> str:
@@ -294,11 +290,7 @@ def plan_from_dict(document: dict, dt_graph: DTGraph) -> NetworkPlan:
             f"(expected {PLAN_FORMAT!r}; older documents must be re-planned)"
         )
     platform_name = document.get("platform")
-    if (
-        platform_name is not None
-        and platform_name not in PLATFORMS
-        and platform_name not in PROVIDER_PLATFORM_LABELS
-    ):
+    if platform_name is not None and platform_name not in PLATFORMS:
         raise ValueError(
             f"plan references platform {platform_name!r} which is not registered; "
             f"registered platforms: {', '.join(sorted(PLATFORMS))}"

@@ -252,12 +252,13 @@ class CostStore:
 
         A model with a ``platform`` prices that platform whatever the query
         is labelled, so its platform's version is recorded: tables one
-        platform's model priced never answer for another platform.
+        platform's model priced never answer for another platform.  A
+        platform-less query is named after its model.
         """
         priced_on = getattr(cost_model, "platform", None) or query.platform
         return StoreKey(
             fingerprint=query.fingerprint,
-            platform=query.platform_name,
+            platform=cost_model.name if query.platform is None else query.platform.name,
             threads=query.threads,
             provider=cost_model.name,
             provider_version=cost_model.version,

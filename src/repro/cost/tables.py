@@ -133,15 +133,16 @@ class CostTables:
 class CostQuery:
     """One request for cost tables, as a :class:`repro.api.Session` resolves it.
 
-    ``(fingerprint, platform_name, threads, batch, dtype)`` identifies the
-    tuple the tables describe; the remaining fields carry the live components
-    the tables are built (or loaded) against.
+    ``(fingerprint, platform, threads, batch, dtype)`` identifies the tuple
+    the tables describe; the remaining fields carry the live components the
+    tables are built (or loaded) against.  ``platform`` is ``None`` for a
+    platform-less cost model: its plans record ``platform: null`` and the
+    store names their shard after the model.
     """
 
     network: Network
     fingerprint: str
     platform: Optional[Platform]
-    platform_name: str
     threads: int
     library: PrimitiveLibrary
     dt_graph: DTGraph

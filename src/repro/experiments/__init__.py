@@ -38,11 +38,8 @@ from repro.experiments.overhead import solver_overhead_report
 from repro.experiments.family_traits import family_traits_table
 from repro.experiments.pbqp_example import figure2_example
 from repro.experiments.ablation import dt_cost_ablation, solver_mode_ablation
-from repro.experiments.batch_scaling import (
-    BatchScalingResult,
-    replay_plan,
-    run_batch_scaling,
-)
+from repro.core.legalize import replay_plan
+from repro.experiments.batch_scaling import BatchScalingResult, run_batch_scaling
 from repro.experiments.memory_budget import (
     MemoryBudgetResult,
     run_memory_budget,

@@ -37,8 +37,9 @@ class ScaledTransformCostModel:
     """Wrap a cost model, scaling only the layout-transformation times.
 
     Primitive pricing and conversion energy are the inner model's.  The
-    wrapper has no ``platform``, so its tables are not platform-gated, and a
-    session labels its plans with the wrapper's name, ``scaled-dt[<scale>]``.
+    wrapper has no ``platform``, so its tables are not platform-gated, its
+    platform-less plans record ``platform: null``, and the store names their
+    shard after the model, ``scaled-dt[<scale>]``.
     """
 
     def __init__(self, inner: CostModel, scale: float) -> None:
@@ -118,15 +119,11 @@ def dt_cost_ablation(
     for scale in scales:
         cost_model = ScaledTransformCostModel(base_model, scale)
         # Each scale gets its own session pricing with the scaled model, so
-        # the selection pipeline is exactly the public one.  The model has no
-        # platform, so its plans carry its name, which the verifier does not
-        # know.
+        # the selection pipeline is exactly the public one.
         session = Session(cost_model=cost_model)
 
         def total_ms(strategy: str) -> float:
-            return session.plan(
-                model_name, None, strategy, threads, verify=False
-            ).total_ms
+            return session.plan(model_name, None, strategy, threads).total_ms
 
         points.append(
             DTCostAblationPoint(

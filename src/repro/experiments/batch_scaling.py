@@ -27,36 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from repro.core.legalize import finalize_plan
+from repro.core.legalize import replay_plan
 from repro.core.plan import NetworkPlan
 from repro.cost.platform import PLATFORMS, Platform
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api import Session
-    from repro.core.selector import SelectionContext
 
 #: The batch sizes swept by default (1 is the paper's setting).
 DEFAULT_BATCHES: Tuple[int, ...] = (1, 4, 16, 64)
-
-
-def replay_plan(
-    context: "SelectionContext", base_plan: NetworkPlan, strategy: str = "replay"
-) -> NetworkPlan:
-    """Re-price a plan's choices under another context's cost tables.
-
-    Keeps every per-layer choice of ``base_plan`` — the convolution
-    primitives and the layouts of the non-convolution layers — and legalizes
-    them against ``context`` (typically the same network priced at a
-    different batch size), so the returned plan carries the costs that fixed
-    assignment would incur there.
-    """
-    conv_primitives = base_plan.conv_selections()
-    wildcard_layouts = {
-        name: decision.output_layout
-        for name, decision in base_plan.layer_decisions.items()
-        if decision.primitive is None
-    }
-    return finalize_plan(context, strategy, conv_primitives, wildcard_layouts)
 
 
 @dataclass

@@ -18,6 +18,7 @@ Winograd forms, at a measured time cost per budget level.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
@@ -57,10 +58,7 @@ class BudgetCell:
 
     def family_histogram(self) -> Dict[str, int]:
         """How many layers each family won under this cap."""
-        histogram: Dict[str, int] = {}
-        for _, capped in self.flips.values():
-            histogram[capped] = histogram.get(capped, 0) + 1
-        return histogram
+        return Counter(capped for _, capped in self.flips.values())
 
 
 @dataclass

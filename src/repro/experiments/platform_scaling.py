@@ -23,6 +23,7 @@ Headline expectations encoded by ``benchmarks/test_bench_platform_zoo.py``:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
@@ -65,10 +66,7 @@ class PlatformCell:
 
     def family_histogram(self) -> Dict[str, int]:
         """How many layers each family won on this cell."""
-        histogram: Dict[str, int] = {}
-        for family in self.families.values():
-            histogram[family] = histogram.get(family, 0) + 1
-        return histogram
+        return Counter(self.families.values())
 
 
 @dataclass

@@ -35,9 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from repro.cost.platform import PLATFORMS, Platform
-from repro.experiments.batch_scaling import replay_plan
+from repro.core.legalize import replay_plan
 from repro.core.plan import NetworkPlan
+from repro.cost.platform import PLATFORMS, Platform
 from repro.graph.scenario import DTYPES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

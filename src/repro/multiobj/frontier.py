@@ -51,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.legalize import finalize_plan
-from repro.core.plan import NetworkPlan
+from repro.core.plan import NetworkPlan, platform_label
 from repro.core.selector import PBQPSelector, SelectionContext
 from repro.core.strategies import applicable_strategies
 from repro.cost.serialize import plan_from_dict, plan_to_dict
@@ -116,7 +116,7 @@ class Frontier:
     """The Pareto front of whole-network plans for one selection context."""
 
     network_name: str
-    platform_name: str
+    platform_name: Optional[str]
     threads: int
     batch: int
     seed: int
@@ -212,8 +212,9 @@ class Frontier:
         """Human-readable frontier table."""
         plural = "s" if self.threads != 1 else ""
         batch = f", batch {self.batch}" if self.batch != 1 else ""
+        platform = platform_label(self.platform_name)
         lines = [
-            f"Pareto frontier — {self.network_name} on {self.platform_name} "
+            f"Pareto frontier — {self.network_name} on {platform} "
             f"({self.threads} thread{plural}{batch}, seed {self.seed})",
             f"  {len(self.points)} nondominated of {self.candidates_evaluated} "
             f"candidate plans ({self.solve_seconds * 1e3:.0f} ms to build)",

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.core.plan import NetworkPlan
+from repro.core.plan import NetworkPlan, platform_label
 from repro.graph.network import Network
 
 
@@ -78,7 +78,10 @@ def generate_schedule(network: Network, plan: NetworkPlan) -> List[ScheduleStep]
 
 def render_schedule(network: Network, plan: NetworkPlan) -> str:
     """Render the generated schedule as readable pseudo-code."""
-    header = f"// schedule for {plan.network_name} [{plan.strategy}] on {plan.platform_name}"
+    header = (
+        f"// schedule for {plan.network_name} [{plan.strategy}] "
+        f"on {platform_label(plan.platform_name)}"
+    )
     lines = [header]
     lines.extend(step.render() for step in generate_schedule(network, plan))
     return "\n".join(lines)

@@ -3,23 +3,32 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 
 import pytest
 
-from repro.analysis.plan_verifier import PlanVerificationError, verify_document
+from repro.analysis.plan_verifier import (
+    PlanVerificationError,
+    verify_document,
+    verify_plan,
+)
 from repro.api import Session
 from repro.cli import main
 from repro.core.strategies import STRATEGIES, Strategy, get_strategy
+from repro.cost.analytical import AnalyticalCostModel
+from repro.cost.platform import PLATFORMS
+from repro.cost.profiler import WallClockProfiler
 from repro.cost.serialize import (
-    PROVIDER_PLATFORM_LABELS,
     cost_tables_from_dict,
     plan_from_dict,
     plan_to_dict,
     save_plan,
 )
+from repro.experiments.ablation import ScaledTransformCostModel
 from repro.multiobj.frontier import Frontier
 from repro.service.app import PlannerApp
+from tests.conftest import build_tiny_network
 
 
 @pytest.fixture(scope="module")
@@ -162,11 +171,55 @@ def test_plan_from_dict_unregistered_platform_lists_registered(session, plan_doc
     assert "intel-haswell" in message
 
 
-def test_plan_from_dict_accepts_provider_labels(session, plan_doc):
-    for label in PROVIDER_PLATFORM_LABELS:
-        doc = copy.deepcopy(plan_doc)
-        doc["platform"] = label
-        assert plan_from_dict(doc, session.dt_graph).platform_name == label
+@pytest.mark.parametrize("label", ["analytical", "profiled", "scaled-dt[1.0]"])
+def test_cost_model_names_are_not_platforms(session, plan_doc, label):
+    doc = copy.deepcopy(plan_doc)
+    doc["platform"] = label
+    with pytest.raises(ValueError, match="not registered"):
+        plan_from_dict(doc, session.dt_graph)
+    plan = dataclasses.replace(
+        session.plan("alexnet", "intel-haswell").network_plan, platform_name=label
+    )
+    assert [finding.rule for finding in verify_plan(plan).errors] == ["RV101"]
+
+
+def _platformless_models():
+    return [
+        ScaledTransformCostModel(AnalyticalCostModel(PLATFORMS["intel-haswell"]), 1.0),
+        WallClockProfiler(repetitions=1, warmup=0),
+    ]
+
+
+@pytest.mark.parametrize("cost_model", _platformless_models(), ids=lambda m: m.name)
+def test_platformless_plans_record_null_and_verify(cost_model):
+    network = build_tiny_network()
+    session = Session(cost_model=cost_model)
+    plan = session.plan(network, None).network_plan
+    assert plan.platform_name is None
+    document = plan_to_dict(plan)
+    assert document["platform"] is None
+    reloaded = plan_from_dict(document, session.dt_graph)
+    assert reloaded.platform_name is None
+    assert plan_to_dict(reloaded) == document
+    assert verify_plan(reloaded, network=network).findings == []
+
+
+def test_scaled_model_plans_a_zoo_network_and_verifies():
+    model = ScaledTransformCostModel(AnalyticalCostModel(PLATFORMS["intel-haswell"]), 1.0)
+    assert Session(cost_model=model).plan("alexnet", None).network_plan.platform_name is None
+
+
+def test_store_entry_named_after_its_model_is_not_an_unregistered_platform(tmp_path):
+    Session(
+        cost_model=WallClockProfiler(repetitions=1, warmup=0), cache_dir=tmp_path
+    ).plan(build_tiny_network(), None, verify=False)
+    (path,) = tmp_path.rglob("*.json")
+    entry = json.loads(path.read_text())
+    assert entry["key"]["platform"] == entry["key"]["provider"] == "profiled"
+    assert "RV101" not in {finding.rule for finding in verify_document(entry).findings}
+    entry["key"]["platform"] = "gone-platform"
+    (finding,) = [f for f in verify_document(entry).findings if f.rule == "RV101"]
+    assert finding.severity == "warning"
 
 
 def test_check_cli_reports_unregistered_platform(tmp_path, plan_doc, capsys):

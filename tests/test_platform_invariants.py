@@ -26,10 +26,10 @@ import os
 import pytest
 
 from repro.api import Session
+from repro.core.legalize import replay_plan
 from repro.core.selector import PBQPSelector
 from repro.cost.analytical import AnalyticalCostModel
 from repro.cost.platform import PLATFORMS, list_platforms
-from repro.experiments.batch_scaling import replay_plan
 from repro.graph.scenario import ConvScenario
 from repro.layouts.transforms import default_transform_library
 from tests.conftest import build_tiny_network

@@ -88,8 +88,7 @@ class TestRegistry:
 
     def test_session_resolves_registered_platform(self, scratch_platform):
         session = Session()
-        resolved, name = session._resolve_platform("test-part")
-        assert resolved is scratch_platform and name == "test-part"
+        assert session._resolve_platform("test-part") is scratch_platform
         with pytest.raises(KeyError, match="registered platforms"):
             session._resolve_platform("not-a-platform")
 

@@ -22,6 +22,7 @@ from repro.cost.tables import CostQuery, build_cost_tables
 from repro.experiments.ablation import ScaledTransformCostModel
 from repro.models import build_mobilenet_v2, build_resnet18
 from repro.runtime import NetworkExecutor, WeightStore
+from repro.runtime.codegen import render_schedule
 
 
 @pytest.fixture
@@ -324,7 +325,7 @@ class TestCostModels:
             library=library, dt_graph=dt_graph, cost_model=WallClockProfiler()
         )
         plan = session.plan(tiny_network, None, verify=False)
-        assert plan.network_plan.platform_name == "profiled"
+        assert plan.network_plan.platform_name is None
         assert plan.strategy == "pbqp"
         # Measured costs are real times: strictly positive.
         context = session.context_for(tiny_network, None)
@@ -352,12 +353,28 @@ class TestCostModels:
             "alexnet", "intel-haswell"
         )
 
-    def test_platformless_model_labels_plans_with_its_name(
+    def test_platformless_model_plans_record_no_platform(
         self, tiny_network, intel_cost_model
     ):
         scaled = ScaledTransformCostModel(intel_cost_model, 2.0)
         session = Session(cost_model=scaled)
-        assert session.context_for(tiny_network, None).platform_name == "scaled-dt[2.0]"
+        assert session.context_for(tiny_network, None).platform_name is None
+
+    def test_platformless_text_output_names_no_platform(
+        self, tiny_network, intel_cost_model
+    ):
+        session = Session(cost_model=ScaledTransformCostModel(intel_cost_model, 1.0))
+        plan = session.plan(tiny_network, None)
+        texts = [
+            plan.network_plan.summary(),
+            render_schedule(plan.network, plan.network_plan),
+            session.plan_frontier(tiny_network, None, dtypes=("fp32",)).format(),
+            plan.execute().format(),
+            session.compare(tiny_network, None).format(),
+        ]
+        for text in texts:
+            assert "on a platform-less cost model" in text
+            assert "None" not in text
 
     def test_threads_above_the_cores_are_refused(self, session):
         with pytest.raises(ValueError, match=r"threads must be <= 1, the cores of gpu-sim"):
@@ -420,7 +437,7 @@ class TestCostStore:
         first = session()
         assert first.cost_model.name == "profiled"
         plan = first.plan(tiny_network, None)  # verified by default
-        assert plan.network_plan.platform_name == "profiled"
+        assert plan.network_plan.platform_name is None
         assert first.store.stats().misses == 1
         path = tmp_path / "plan.json"
         plan.save(path)
@@ -582,7 +599,6 @@ class TestCostStore:
             network=tiny_network,
             fingerprint=network_fingerprint(tiny_network),
             platform=PLATFORMS["intel-haswell"],
-            platform_name="intel-haswell",
             threads=1,
             library=library,
             dt_graph=dt_graph,
