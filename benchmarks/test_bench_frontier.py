@@ -5,7 +5,7 @@ cannot: what does a peak-workspace budget cost, and which layers flip family
 to fit?  This benchmark builds the frontier for the paper's two DAG-shaped
 networks, reports the budget sweep across the platform zoo
 (:mod:`repro.experiments.memory_budget`), and records the frontier build
-time in the ``BENCH_frontier.json`` trajectory.
+time and its serialization time in the ``BENCH_frontier.json`` trajectory.
 
 Headline assertions (the issue's acceptance criteria, at full size):
 
@@ -14,6 +14,9 @@ Headline assertions (the issue's acceptance criteria, at full size):
   one layer from an im2col/FFT-family pick to a low-scratch family on both
   of the paper's platforms.
 """
+
+import statistics
+import time
 
 import pytest
 
@@ -53,12 +56,20 @@ def test_frontier_build_time_and_min_time_point(session, benchmark):
     assert best.plan.conv_selections() == scalar.conv_selections()
 
     build_seconds = benchmark.stats.stats.mean
+    to_json_seconds = []
+    for _ in range(5):
+        start = time.perf_counter()
+        frontier.to_json()
+        to_json_seconds.append(time.perf_counter() - start)
+    to_json_ms = statistics.median(to_json_seconds) * 1e3
     record_metric("frontier", "build_ms", build_seconds * 1e3)
+    record_metric("frontier", "to_json_ms", to_json_ms)
     record_metric("frontier", "points", len(frontier))
     record_metric("frontier", "candidates", frontier.candidates_evaluated)
     emit(
         f"Frontier build — {model} on intel-haswell\n"
         f"build time (all PBQP solves): {build_seconds * 1e3:10.2f} ms\n"
+        f"to_json (median of 5):        {to_json_ms:10.2f} ms\n"
         f"{frontier.format()}"
     )
 

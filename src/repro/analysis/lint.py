@@ -66,6 +66,7 @@ SERIALIZATION_MODULE_SUFFIXES = (
     "multiobj/frontier.py",
     "service/app.py",
     "analysis/passes.py",
+    "repro/jsondoc.py",
 )
 
 _NOQA = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9_, ]+))?", re.IGNORECASE)

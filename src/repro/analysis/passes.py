@@ -18,9 +18,10 @@ section; a lint rule can be silenced per line with ``# noqa: <CODE>``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
+
+from repro import jsondoc
 
 #: Format identifier embedded in every serialized analysis report.
 REPORT_FORMAT = "repro/analysis-report/v1"
@@ -111,7 +112,7 @@ class Report:
 
     def to_json(self) -> str:
         """Deterministic serialization — byte-identical for equal reports."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return jsondoc.dumps(self.to_dict())
 
     def summary(self) -> str:
         """Human-readable rendering: one line per finding plus a verdict."""

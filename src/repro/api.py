@@ -828,10 +828,9 @@ class Session:
         chosen = get_strategy(strategy)
         context, from_cache = self._ensure_context(query)
         if not chosen.applies_to(context):
-            raise ValueError(
-                f"strategy {chosen.name!r} does not apply to platform "
-                f"{context.platform_name!r}"
-            )
+            name = context.platform_name
+            where = platform_label(name) if name is None else f"platform {name!r}"
+            raise ValueError(f"strategy {chosen.name!r} does not apply to {where}")
         network_plan = chosen.build_plan(context)
         if verify:
             from repro.analysis.plan_verifier import raise_for_report, verify_plan

@@ -555,6 +555,7 @@ def _command_check(args: argparse.Namespace) -> int:
     warnings), 2 on unreadable input."""
     import json
 
+    from repro import jsondoc
     from repro.analysis.plan_verifier import verify_file
 
     reports = []
@@ -565,11 +566,7 @@ def _command_check(args: argparse.Namespace) -> int:
             print(f"{path}: unreadable: {exc}", file=sys.stderr)
             return 2
     if args.as_json:
-        print(
-            json.dumps(
-                [report.to_dict() for report in reports], indent=2, sort_keys=True
-            )
-        )
+        print(jsondoc.dumps([report.to_dict() for report in reports]))
     else:
         for report in reports:
             print(report.summary())

@@ -16,6 +16,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro import jsondoc
 from repro.core.plan import EdgeDecision, LayerDecision, NetworkPlan
 from repro.cost.platform import PLATFORMS
 from repro.cost.tables import CostTables
@@ -228,7 +229,7 @@ def cost_tables_from_dict(document: dict, dt_graph: DTGraph) -> CostTables:
 
 def save_cost_tables(tables: CostTables, path: PathLike) -> None:
     """Write cost tables to a JSON file."""
-    Path(path).write_text(json.dumps(cost_tables_to_dict(tables), indent=2, sort_keys=True))
+    Path(path).write_text(jsondoc.dumps(cost_tables_to_dict(tables)))
 
 
 def load_cost_tables(path: PathLike, dt_graph: DTGraph) -> CostTables:
@@ -333,7 +334,7 @@ def plan_from_dict(document: dict, dt_graph: DTGraph) -> NetworkPlan:
 
 def save_plan(plan: NetworkPlan, path: PathLike) -> None:
     """Write a plan to a JSON file."""
-    Path(path).write_text(json.dumps(plan_to_dict(plan), indent=2, sort_keys=True))
+    Path(path).write_text(jsondoc.dumps(plan_to_dict(plan)))
 
 
 def load_plan(path: PathLike, dt_graph: DTGraph) -> NetworkPlan:

@@ -50,6 +50,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro import jsondoc
 from repro.core.legalize import finalize_plan
 from repro.core.plan import NetworkPlan, platform_label
 from repro.core.selector import PBQPSelector, SelectionContext
@@ -254,7 +255,7 @@ class Frontier:
         ``solve_seconds`` is deliberately excluded so the output is
         byte-identical across runs under a fixed seed.
         """
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return jsondoc.dumps(self.to_dict())
 
     def save(self, path: Union[str, Path]) -> None:
         Path(path).write_text(self.to_json())

@@ -332,6 +332,21 @@ class TestCostModels:
         for costs in context.tables.node_costs.values():
             assert all(value > 0 for value in costs.values())
 
+    def test_gated_strategy_refusal_names_the_platform(self, library, dt_graph, tiny_network):
+        profiled = Session(
+            library=library,
+            dt_graph=dt_graph,
+            cost_model=WallClockProfiler(repetitions=1, warmup=0),
+        )
+        with pytest.raises(ValueError) as refused:
+            profiled.plan(tiny_network, None, "cudnn")
+        assert str(refused.value) == (
+            "strategy 'cudnn' does not apply to a platform-less cost model"
+        )
+        with pytest.raises(ValueError) as refused:
+            Session(library=library, dt_graph=dt_graph).plan(tiny_network, "gpu-sim", "mkldnn")
+        assert str(refused.value) == "strategy 'mkldnn' does not apply to platform 'gpu-sim'"
+
     def test_session_prices_with_any_model(self, library, dt_graph, intel_cost_model):
         session = Session(library=library, dt_graph=dt_graph, cost_model=intel_cost_model)
         plan = session.plan("alexnet", None, verify=False)
