@@ -9,13 +9,18 @@ and the benchmark workloads execute) and records, per network:
 * ``<net>_forward_ms`` — the median wall time of ``ROUNDS``
   ``Plan.execute()`` calls;
 * ``<net>_winograd_ms`` — the median over the same calls of the summed
-  ``measured_ms`` of the layers a Winograd primitive runs.
+  ``measured_ms`` of the layers a Winograd primitive runs;
+
+and ``blas_threads``, the ``OPENBLAS_NUM_THREADS`` the run had (0 for the
+library's default pool).  The BLAS thread pool moves these times by up to
+3x on a small host, so a figure means little without it.
 
 It asserts only that each pass matches the network's all-SUM2D plan (every
 primitive computes the same function) and sets no time bound.  Smoke mode
 (``REPRO_BENCH_SMOKE=1``) keeps only resnet18.
 """
 
+import os
 import statistics
 
 import pytest
@@ -38,6 +43,12 @@ ROUNDS = 5
 #: Largest fp32 output error, relative to the largest magnitude of the
 #: all-SUM2D output.
 TOLERANCE = 1e-5
+
+
+def blas_threads() -> int:
+    """``OPENBLAS_NUM_THREADS`` as a count, 0 when unset or not a count."""
+    value = os.environ.get("OPENBLAS_NUM_THREADS", "").strip()
+    return int(value) if value.isdigit() else 0
 
 
 @pytest.fixture(scope="module")
@@ -65,9 +76,10 @@ def test_forward_pass_time_by_family(benchmark, session, intel, name):
     forward_ms = statistics.median(benchmark.stats.stats.data) * 1e3
     record_metric("forward_pass", f"{name}_forward_ms", forward_ms)
     record_metric("forward_pass", f"{name}_winograd_ms", statistics.median(winograd_ms))
+    record_metric("forward_pass", "blas_threads", blas_threads())
     emit(
         f"Forward pass of the {name}-64 PBQP plan on intel-haswell, fp32 "
-        f"(median of {ROUNDS})\n"
+        f"(median of {ROUNDS}, BLAS threads: {blas_threads() or 'library default'})\n"
         f"forward pass:     {forward_ms:8.2f} ms\n"
         f"Winograd layers:  {statistics.median(winograd_ms):8.2f} ms "
         f"({sum(layer.primitive in winograd for layer in reports[0].layers)} layers)"

@@ -113,9 +113,9 @@ def test_gpu_small_layers_are_launch_bound(session):
     gpu = get_platform("gpu-sim")
     model = AnalyticalCostModel(gpu)
     tiny = ConvScenario(c=16, h=7, w=7, stride=1, k=1, m=16)
-    for primitive in session.library.applicable(tiny, platform=gpu):
-        cost = model.price_layer([primitive], tiny)[0][0]
-        assert cost >= gpu.launch_overhead_s
+    (rows,) = model.price_layers([(session.library.applicable(tiny, platform=gpu), tiny)])
+    for time_s, _, _, _ in rows:
+        assert time_s >= gpu.launch_overhead_s
 
 
 @smoke_skip

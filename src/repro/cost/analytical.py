@@ -31,7 +31,7 @@ expensive (section 5.8 of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -119,6 +119,36 @@ class ModelParameters:
     energy_per_dram_byte_pj: float = 15.0
 
 
+class LayerColumns(NamedTuple):
+    """The per-layer inputs of the pricing formula, one column each.
+
+    :meth:`AnalyticalCostModel.price_layers` derives one row per layer in
+    Python and repeats it over that layer's primitives, so these columns
+    line up with the :class:`~repro.primitives.base.PricingRow` columns.
+    """
+
+    itemsize: float
+    #: Whole-batch input + output + kernel bytes.
+    tensor_bytes: float
+    #: The same for one image.
+    tensor_bytes_image: float
+    #: Quantize/dequantize traffic at the layer boundary.
+    conversion_bytes: float
+    #: Arithmetic-rate multiplier of the precision's lane packing.
+    precision_rate: float
+    c: float
+    groups: float
+    #: Input channels per group.
+    group_c: float
+    #: Inner dimension of the im2 GEMM: ``group_c * k * k``.
+    inner: float
+    batch: float
+    #: Accuracy loss of the layer's precision.
+    base_loss: float
+    #: The layer runs at int8.
+    int8: float
+
+
 class AnalyticalCostModel:
     """Price primitives and layout transformations on a modelled platform."""
 
@@ -132,29 +162,33 @@ class AnalyticalCostModel:
 
     # -- primitives -----------------------------------------------------------------
 
-    def price_layer(
+    def price_layers(
         self,
-        primitives: Sequence[ConvPrimitive],
-        scenario: ConvScenario,
+        layers: Sequence[Tuple[Sequence[ConvPrimitive], ConvScenario]],
         threads: int = 1,
-    ) -> List[Tuple[float, float, float, float]]:
-        """Price every primitive of one layer: the single analytical formula.
+    ) -> List[List[Tuple[float, float, float, float]]]:
+        """Price every primitive of every layer: the single analytical formula.
 
-        Returns one ``(time_s, workspace_bytes, energy_j, accuracy_loss)``
-        tuple per primitive, in order.  The scenario invariants (tensor bytes,
-        quantize traffic, cache sizes, precision rate) are derived once per
-        call, and time and energy share each primitive's operation count,
-        workspace, traffic and footprint tier.  This is the model's only
-        primitive query.
+        ``layers`` is an ordered sequence of ``(primitives, scenario)`` pairs;
+        the result holds, per layer and in order, one ``(time_s,
+        workspace_bytes, energy_j, accuracy_loss)`` tuple per primitive.
+        This is the model's only primitive query, and
+        :func:`~repro.cost.tables.build_cost_tables` calls it once per table
+        build, with every distinct scenario of the network.
 
-        The formula runs over arrays of the layer's primitives, with every
-        branch a mask.  Each primitive's static inputs (traits, vector
-        factor, family and input-layout flags) come from its
+        The formula runs once, over the concatenated rows of all layers, with
+        every branch a mask.  The scenario invariants (tensor bytes, quantize
+        traffic, precision rate, channel and group counts, GEMM inner
+        dimension, batch, accuracy loss) are derived in Python once per layer
+        and repeated over that layer's rows (:class:`LayerColumns`).  Each
+        primitive's static inputs (traits, vector factor, family and
+        input-layout flags) come from its
         :attr:`~repro.primitives.base.ConvPrimitive.pricing_row`, fixed once
         per primitive; only the operation count, workspace and inner working
-        set are asked of each primitive per call.  Every element goes through
-        the same IEEE operations, in the same order, as a per-primitive
-        scalar evaluation would, so the floats are identical to it.
+        set are asked of each primitive per layer.  Every element goes
+        through the same IEEE operations, in the same order, as a
+        per-primitive scalar evaluation would, so the floats are identical to
+        it and to pricing each layer alone.
 
         **Time.**  Batched scenarios are priced with per-image working sets
         (a minibatch streams its images through the same blocked loops and
@@ -183,63 +217,47 @@ class AnalyticalCostModel:
         """
         if threads < 1:
             raise ValueError("threads must be >= 1")
-        if not primitives:
-            return []
+        counts = [len(primitives) for primitives, _ in layers]
+        if not any(counts):
+            return [[] for _ in layers]
         platform = self.platform
         params = self.parameters
-        batch = scenario.batch
-        per_image = scenario.per_image
 
-        # Bytes per element at the scenario's precision: fp16/int8 halve or
-        # quarter every byte count below, which is the memory-side half of
-        # the quantization win (the lane-packing half is priced at `peak`).
-        itemsize = float(scenario.itemsize)
-        # Whole-batch tensor bytes; the kernel is shared across the batch.
-        tensor_bytes = itemsize * (
-            scenario.input_elements() + scenario.output_elements() + scenario.kernel_elements()
-        )
-        # Per-image tensor bytes: what the inner loops keep in flight at once.
-        tensor_bytes_image = itemsize * (
-            per_image.input_elements()
-            + per_image.output_elements()
-            + per_image.kernel_elements()
-        )
-        conversion_bytes = self._conversion_bytes(scenario)
+        layer_rows = []
+        pricing_rows = []
+        ops_list = []
+        workspace_list = []
+        inner_list = []
+        for primitives, scenario in layers:
+            layer_rows.append(self._layer_row(scenario))
+            per_image = scenario.per_image
+            for primitive in primitives:
+                pricing_rows.append(primitive.pricing_row)
+                # Scenario-dependent work estimates, per primitive.
+                ops_list.append(primitive.arithmetic_ops(scenario))
+                # Per-image scratch footprint (buffers are reused across the
+                # batch).
+                workspace_list.append(primitive.workspace_elements(per_image))
+                inner_list.append(primitive.inner_working_set_elements(per_image))
+
+        # One array per input, one entry per row; the flag columns become
+        # masks.  Each branch of the formula is computed for every row and
+        # selected with ``np.where``.
+        layer = LayerColumns._make(np.repeat(np.array(layer_rows, dtype=float), counts, axis=0).T)
+        columns = PricingRow._make(np.array(pricing_rows, dtype=float).T)
+        vector_factor = columns.vector_factor
+        plain_loops = columns.plain_loops != 0.0
+        ops = np.array(ops_list, dtype=float)
+        workspace_bytes = layer.itemsize * np.array(workspace_list, dtype=float)
+        inner_bytes = layer.itemsize * np.array(inner_list, dtype=float)
+
         simt = platform.has_feature("simt")
         wide_recompile = platform.has_feature("avx512") and platform.vector_width > 8
-        # Precision lane packing: the same vector registers hold 2x fp16 or
-        # 4x int8 elements, but only where the ISA has the arithmetic to
-        # exploit it (``fp16-fast`` packed-half math; ``vnni``/``dotprod``
-        # 8-bit dot products).  Plain loop nests gain nothing — the packed
-        # instructions are GEMM-kernel tools — so reduced precision pushes
-        # the selector further toward the GEMM/transform families.  Without
-        # the feature the narrow operands compute at the fp32 rate and only
-        # the memory traffic shrinks.
-        precision_rate = self._precision_rate(scenario.dtype)
         llc = platform.last_level_cache_bytes()
         per_core = platform.per_core_cache_bytes()
         threads = min(threads, platform.cores)
         scalar_peak = platform.peak_gflops_per_core(1) * 1e9
         vector_width = platform.vector_width
-
-        # One array per static pricing input, one entry per primitive; the
-        # flag columns become masks.  Each branch of the formula is computed
-        # for every primitive and selected with ``np.where``.
-        columns = PricingRow._make(
-            np.array([primitive.pricing_row for primitive in primitives], dtype=float).T
-        )
-        vector_factor = columns.vector_factor
-        plain_loops = columns.plain_loops != 0.0
-        # Scenario-dependent work estimates, per primitive.
-        ops = np.array([primitive.arithmetic_ops(scenario) for primitive in primitives], dtype=float)
-        # Per-image scratch footprint (buffers are reused across the batch).
-        workspace_bytes = itemsize * np.array(
-            [primitive.workspace_elements(per_image) for primitive in primitives], dtype=float
-        )
-        inner_bytes = itemsize * np.array(
-            [primitive.inner_working_set_elements(per_image) for primitive in primitives],
-            dtype=float,
-        )
 
         # ---- effective SIMD throughput ----------------------------------
         if simt:
@@ -281,10 +299,18 @@ class AnalyticalCostModel:
             peak = np.where(
                 vector_factor > vector_width, peak * params.vector_emulation_penalty, peak
             )
-        peak = np.where(plain_loops, peak, peak * precision_rate)
+        # Precision lane packing: the same vector registers hold 2x fp16 or
+        # 4x int8 elements, but only where the ISA has the arithmetic to
+        # exploit it (``fp16-fast`` packed-half math; ``vnni``/``dotprod``
+        # 8-bit dot products).  Plain loop nests gain nothing — the packed
+        # instructions are GEMM-kernel tools — so reduced precision pushes
+        # the selector further toward the GEMM/transform families.  Without
+        # the feature the narrow operands compute at the fp32 rate and only
+        # the memory traffic shrinks.
+        peak = np.where(plain_loops, peak, peak * layer.precision_rate)
 
         # ---- utilization --------------------------------------------------
-        utilization = self._utilization(scenario, columns, plain_loops)
+        utilization = self._utilization(layer, columns, plain_loops)
 
         # Small layers cannot amortize call / packing overheads.
         work_scale = ops / (ops + params.small_work_flops)
@@ -295,7 +321,9 @@ class AnalyticalCostModel:
         # The pressure is per image — a batch streams image working sets
         # through the cache one after another, it does not hold them all at
         # once.
-        pressure = params.cache_pressure * (workspace_bytes + 0.5 * tensor_bytes_image) / llc
+        pressure = (
+            params.cache_pressure * (workspace_bytes + 0.5 * layer.tensor_bytes_image) / llc
+        )
         if simt:
             # Latency hiding by oversubscription: capacity misses cost far
             # less than on a CPU, where the inner loops stall on them.
@@ -325,9 +353,11 @@ class AnalyticalCostModel:
         # working set through the cache at a time, so growing the batch
         # scales the traffic linearly without demoting the whole layer to
         # DRAM bandwidth.
-        traffic_bytes = tensor_bytes + params.workspace_traffic_weight * workspace_bytes * batch
-        traffic_bytes = traffic_bytes + conversion_bytes
-        footprint = tensor_bytes_image + workspace_bytes
+        traffic_bytes = (
+            layer.tensor_bytes + params.workspace_traffic_weight * workspace_bytes * layer.batch
+        )
+        traffic_bytes = traffic_bytes + layer.conversion_bytes
+        footprint = layer.tensor_bytes_image + workspace_bytes
         in_cache = footprint <= per_core
         in_llc = footprint <= llc
         bandwidth = np.where(
@@ -354,21 +384,59 @@ class AnalyticalCostModel:
         # per group), so grouped and depthwise scenarios multiply their
         # per-call overhead; the direct loop nests fold grouping into the
         # channel loop and are charged once.
-        call_count = np.where(plain_loops, 1, scenario.groups)
+        call_count = np.where(plain_loops, 1.0, layer.groups)
         overhead_seconds = columns.per_call_overhead_ops * call_count / scalar_peak
         # Device-shaped platforms pay a fixed driver/queue latency per kernel
         # launch (once per dispatch, regardless of batch — the batch rides in
         # the same launch), which is what makes small layers launch-bound.
         overhead_seconds = overhead_seconds + platform.launch_overhead_s * call_count
 
-        base_loss = DTYPE_ACCURACY_LOSS[scenario.dtype]
-        loss = np.full(len(ops), base_loss)
-        if scenario.dtype == "int8":
-            loss[columns.winograd != 0.0] = base_loss * WINOGRAD_INT8_PENALTY
+        loss = np.where(
+            (layer.int8 != 0.0) & (columns.winograd != 0.0),
+            layer.base_loss * WINOGRAD_INT8_PENALTY,
+            layer.base_loss,
+        )
         time_s = np.maximum(compute_seconds, memory_seconds) + overhead_seconds
         energy = 1e-12 * (ops * params.energy_per_flop_pj + traffic_bytes * per_byte_pj)
-        return list(
+        rows = list(
             zip(time_s.tolist(), workspace_bytes.tolist(), energy.tolist(), loss.tolist())
+        )
+        priced = []
+        start = 0
+        for count in counts:
+            priced.append(rows[start : start + count])
+            start += count
+        return priced
+
+    def _layer_row(self, scenario: ConvScenario) -> LayerColumns:
+        """One layer's scalar inputs of the formula, computed in Python."""
+        per_image = scenario.per_image
+        # Bytes per element at the scenario's precision: fp16/int8 halve or
+        # quarter every byte count, which is the memory-side half of the
+        # quantization win (the lane-packing half is the precision rate).
+        itemsize = float(scenario.itemsize)
+        group_c = scenario.c // scenario.groups
+        return LayerColumns(
+            itemsize=itemsize,
+            # The kernel is shared across the batch.
+            tensor_bytes=itemsize
+            * (scenario.input_elements() + scenario.output_elements() + scenario.kernel_elements()),
+            # What the inner loops keep in flight at once.
+            tensor_bytes_image=itemsize
+            * (
+                per_image.input_elements()
+                + per_image.output_elements()
+                + per_image.kernel_elements()
+            ),
+            conversion_bytes=self._conversion_bytes(scenario),
+            precision_rate=self._precision_rate(scenario.dtype),
+            c=scenario.c,
+            groups=scenario.groups,
+            group_c=group_c,
+            inner=group_c * scenario.k * scenario.k,
+            batch=scenario.batch,
+            base_loss=DTYPE_ACCURACY_LOSS[scenario.dtype],
+            int8=scenario.dtype == "int8",
         )
 
     def _precision_rate(self, dtype: str) -> float:
@@ -400,7 +468,7 @@ class AnalyticalCostModel:
         return (fp32_bytes + float(scenario.itemsize)) * boundary_elements
 
     def _utilization(
-        self, scenario: ConvScenario, columns: PricingRow, plain_loops: np.ndarray
+        self, layer: "LayerColumns", columns: PricingRow, plain_loops: np.ndarray
     ) -> np.ndarray:
         """Fraction of peak each variant achieves, before size/cache effects."""
         params = self.parameters
@@ -413,12 +481,12 @@ class AnalyticalCostModel:
         # network and pay for it in transformations (section 5.8).
         adjusted = np.where(
             plain_loops & (columns.channel_minor != 0.0),
-            locality + (0.15 if scenario.c <= 128 else -0.10),
+            locality + np.where(layer.c <= 128, 0.15, -0.10),
             locality,
         )
         adjusted = np.where(
             plain_loops & (columns.blocked != 0.0),
-            adjusted + np.where(scenario.c >= 4 * columns.channel_block, 0.10, -0.10),
+            adjusted + np.where(layer.c >= 4 * columns.channel_block, 0.10, -0.10),
             adjusted,
         )
         locality = np.where(
@@ -430,12 +498,12 @@ class AnalyticalCostModel:
         # depthwise) convolution runs one GEMM per group over C/groups input
         # channels, so the inner dimension the efficiency depends on shrinks
         # accordingly.
-        group_c = scenario.c // scenario.groups
+        group_c = layer.group_c
         # kn2 performs K*K skinny GEMMs whose inner dimension is the channel
         # count; few channels means poor GEMM efficiency (Table 1 "bad case").
         # im2's single GEMM has inner dimension (C/groups)*K*K; only
         # degenerate layers (tiny C and K) hurt it.
-        inner = group_c * scenario.k * scenario.k
+        inner = layer.inner
         gemm_util = np.where(
             columns.kn2 != 0.0,
             gemm_util * (group_c / (group_c + 48.0)),

@@ -5,9 +5,10 @@ from: the paper measures wall-clock times of hand-tuned kernels, this
 reproduction can either time its numpy primitives (:class:`~repro.cost.profiler.WallClockProfiler`)
 or price them on a modelled platform
 (:class:`~repro.cost.analytical.AnalyticalCostModel`).  Both expose the same
-three queries: the cost vectors of one layer's primitives, and the time and
-energy of one direct layout-transformation routine on a tensor of a given
-shape.  Times are in seconds, energies in joules.
+three queries: the cost vectors of the primitives of a whole list of layers
+(one pricing call per table build), and the time and energy of one direct
+layout-transformation routine on a tensor of a given shape.  Times are in
+seconds, energies in joules.
 
 A model is also the one cost source a :class:`repro.api.Session` prices
 with: its ``name`` and ``version`` label platform-less plans and key the
@@ -26,10 +27,13 @@ from repro.primitives.base import ConvPrimitive
 class CostModel(Protocol):
     """Anything that can price primitives and layout transformations.
 
-    :func:`~repro.cost.tables.build_cost_tables` prices each layer with one
-    :meth:`price_layer` call and each conversion hop with
-    :meth:`transform_cost` and :meth:`transform_energy`.  A model that also
-    has a ``platform`` attribute gates primitives by it.
+    :meth:`price_layers` is the only primitive query:
+    :func:`~repro.cost.tables.build_cost_tables` calls it once per table
+    build, with the applicable primitives of every distinct scenario of the
+    network in first-seen layer order.  Each conversion hop is priced with
+    :meth:`transform_cost` and :meth:`transform_energy`; a chain's energy is
+    ``sum`` of its hops' energies in chain order, starting from ``0.0``.  A
+    model that also has a ``platform`` attribute gates primitives by it.
 
     Attributes
     ----------
@@ -45,14 +49,18 @@ class CostModel(Protocol):
     name: str
     version: str
 
-    def price_layer(
+    def price_layers(
         self,
-        primitives: Sequence[ConvPrimitive],
-        scenario: ConvScenario,
+        layers: Sequence[Tuple[Sequence[ConvPrimitive], ConvScenario]],
         threads: int = 1,
-    ) -> List[Tuple[float, float, float, float]]:
-        """One ``(time_s, workspace_bytes, energy_j, accuracy_loss)`` tuple per
-        primitive, in order."""
+    ) -> List[List[Tuple[float, float, float, float]]]:
+        """Price an ordered list of ``(primitives, scenario)`` layers in one call.
+
+        Returns, per layer and in order, one ``(time_s, workspace_bytes,
+        energy_j, accuracy_loss)`` tuple per primitive, in order.  Pricing
+        several layers in one call must give exactly the floats that pricing
+        each layer alone gives.
+        """
         ...
 
     def transform_cost(

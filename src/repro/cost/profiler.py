@@ -11,7 +11,7 @@ in this reproduction: it executes each primitive (and each direct layout
 transformation) on random tensors of the right shape and records the best of
 a few repetitions.  It implements the same
 :class:`~repro.cost.model.CostModel` interface as the analytical model
-(``price_layer``, ``transform_cost``, ``transform_energy``), so it fills cost
+(``price_layers``, ``transform_cost``, ``transform_energy``), so it fills cost
 tables through the same path — used by the examples and integration tests on
 host-sized scenarios.  It measures time only: its energy and accuracy entries
 are zero.
@@ -66,34 +66,40 @@ class WallClockProfiler:
 
     # -- measurements ------------------------------------------------------------
 
-    def price_layer(
+    def price_layers(
         self,
-        primitives: Sequence[ConvPrimitive],
-        scenario: ConvScenario,
+        layers: Sequence[Tuple[Sequence[ConvPrimitive], ConvScenario]],
         threads: int = 1,
-    ) -> List[Tuple[float, float, float, float]]:
-        """Measured ``(time_s, workspace_bytes, 0.0, 0.0)`` of each primitive.
+    ) -> List[List[Tuple[float, float, float, float]]]:
+        """Measured ``(time_s, workspace_bytes, 0.0, 0.0)`` of each primitive
+        of each layer.
 
-        Primitives are measured in order, each once per ``(primitive,
-        scenario, threads)``; repeats are served from the cache.  Workspace
-        is the primitive's per-image scratch footprint at the scenario's
-        precision.  The host is not an energy or accuracy model, so both
-        stay zero, which the frontier reads as "objective not modelled".
+        Layers are measured in order and each layer's primitives in order,
+        each once per ``(primitive, scenario, threads)``; repeats are served
+        from the cache.  Workspace is the primitive's per-image scratch
+        footprint at the scenario's precision.  The host is not an energy or
+        accuracy model, so both stay zero, which the frontier reads as
+        "objective not modelled".
 
         ``threads`` is accepted for interface compatibility; the numpy
         primitives run with whatever threading the host BLAS provides, so the
         parameter does not change the measurement.
         """
-        itemsize = float(scenario.itemsize)
-        return [
-            (
-                self._measure(primitive, scenario, threads),
-                itemsize * primitive.workspace_elements(scenario.per_image),
-                0.0,
-                0.0,
+        priced = []
+        for primitives, scenario in layers:
+            itemsize = float(scenario.itemsize)
+            priced.append(
+                [
+                    (
+                        self._measure(primitive, scenario, threads),
+                        itemsize * primitive.workspace_elements(scenario.per_image),
+                        0.0,
+                        0.0,
+                    )
+                    for primitive in primitives
+                ]
             )
-            for primitive in primitives
-        ]
+        return priced
 
     def _measure(self, primitive: ConvPrimitive, scenario: ConvScenario, threads: int) -> float:
         """Best-of-``repetitions`` time (seconds) of one primitive, cached."""

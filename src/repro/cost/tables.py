@@ -19,18 +19,23 @@ thread count it records
 Tables are cost-model agnostic: they can be built from the analytical
 platform model or from the wall-clock profiler, through one path.
 
-:func:`build_cost_tables` makes one pass of each kind per network: each
-distinct scenario is priced by one
-:meth:`~repro.cost.model.CostModel.price_layer` call (the analytical model's
-array formula, or the profiler's measurements), and every
-edge shape's conversions come from one Floyd–Warshall pass over all shapes
-(:meth:`~repro.layouts.dt_graph.DTGraph.shortest_paths_by_shape`).  The
-outputs are plain dicts, in layer and first-seen shape order.
+:func:`build_cost_tables` makes one pass of each kind per network: one
+:meth:`~repro.cost.model.CostModel.price_layers` call prices every distinct
+scenario of the network (the analytical model runs its array formula once
+over all of their rows; the profiler measures them in first-seen layer
+order), and every edge shape's conversions come from one Floyd–Warshall pass
+over all shapes
+(:meth:`~repro.layouts.dt_graph.DTGraph.shortest_paths_by_shape`).  A
+chain's energy is computed once per distinct ``(hop, shape)`` and summed in
+hop order with ``sum(values, 0.0)`` over a plain list: Python's ``sum`` is
+compensated on 3.12+, so an array sum or a running ``+`` would change bits
+there.  The outputs are plain dicts, in layer and first-seen shape order.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -40,6 +45,7 @@ from repro.graph.network import Network
 from repro.graph.scenario import ConvScenario
 from repro.layouts.dt_graph import DTGraph, DTPath
 from repro.layouts.layout import Layout
+from repro.primitives.base import ConvPrimitive
 from repro.primitives.registry import PrimitiveLibrary
 
 Shape = Tuple[int, int, int]
@@ -198,31 +204,36 @@ def build_cost_tables(
 
     # The scalar time tables are what the paper ships; the workspace, energy
     # and accuracy tables extend them into cost *vectors*, all four priced by
-    # one ``price_layer`` call per distinct scenario.
-    def price(layer_name: str, scenario: ConvScenario) -> Tuple[Dict[str, float], ...]:
-        primitives = library.applicable(scenario, platform=platform)
-        if not primitives:
-            raise ValueError(
-                f"no primitive in the library supports layer {layer_name!r} "
-                f"[{scenario.describe()}]"
-            )
-        rows = cost_model.price_layer(primitives, scenario, threads)
+    # one ``price_layers`` call over the network's distinct scenarios, in
+    # first-seen layer order.  A layer no primitive supports fails the build
+    # before anything is priced.
+    applicable: Dict[ConvScenario, List[ConvPrimitive]] = {}
+    for layer_name, scenario in scenarios.items():
+        if scenario not in applicable:
+            primitives = applicable[scenario] = library.applicable(scenario, platform=platform)
+            if not primitives:
+                raise ValueError(
+                    f"no primitive in the library supports layer {layer_name!r} "
+                    f"[{scenario.describe()}]"
+                )
+    layers = [(primitives, scenario) for scenario, primitives in applicable.items()]
+    priced: Dict[ConvScenario, Tuple[Dict[str, float], ...]] = {}
+    for (primitives, scenario), rows in zip(layers, cost_model.price_layers(layers, threads)):
         names = [primitive.name for primitive in primitives]
-        return tuple(dict(zip(names, column)) for column in zip(*rows))
+        priced[scenario] = tuple(dict(zip(names, column)) for column in zip(*rows))
 
     # Layers sharing a scenario (ResNet's repeated blocks, VGG's stacked
-    # 3x3s) are priced once per call; each twin gets its own dict copies.
-    priced: Dict[ConvScenario, Tuple[Dict[str, float], ...]] = {}
+    # 3x3s) are priced once; each twin gets its own dict copies.
     node_costs: Dict[str, Dict[str, float]] = {}
     node_workspace: Dict[str, Dict[str, float]] = {}
     node_energy: Dict[str, Dict[str, float]] = {}
     node_accuracy: Dict[str, Dict[str, float]] = {}
+    claimed = set()
     for layer_name, scenario in scenarios.items():
-        layer_tables = priced.get(scenario)
-        if layer_tables is None:
-            layer_tables = priced[scenario] = price(layer_name, scenario)
-        else:
+        layer_tables = priced[scenario]
+        if scenario in claimed:
             layer_tables = tuple(dict(table) for table in layer_tables)
+        claimed.add(scenario)
         (
             node_costs[layer_name],
             node_workspace[layer_name],
@@ -244,25 +255,21 @@ def build_cost_tables(
     for shape, paths in dt_paths.items():
         dt_costs[shape] = {pair: path.cost for pair, path in paths.items()}
         # Each direct transform's energy is computed once per shape; every
-        # chain then sums its hops in order.  Hops are the graph's own edge
+        # chain sums a list of its hops' energies in order (see the module
+        # docstring for why it is ``sum``).  Hops are the graph's own edge
         # objects, so they are keyed by identity (hashing a transform hashes
         # both of its layouts).
-        hop_energy: Dict[int, float] = {}
-        energies: Dict[Tuple[str, str], float] = {}
-        for pair, path in paths.items():
-            if not path.reachable:
-                energies[pair] = float("inf")
-            elif path.chain is None:
-                energies[pair] = 0.0
-            else:
-                hops = path.chain.transforms
-                for hop in hops:
-                    if id(hop) not in hop_energy:
-                        hop_energy[id(hop)] = cost_model.transform_energy(
-                            hop, shape, batch=batch
-                        )
-                energies[pair] = sum((hop_energy[id(hop)] for hop in hops), 0.0)
-        dt_energy[shape] = energies
+        chains = [path.chain for path in paths.values()]
+        hops = {id(hop): hop for chain in chains if chain is not None for hop in chain.transforms}
+        energy = {
+            key: cost_model.transform_energy(hop, shape, batch=batch) for key, hop in hops.items()
+        }
+        dt_energy[shape] = {
+            pair: math.inf
+            if chain is None
+            else sum([energy[id(hop)] for hop in chain.transforms], 0.0)
+            for pair, chain in zip(paths, chains)
+        }
 
     return CostTables(
         network_name=network.name,

@@ -50,13 +50,12 @@ class ScaledTransformCostModel:
         self.name = f"scaled-dt[{scale}]"
         self.version = inner.version
 
-    def price_layer(
+    def price_layers(
         self,
-        primitives: Sequence[ConvPrimitive],
-        scenario: ConvScenario,
+        layers: Sequence[Tuple[Sequence[ConvPrimitive], ConvScenario]],
         threads: int = 1,
-    ) -> List[Tuple[float, float, float, float]]:
-        return self.inner.price_layer(primitives, scenario, threads)
+    ) -> List[List[Tuple[float, float, float, float]]]:
+        return self.inner.price_layers(layers, threads)
 
     def transform_cost(
         self,

@@ -99,19 +99,24 @@ def family_traits_table(
     library = library or default_primitive_library()
     cost_model = AnalyticalCostModel(platform)
     result = FamilyTraitsResult(platform=platform.name)
-    for name, scenario in PROBE_SCENARIOS.items():
-        result.best_cost[name] = {}
-        result.workspace[name] = {}
-        for family in FAMILIES:
-            candidates = library.applicable(scenario, family=family, platform=platform)
-            if not candidates:
-                result.best_cost[name][family.value] = None
-                result.workspace[name][family.value] = None
-                continue
-            rows = cost_model.price_layer(candidates, scenario, threads)
-            costs = {p.name: row[0] for p, row in zip(candidates, rows)}
-            best_name = min(costs, key=costs.get)
-            best = library.get(best_name)
-            result.best_cost[name][family.value] = costs[best_name]
-            result.workspace[name][family.value] = best.workspace_elements(scenario)
+    # Every (probe scenario, family) candidate set is priced by one call.
+    probes = [
+        (name, family, scenario, library.applicable(scenario, family=family, platform=platform))
+        for name, scenario in PROBE_SCENARIOS.items()
+        for family in FAMILIES
+    ]
+    priced = cost_model.price_layers(
+        [(candidates, scenario) for _, _, scenario, candidates in probes], threads
+    )
+    for (name, family, scenario, candidates), rows in zip(probes, priced):
+        best_cost = result.best_cost.setdefault(name, {})
+        workspace = result.workspace.setdefault(name, {})
+        if not candidates:
+            best_cost[family.value] = None
+            workspace[family.value] = None
+            continue
+        costs = {p.name: row[0] for p, row in zip(candidates, rows)}
+        best_name = min(costs, key=costs.get)
+        best_cost[family.value] = costs[best_name]
+        workspace[family.value] = library.get(best_name).workspace_elements(scenario)
     return result

@@ -229,6 +229,8 @@ class ConvScenario:
         """
         if batch < 1:
             raise ValueError("batch must be >= 1")
+        if batch == self.batch:
+            return self
         return replace(self, batch=batch)
 
     def with_dtype(self, dtype: str) -> "ConvScenario":

@@ -21,8 +21,8 @@ entries of the same computation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import starmap
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -40,12 +40,12 @@ def element_traffic_cost(transform: LayoutTransform, shape: Shape) -> float:
     return transform.element_traffic(*shape)
 
 
-@dataclass(frozen=True)
-class DTPath:
+class DTPath(NamedTuple):
     """The cheapest conversion between two layouts for a given tensor shape.
 
     ``cost`` is ``math.inf`` and ``chain`` is ``None`` when the target layout
-    is unreachable from the source layout.
+    is unreachable from the source layout.  A named tuple: an all-pairs
+    solution builds one per ordered layout pair and shape.
     """
 
     source: Layout
@@ -163,8 +163,14 @@ class DTGraph:
         dist, successor = self._floyd_warshall(shapes, cost_fn)
         names = self.layout_names
         layouts = self.layouts
-        costs = dist.tolist()
-        chains_by_matrix: Dict[bytes, List[List[Optional[TransformChain]]]] = {}
+        # Every per-shape table lists the pairs row by row: these columns are
+        # shared, and each shape contributes its costs and chains in the
+        # same flattened order.
+        pairs = [(a, b) for a in names for b in names]
+        sources = [a for a in layouts for _ in layouts]
+        targets = layouts * len(layouts)
+        costs = dist.reshape(len(shapes), -1).tolist()
+        chains_by_matrix: Dict[bytes, List[Optional[TransformChain]]] = {}
         result: Dict[Shape, Dict[Tuple[str, str], DTPath]] = {}
         for s, shape in enumerate(shapes):
             key = successor[s].tobytes()
@@ -173,12 +179,9 @@ class DTGraph:
                 chains = chains_by_matrix[key] = self._reconstruct_chains(
                     successor[s].tolist()
                 )
-            paths: Dict[Tuple[str, str], DTPath] = {}
-            for i, a in enumerate(names):
-                row, chain_row = costs[s][i], chains[i]
-                for j, b in enumerate(names):
-                    paths[(a, b)] = DTPath(layouts[i], layouts[j], row[j], chain_row[j])
-            result[shape] = paths
+            result[shape] = dict(
+                zip(pairs, starmap(DTPath, zip(sources, targets, costs[s], chains)))
+            )
         return result
 
     def all_pairs_shortest_paths(
@@ -240,13 +243,12 @@ class DTGraph:
             successor = np.where(better, successor[:, :, k, None], successor)
         return dist, successor
 
-    def _reconstruct_chains(
-        self, successor: List[List[int]]
-    ) -> List[List[Optional[TransformChain]]]:
-        """Every pair's chain under one successor matrix (``None`` if unreachable)."""
+    def _reconstruct_chains(self, successor: List[List[int]]) -> List[Optional[TransformChain]]:
+        """Every pair's chain under one successor matrix (``None`` if
+        unreachable), row by row: pair ``(i, j)`` is entry ``i * L + j``."""
         names = self.layout_names
         n = len(names)
-        chains: List[List[Optional[TransformChain]]] = [[None] * n for _ in range(n)]
+        chains: List[Optional[TransformChain]] = [None] * (n * n)
         for i in range(n):
             for j in range(n):
                 if successor[i][j] < 0:
@@ -259,5 +261,5 @@ class DTGraph:
                         raise RuntimeError("path reconstruction failed on a reachable pair")
                     hops.append(self._edges[(names[current], names[following])])
                     current = following
-                chains[i][j] = TransformChain(transforms=tuple(hops))
+                chains[i * n + j] = TransformChain(transforms=tuple(hops))
         return chains

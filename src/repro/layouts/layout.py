@@ -78,12 +78,13 @@ class Layout:
         return tuple(sizes[a] for a in self.order)
 
     def element_count(self, c: int, h: int, w: int) -> int:
-        """Number of stored elements, including block padding."""
-        shape = self.physical_shape(c, h, w)
-        count = 1
-        for dim in shape:
-            count *= dim
-        return count
+        """Number of stored elements, including block padding: the padded
+        channel count times ``h * w`` (the product of :meth:`physical_shape`)."""
+        if c <= 0 or h <= 0 or w <= 0:
+            raise ValueError("tensor dimensions must be positive")
+        if self.channel_block is not None:
+            c = -(-c // self.channel_block) * self.channel_block
+        return c * h * w
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.name

@@ -82,9 +82,9 @@ class PricingRow(NamedTuple):
 
     One row per primitive (:attr:`ConvPrimitive.pricing_row`): its traits,
     vector factor, family flags and input-layout flags.
-    :meth:`AnalyticalCostModel.price_layer
-    <repro.cost.analytical.AnalyticalCostModel.price_layer>` stacks the rows
-    of a layer's primitives into one array and reads its columns through
+    :meth:`AnalyticalCostModel.price_layers
+    <repro.cost.analytical.AnalyticalCostModel.price_layers>` stacks the rows
+    of every priced primitive into one array and reads its columns through
     this tuple's field names.
     """
 

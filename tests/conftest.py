@@ -69,6 +69,12 @@ def small_scenario():
     return ConvScenario(c=4, h=12, w=12, stride=1, k=3, m=6, padding=1)
 
 
+def layer_rows(model, primitives, scenario, threads=1):
+    """The priced rows of one layer: ``price_layers`` over a one-layer list."""
+    (rows,) = model.price_layers([(primitives, scenario)], threads)
+    return rows
+
+
 def build_tiny_network() -> Network:
     """A small but structurally rich network: stride, 1x1, branches, groups, FC."""
     net = Network("tiny")

@@ -24,6 +24,7 @@ from repro.layouts.layout import CHW, HWC, STANDARD_LAYOUTS
 from repro.layouts.tensor import LayoutTensor
 from repro.primitives.base import PrimitiveFamily
 from repro.primitives.reference import reference_convolution
+from tests.conftest import layer_rows
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +386,8 @@ class TestBatchedCosts:
     def test_costs_scale_sublinearly_but_monotonically(self, library, intel_cost_model):
         scenario = ConvScenario(c=8, h=14, w=14, stride=1, k=3, m=16, padding=1)
         for primitive in library.applicable(scenario):
-            one = intel_cost_model.price_layer([primitive], scenario)[0][0]
-            sixteen = intel_cost_model.price_layer([primitive], scenario.with_batch(16))[0][0]
+            one = layer_rows(intel_cost_model, [primitive], scenario)[0][0]
+            sixteen = layer_rows(intel_cost_model, [primitive], scenario.with_batch(16))[0][0]
             assert sixteen > one, primitive.name
             assert sixteen <= 16.0 * one * (1 + 1e-9), primitive.name
 
@@ -396,8 +397,8 @@ class TestBatchedCosts:
         fft = next(
             p for p in library.applicable(scenario) if p.family is PrimitiveFamily.FFT
         )
-        one = intel_cost_model.price_layer([fft], scenario)[0][0]
-        per_image_64 = intel_cost_model.price_layer([fft], scenario.with_batch(64))[0][0] / 64
+        one = layer_rows(intel_cost_model, [fft], scenario)[0][0]
+        per_image_64 = layer_rows(intel_cost_model, [fft], scenario.with_batch(64))[0][0] / 64
         assert per_image_64 < one
 
     def test_transform_cost_scales_with_batch(self, intel_cost_model, dt_graph):

@@ -19,6 +19,7 @@ from repro.layouts.layout import CHW, CHW8c, HWC
 from repro.layouts.transforms import LayoutTransform
 from repro.models import MODEL_BUILDERS, build_model
 from repro.primitives.base import PrimitiveFamily
+from tests.conftest import layer_rows
 
 
 @pytest.fixture(scope="module")
@@ -61,26 +62,26 @@ class TestAnalyticalModel:
         self, library, intel_cost_model, k3_scenario
     ):
         for primitive in library.applicable(k3_scenario):
-            cost = intel_cost_model.price_layer([primitive], k3_scenario)[0][0]
+            cost = layer_rows(intel_cost_model, [primitive], k3_scenario)[0][0]
             assert np.isfinite(cost) and cost > 0
 
     def test_arm_slower_than_intel(self, library, intel_cost_model, arm_cost_model, k3_scenario):
         for name in ("sum2d", "im2col_vf4", "winograd_2d_m2_r3_vf4"):
             primitive = library.get(name)
-            assert arm_cost_model.price_layer([primitive], k3_scenario)[0][0] > (
-                intel_cost_model.price_layer([primitive], k3_scenario)[0][0]
+            assert layer_rows(arm_cost_model, [primitive], k3_scenario)[0][0] > (
+                layer_rows(intel_cost_model, [primitive], k3_scenario)[0][0]
             )
 
     def test_multithreading_never_slows_down(self, library, intel_cost_model, k3_scenario):
         for name in ("sum2d", "im2col_vf8", "winograd_2d_m4_r3_vf8", "fft_1d_chw_vf8"):
             primitive = library.get(name)
-            single = intel_cost_model.price_layer([primitive], k3_scenario, 1)[0][0]
-            multi = intel_cost_model.price_layer([primitive], k3_scenario, 4)[0][0]
+            single = layer_rows(intel_cost_model, [primitive], k3_scenario, 1)[0][0]
+            multi = layer_rows(intel_cost_model, [primitive], k3_scenario, 4)[0][0]
             assert multi <= single
 
     def test_invalid_thread_count(self, library, intel_cost_model, k3_scenario):
         with pytest.raises(ValueError):
-            intel_cost_model.price_layer([library.get("sum2d")], k3_scenario, 0)[0][0]
+            layer_rows(intel_cost_model, [library.get("sum2d")], k3_scenario, 0)[0][0]
 
     def test_vector_width_matters_on_intel_not_on_arm(self, library, k3_scenario):
         """VF8 variants pay a penalty on NEON but win on AVX2 (Figure 4's VF split)."""
@@ -88,35 +89,35 @@ class TestAnalyticalModel:
         arm_model = AnalyticalCostModel(arm_cortex_a57)
         vf8 = library.get("im2col_vf8")
         vf4 = library.get("im2col_vf4")
-        intel_times = [row[0] for row in intel_model.price_layer([vf8, vf4], k3_scenario)]
-        arm_times = [row[0] for row in arm_model.price_layer([vf8, vf4], k3_scenario)]
+        intel_times = [row[0] for row in layer_rows(intel_model, [vf8, vf4], k3_scenario)]
+        arm_times = [row[0] for row in layer_rows(arm_model, [vf8, vf4], k3_scenario)]
         assert intel_times[0] < intel_times[1]
         assert arm_times[1] < arm_times[0]
 
     def test_sum2d_is_much_slower_than_gemm_based(self, library, intel_cost_model, k3_scenario):
-        sum2d = intel_cost_model.price_layer([library.get("sum2d")], k3_scenario)[0][0]
-        im2 = intel_cost_model.price_layer([library.get("im2col_vf8")], k3_scenario)[0][0]
+        sum2d = layer_rows(intel_cost_model, [library.get("sum2d")], k3_scenario)[0][0]
+        im2 = layer_rows(intel_cost_model, [library.get("im2col_vf8")], k3_scenario)[0][0]
         assert sum2d / im2 > 3.0
 
     def test_winograd_beats_im2_on_k3(self, library, intel_cost_model, k3_scenario):
         winograd = min(
-            intel_cost_model.price_layer([library.get(name)], k3_scenario)[0][0]
+            layer_rows(intel_cost_model, [library.get(name)], k3_scenario)[0][0]
             for name in ("winograd_2d_m2_r3_vf8", "winograd_2d_m4_r3_vf8")
         )
-        im2 = intel_cost_model.price_layer([library.get("im2col_vf8")], k3_scenario)[0][0]
+        im2 = layer_rows(intel_cost_model, [library.get("im2col_vf8")], k3_scenario)[0][0]
         assert winograd < im2
 
     def test_one_d_winograd_preferred_on_arm_for_large_layers(self, library, arm_cost_model):
         """The small-cache platform favours the low-memory 1D form (Figure 4)."""
         scenario = ConvScenario(c=256, h=13, w=13, stride=1, k=3, m=384, padding=1)
-        one_d = arm_cost_model.price_layer([library.get("winograd_1d_m4_r3_vf4")], scenario)[0][0]
-        two_d = arm_cost_model.price_layer([library.get("winograd_2d_m4_r3_vf4")], scenario)[0][0]
+        one_d = layer_rows(arm_cost_model, [library.get("winograd_1d_m4_r3_vf4")], scenario)[0][0]
+        two_d = layer_rows(arm_cost_model, [library.get("winograd_2d_m4_r3_vf4")], scenario)[0][0]
         assert one_d < two_d
 
     def test_two_d_winograd_preferred_on_intel_for_same_layer(self, library, intel_cost_model):
         scenario = ConvScenario(c=256, h=13, w=13, stride=1, k=3, m=384, padding=1)
-        one_d = intel_cost_model.price_layer([library.get("winograd_1d_m4_r3_vf8")], scenario)[0][0]
-        two_d = intel_cost_model.price_layer([library.get("winograd_2d_m4_r3_vf8")], scenario)[0][0]
+        one_d = layer_rows(intel_cost_model, [library.get("winograd_1d_m4_r3_vf8")], scenario)[0][0]
+        two_d = layer_rows(intel_cost_model, [library.get("winograd_2d_m4_r3_vf8")], scenario)[0][0]
         assert two_d < one_d
 
     def test_cache_pressure_parameter_slows_large_workspaces(self, library, k3_scenario):
@@ -124,8 +125,8 @@ class TestAnalyticalModel:
         harsh = AnalyticalCostModel(intel_haswell, ModelParameters(cache_pressure=2.0))
         primitive = library.get("im2col_vf8")
         assert (
-            harsh.price_layer([primitive], k3_scenario)[0][0]
-            > gentle.price_layer([primitive], k3_scenario)[0][0]
+            layer_rows(harsh, [primitive], k3_scenario)[0][0]
+            > layer_rows(gentle, [primitive], k3_scenario)[0][0]
         )
 
     def test_transform_cost_scales_with_tensor_size(self, intel_cost_model):
@@ -154,12 +155,12 @@ class TestWallClockProfiler:
         profiler = WallClockProfiler(repetitions=1, warmup=0)
         scenario = ConvScenario(c=2, h=8, w=8, stride=1, k=3, m=2, padding=1)
         primitive = library.get("im2col_vf1")
-        first = profiler.price_layer([primitive], scenario)[0][0]
-        second = profiler.price_layer([primitive], scenario)[0][0]
+        first = layer_rows(profiler, [primitive], scenario)[0][0]
+        second = layer_rows(profiler, [primitive], scenario)[0][0]
         assert first > 0
         assert first == second  # cached
 
-    def test_price_layer_rows_and_cache(self, library, monkeypatch):
+    def test_price_layers_rows_and_cache(self, library, monkeypatch):
         profiler = WallClockProfiler(repetitions=1, warmup=0)
         scenario = ConvScenario(c=2, h=8, w=8, stride=1, k=3, m=2, padding=1)
         primitives = [library.get("im2col_vf1"), library.get("sum2d")]
@@ -172,14 +173,14 @@ class TestWallClockProfiler:
                 return _original(self, *args, **kwargs)
 
             monkeypatch.setattr(type(primitive), "execute", counting)
-        rows = profiler.price_layer(primitives, scenario)
+        rows = layer_rows(profiler, primitives, scenario)
         assert executed == ["im2col_vf1", "sum2d"]
         assert len(rows) == 2
         for primitive, (time_s, workspace, energy, accuracy) in zip(primitives, rows):
             assert time_s > 0
             assert workspace == scenario.itemsize * primitive.workspace_elements(scenario)
             assert energy == 0.0 and accuracy == 0.0
-        assert profiler.price_layer(primitives, scenario) == rows
+        assert layer_rows(profiler, primitives, scenario) == rows
         assert executed == ["im2col_vf1", "sum2d"]  # the repeat was served from the cache
         transform = LayoutTransform(source=CHW, target=HWC)
         assert profiler.transform_energy(transform, (4, 8, 8)) == 0.0
@@ -266,7 +267,7 @@ def scalar_utilization(model, primitive, traits, scenario):
 
 
 def scalar_price_layer(model, primitives, scenario, threads=1):
-    """Test oracle: the per-primitive scalar loop ``price_layer`` replaced.
+    """Test oracle: the per-primitive scalar loop the array formula replaced.
 
     Kept operation for operation, so the array formula can be compared with
     it bit for bit.
@@ -377,8 +378,8 @@ def zoo_scenarios():
 
 
 class TestArrayPricingMatchesScalarOracle:
-    """``price_layer`` prices a layer's primitives as arrays; every float must
-    equal the per-primitive scalar loop it replaced."""
+    """``price_layers`` prices primitives as arrays; every float must equal
+    the per-primitive scalar loop it replaced."""
 
     @pytest.mark.parametrize("platform_name", list_platforms())
     def test_every_machine_dtype_batch_thread_and_zoo_scenario(self, library, platform_name):
@@ -391,13 +392,19 @@ class TestArrayPricingMatchesScalarOracle:
                     primitives = library.applicable(priced, platform=model.platform)
                     for threads in (1, 4):
                         expected = scalar_price_layer(model, primitives, priced, threads)
-                        got = model.price_layer(primitives, priced, threads)
+                        got = layer_rows(model, primitives, priced, threads)
                         assert bits(got) == bits(expected), (priced.describe(), threads)
                         cases += 1
         assert cases == 12 * len(zoo_scenarios())
 
-    def test_empty_layer_prices_nothing(self, intel_cost_model, k3_scenario):
-        assert intel_cost_model.price_layer([], k3_scenario) == []
+    def test_empty_layer_prices_nothing(self, library, intel_cost_model, k3_scenario):
+        assert intel_cost_model.price_layers([]) == []
+        assert layer_rows(intel_cost_model, [], k3_scenario) == []
+        assert intel_cost_model.price_layers([([], k3_scenario), ([], k3_scenario)]) == [[], []]
+        sum2d = [library.get("sum2d")]
+        assert intel_cost_model.price_layers(
+            [([], k3_scenario), (sum2d, k3_scenario), ([], k3_scenario)]
+        ) == [[], layer_rows(intel_cost_model, sum2d, k3_scenario), []]
 
     @pytest.mark.parametrize("platform_name", list_platforms())
     def test_no_floating_point_error_in_masked_lanes(self, library, platform_name):
@@ -406,20 +413,21 @@ class TestArrayPricingMatchesScalarOracle:
         model = AnalyticalCostModel(PLATFORMS[platform_name])
         with np.errstate(all="raise"):
             for scenario in zoo_scenarios():
-                model.price_layer(library.applicable(scenario, platform=model.platform), scenario)
+                layer_rows(model, library.applicable(scenario, platform=model.platform), scenario)
 
 
 def reference_tables(network, library, dt_graph, model, threads=1, batch=1, dtype="fp32"):
-    """Per-layer pricing with one ``price_layer`` call per primitive."""
+    """Per-layer pricing with one one-primitive ``price_layers`` call per
+    primitive, and each chain's energy summed from a list of its hops."""
 
     def row(primitive, scenario):
-        time_s, _, energy, _ = model.price_layer([primitive], scenario, threads)[0]
+        time_s, _, energy, _ = layer_rows(model, [primitive], scenario, threads)[0]
         return (
             time_s,
             float(scenario.itemsize) * primitive.workspace_elements(scenario.per_image),
             energy,
             # Threads do not change the modelled accuracy loss.
-            model.price_layer([primitive], scenario)[0][3],
+            layer_rows(model, [primitive], scenario)[0][3],
         )
 
     node = {}
@@ -442,7 +450,7 @@ def reference_tables(network, library, dt_graph, model, threads=1, batch=1, dtyp
             pair: float("inf")
             if path.chain is None
             else sum(
-                (model.transform_energy(hop, shape, batch=batch) for hop in path.chain.transforms),
+                [model.transform_energy(hop, shape, batch=batch) for hop in path.chain.transforms],
                 0.0,
             )
             for pair, path in paths.items()
@@ -473,8 +481,9 @@ def assert_tables_match_reference(tables, reference):
 
 
 class TestFusedTableBuild:
-    """``build_cost_tables`` prices each distinct scenario once through
-    ``price_layer``; its tables must equal per-primitive pricing exactly."""
+    """``build_cost_tables`` prices every distinct scenario in one
+    ``price_layers`` call; its tables must equal per-primitive pricing
+    exactly."""
 
     @pytest.mark.parametrize("dtype", ["fp32", "fp16", "int8"])
     @pytest.mark.parametrize("platform_name", PAPER_PLATFORMS)
@@ -542,3 +551,79 @@ class TestFusedTableBuild:
         assert tables.dt_costs.keys() == inner.dt_costs.keys()
         for shape, costs in tables.dt_costs.items():
             assert costs == {pair: 2.0 * cost for pair, cost in inner.dt_costs[shape].items()}
+
+
+# -- one pricing call per table build ------------------------------------------------
+
+
+def distinct_layers(network, library, model, batch=1, dtype="fp32"):
+    """A network's distinct scenarios with their applicable primitives, in
+    first-seen layer order: what ``build_cost_tables`` prices in one call."""
+    layers = {}
+    for scenario in network.conv_scenarios().values():
+        scenario = scenario.with_batch(batch).with_dtype(dtype)
+        if scenario not in layers:
+            layers[scenario] = library.applicable(scenario, platform=model.platform)
+    return [(primitives, scenario) for scenario, primitives in layers.items()]
+
+
+class TestMultiLayerPricing:
+    """One ``price_layers`` call over many layers gives exactly the tuples of
+    one call per layer: running the formula once over the concatenated rows
+    must not move an ulp."""
+
+    @pytest.mark.parametrize("platform_name", list_platforms())
+    @pytest.mark.parametrize("network_name", sorted(MODEL_BUILDERS))
+    def test_network_priced_at_once_equals_layer_by_layer(
+        self, zoo, library, network_name, platform_name
+    ):
+        model = AnalyticalCostModel(PLATFORMS[platform_name])
+        for dtype in ("fp32", "fp16", "int8"):
+            for batch in (1, 4):
+                layers = distinct_layers(zoo[network_name], library, model, batch, dtype)
+                for threads in (1, 4):
+                    together = model.price_layers(layers, threads)
+                    alone = [
+                        layer_rows(model, primitives, scenario, threads)
+                        for primitives, scenario in layers
+                    ]
+                    assert together == alone, (dtype, batch, threads)
+
+    def test_profiler_measures_scenarios_first_seen_then_library_order(
+        self, zoo, library, dt_graph, monkeypatch
+    ):
+        # ``_measure`` and ``transform_cost`` are replaced, so nothing runs
+        # and no wall time is read: only the order of the requests counts.
+        profiler = WallClockProfiler()
+        calls = []
+
+        def measure(primitive, scenario, threads):
+            calls.append((primitive.name, scenario, threads))
+            return 1e-3
+
+        monkeypatch.setattr(profiler, "_measure", measure)
+        monkeypatch.setattr(profiler, "transform_cost", lambda *args, **kwargs: 1e-6)
+        network = zoo["resnet18"]
+        tables = build_cost_tables(network, library, dt_graph, profiler, threads=2, batch=4)
+        first_seen = list(dict.fromkeys(tables.scenarios.values()))
+        assert len(first_seen) < len(tables.scenarios)  # twins are measured once
+        assert calls == [
+            (primitive.name, scenario, 2)
+            for scenario in first_seen
+            for primitive in library.applicable(scenario)
+        ]
+
+    def test_unsupported_layer_fails_before_anything_is_priced(
+        self, zoo, library, dt_graph, intel
+    ):
+        winograd_only = library.subset(
+            [primitive.name for primitive in library.by_family(PrimitiveFamily.WINOGRAD)]
+        )
+        model = AnalyticalCostModel(intel)
+        priced = []
+        model.price_layers = lambda layers, threads=1: priced.append(layers)
+        # VGG-C's first 1x1 convolution is its seventh layer; the 3x3 layers
+        # before it are supported.
+        with pytest.raises(ValueError, match=r"supports layer 'conv3_3' \["):
+            build_cost_tables(zoo["vgg-c"], winograd_only, dt_graph, model)
+        assert priced == []

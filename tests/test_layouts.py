@@ -74,6 +74,32 @@ class TestLayout:
         assert CHW.element_count(5, 6, 7) == 5 * 6 * 7
         assert CHW4c.element_count(5, 6, 7) == 8 * 6 * 7
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        layout=st.sampled_from(
+            list(STANDARD_LAYOUTS.values())
+            + [
+                make_layout(("W", "C", "H"), channel_block=3),
+                make_layout(("H", "C", "W"), channel_block=16),
+            ]
+        ),
+        c=st.integers(1, 300),
+        h=st.integers(1, 64),
+        w=st.integers(1, 64),
+    )
+    def test_element_count_is_the_product_of_the_physical_shape(self, layout, c, h, w):
+        assert layout.element_count(c, h, w) == int(np.prod(layout.physical_shape(c, h, w)))
+
+    @given(
+        layout=st.sampled_from(list(STANDARD_LAYOUTS.values())),
+        dims=st.tuples(st.integers(-3, 4), st.integers(-3, 4), st.integers(-3, 4)).filter(
+            lambda dims: min(dims) <= 0
+        ),
+    )
+    def test_element_count_rejects_nonpositive(self, layout, dims):
+        with pytest.raises(ValueError, match="must be positive"):
+            layout.element_count(*dims)
+
     def test_is_blocked(self):
         assert not CHW.is_blocked
         assert CHW8c.is_blocked

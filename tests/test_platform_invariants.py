@@ -32,7 +32,7 @@ from repro.cost.analytical import AnalyticalCostModel
 from repro.cost.platform import PLATFORMS, list_platforms
 from repro.graph.scenario import ConvScenario
 from repro.layouts.transforms import default_transform_library
-from tests.conftest import build_tiny_network
+from tests.conftest import build_tiny_network, layer_rows
 
 #: Snapshot of the built-in zoo at collection time (tests registering
 #: throwaway platforms elsewhere must clean up after themselves).
@@ -80,10 +80,10 @@ class TestPrimitiveCostInvariants:
         self, library, platform, cost_model, scenario
     ):
         for primitive in applicable(library, scenario, platform):
-            previous = cost_model.price_layer([primitive], scenario)[0][0]
+            previous = layer_rows(cost_model, [primitive], scenario)[0][0]
             for batch in (2, 4, 16):
                 per_image = (
-                    cost_model.price_layer([primitive], scenario.with_batch(batch))[0][0]
+                    layer_rows(cost_model, [primitive], scenario.with_batch(batch))[0][0]
                     / batch
                 )
                 assert per_image <= previous * (1 + 1e-9), (
@@ -99,7 +99,7 @@ class TestPrimitiveCostInvariants:
         scenarios = [ConvScenario(m=m, **base) for m in (4, 8, 16, 32, 64)]
         for primitive in applicable(library, scenarios[0], platform):
             costs = [
-                cost_model.price_layer([primitive], scenario)[0][0]
+                layer_rows(cost_model, [primitive], scenario)[0][0]
                 for scenario in scenarios
                 if primitive.supports(scenario, platform=platform)
             ]
@@ -114,7 +114,7 @@ class TestPrimitiveCostInvariants:
 
         for scenario in SCENARIOS:
             for primitive in applicable(library, scenario, platform):
-                cost = cost_model.price_layer([primitive], scenario)[0][0]
+                cost = layer_rows(cost_model, [primitive], scenario)[0][0]
                 assert math.isfinite(cost) and cost > 0
 
 

@@ -31,6 +31,7 @@ from repro.layouts.tensor import (
 )
 from repro.primitives.base import PrimitiveFamily
 from repro.primitives.reference import reference_convolution
+from tests.conftest import layer_rows
 
 #: Declared per-precision tolerance: max |out - ref| <= tol * max |ref|.
 TOLERANCES = {"fp32": 1e-5, "fp16": 0.01, "int8": 0.1}
@@ -150,18 +151,18 @@ class TestPrecisionPricing:
     def test_int8_undercuts_fp32_on_vnni(self, library, vnni_model):
         scenario = ConvScenario(c=64, h=28, w=28, stride=1, k=3, m=64, padding=1)
         primitive = library.get("im2col_bt_vf8")
-        fp32 = vnni_model.price_layer([primitive], scenario)[0][0]
-        int8 = vnni_model.price_layer([primitive], scenario.with_dtype("int8"))[0][0]
+        fp32 = layer_rows(vnni_model, [primitive], scenario)[0][0]
+        int8 = layer_rows(vnni_model, [primitive], scenario.with_dtype("int8"))[0][0]
         assert int8 < fp32
 
     def test_accuracy_loss_model(self, library, vnni_model):
         gemm = library.get("im2col_bt_vf8")
         winograd = next(iter(library.by_family(PrimitiveFamily.WINOGRAD)))
         scenario = SCENARIOS["small"]
-        assert vnni_model.price_layer([gemm], scenario)[0][3] == 0.0
+        assert layer_rows(vnni_model, [gemm], scenario)[0][3] == 0.0
         int8 = scenario.with_dtype("int8")
-        assert vnni_model.price_layer([gemm], int8)[0][3] == DTYPE_ACCURACY_LOSS["int8"]
-        assert vnni_model.price_layer([winograd], int8)[0][3] == pytest.approx(
+        assert layer_rows(vnni_model, [gemm], int8)[0][3] == DTYPE_ACCURACY_LOSS["int8"]
+        assert layer_rows(vnni_model, [winograd], int8)[0][3] == pytest.approx(
             WINOGRAD_INT8_PENALTY * DTYPE_ACCURACY_LOSS["int8"]
         )
 

@@ -74,6 +74,16 @@ class TestGeometry:
         with pytest.raises(ValueError):
             s.with_batch(0)
 
+    def test_with_batch_of_the_same_batch_is_the_same_scenario(self):
+        s = ConvScenario(c=4, h=8, w=8, k=3, m=8, padding=1)
+        assert s.with_batch(1) is s
+        batched = s.with_batch(4)
+        assert batched.with_batch(4) is batched
+        assert batched.with_batch(1) == s
+        for scenario in (s, batched):
+            with pytest.raises(ValueError):
+                scenario.with_batch(0)
+
     def test_with_batch_is_exact_for_strided_scenarios(self):
         # Regression: the old stub folded the batch into the image height,
         # which lets stride-2 windows straddle image boundaries — the issue's
