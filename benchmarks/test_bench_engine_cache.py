@@ -9,7 +9,9 @@ instance) and asserts the cache is actually doing the work.  The metrics keep
 their ``engine_cache`` names so the ``BENCH_engine_cache.json`` trajectory
 continues.  ``cold_tables_ms`` is the median of ``TABLE_ROUNDS``
 :func:`~repro.cost.tables.build_cost_tables` calls for the same network on
-intel-haswell: the part of a cold plan that profiling is.
+intel-haswell: the part of a cold plan that profiling is.  ``warm_encode_ms``
+is the median of ``ENCODE_ROUNDS`` :meth:`~repro.core.selector.PBQPSelector.build_pbqp`
+calls on the warm context: what a warm plan pays to encode.
 """
 
 import statistics
@@ -17,6 +19,7 @@ import time
 
 from benchmarks.conftest import SMOKE, emit, record_metric
 from repro.api import Session
+from repro.core.selector import PBQPSelector
 from repro.cost.analytical import AnalyticalCostModel
 from repro.cost.tables import build_cost_tables
 from repro.models import build_model
@@ -25,6 +28,8 @@ MODEL = "alexnet" if SMOKE else "googlenet"
 
 #: Table builds timed; ``cold_tables_ms`` is their median.
 TABLE_ROUNDS = 5
+#: Warm encodes timed; ``warm_encode_ms`` is their median.
+ENCODE_ROUNDS = 5
 
 
 def test_engine_cache_reuses_cost_tables(benchmark, library, intel):
@@ -53,15 +58,25 @@ def test_engine_cache_reuses_cost_tables(benchmark, library, intel):
         build_cost_tables(network, session.library, session.dt_graph, cost_model)
         table_seconds.append(time.perf_counter() - start)
     cold_tables_seconds = statistics.median(table_seconds)
+    context = session.context_for(MODEL, intel)
+    selector = PBQPSelector()
+    encode_seconds = []
+    for _ in range(ENCODE_ROUNDS):
+        start = time.perf_counter()
+        selector.build_pbqp(context)
+        encode_seconds.append(time.perf_counter() - start)
+    warm_encode_seconds = statistics.median(encode_seconds)
     record_metric("engine_cache", "cold_select_ms", cold_seconds * 1e3)
     record_metric("engine_cache", "cold_tables_ms", cold_tables_seconds * 1e3)
     record_metric("engine_cache", "warm_select_ms", warm_seconds * 1e3)
+    record_metric("engine_cache", "warm_encode_ms", warm_encode_seconds * 1e3)
     record_metric("engine_cache", "warm_speedup_x", cold_seconds / warm_seconds)
     emit(
         "Session context cache — profile once, select many\n"
         f"cold select (profiling + solve): {cold_seconds * 1e3:10.2f} ms\n"
         f"warm select (cached tables):     {warm_seconds * 1e3:10.2f} ms\n"
         f"cost-table build (median of {TABLE_ROUNDS}): {cold_tables_seconds * 1e3:6.2f} ms\n"
+        f"warm encode (median of {ENCODE_ROUNDS}):     {warm_encode_seconds * 1e3:6.2f} ms\n"
         f"speedup from cached cost tables: {cold_seconds / warm_seconds:10.2f}x\n"
         f"cache: {info.contexts} context(s), {info.hits} hits, {info.misses} miss(es)"
     )

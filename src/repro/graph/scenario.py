@@ -64,6 +64,10 @@ class ConvScenario:
         the bytes the memory system moves, the SIMD lanes a vector unit
         packs, which primitives apply (FFT stays in the float spectral
         domain) and the modelled accuracy of the result.
+    out_h, out_w:
+        Output feature-map height and width (per image), derived once at
+        construction; not fields, so they take no part in equality, hashing
+        or :func:`dataclasses.replace`.
     """
 
     c: int
@@ -97,18 +101,11 @@ class ConvScenario:
             raise ValueError(
                 f"dtype must be one of {DTYPES}, got {self.dtype!r}"
             )
+        # The output geometry, derived once: every work estimate reads it.
+        object.__setattr__(self, "out_h", (self.h + 2 * self.padding - self.k) // self.stride + 1)
+        object.__setattr__(self, "out_w", (self.w + 2 * self.padding - self.k) // self.stride + 1)
 
     # -- derived geometry ----------------------------------------------------
-
-    @property
-    def out_h(self) -> int:
-        """Output feature-map height (per image)."""
-        return (self.h + 2 * self.padding - self.k) // self.stride + 1
-
-    @property
-    def out_w(self) -> int:
-        """Output feature-map width (per image)."""
-        return (self.w + 2 * self.padding - self.k) // self.stride + 1
 
     @property
     def input_shape(self) -> Tuple[int, int, int]:

@@ -53,10 +53,10 @@ import numpy as np
 from repro import jsondoc
 from repro.core.legalize import finalize_plan
 from repro.core.plan import NetworkPlan, platform_label
-from repro.core.selector import PBQPSelector, SelectionContext
+from repro.core.selector import PBQPEncoding, PBQPSelector, SelectionContext
 from repro.core.strategies import applicable_strategies
 from repro.cost.serialize import plan_from_dict, plan_to_dict
-from repro.cost.tables import CostTables, Shape
+from repro.cost.tables import CostTables
 from repro.layouts.dt_graph import DTGraph
 from repro.multiobj.pareto import (
     _pareto_front,
@@ -305,59 +305,44 @@ class _FrontierVariants:
     """The frontier's workspace caps, then its scalarisations, as cost variants.
 
     Cap slices are the time costs with every primitive above the cap masked
-    to ``inf``; weight slices are :func:`_scalarized_tables`' costs.
+    to ``inf``; weight slices are :func:`_scalarized_tables`' costs.  Both
+    are elementwise over the encoding's dense arrays.
     """
 
     def __init__(
-        self,
-        tables: CostTables,
-        caps: Sequence[float],
-        weights: Sequence[Tuple[float, float, float]],
+        self, caps: Sequence[float], weights: Sequence[Tuple[float, float, float]]
     ) -> None:
-        self.tables = tables
         self.caps = list(caps)
         self.weights = list(weights)
-        self.scales = _scalarization_scales(tables) if self.weights else (1.0, 1.0, 1.0)
 
     @property
     def batch(self) -> int:
         return len(self.caps) + len(self.weights)
 
-    def node_costs(self, layer: str, labels: Sequence[str]) -> np.ndarray:
-        costs = self.tables.node_costs[layer]
-        workspace_of = self.tables.node_workspace.get(layer, {})
-        energy_of = self.tables.node_energy.get(layer, {})
-        time = np.array([costs[name] for name in labels])
-        workspace = np.array([workspace_of.get(name, 0.0) for name in labels])
-        energy = np.array([energy_of.get(name, 0.0) for name in labels])
-        time_scale, mem_scale, energy_scale = self.scales
-        rows = [np.where(workspace <= cap, time, np.inf) for cap in self.caps]
-        rows.extend(
+    def costs(self, encoding: PBQPEncoding) -> Tuple[np.ndarray, np.ndarray]:
+        time, dt_time = encoding.time, encoding.dt_time
+        workspace, energy, dt_energy = encoding.objectives()
+        time_scale, mem_scale, energy_scale = (
+            _normalizer(values) for values in (time, workspace, energy)
+        )
+        nodes = [np.where(workspace <= cap, time, np.inf) for cap in self.caps]
+        nodes.extend(
             _scaled(w_time, time, time_scale)
             + _scaled(w_mem, workspace, mem_scale)
             + _scaled(w_energy, energy, energy_scale)
             for w_time, w_mem, w_energy in self.weights
         )
-        return np.stack(rows)
-
-    def dt_costs(self, shape: Shape, layouts: Sequence[str]) -> np.ndarray:
-        costs = self.tables.dt_costs[shape]
-        energy_of = self.tables.dt_energy.get(shape, {})
-        pairs = [[(src, dst) for dst in layouts] for src in layouts]
-        time = np.array([[costs[pair] for pair in row] for row in pairs])
-        energy = np.array([[energy_of.get(pair, 0.0) for pair in row] for row in pairs])
-        time_scale, _, energy_scale = self.scales
-        rows = [time] * len(self.caps)
+        conversions = [dt_time] * len(self.caps)
         # No conversion chain: illegal under every weighting.
-        rows.extend(
+        conversions.extend(
             np.where(
-                time == np.inf,
+                dt_time == np.inf,
                 np.inf,
-                _scaled(w_time, time, time_scale) + _scaled(w_energy, energy, energy_scale),
+                _scaled(w_time, dt_time, time_scale) + _scaled(w_energy, dt_energy, energy_scale),
             )
             for w_time, _, w_energy in self.weights
         )
-        return np.stack(rows)
+        return np.stack(nodes), np.stack(conversions)
 
 
 def _solve_variants(
@@ -371,7 +356,7 @@ def _solve_variants(
     context's *true* tables so its cost vector is exact.  An infeasible
     slice yields ``None``.
     """
-    variants = _FrontierVariants(context.tables, caps, weights)
+    variants = _FrontierVariants(caps, weights)
     if variants.batch == 0:
         return []
     labels = [f"cap:{int(cap)}" for cap in caps]
@@ -415,9 +400,14 @@ def _workspace_gated_tables(context: SelectionContext, cap_bytes: float):
     return dataclasses.replace(tables, node_costs=gated)
 
 
+def _normalizer(values: np.ndarray) -> float:
+    """An objective's scalarization normalizer: its largest per-primitive
+    value (1.0 when that is 0 or there is none)."""
+    return (float(values.max()) if values.size else 1.0) or 1.0
+
+
 def _scalarization_scales(tables) -> Tuple[float, float, float]:
-    """The (time, workspace, energy) normalizers of the scalarization solves:
-    each objective's largest per-primitive value (1.0 when that is 0)."""
+    """The (time, workspace, energy) normalizers of the scalarization solves."""
     times: List[float] = []
     workspaces: List[float] = []
     energies: List[float] = []
@@ -428,7 +418,7 @@ def _scalarization_scales(tables) -> Tuple[float, float, float]:
             times.append(cost)
             workspaces.append(workspace.get(name, 0.0))
             energies.append(energy.get(name, 0.0))
-    return tuple(max(values, default=1.0) or 1.0 for values in (times, workspaces, energies))
+    return tuple(_normalizer(np.array(values)) for values in (times, workspaces, energies))
 
 
 def _scalarized_tables(

@@ -45,6 +45,23 @@ class ClassGroups(NamedTuple):
     row_of: np.ndarray
 
 
+def group_classes(classes: np.ndarray) -> Optional[ClassGroups]:
+    """The alternatives grouped by class id, or ``None`` when every class is a
+    single alternative (nothing to fold)."""
+    size = classes.shape[0]
+    order = np.argsort(classes, kind="stable")
+    ordered = classes[order]
+    first = np.empty(size, dtype=bool)  # does a class start here?
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    if starts.size == size:
+        return None
+    row_of = np.empty(size, dtype=np.intp)
+    row_of[order] = np.cumsum(first) - 1
+    return ClassGroups(order, starts, order[starts], row_of)
+
+
 @dataclass
 class PBQPNode:
     """One decision variable of a PBQP instance.
@@ -93,16 +110,25 @@ class PBQPNode:
                 raise ValueError(
                     f"node {self.name!r}: {self.classes.size} classes for {size} alternatives"
                 )
-            order = np.argsort(self.classes, kind="stable")
-            ordered = self.classes[order]
-            first = np.empty(size, dtype=bool)  # does a class start here?
-            first[0] = True
-            np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-            starts = np.flatnonzero(first)
-            if starts.size < size:
-                row_of = np.empty(size, dtype=np.intp)
-                row_of[order] = np.cumsum(first) - 1
-                self.class_groups = ClassGroups(order, starts, order[starts], row_of)
+            self.class_groups = group_classes(self.classes)
+
+    @classmethod
+    def _trusted(
+        cls,
+        node_id: int,
+        name: str,
+        costs: np.ndarray,
+        labels: Optional[Tuple[str, ...]],
+        classes: Optional[np.ndarray],
+        class_groups: Optional[ClassGroups],
+    ) -> "PBQPNode":
+        """A node from parts the caller has already checked: ``costs`` is a
+        float array kept as given (not copied) and ``class_groups`` is taken
+        as the grouping of ``classes``."""
+        node = cls.__new__(cls)
+        node.node_id, node.name, node.costs, node.labels = node_id, name, costs, labels
+        node.classes, node.class_groups = classes, class_groups
+        return node
 
     @property
     def degree_of_freedom(self) -> int:
@@ -139,6 +165,13 @@ class PBQPEdge:
             raise ValueError("edge cost matrix must be 2D")
         if self.u == self.v:
             raise ValueError("self edges are not allowed in PBQP")
+
+    @classmethod
+    def _trusted(cls, u: int, v: int, matrix: np.ndarray) -> "PBQPEdge":
+        """An edge whose float ``matrix`` the caller has already shaped; kept as given."""
+        edge = cls.__new__(cls)
+        edge.u, edge.v, edge.matrix = u, v, matrix
+        return edge
 
     def oriented(self, source: int, target: int) -> np.ndarray:
         """The cost matrix oriented from ``source`` to ``target``."""
@@ -238,6 +271,37 @@ class PBQPGraph:
             self._adjacency[v].add(u)
         else:
             existing.matrix = existing.matrix + self._orient(u, v, matrix, key)
+
+    def _insert_node(
+        self,
+        costs: np.ndarray,
+        name: str,
+        labels: Tuple[str, ...],
+        classes: Optional[np.ndarray] = None,
+        class_groups: Optional[ClassGroups] = None,
+    ) -> int:
+        """:meth:`add_node` for a caller that has already checked its parts:
+        no shape check, no copy of ``costs``, no regrouping of ``classes``."""
+        node_id = self._next_id
+        self._next_id += 1
+        self._nodes[node_id] = PBQPNode._trusted(
+            node_id, name, costs, labels, classes, class_groups
+        )
+        self._adjacency[node_id] = set()
+        return node_id
+
+    def _insert_edge(self, u: int, v: int, matrix: np.ndarray) -> None:
+        """:meth:`add_edge` for a caller that has already shaped ``matrix``:
+        no shape check, and a new edge keeps the array rather than a copy."""
+        key = self._edge_key(u, v)
+        matrix = self._orient(u, v, matrix, key)
+        existing = self._edges.get(key)
+        if existing is None:
+            self._edges[key] = PBQPEdge._trusted(key[0], key[1], matrix)
+            self._adjacency[u].add(v)
+            self._adjacency[v].add(u)
+        else:
+            existing.matrix = existing.matrix + matrix
 
     @staticmethod
     def _edge_key(u: int, v: int) -> Tuple[int, int]:
@@ -356,11 +420,14 @@ class PBQPGraph:
         clone = PBQPGraph(batch)
         clone._next_id = self._next_id
         for node_id, node in self._nodes.items():
-            twin = PBQPNode(
-                node_id=node_id, name=node.name, costs=take(node.costs), labels=node.labels
+            clone._nodes[node_id] = PBQPNode._trusted(
+                node_id,
+                node.name,
+                take(node.costs).copy(),
+                node.labels,
+                node.classes,
+                node.class_groups,
             )
-            twin.classes, twin.class_groups = node.classes, node.class_groups
-            clone._nodes[node_id] = twin
             clone._adjacency[node_id] = set(self._adjacency[node_id])
         for key, edge in self._edges.items():
             clone._edges[key] = (

@@ -462,7 +462,7 @@ class TestBatchedEncoding:
     def test_weight_slices_equal_the_scalarized_tables_encoding(self, context):
         selector = PBQPSelector()
         weights = list(SCALARIZATION_WEIGHTS)
-        graph, _ = selector.build_pbqp(context, _FrontierVariants(context.tables, [], weights))
+        graph, _ = selector.build_pbqp(context, _FrontierVariants([], weights))
         scales = _scalarization_scales(context.tables)
         for k, triple in enumerate(weights):
             tables = _scalarized_tables(context, triple, scales)
@@ -472,7 +472,7 @@ class TestBatchedEncoding:
     def test_cap_slices_mask_the_time_vector(self, context):
         selector = PBQPSelector()
         caps = workspace_levels(context)[:3]
-        variants = _FrontierVariants(context.tables, caps, [])
+        variants = _FrontierVariants(caps, [])
         graph, id_to_layer = selector.build_pbqp(context, variants)
         base, _ = selector.build_pbqp(context)
         tables = context.tables

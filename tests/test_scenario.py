@@ -1,5 +1,7 @@
 """Tests for convolutional scenarios."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,6 +47,23 @@ class TestGeometry:
     def test_same_padding_preserves_size(self):
         s = ConvScenario(c=16, h=14, w=14, stride=1, k=3, m=32, padding=1)
         assert s.out_h == 14 and s.out_w == 14
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.integers(1, 40),
+        k=st.integers(1, 7),
+        stride=st.integers(1, 4),
+        padding=st.integers(0, 3),
+    )
+    def test_output_geometry_is_derived_once_and_is_not_a_field(self, size, k, stride, padding):
+        if k > size + 2 * padding:
+            return
+        s = ConvScenario(c=2, h=size, w=size + 1, k=k, m=2, stride=stride, padding=padding)
+        assert s.out_h == (size + 2 * padding - k) // stride + 1
+        assert s.out_w == (size + 1 + 2 * padding - k) // stride + 1
+        assert {"out_h", "out_w"}.isdisjoint(f.name for f in dataclasses.fields(s))
+        taller = dataclasses.replace(s, h=size + stride)
+        assert taller.out_h == s.out_h + 1 and taller.out_w == s.out_w
 
     def test_pointwise_and_strided_flags(self):
         assert ConvScenario(c=4, h=8, w=8, k=1, m=4).is_pointwise

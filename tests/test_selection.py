@@ -5,6 +5,8 @@ import functools
 import itertools
 import math
 import operator
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from repro.core.baselines import (
 )
 from repro.core.frameworks import armcl_like_plan, caffe_like_plan, mkldnn_like_plan
 from repro.core.legalize import finalize_plan, fixed_layouts, follow_producer_layouts
-from repro.core.selector import PBQPSelector
+from repro.core.selector import PBQPEncoding, PBQPSelector
 from repro.cost.analytical import AnalyticalCostModel
 from repro.cost.platform import PLATFORMS
 from repro.graph.layer import LayerKind
@@ -26,9 +28,11 @@ from repro.layouts.layout import CHW
 from repro.models import MODEL_BUILDERS, build_model
 from repro.multiobj.frontier import (
     SCALARIZATION_WEIGHTS,
+    _FrontierVariants,
     _scalarization_scales,
     _scalarized_tables,
     _workspace_gated_tables,
+    build_frontier,
     workspace_levels,
 )
 from repro.pbqp.graph import PBQPGraph
@@ -291,6 +295,122 @@ class TestEncoderBitIdentity:
 
         intact = PBQPSelector().build_pbqp(context)[0]
         assert infinite_cells(_assert_same_encoding(broken)) > infinite_cells(intact)
+
+
+    def test_warm_encode_after_solve_and_frontier_is_exact(self):
+        """A context's encoding survives its own solves and frontier unchanged."""
+        context = _zoo_context("googlenet", "arm-cortex-a57")
+        _assert_same_encoding(context)
+        PBQPSelector().select(context)
+        build_frontier(context)
+        _assert_same_encoding(context)
+
+    def test_returned_graphs_share_nothing_writable_with_the_encoding(self):
+        context = _zoo_context("resnet18", "intel-haswell")
+        encoding = context.encoding()
+        selector = PBQPSelector()
+        caps = workspace_levels(context)[:2]
+        graphs = [
+            selector.build_pbqp(context)[0],
+            selector.build_pbqp(context, _FrontierVariants(caps, SCALARIZATION_WEIGHTS))[0],
+        ]
+        owned = [encoding.time, encoding.dt_time, *encoding.objectives()]
+        for graph in graphs:
+            for node in graph.nodes():
+                assert node.costs.flags.writeable
+                assert not any(np.shares_memory(node.costs, array) for array in owned)
+                shared = [] if node.classes is None else [node.classes]
+                shared.extend(node.class_groups or ())
+                assert not any(array.flags.writeable for array in shared), node.name
+            for edge in graph.edges():
+                if edge.matrix.flags.writeable:
+                    assert not any(np.shares_memory(edge.matrix, array) for array in owned)
+                else:  # a batched compatibility matrix: one 0/inf block for every slice
+                    assert edge.matrix.strides[0] == 0
+            # Writing through everything writable reaches no later encoding.
+            for node in graph.nodes():
+                node.costs[...] = 7.0
+            for edge in graph.edges():
+                if edge.matrix.flags.writeable:
+                    edge.matrix[...] = 7.0
+        _assert_same_encoding(context)
+
+    def test_replaced_context_never_sees_its_parents_encoding(self):
+        context = _zoo_context("resnet18", "arm-cortex-a57")
+        parent = context.encoding()
+        gated = _workspace_gated_tables(context, workspace_levels(context)[0])
+        child = dataclasses.replace(context, tables=gated)
+        assert child.encoding() is not parent
+        assert child.encoding().time.size < parent.time.size
+        _assert_same_encoding(child)
+        _assert_same_encoding(context)
+        assert context.encoding() is parent
+
+
+#: The perfbench plan-cold keys: the memory test encodes every one of them.
+PLAN_COLD_MODELS = (
+    "alexnet", "vgg-d", "googlenet", "resnet18", "resnet50", "mobilenet_v1", "mobilenet_v2",
+)
+#: What the encodings of every plan-cold context may hold together: 5% of
+#: the ~74 MB a planning daemon serving those keys keeps resident.
+ENCODING_BUDGET_BYTES = 3.5e6
+
+
+class TestContextEncoding:
+    """The encoding a context keeps: its memory, its laziness, its threads."""
+
+    def test_plan_cold_encodings_fit_their_memory_budget(self):
+        session = Session()
+        contexts = [
+            session.context_for(model, platform, dtype=dtype)
+            for model in PLAN_COLD_MODELS
+            for platform in PAPER_PLATFORMS
+            for dtype in ("fp32", "fp16", "int8")
+        ]
+        assert len(contexts) == 42
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            encodings = [context.encoding() for context in contexts]
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert all(context.encoding() is encoding for context, encoding in zip(contexts, encodings))
+        assert held <= ENCODING_BUDGET_BYTES, f"{held / 1e6:.2f} MB"
+
+    def test_a_plain_plan_builds_no_frontier_arrays(self, monkeypatch):
+        calls = []
+        original = PBQPEncoding.objectives
+        monkeypatch.setattr(
+            PBQPEncoding, "objectives", lambda self: calls.append(self) or original(self)
+        )
+        session = Session()
+        session.plan("resnet18", "intel-haswell")
+        assert calls == []
+        assert session.context_for("resnet18", "intel-haswell").encoding()._objectives is None
+        session.plan_frontier("alexnet", "intel-haswell", dtypes=("fp32",))
+        assert len(calls) == 1
+
+    def test_two_threads_select_on_one_fresh_context(self):
+        context = _zoo_context("googlenet", "intel-haswell")
+        alone = PBQPSelector().select(dataclasses.replace(context))
+        barrier = threading.Barrier(2)
+        plans = [None, None]
+
+        def select(slot):
+            barrier.wait()
+            plans[slot] = PBQPSelector().select(context)
+
+        threads = [threading.Thread(target=select, args=(slot,)) for slot in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for plan in plans:
+            assert plan.layer_decisions == alone.layer_decisions
+            assert plan.edge_decisions == alone.edge_decisions
+            assert plan.metadata["pbqp_cost"] == alone.metadata["pbqp_cost"]
+        _assert_same_encoding(context)
 
 
 class TestPBQPSelection:
