@@ -236,7 +236,8 @@ class PBQPEncoding:
     alternative's cost in node order and :attr:`dt_time` every conversion
     shape's ``L x L`` costs over :attr:`names`.  :meth:`graph` turns costs
     of those two shapes into a PBQP graph with gathers only.  The frontier's
-    workspace and energy arrays (:meth:`objectives`) are built on first use.
+    workspace and energy arrays (:meth:`workspace`, :meth:`objectives`) are
+    built on first use.
 
     Every context of a long-running process keeps one, so the per-node and
     per-edge records are flat integer arrays, and nodes with the same labels
@@ -339,6 +340,7 @@ class PBQPEncoding:
         self._alternatives = other_at
         self._shapes = shapes
         self.dt_time = _frozen(self._dense(tables.dt_costs, None))
+        self._workspace: Optional[np.ndarray] = None
         self._objectives: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     @staticmethod
@@ -397,26 +399,36 @@ class PBQPEncoding:
                 dense[index] = [[values.get(pair, default) for pair in row] for row in pairs]
         return dense
 
+    def _per_alternative(self, per_layer: Dict[str, Dict[str, float]]) -> np.ndarray:
+        """``per_layer``'s value of every convolution alternative, in the order
+        of :attr:`time` (an absent value is 0)."""
+        values: List[float] = []
+        for layer, kind in zip(self._node_names, self._kinds):
+            if kind.classes is not None:
+                of = per_layer.get(layer, {})
+                values.extend(of.get(name, 0.0) for name in kind.labels)
+        return _frozen(np.array(values, dtype=float))
+
+    def workspace(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Workspace of every convolution alternative (``objectives()[0]``)
+        and where each convolution node's alternatives start in it.  The
+        array is built on first use."""
+        workspace = self._workspace
+        if workspace is None:
+            workspace = self._workspace = self._per_alternative(self._tables.node_workspace)
+        convolutions = [kind.classes is not None for kind in self._kinds]
+        return workspace, self._starts[convolutions]
+
     def objectives(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Workspace and energy of every convolution alternative (in the order
         of :attr:`time`) and conversion energy of every shape (in the order of
         :attr:`dt_time`); absent values are 0.  Built on first use."""
         objectives = self._objectives
         if objectives is None:
-            tables = self._tables
-            workspace: List[float] = []
-            energy: List[float] = []
-            for layer, kind in zip(self._node_names, self._kinds):
-                if kind.classes is None:
-                    continue
-                workspace_of = tables.node_workspace.get(layer, {})
-                energy_of = tables.node_energy.get(layer, {})
-                workspace.extend(workspace_of.get(name, 0.0) for name in kind.labels)
-                energy.extend(energy_of.get(name, 0.0) for name in kind.labels)
             objectives = self._objectives = (
-                _frozen(np.array(workspace, dtype=float)),
-                _frozen(np.array(energy, dtype=float)),
-                _frozen(self._dense(tables.dt_energy, 0.0)),
+                self.workspace()[0],
+                self._per_alternative(self._tables.node_energy),
+                _frozen(self._dense(self._tables.dt_energy, 0.0)),
             )
         return objectives
 

@@ -56,7 +56,6 @@ from repro.core.plan import NetworkPlan, platform_label
 from repro.core.selector import PBQPEncoding, PBQPSelector, SelectionContext
 from repro.core.strategies import applicable_strategies
 from repro.cost.serialize import plan_from_dict, plan_to_dict
-from repro.cost.tables import CostTables
 from repro.layouts.dt_graph import DTGraph
 from repro.multiobj.pareto import (
     _pareto_front,
@@ -466,13 +465,11 @@ def _scalarized_tables(
     return dataclasses.replace(tables, node_costs=node_costs, dt_costs=dt_costs)
 
 
-def _workspace_floor(tables: CostTables) -> float:
+def _workspace_floor(context: SelectionContext) -> float:
     """The lowest achievable peak workspace: every layer takes its smallest-
     workspace primitive.  A cap below it leaves some layer with no primitive."""
-    return max(
-        min(tables.primitive_workspace(layer, name) for name in costs)
-        for layer, costs in tables.node_costs.items()
-    )
+    workspace, starts = context.encoding().workspace()
+    return float(np.minimum.reduceat(workspace, starts).max())
 
 
 def workspace_levels(context: SelectionContext) -> List[float]:
@@ -483,14 +480,9 @@ def workspace_levels(context: SelectionContext) -> List[float]:
     values at or above it — exactly the caps at which the gated PBQP instance
     changes.
     """
-    tables = context.tables
-    floor = _workspace_floor(tables)
-    distinct = {
-        tables.primitive_workspace(layer, name)
-        for layer, costs in tables.node_costs.items()
-        for name in costs
-    }
-    return sorted({floor} | {value for value in distinct if value >= floor})
+    workspace, _ = context.encoding().workspace()
+    floor = _workspace_floor(context)
+    return sorted({value for value in workspace.tolist() if value >= floor})
 
 
 def solve_under_workspace_cap(
@@ -504,7 +496,7 @@ def solve_under_workspace_cap(
     with a single cap.  Returns ``None`` when the cap is infeasible — some
     layer has no primitive that fits.
     """
-    if cap_bytes < _workspace_floor(context.tables):
+    if cap_bytes < _workspace_floor(context):
         return None
     (plan,) = _solve_variants(context, [cap_bytes], [])
     return plan

@@ -25,7 +25,6 @@ carrying the class's minimum node cost, which is exact (see
 
 from __future__ import annotations
 
-import copy as _copy
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -431,7 +430,7 @@ class PBQPGraph:
             clone._adjacency[node_id] = set(self._adjacency[node_id])
         for key, edge in self._edges.items():
             clone._edges[key] = (
-                _copy.copy(edge)
+                PBQPEdge._trusted(edge.u, edge.v, edge.matrix)
                 if share_edges
                 else PBQPEdge(u=edge.u, v=edge.v, matrix=take(edge.matrix))
             )

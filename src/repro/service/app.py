@@ -2,10 +2,11 @@
 
 :class:`PlannerApp` is the service's core, deliberately separated from the
 wire protocol: :meth:`PlannerApp.handle` maps ``(method, path, body)`` to
-``(status, payload)`` dictionaries, which makes every endpoint testable
-without a socket.  The HTTP layer is a thin
-:class:`~http.server.ThreadingHTTPServer` (one thread per connection, pure
-standard library) whose request handler parses JSON and delegates.
+``(status, body_bytes)``, the JSON response already encoded by
+:func:`encode_body`, which makes every endpoint testable without a socket.
+The HTTP layer is a thin :class:`~http.server.ThreadingHTTPServer` (one
+thread per connection, pure standard library) whose request handler parses
+the request JSON, delegates and writes the bytes it gets back.
 
 Request schemas are declarative: each endpoint registers a tuple of
 :class:`Field` specs (see :mod:`repro.service.handlers`), and
@@ -16,13 +17,15 @@ pass — *every* problem is reported, as structured JSON::
                "details": [{"field": "batch", "message": "must be >= 1"}]}}
 
 Shared state is a single thread-safe :class:`~repro.api.Session` plus a
-document cache of finished response documents keyed by the full request
-tuple.  Both are :class:`~repro.lru.BuildOnceLRU` memos: bounded, and
-concurrent requests for one key trigger exactly one build.  A warm
-``POST /v1/plan`` is therefore a dictionary read — zero PBQP solves, which
-``/v1/metrics`` proves via the process-wide
-:func:`repro.pbqp.solver.solve_count`.  A miss plans in the daemon: there is
-no disk tier for documents, only the cost store under ``cache_dir``.
+document cache of encoded response bodies keyed by the full request tuple.
+Both are :class:`~repro.lru.BuildOnceLRU` memos: bounded, and concurrent
+requests for one key trigger exactly one build.  A document is encoded when
+it is built, so a warm ``POST /v1/plan``, ``/v1/compare`` or
+``/v1/frontier`` is a dictionary read plus a socket write — zero PBQP
+solves, which ``/v1/metrics`` proves via the process-wide
+:func:`repro.pbqp.solver.solve_count`, and no JSON encoding.  A miss plans in
+the daemon: there is no disk tier for documents, only the cost store under
+``cache_dir``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 from urllib.parse import urlsplit
 
 from repro.api import Session
@@ -163,6 +166,11 @@ def error_payload(code: str, message: str, **extra: Any) -> dict:
     return {"error": error}
 
 
+def encode_body(payload: dict) -> bytes:
+    """The response body of one JSON payload; every response is encoded here."""
+    return json.dumps(payload, sort_keys=True).encode()
+
+
 # ---------------------------------------------------------------------------
 # Plan documents
 # ---------------------------------------------------------------------------
@@ -212,6 +220,10 @@ def build_plan_document(
 class PlannerApp:
     """Shared state and routing for the planning daemon.
 
+    :attr:`documents` holds the encoded hit body (``"from_cache": true``) of
+    every cached request, so a warm request is a dictionary read plus a
+    socket write (:meth:`cached_body`).
+
     Parameters
     ----------
     session:
@@ -234,40 +246,30 @@ class PlannerApp:
 
         self.session = session if session is not None else Session(cache_dir=cache_dir)
         self.metrics = metrics if metrics is not None else Metrics()
-        self.documents: BuildOnceLRU[dict] = BuildOnceLRU()
+        self.documents: BuildOnceLRU[bytes] = BuildOnceLRU()
         self.endpoints = ENDPOINTS
         self.started = time.time()
         self._started_monotonic = time.monotonic()
 
-    # -- shared planning entry points -------------------------------------------
+    # -- the document cache -------------------------------------------------------
 
-    def plan_document(
-        self,
-        model: str,
-        platform: str,
-        strategy: str = "pbqp",
-        threads: int = 1,
-        batch: int = 1,
-        dtype: str = "fp32",
-    ) -> Tuple[dict, bool]:
-        """The response document for one plan request, cached by its key."""
-        key = ("plan", model, platform, strategy, threads, batch, dtype)
+    def cached_body(self, key: Hashable, build: Callable[[], dict]) -> Tuple[bytes, bool]:
+        """The encoded response for one cached request, and whether it was a hit.
 
-        def build() -> dict:
-            with self.metrics.time("plan_build_ms"):
-                return build_plan_document(
-                    self.session,
-                    model,
-                    platform,
-                    strategy=strategy,
-                    threads=threads,
-                    batch=batch,
-                    dtype=dtype,
-                )
+        A miss runs ``build`` and encodes its document twice, once per
+        ``from_cache`` value: the cache keeps the ``true`` body for every later
+        hit, and the miss answers with the ``false`` one.
+        """
+        miss_body: List[bytes] = []
 
-        document, cached = self.documents.get_or_build(key, build)
-        self.metrics.inc("plan_cache_hits" if cached else "plan_cache_misses")
-        return document, cached
+        def build_body() -> bytes:
+            document = build()
+            miss, hit = (encode_body({**document, "from_cache": flag}) for flag in (False, True))
+            miss_body.append(miss)
+            return hit
+
+        body, cached = self.documents.get_or_build(key, build_body)
+        return (body if cached else miss_body[0]), cached
 
     # -- bookkeeping --------------------------------------------------------------
 
@@ -279,8 +281,11 @@ class PlannerApp:
 
     def handle(
         self, method: str, path: str, body: Any = None
-    ) -> Tuple[int, dict]:
-        """Route one request to its handler; never raises."""
+    ) -> Tuple[int, bytes]:
+        """Route one request to its handler and encode the response; never raises.
+
+        The ``request_latency`` histogram covers the handler and the encoding.
+        """
         endpoint = self.endpoints.get((method, path))
         if endpoint is None:
             allowed = sorted(m for (m, p) in self.endpoints if p == path)
@@ -297,7 +302,7 @@ class PlannerApp:
                     + ", ".join(sorted({p for (_, p) in self.endpoints})),
                 )
             self._record(method, path, status)
-            return status, payload
+            return status, encode_body(payload)
         start = time.perf_counter()
         try:
             params = validate_body(body, endpoint.fields)
@@ -314,14 +319,15 @@ class PlannerApp:
         except Exception as exc:  # noqa: BLE001 - the daemon must not die
             status = 500
             payload = error_payload("internal_error", f"{type(exc).__name__}: {exc}")
+        body_bytes = payload if isinstance(payload, bytes) else encode_body(payload)
         elapsed_ms = (time.perf_counter() - start) * 1e3
         self._record(method, path, status, elapsed_ms)
-        return status, payload
+        return status, body_bytes
 
-    def invalid_json(self, method: str, path: str, message: str) -> Tuple[int, dict]:
+    def invalid_json(self, method: str, path: str, message: str) -> Tuple[int, bytes]:
         """The 400 response for a body that is not JSON at all (counted)."""
         self._record(method, path, 400)
-        return 400, error_payload("invalid_json", message)
+        return 400, encode_body(error_payload("invalid_json", message))
 
     def _record(
         self, method: str, path: str, status: int, elapsed_ms: Optional[float] = None
@@ -370,16 +376,13 @@ class PlannerRequestHandler(BaseHTTPRequestHandler):
                 try:
                     body = json.loads(raw)
                 except json.JSONDecodeError as exc:
-                    status, payload = app.invalid_json(
-                        method, path, f"request body is not valid JSON: {exc}"
+                    self._respond(
+                        *app.invalid_json(method, path, f"request body is not valid JSON: {exc}")
                     )
-                    self._respond(status, payload)
                     return
-        status, payload = app.handle(method, path, body)
-        self._respond(status, payload)
+        self._respond(*app.handle(method, path, body))
 
-    def _respond(self, status: int, payload: dict) -> None:
-        data = json.dumps(payload, sort_keys=True).encode()
+    def _respond(self, status: int, data: bytes) -> None:
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -455,8 +458,9 @@ def serve(
     return 0
 
 
-#: Re-exported for handlers' type annotations.
-Handler = Callable[[PlannerApp, Dict[str, Any]], dict]
+#: Re-exported for handlers' type annotations.  A handler returns a payload
+#: for :meth:`PlannerApp.handle` to encode, or a body already encoded.
+Handler = Callable[[PlannerApp, Dict[str, Any]], Union[dict, bytes]]
 
 
 @dataclass(frozen=True)

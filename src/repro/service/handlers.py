@@ -2,7 +2,9 @@
 
 Each handler is a plain function taking ``(app, params)`` — ``params`` already
 validated against the endpoint's declared :class:`~repro.service.app.Field`
-specs — and returning the JSON-shaped response payload.  :data:`ENDPOINTS`,
+specs — and returning the JSON-shaped response payload, or, for the cached
+planning endpoints, the body :meth:`~repro.service.app.PlannerApp.cached_body`
+encoded when the document was built.  :data:`ENDPOINTS`,
 the literal at the end of this module, pairs each handler with its method,
 path, fields and description; :meth:`repro.service.app.PlannerApp.handle`
 routes from it, so adding an endpoint is one function plus one row.
@@ -24,7 +26,15 @@ from repro.graph.scenario import DTYPES
 from repro.models import MODEL_BUILDERS
 from repro.multiobj.vector import OBJECTIVES
 from repro.pbqp.solver import solve_count
-from repro.service.app import ApiError, Endpoint, Field, Params, PlannerApp, ValidationError
+from repro.service.app import (
+    ApiError,
+    Endpoint,
+    Field,
+    Params,
+    PlannerApp,
+    ValidationError,
+    build_plan_document,
+)
 
 # -- shared field specs --------------------------------------------------------
 
@@ -64,24 +74,26 @@ def _check_threads(params: Params) -> None:
 # -- planning endpoints --------------------------------------------------------
 
 
-def handle_plan(app: PlannerApp, params: Params) -> dict:
+def handle_plan(app: PlannerApp, params: Params) -> bytes:
     _check_threads(params)
-    try:
-        document, cached = app.plan_document(
-            params["model"],
-            params["platform"],
-            strategy=params["strategy"],
-            threads=params["threads"],
-            batch=params["batch"],
-            dtype=params["dtype"],
-        )
-    except ValueError as exc:
-        # Strategy gating (e.g. mkldnn on a NEON platform) is a client error.
-        raise ApiError(400, "strategy_not_applicable", str(exc)) from None
-    return {**document, "from_cache": cached}
+    names = ("model", "platform", "strategy", "threads", "batch", "dtype")
+    args = {name: params[name] for name in names}
+    key = ("plan", *args.values())
+
+    def build() -> dict:
+        with app.metrics.time("plan_build_ms"):
+            try:
+                return build_plan_document(app.session, **args)
+            except ValueError as exc:
+                # Strategy gating (e.g. mkldnn on a NEON platform) is a client error.
+                raise ApiError(400, "strategy_not_applicable", str(exc)) from None
+
+    body, cached = app.cached_body(key, build)
+    app.metrics.inc("plan_cache_hits" if cached else "plan_cache_misses")
+    return body
 
 
-def handle_compare(app: PlannerApp, params: Params) -> dict:
+def handle_compare(app: PlannerApp, params: Params) -> bytes:
     _check_threads(params)
     strategies = params["strategies"]
     if strategies is not None:
@@ -136,11 +148,10 @@ def handle_compare(app: PlannerApp, params: Params) -> dict:
             ],
         }
 
-    document, cached = app.documents.get_or_build(key, build)
-    return {**document, "from_cache": cached}
+    return app.cached_body(key, build)[0]
 
 
-def handle_frontier(app: PlannerApp, params: Params) -> dict:
+def handle_frontier(app: PlannerApp, params: Params) -> bytes:
     _check_threads(params)
     dtypes = params["dtypes"]
     if dtypes is not None:
@@ -216,8 +227,7 @@ def handle_frontier(app: PlannerApp, params: Params) -> dict:
             document["frontier"] = frontier.to_dict()
         return document
 
-    document, cached = app.documents.get_or_build(key, build)
-    return {**document, "from_cache": cached}
+    return app.cached_body(key, build)[0]
 
 
 def handle_validate(app: PlannerApp, params: Params) -> dict:

@@ -101,13 +101,15 @@ def test_lint_cli(tmp_path, capsys):
 
 def test_validate_endpoint(session, plan_doc):
     app = PlannerApp(session=session)
-    status, payload = app.handle("POST", "/v1/validate", {"document": plan_doc})
+    status, body = app.handle("POST", "/v1/validate", {"document": plan_doc})
+    payload = json.loads(body)
     assert status == 200
     assert payload["ok"] is True and payload["errors"] == 0
 
     bad_doc = copy.deepcopy(plan_doc)
     bad_doc["dtype"] = "int4"
-    status, payload = app.handle("POST", "/v1/validate", {"document": bad_doc})
+    status, body = app.handle("POST", "/v1/validate", {"document": bad_doc})
+    payload = json.loads(body)
     assert status == 200
     assert payload["ok"] is False and payload["errors"] >= 1
     rules = {f["rule"] for f in payload["report"]["findings"]}

@@ -211,19 +211,24 @@ class TestServiceDocumentsAreBounded:
     def test_capacity_plus_one_documents_leave_capacity(self, monkeypatch):
         monkeypatch.setattr(repro.lru, "CAPACITY", 2)
         app = PlannerApp()
-        documents = {}
+
+        def plan(dtype):
+            request = {"model": "alexnet", "platform": "intel-haswell", "dtype": dtype}
+            status, body = app.handle("POST", "/v1/plan", request)
+            assert status == 200
+            return body
+
+        bodies = {}
         for dtype in ("fp32", "fp16", "int8"):
-            documents[dtype], cached = app.plan_document(
-                "alexnet", "intel-haswell", dtype=dtype
-            )
-            assert cached is False
+            bodies[dtype] = plan(dtype)
+            assert json.loads(bodies[dtype])["from_cache"] is False
         assert len(app.documents) == 2
         status, health = app.handle("GET", "/v1/healthz")
-        assert status == 200 and health["cached_documents"] == 2
+        assert status == 200 and json.loads(health)["cached_documents"] == 2
         # The evicted fp32 document is rebuilt byte-identical.
-        rebuilt, cached = app.plan_document("alexnet", "intel-haswell")
-        assert cached is False
-        assert canonical(rebuilt) == canonical(documents["fp32"])
+        rebuilt = plan("fp32")
+        assert json.loads(rebuilt)["from_cache"] is False
+        assert rebuilt == bodies["fp32"]
         counters = app.metrics.snapshot()["counters"]
         assert counters["plan_cache_misses"] == 4
         assert "plan_cache_hits" not in counters

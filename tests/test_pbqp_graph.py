@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.pbqp.graph import PBQPGraph, PBQPNode
+from repro.pbqp.solver import PBQPSolver
 
 
 class TestNodes:
@@ -183,6 +184,30 @@ class TestBatchAndClasses:
         assert graph.num_edges == 1
         fresh = graph.working_copy()
         assert fresh.edge(a, b).matrix is graph.edge(a, b).matrix
+
+    def test_working_copy_edges_are_new_records_and_a_solve_leaves_the_original(self):
+        # A triangle (R2 folds one corner onto the opposite, existing edge)
+        # with a pendant node (R1 folds it into a node's costs).
+        rng = np.random.default_rng(7)
+        graph = PBQPGraph()
+        a, b, c, d = (graph.add_node(rng.random(3)) for _ in range(4))
+        for u, v in ((a, b), (b, c), (a, c), (a, d)):
+            graph.add_edge(u, v, rng.random((3, 3)))
+        costs = {node.node_id: node.costs.copy() for node in graph.nodes()}
+        edges = {(edge.u, edge.v): (edge, edge.matrix, edge.matrix.copy()) for edge in graph.edges()}
+
+        work = graph.working_copy()
+        for (u, v), (edge, matrix, _) in edges.items():
+            assert work.edge(u, v) is not edge
+            assert work.edge(u, v).matrix is matrix
+
+        PBQPSolver().solve(graph)
+        for node in graph.nodes():
+            np.testing.assert_array_equal(node.costs, costs[node.node_id])
+        assert {(edge.u, edge.v) for edge in graph.edges()} == set(edges)
+        for (u, v), (edge, matrix, values) in edges.items():
+            assert graph.edge(u, v) is edge and edge.matrix is matrix
+            np.testing.assert_array_equal(matrix, values)
 
     def test_class_groups(self):
         graph = PBQPGraph()

@@ -11,6 +11,7 @@ direct :meth:`Session.plan` calls, and warm requests perform zero PBQP solves
 import http.client
 import json
 import statistics
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -18,6 +19,8 @@ from contextlib import contextmanager
 
 import pytest
 
+import repro.lru
+from repro.api import Session
 from repro.cost.serialize import plan_to_dict
 from repro.pbqp.solver import solve_count
 from repro.service import (
@@ -26,7 +29,7 @@ from repro.service import (
     ServiceError,
     make_server,
 )
-from repro.service.app import Field, ValidationError, validate_body
+from repro.service.app import Field, ValidationError, build_plan_document, validate_body
 from repro.service.metrics import LatencyHistogram, Metrics, labelled, quantile
 
 MODELS = ("alexnet", "resnet18")
@@ -80,6 +83,12 @@ def service(tmp_path_factory):
 
 def canonical(document: dict) -> str:
     return json.dumps(document, sort_keys=True)
+
+
+def handle_json(app, method, path, body=None):
+    """``app.handle`` with the response body decoded."""
+    status, data = app.handle(method, path, body)
+    return status, json.loads(data)
 
 
 class TestEnvelopes:
@@ -255,8 +264,8 @@ class TestValidation:
 
     def test_batch_at_the_bound_is_accepted(self, service):
         app, _ = service
-        status, payload = app.handle(
-            "POST", "/v1/plan", {"model": "alexnet", "platform": "intel-haswell", "batch": 64}
+        status, payload = handle_json(
+            app, "POST", "/v1/plan", {"model": "alexnet", "platform": "intel-haswell", "batch": 64}
         )
         assert status == 200, payload
         assert payload["batch"] == 64
@@ -264,8 +273,8 @@ class TestValidation:
     def test_batch_above_the_bound_is_a_validation_error(self, service):
         app, _ = service
         before = solve_count()
-        status, payload = app.handle(
-            "POST", "/v1/plan", {"model": "alexnet", "platform": "intel-haswell", "batch": 65}
+        status, payload = handle_json(
+            app, "POST", "/v1/plan", {"model": "alexnet", "platform": "intel-haswell", "batch": 65}
         )
         assert status == 400
         assert payload["error"]["code"] == "validation_error"
@@ -290,8 +299,8 @@ class TestValidation:
     def test_batch_bound_holds_on_every_batched_endpoint(self, service, path):
         app, _ = service
         before = solve_count()
-        status, payload = app.handle(
-            "POST", path, {"model": "alexnet", "platform": "intel-haswell", "batch": 65}
+        status, payload = handle_json(
+            app, "POST", path, {"model": "alexnet", "platform": "intel-haswell", "batch": 65}
         )
         assert status == 400
         assert payload["error"]["code"] == "validation_error"
@@ -328,7 +337,8 @@ class TestCompareAndFrontier:
 
     def test_frontier_with_one_budget_step(self, service):
         app, _ = service
-        status, payload = app.handle(
+        status, payload = handle_json(
+            app,
             "POST",
             "/v1/frontier",
             {
@@ -371,7 +381,8 @@ class TestThreadsLimit:
     def test_threads_above_cores_is_a_validation_error(self, service, path):
         app, _ = service
         before = solve_count()
-        status, payload = app.handle(
+        status, payload = handle_json(
+            app,
             "POST",
             path,
             {"model": "alexnet", "platform": "intel-haswell", "threads": 5, **self.BODIES[path]},
@@ -386,7 +397,8 @@ class TestThreadsLimit:
     @pytest.mark.parametrize("path", sorted(BODIES))
     def test_threads_equal_to_cores_is_accepted(self, service, path):
         app, _ = service
-        status, payload = app.handle(
+        status, payload = handle_json(
+            app,
             "POST",
             path,
             {"model": "alexnet", "platform": "intel-haswell", "threads": 4, **self.BODIES[path]},
@@ -450,6 +462,103 @@ class TestConcurrency:
             counters = client.metrics()["counters"]
             assert counters["plan_cache_misses"] == 1
             assert counters["plan_cache_hits"] == 7
+
+
+#: One request per cached endpoint: its path and the fields beside model and
+#: platform.
+CACHED_REQUESTS = {
+    "plan": ("/v1/plan", {}),
+    "compare": ("/v1/compare", {}),
+    "frontier": ("/v1/frontier", {"budget_steps": 2}),
+    "frontier-with-plans": ("/v1/frontier", {"budget_steps": 2, "include_plans": True}),
+}
+HIT_FLAG, MISS_FLAG = b'"from_cache": true', b'"from_cache": false'
+
+
+@pytest.fixture(scope="module")
+def planning_session():
+    """One session for the apps of :class:`TestEncodedBodies`: each app's
+    document cache starts empty, the contexts behind it stay warm."""
+    return Session()
+
+
+class TestEncodedBodies:
+    """A cached response is encoded once, when its document is built."""
+
+    @staticmethod
+    def request(app, name, platform="intel-haswell"):
+        path, fields = CACHED_REQUESTS[name]
+        status, body = app.handle("POST", path, {"model": "alexnet", "platform": platform, **fields})
+        assert status == 200, body
+        return body
+
+    @pytest.mark.parametrize("name", sorted(CACHED_REQUESTS))
+    def test_the_hit_body_is_the_miss_body_with_the_flag_set(
+        self, planning_session, monkeypatch, name
+    ):
+        app = PlannerApp(session=planning_session)
+        stored = []
+        get_or_build = app.documents.get_or_build
+
+        def spy(key, build):
+            value, cached = get_or_build(key, build)
+            stored.append(value)
+            return value, cached
+
+        monkeypatch.setattr(app.documents, "get_or_build", spy)
+        miss = self.request(app, name)
+        document = json.loads(miss)
+        assert document.pop("from_cache") is False
+        assert miss == json.dumps({**document, "from_cache": False}, sort_keys=True).encode()
+        if name == "plan":
+            direct = build_plan_document(planning_session, "alexnet", "intel-haswell")
+            assert miss == json.dumps({**direct, "from_cache": False}, sort_keys=True).encode()
+
+        hit = self.request(app, name)
+        assert hit.count(b'"from_cache"') == 1 and hit.count(HIT_FLAG) == 1
+        assert hit.replace(HIT_FLAG, MISS_FLAG) == miss
+        # The cache holds the encoded hit body, from the miss on.
+        assert stored == [hit, hit] and isinstance(stored[0], bytes)
+        counters = app.metrics.snapshot()["counters"]
+        plan_counts = [counters.get("plan_cache_misses"), counters.get("plan_cache_hits")]
+        assert plan_counts == ([1, 1] if name == "plan" else [None, None])
+
+    @pytest.mark.parametrize("name", sorted(CACHED_REQUESTS))
+    def test_an_evicted_key_rebuilds_identical_bytes(self, planning_session, monkeypatch, name):
+        monkeypatch.setattr(repro.lru, "CAPACITY", 1)
+        app = PlannerApp(session=planning_session)
+        first = self.request(app, name)
+        self.request(app, name, platform="arm-cortex-a57")  # evicts the first key
+        assert len(app.documents) == 1
+        again = self.request(app, name)
+        assert again.count(MISS_FLAG) == 1
+        assert again == first
+
+    def test_a_cold_stampede_builds_once_and_misses_once(self, planning_session):
+        app = PlannerApp(session=planning_session)
+        barrier = threading.Barrier(8, timeout=60)
+        bodies = [None] * 8
+
+        def request(slot):
+            barrier.wait()
+            bodies[slot] = self.request(app, "plan")
+
+        threads = [threading.Thread(target=request, args=(slot,)) for slot in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        counters = app.metrics.snapshot()["counters"]
+        assert (counters["plan_cache_misses"], counters["plan_cache_hits"]) == (1, 7)
+        misses = [body for body in bodies if MISS_FLAG in body]
+        assert len(misses) == 1
+        assert {body.replace(HIT_FLAG, MISS_FLAG) for body in bodies} == set(misses)
 
 
 class TestMetricsUnit:
