@@ -21,7 +21,7 @@ import pytest
 
 from benchmarks.conftest import SMOKE, emit, smoke_networks
 from repro.api import Session
-from repro.experiments.batch_scaling import run_batch_scaling
+from repro.experiments.scaling import run_batch_scaling
 
 #: GoogLeNet's many small layers are where batch amortization bites; AlexNet
 #: is the smoke-mode stand-in.

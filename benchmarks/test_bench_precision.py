@@ -33,7 +33,7 @@ import pytest
 from benchmarks.conftest import SMOKE, emit, record_metric, smoke_networks
 from repro.api import Session
 from repro.cost.platform import PLATFORMS
-from repro.experiments.precision_scaling import (
+from repro.experiments.scaling import (
     frontier_endpoints,
     run_precision_scaling,
 )

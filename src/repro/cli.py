@@ -444,9 +444,7 @@ def _family_summary(plan, library) -> str:
     """Compact per-family histogram of a plan's convolution primitives."""
     from collections import Counter
 
-    families = Counter(
-        library.get(name).family.value for name in plan.conv_selections().values()
-    )
+    families = Counter(plan.conv_families(library).values())
     return " ".join(f"{family}x{count}" for family, count in sorted(families.items()))
 
 

@@ -11,11 +11,14 @@ every baseline strategy, so the whole evaluation compares like with like.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.layouts.layout import Layout
 from repro.layouts.transforms import TransformChain
 from repro.multiobj.vector import CostVector
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.primitives.registry import PrimitiveLibrary
 
 
 def platform_label(platform_name: Optional[str]) -> str:
@@ -184,6 +187,13 @@ class NetworkPlan:
             name: decision.primitive
             for name, decision in self.layer_decisions.items()
             if decision.primitive is not None
+        }
+
+    def conv_families(self, library: "PrimitiveLibrary") -> Dict[str, str]:
+        """Mapping from convolution layer name to its primitive's family (``"im2"``, ...)."""
+        return {
+            name: library.get(primitive).family.value
+            for name, primitive in self.conv_selections().items()
         }
 
     def conversions(self) -> List[EdgeDecision]:

@@ -14,10 +14,15 @@ Each module corresponds to one artifact of the paper's evaluation section
 * :mod:`repro.experiments.overhead` — section 5.4 (PBQP solve time);
 * :mod:`repro.experiments.pbqp_example` — Figure 2 (the worked PBQP example);
 * :mod:`repro.experiments.ablation` — ablations of two design choices
-  (DT-cost awareness, section 5.8; exact vs heuristic solving, section 5.4);
-* :mod:`repro.experiments.batch_scaling` — the post-paper batching study:
-  how the PBQP selections shift as the minibatch size grows, versus replaying
-  the batch-1 plan at larger batches;
+  (DT-cost awareness, section 5.8; exact vs heuristic solving, section 5.4).
+
+Four post-paper studies probe the selections beyond the paper's setting:
+
+* :mod:`repro.experiments.scaling` — the batching and precision studies: how
+  the PBQP selections shift as the minibatch grows or the precision narrows,
+  versus replaying the batch-1 (or fp32) plan there;
+* :mod:`repro.experiments.platform_scaling` — the platform-zoo study: which
+  layers' selected families drift away from both CPU baselines;
 * :mod:`repro.experiments.memory_budget` — the multi-objective study: how a
   peak-workspace cap flips per-layer family selections across the platform
   zoo (epsilon-constraint solves from :mod:`repro.multiobj.frontier`).
@@ -39,7 +44,7 @@ from repro.experiments.family_traits import family_traits_table
 from repro.experiments.pbqp_example import figure2_example
 from repro.experiments.ablation import dt_cost_ablation, solver_mode_ablation
 from repro.core.legalize import replay_plan
-from repro.experiments.batch_scaling import BatchScalingResult, run_batch_scaling
+from repro.experiments.scaling import ScalingResult, run_batch_scaling
 from repro.experiments.memory_budget import (
     MemoryBudgetResult,
     run_memory_budget,
@@ -60,7 +65,7 @@ __all__ = [
     "figure2_example",
     "dt_cost_ablation",
     "solver_mode_ablation",
-    "BatchScalingResult",
+    "ScalingResult",
     "replay_plan",
     "run_batch_scaling",
     "MemoryBudgetResult",

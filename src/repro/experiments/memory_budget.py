@@ -57,7 +57,11 @@ class BudgetCell:
         return self.plan is not None
 
     def family_histogram(self) -> Dict[str, int]:
-        """How many layers each family won under this cap."""
+        """How many flipped layers moved to each family under this cap.
+
+        Only layers in :attr:`flips` count (the table's "flipped to" column);
+        a layer that kept its unconstrained family is not counted.
+        """
         return Counter(capped for _, capped in self.flips.values())
 
 
@@ -147,26 +151,18 @@ def run_memory_budget(
         session = Session()
     names = list(platform_names) if platform_names is not None else list_platforms()
     library = session.library
+    network_names = [
+        network if isinstance(network, str) else network.name for network in networks
+    ]
 
     result = MemoryBudgetResult(
-        networks=[
-            network if isinstance(network, str) else network.name
-            for network in networks
-        ],
+        networks=network_names,
         platforms=names,
         fractions=list(fractions),
         threads=threads,
         batch=batch,
     )
-
-    def families(plan: NetworkPlan) -> Dict[str, str]:
-        return {
-            layer: library.get(primitive).family.value
-            for layer, primitive in plan.conv_selections().items()
-        }
-
-    for network in networks:
-        network_name = network if isinstance(network, str) else network.name
+    for network, network_name in zip(networks, network_names):
         for platform in names:
             context = session.context_for(
                 network, platform, threads=threads, batch=batch
@@ -175,14 +171,14 @@ def run_memory_budget(
                 network, platform, threads=threads, batch=batch, verify=False
             ).network_plan
             result.baselines[(network_name, platform)] = base
-            base_families = families(base)
+            base_families = base.conv_families(library)
             peak = base.peak_workspace_bytes
             for fraction in fractions:
                 cap = fraction * peak
                 plan = solve_under_workspace_cap(context, cap)
                 flips: Dict[str, Tuple[str, str]] = {}
                 if plan is not None:
-                    for layer, family in families(plan).items():
+                    for layer, family in plan.conv_families(library).items():
                         if family != base_families[layer]:
                             flips[layer] = (base_families[layer], family)
                 result.cells.append(

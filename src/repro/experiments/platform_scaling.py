@@ -176,32 +176,28 @@ def run_platform_scaling(
             names.append(baseline)
 
     library = session.library
+    network_names = [
+        network if isinstance(network, str) else network.name for network in networks
+    ]
     result = PlatformScalingResult(
-        networks=[
-            network if isinstance(network, str) else network.name
-            for network in networks
-        ],
+        networks=network_names,
         platforms=names,
         batches=list(batches),
         threads=threads,
     )
-    for network in networks:
+    for network, network_name in zip(networks, network_names):
         for platform in names:
             for batch in batches:
                 selected = session.plan(
                     network, platform, threads=threads, batch=batch, verify=False
                 ).network_plan
-                families = {
-                    layer: library.get(primitive).family.value
-                    for layer, primitive in selected.conv_selections().items()
-                }
                 result.cells.append(
                     PlatformCell(
-                        network=network if isinstance(network, str) else network.name,
+                        network=network_name,
                         platform=platform,
                         batch=batch,
                         plan=selected,
-                        families=families,
+                        families=selected.conv_families(library),
                     )
                 )
     return result

@@ -52,7 +52,7 @@ _STRATEGY = Field(
 )
 _THREADS = Field("threads", "integer", default=1, minimum=1)
 #: 64 is the largest batch any study in the repo prices
-#: (``batch_scaling.DEFAULT_BATCHES``); each distinct batch mints its own
+#: (``scaling.DEFAULT_BATCHES``); each distinct batch mints its own
 #: context and documents, so the bound keeps the caches' hit ratio honest.
 _BATCH = Field("batch", "integer", default=1, minimum=1, maximum=64)
 _DTYPE = Field(

@@ -15,6 +15,7 @@ from repro.experiments.ablation import dt_cost_ablation, solver_mode_ablation
 from repro.experiments.family_traits import PROBE_SCENARIOS, family_traits_table
 from repro.experiments.overhead import format_overhead_report, solver_overhead_report
 from repro.experiments.pbqp_example import figure2_example
+from repro.experiments.scaling import run_batch_scaling, run_precision_scaling
 from repro.experiments.selections import alexnet_selection_comparison
 from repro.experiments.tables import (
     COLUMN_STRATEGIES,
@@ -289,3 +290,49 @@ class TestPlatformScaling:
     def test_missing_cell_raises(self, sweep):
         with pytest.raises(KeyError):
             sweep.cell("tiny", "gpu-sim", 999)
+
+
+class TestFreshVersusReplaySweeps:
+    """The batch and precision studies: a fresh plan per setting vs the replayed base."""
+
+    #: axis -> (base setting, swept settings, a setting outside the sweep)
+    AXES = {"batch": (1, (4,), 2), "dtype": ("fp32", ("int8",), "fp16")}
+
+    @pytest.fixture(scope="class", params=sorted(AXES))
+    def sweep(self, request, intel_platform):
+        axis = request.param
+        _, settings, _ = self.AXES[axis]
+        if axis == "batch":
+            result = run_batch_scaling("alexnet", intel_platform, batches=settings)
+        else:
+            result = run_precision_scaling("alexnet", intel_platform, dtypes=settings)
+        return axis, result
+
+    def test_base_setting_is_prepended(self, sweep):
+        axis, result = sweep
+        base, settings, _ = self.AXES[axis]
+        assert [getattr(point, axis) for point in result.points] == [base, *settings]
+
+    def test_base_point_replays_itself(self, sweep):
+        axis, result = sweep
+        point = result.point(self.AXES[axis][0])
+        assert point.replayed_plan is point.pbqp_plan
+        assert point.advantage == 1.0
+        assert not point.selection_changes
+
+    def test_fresh_selection_never_loses_to_the_replay(self, sweep):
+        _, result = sweep
+        for point in result.points:
+            assert point.pbqp_ms <= point.replayed_ms * (1 + 1e-9)
+
+    def test_missing_setting_raises(self, sweep):
+        axis, result = sweep
+        with pytest.raises(KeyError):
+            result.point(self.AXES[axis][2])
+
+    def test_format_has_one_row_per_point(self, sweep):
+        _, result = sweep
+        lines = result.format().splitlines()
+        rule = next(i for i, line in enumerate(lines) if set(line) == {"-"})
+        legend = next(i for i, line in enumerate(lines) if line.startswith("(replay"))
+        assert legend - rule - 1 == len(result.points)

@@ -1,9 +1,11 @@
-"""README's Python examples name only what the package provides.
+"""README's Python examples and prose name only what the package provides.
 
 The ```python blocks are parsed with :mod:`ast`, never run.  Every
 ``from repro... import X`` must resolve and every ``session.<attr>`` must
 exist on a :class:`~repro.api.Session`, so an entry point deleted from the
-package fails here instead of lingering in the docs.
+package fails here instead of lingering in the docs.  Every backticked
+dotted ``repro.…`` name in the prose must import as a module or resolve as
+an attribute, so a renamed module fails here too.
 """
 
 import ast
@@ -44,3 +46,31 @@ def test_every_session_attribute_exists():
     session = Session()
     missing = sorted(attr for attr in used if not hasattr(session, attr))
     assert not missing, f"README uses session attributes Session lacks: {missing}"
+
+
+def prose_names():
+    prose = re.sub(r"^```.*?^```", "", README.read_text(), flags=re.S | re.M)
+    return sorted(set(re.findall(r"`(repro(?:\.\w+)+)`", prose)))
+
+
+def resolves(dotted):
+    """Whether ``dotted`` is a module, or an attribute chain off its longest module prefix."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
+
+
+def test_every_dotted_repro_name_in_prose_resolves():
+    names = prose_names()
+    assert "repro.cost.platform" in names and "repro.lru.CAPACITY" in names
+    unresolved = [name for name in names if not resolves(name)]
+    assert not unresolved, f"README names what the package lacks: {unresolved}"
