@@ -48,17 +48,16 @@ def family_greedy_plan(context: SelectionContext, family: PrimitiveFamily) -> Ne
     are inserted (and paid for) afterwards.
     """
     tables = context.tables
+    # The tables price every applicable primitive of a layer, so the family's
+    # candidates are its members the tables hold.  Library order, whatever
+    # the tables' order (a stored table's keys are sorted): min() keeps the
+    # first of equal costs.
+    members = [primitive.name for primitive in context.library.by_family(family)]
     conv_primitives: Dict[str, str] = {}
     for layer in context.network.conv_layers():
-        scenario = tables.scenarios[layer.name]
         costs = tables.node_costs[layer.name]
         sum2d_cost = costs[SUM2D_PRIMITIVE]
-        candidates = {
-            primitive.name: costs[primitive.name]
-            for primitive in context.library.applicable(
-                scenario, family=family, platform=context.platform
-            )
-        }
+        candidates = {name: costs[name] for name in members if name in costs}
         if candidates:
             best_name = min(candidates, key=candidates.get)
             if candidates[best_name] < sum2d_cost:

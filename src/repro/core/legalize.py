@@ -14,14 +14,23 @@ between the producer's output layout and the consumer's required input layout
 tables), and assembles the resulting :class:`~repro.core.plan.NetworkPlan`.
 :func:`replay_plan` runs the same phase over an existing plan's choices
 under another context, so the plan is re-priced there.
+
+What the phase reads of a context besides the choices -- the layer order
+with convolution flags, and every edge with its producer's output shape --
+is a :class:`LegalizationIndex` the context builds once and keeps, like its
+PBQP encoding; a call then walks tuples and the tables' dicts.  The
+multi-objective frontier calls it once per distinct candidate: a batched
+slice whose decoded choices repeat an earlier candidate is dropped before it
+is legalized.
 """
 
 from __future__ import annotations
 
-from typing import Dict, TYPE_CHECKING
+from typing import Dict, FrozenSet, Tuple, TYPE_CHECKING
 
 from repro.core.plan import EdgeDecision, LayerDecision, NetworkPlan, conversion_groups
-from repro.layouts.layout import Layout
+from repro.cost.tables import Shape
+from repro.layouts.layout import CHW, Layout
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.core.selector import SelectionContext
@@ -29,6 +38,31 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
 
 class IllegalPlanError(ValueError):
     """Raised when a required layout conversion has no path in the DT graph."""
+
+
+class LegalizationIndex:
+    """What legalization reads of a context apart from the choices.
+
+    The layers in execution order with their convolution flags, and every
+    data-flow edge (in :meth:`~repro.graph.network.Network.edges` order) with
+    its producer's output shape.  :meth:`SelectionContext.legalization`
+    builds one on first use and keeps it, so a legalization walks tuples
+    instead of rebuilding the network's order and edges.
+    """
+
+    def __init__(self, context: "SelectionContext") -> None:
+        network, shapes = context.network, context.tables.shapes
+        #: (layer name, is convolution) of every layer, in execution order.
+        self.layers: Tuple[Tuple[str, bool], ...] = tuple(
+            (layer.name, layer.is_convolution) for layer in network.topological_order()
+        )
+        self.convolutions: FrozenSet[str] = frozenset(
+            name for name, convolution in self.layers if convolution
+        )
+        #: (producer, consumer, producer's output shape) of every edge.
+        self.edges: Tuple[Tuple[str, str, Shape], ...] = tuple(
+            (edge.producer, edge.consumer, shapes[edge.producer]) for edge in network.edges()
+        )
 
 
 def finalize_plan(
@@ -56,66 +90,61 @@ def finalize_plan(
     IllegalPlanError
         If two chosen layouts cannot be connected by any conversion chain.
     """
-    network = context.network
+    index = context.legalization()
     tables = context.tables
     library = context.library
 
-    missing = {layer.name for layer in network.conv_layers()} - set(conv_primitives)
+    missing = index.convolutions - conv_primitives.keys()
     if missing:
         raise ValueError(f"no primitive chosen for convolution layers {sorted(missing)}")
 
+    node_costs = tables.node_costs
+    node_workspace, node_energy = tables.node_workspace, tables.node_energy
+    node_accuracy = tables.node_accuracy
     layer_decisions: Dict[str, LayerDecision] = {}
-    for layer in network.topological_order():
-        if layer.is_convolution:
-            primitive_name = conv_primitives[layer.name]
+    for name, convolution in index.layers:
+        if convolution:
+            primitive_name = conv_primitives[name]
             primitive = library.get(primitive_name)
-            cost = tables.primitive_cost(layer.name, primitive_name)
-            layer_decisions[layer.name] = LayerDecision(
-                layer=layer.name,
+            layer_decisions[name] = LayerDecision(
+                layer=name,
                 primitive=primitive_name,
                 input_layout=primitive.input_layout,
                 output_layout=primitive.output_layout,
-                cost=cost,
-                workspace_bytes=tables.primitive_workspace(layer.name, primitive_name),
-                energy_j=tables.primitive_energy(layer.name, primitive_name),
-                accuracy_loss=tables.primitive_accuracy(layer.name, primitive_name),
+                cost=node_costs[name][primitive_name],
+                workspace_bytes=node_workspace.get(name, {}).get(primitive_name, 0.0),
+                energy_j=node_energy.get(name, {}).get(primitive_name, 0.0),
+                accuracy_loss=node_accuracy.get(name, {}).get(primitive_name, 0.0),
             )
         else:
-            if layer.name not in wildcard_layouts:
-                raise ValueError(f"no layout chosen for non-convolution layer {layer.name!r}")
-            layout = wildcard_layouts[layer.name]
-            layer_decisions[layer.name] = LayerDecision(
-                layer=layer.name,
-                primitive=None,
-                input_layout=layout,
-                output_layout=layout,
-                cost=0.0,
+            if name not in wildcard_layouts:
+                raise ValueError(f"no layout chosen for non-convolution layer {name!r}")
+            layout = wildcard_layouts[name]
+            layer_decisions[name] = LayerDecision(
+                layer=name, primitive=None, input_layout=layout, output_layout=layout
             )
 
+    dt_paths, dt_energy = tables.dt_paths, tables.dt_energy
     edge_decisions = []
-    for edge in network.edges():
-        producer_decision = layer_decisions[edge.producer]
-        consumer_decision = layer_decisions[edge.consumer]
-        shape = tables.shapes[edge.producer]
-        path = tables.conversion_path(
-            shape, producer_decision.output_layout, consumer_decision.input_layout
-        )
+    for producer, consumer, shape in index.edges:
+        source = layer_decisions[producer].output_layout
+        target = layer_decisions[consumer].input_layout
+        pair = (source.name, target.name)
+        path = dt_paths[shape][pair]
         if not path.reachable:
             raise IllegalPlanError(
-                f"edge {edge.producer!r} -> {edge.consumer!r}: no conversion chain from "
-                f"{producer_decision.output_layout.name} to {consumer_decision.input_layout.name}"
+                f"edge {producer!r} -> {consumer!r}: no conversion chain from "
+                f"{source.name} to {target.name}"
             )
         edge_decisions.append(
             EdgeDecision(
-                producer=edge.producer,
-                consumer=edge.consumer,
-                source_layout=producer_decision.output_layout,
-                target_layout=consumer_decision.input_layout,
+                producer=producer,
+                consumer=consumer,
+                source_layout=source,
+                target_layout=target,
                 chain=path.chain,
                 cost=path.cost,
-                energy_j=tables.conversion_energy(
-                    shape, producer_decision.output_layout, consumer_decision.input_layout
-                ),
+                energy_j=dt_energy.get(shape, {}).get(pair, 0.0),
             )
         )
 
@@ -136,7 +165,7 @@ def finalize_plan(
             duplicate.energy_j = 0.0
 
     return NetworkPlan(
-        network_name=network.name,
+        network_name=context.network.name,
         strategy=strategy,
         platform_name=context.platform_name,
         threads=context.threads,
@@ -176,30 +205,21 @@ def follow_producer_layouts(
     data arrives in, and conversions appear only where a convolution demands a
     different layout than its producer delivered.
     """
-    from repro.layouts.layout import CHW
-
     network = context.network
-    library = context.library
     layouts: Dict[str, Layout] = {}
     output_layout: Dict[str, Layout] = {}
-    for layer in network.topological_order():
-        producers = network.inputs_of(layer.name)
-        if layer.is_convolution:
-            primitive = library.get(conv_primitives[layer.name])
-            output_layout[layer.name] = primitive.output_layout
+    for name, convolution in context.legalization().layers:
+        if convolution:
+            output_layout[name] = context.library.get(conv_primitives[name]).output_layout
             continue
-        if not producers:
-            layouts[layer.name] = CHW
-        else:
-            layouts[layer.name] = output_layout[producers[0]]
-        output_layout[layer.name] = layouts[layer.name]
+        producers = network.inputs_of(name)
+        layouts[name] = output_layout[producers[0]] if producers else CHW
+        output_layout[name] = layouts[name]
     return layouts
 
 
 def fixed_layouts(context: "SelectionContext", layout: Layout) -> Dict[str, Layout]:
     """Assign one fixed layout to every non-convolution layer (canonical-layout strategies)."""
     return {
-        layer.name: layout
-        for layer in context.network.topological_order()
-        if not layer.is_convolution
+        name: layout for name, convolution in context.legalization().layers if not convolution
     }

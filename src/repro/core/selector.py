@@ -68,7 +68,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Protocol, Tuple
 
 import numpy as np
 
-from repro.core.legalize import finalize_plan
+from repro.core.legalize import LegalizationIndex, finalize_plan
 from repro.core.plan import NetworkPlan
 from repro.cost.platform import Platform
 from repro.cost.tables import CostTables, Shape
@@ -111,10 +111,11 @@ class SelectionContext:
     tables" workflow.
 
     The tables a context holds are immutable: the context encodes them into
-    PBQP once (:meth:`encoding`) and every later solve reuses that encoding.
-    A caller who wants other tables makes a new context
-    (``dataclasses.replace(context, tables=...)``), which starts with no
-    encoding.
+    PBQP once (:meth:`encoding`) and indexes them for legalization once
+    (:meth:`legalization`), and every later solve reuses both.  A caller who
+    wants other tables makes a new context
+    (``dataclasses.replace(context, tables=...)``), which starts with
+    neither.
     """
 
     network: Network
@@ -136,6 +137,9 @@ class SelectionContext:
         default=None, repr=False, compare=False
     )
     _encoding: Optional["PBQPEncoding"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _legalization: Optional[LegalizationIndex] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -182,6 +186,14 @@ class SelectionContext:
         if encoding is None:
             encoding = self._encoding = PBQPEncoding(self)
         return encoding
+
+    def legalization(self) -> LegalizationIndex:
+        """The index :func:`~repro.core.legalize.finalize_plan` reads, built
+        on first use (two threads may each build an equal one)."""
+        index = self._legalization
+        if index is None:
+            index = self._legalization = LegalizationIndex(self)
+        return index
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -527,12 +539,13 @@ class PBQPSelector:
         wildcard_layouts: Dict[str, Layout] = {}
         layout_by_name = {layout.name: layout for layout in context.dt_graph.layouts}
         layout_by_name.setdefault(CHW.name, CHW)
+        convolutions = context.legalization().convolutions
         for node_id, index in assignment.items():
             layer_name = id_to_layer.get(node_id)
             if layer_name is None:
                 continue  # auxiliary conversion node, not a layer decision
             label = graph.node(node_id).label_of(index)
-            if context.network.layer(layer_name).is_convolution:
+            if layer_name in convolutions:
                 conv_primitives[layer_name] = label
             else:
                 wildcard_layouts[layer_name] = layout_by_name[label]

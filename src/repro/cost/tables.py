@@ -94,18 +94,6 @@ class CostTables:
         """
         return self.node_workspace.get(layer, {}).get(primitive, 0.0)
 
-    def primitive_energy(self, layer: str, primitive: str) -> float:
-        """Energy proxy (joules) of one primitive on one layer (0 if absent)."""
-        return self.node_energy.get(layer, {}).get(primitive, 0.0)
-
-    def primitive_accuracy(self, layer: str, primitive: str) -> float:
-        """Modelled accuracy loss of one primitive on one layer (0 if absent).
-
-        fp32 tables (and tables produced before the precision axis) carry no
-        accuracy data; those report 0, which is also the correct fp32 value.
-        """
-        return self.node_accuracy.get(layer, {}).get(primitive, 0.0)
-
     def cheapest_primitive(self, layer: str) -> Tuple[str, float]:
         """The fastest primitive for a layer, considered in isolation."""
         costs = self.node_costs[layer]
@@ -115,14 +103,6 @@ class CostTables:
     def conversion_cost(self, shape: Shape, source: Layout, target: Layout) -> float:
         """Cheapest conversion cost between two layouts at a tensor shape."""
         return self.dt_costs[shape][(source.name, target.name)]
-
-    def conversion_path(self, shape: Shape, source: Layout, target: Layout) -> DTPath:
-        """Cheapest conversion chain between two layouts at a tensor shape."""
-        return self.dt_paths[shape][(source.name, target.name)]
-
-    def conversion_energy(self, shape: Shape, source: Layout, target: Layout) -> float:
-        """Energy proxy (joules) of the cheapest conversion chain (0 if absent)."""
-        return self.dt_energy.get(shape, {}).get((source.name, target.name), 0.0)
 
     def layers(self) -> List[str]:
         """Names of the convolution layers covered by these tables."""

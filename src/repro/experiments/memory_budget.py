@@ -192,14 +192,3 @@ def run_memory_budget(
                     )
                 )
     return result
-
-
-def main() -> None:  # pragma: no cover - manual study entry point
-    """Run the sweep over every registered platform and print the tables."""
-    from repro.api import Session
-
-    print(run_memory_budget(session=Session()).format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -201,15 +201,3 @@ def run_platform_scaling(
                     )
                 )
     return result
-
-
-def main() -> None:  # pragma: no cover - manual study entry point
-    """Run the full sweep over every registered platform and print the tables."""
-    from repro.api import Session
-
-    result = run_platform_scaling(session=Session())
-    print(result.format())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -25,14 +25,15 @@ Candidate whole-network plans come from three generators, in priority order:
 Generators 2 and 3 change only costs, never the PBQP topology, so every cap
 and every weight triple is one slice of a single batched encoding
 (:class:`~repro.core.selector.CostVariants`), solved in one PBQP pass.  The
-slices reproduce the per-generator tables exactly: a masked alternative is
-never chosen at a finite cost, so a cap selects what pruning the primitive
-would, and the scalarized costs use :func:`_scalarized_tables`' float
-expressions elementwise.  The dict-based :func:`_workspace_gated_tables` and
-:func:`_scalarized_tables` remain as the reference those slices are tested
-against.
+slices reproduce per-generator tables exactly: a masked alternative is never
+chosen at a finite cost, so a cap selects what pruning the primitive would,
+and each weight slice is the normalized weighted sum, elementwise, of the
+context's time, workspace and energy costs.  The tests hold dict-table
+references for both.
 
-Duplicates (same per-layer decisions) are removed, candidates are evaluated
+Duplicates (same per-layer decisions, see :func:`_signature`) are removed,
+first generator first: a slice whose decoded choices repeat an earlier
+candidate is dropped before it is legalized.  The survivors are evaluated
 exactly, and :func:`~repro.multiobj.pareto._pareto_front` keeps the
 nondominated set.  Decisions over the front (``knee``, ``min_time_under``,
 ``lexicographic``) use seeded deterministic tie-breaking, and the serialized
@@ -41,12 +42,11 @@ frontier is byte-identical across runs for a fixed seed.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -57,6 +57,7 @@ from repro.core.selector import PBQPEncoding, PBQPSelector, SelectionContext
 from repro.core.strategies import applicable_strategies
 from repro.cost.serialize import plan_from_dict, plan_to_dict
 from repro.layouts.dt_graph import DTGraph
+from repro.layouts.layout import Layout
 from repro.multiobj.pareto import (
     _pareto_front,
     knee_index,
@@ -216,8 +217,7 @@ class Frontier:
         lines = [
             f"Pareto frontier — {self.network_name} on {platform} "
             f"({self.threads} thread{plural}{batch}, seed {self.seed})",
-            f"  {len(self.points)} nondominated of {self.candidates_evaluated} "
-            f"candidate plans ({self.solve_seconds * 1e3:.0f} ms to build)",
+            f"  {len(self.points)} nondominated of {self.candidates_evaluated} candidate plans",
             f"  {'time ms':>10} {'workspace KiB':>14} {'energy mJ':>10} "
             f"{'acc loss':>9} {'dtype':>5}  generator",
         ]
@@ -295,7 +295,7 @@ class Frontier:
 
 
 def _scaled(weight: float, values: np.ndarray, scale: float) -> np.ndarray:
-    """:func:`_scalarized_tables`' ``scal`` over an array: 0 for a zero weight
+    """One objective's term of a weighted sum: 0 for a zero weight
     (``0 * inf`` is NaN), else ``weight * value / scale``."""
     return np.zeros(values.shape) if weight == 0.0 else weight * values / scale
 
@@ -304,8 +304,9 @@ class _FrontierVariants:
     """The frontier's workspace caps, then its scalarisations, as cost variants.
 
     Cap slices are the time costs with every primitive above the cap masked
-    to ``inf``; weight slices are :func:`_scalarized_tables`' costs.  Both
-    are elementwise over the encoding's dense arrays.
+    to ``inf``; weight slices are the weighted sums of each objective over
+    its :func:`_normalizer`.  Both are elementwise over the encoding's dense
+    arrays.
     """
 
     def __init__(
@@ -348,12 +349,15 @@ def _solve_variants(
     context: SelectionContext,
     caps: Sequence[float],
     weights: Sequence[Tuple[float, float, float]],
+    known: AbstractSet[tuple] = frozenset(),
 ) -> List[Optional[NetworkPlan]]:
     """One plan per cap, then per weight triple, from one batched PBQP solve.
 
     Each slice steers the search; its plan is finalized against the
     context's *true* tables so its cost vector is exact.  An infeasible
-    slice yields ``None``.
+    slice yields ``None``, and so does a slice whose decoded choices'
+    :func:`_signature` is in ``known`` or repeats an earlier slice's: it is
+    never legalized.
     """
     variants = _FrontierVariants(caps, weights)
     if variants.batch == 0:
@@ -364,105 +368,27 @@ def _solve_variants(
     graph, id_to_layer = selector.build_pbqp(context, variants)
     solutions = selector.solver.solve(graph)
     assert isinstance(solutions, list)
+    seen = set(known)
     plans: List[Optional[NetworkPlan]] = []
     for label, solution in zip(labels, solutions):
-        if solution is None:
-            plans.append(None)
-            continue
-        conv_primitives, wildcard_layouts = selector.decode_assignment(
-            context, graph, id_to_layer, solution.assignment
-        )
-        plan = finalize_plan(context, "frontier", conv_primitives, wildcard_layouts)
-        plan.metadata["generator"] = label
+        plan = None
+        if solution is not None:
+            conv_primitives, wildcard_layouts = selector.decode_assignment(
+                context, graph, id_to_layer, solution.assignment
+            )
+            signature = _signature(context.dtype, conv_primitives, wildcard_layouts)
+            if signature not in seen:
+                seen.add(signature)
+                plan = finalize_plan(context, "frontier", conv_primitives, wildcard_layouts)
+                plan.metadata["generator"] = label
         plans.append(plan)
     return plans
-
-
-def _workspace_gated_tables(context: SelectionContext, cap_bytes: float):
-    """Tables with every primitive above the per-layer workspace cap pruned.
-
-    Returns ``None`` when some layer would lose all of its primitives — the
-    cap is below that layer's lowest-workspace alternative, so the PBQP
-    instance is infeasible.
-    """
-    tables = context.tables
-    gated: Dict[str, Dict[str, float]] = {}
-    for layer, costs in tables.node_costs.items():
-        keep = {
-            name: cost
-            for name, cost in costs.items()
-            if tables.primitive_workspace(layer, name) <= cap_bytes
-        }
-        if not keep:
-            return None
-        gated[layer] = keep
-    return dataclasses.replace(tables, node_costs=gated)
 
 
 def _normalizer(values: np.ndarray) -> float:
     """An objective's scalarization normalizer: its largest per-primitive
     value (1.0 when that is 0 or there is none)."""
     return (float(values.max()) if values.size else 1.0) or 1.0
-
-
-def _scalarization_scales(tables) -> Tuple[float, float, float]:
-    """The (time, workspace, energy) normalizers of the scalarization solves."""
-    times: List[float] = []
-    workspaces: List[float] = []
-    energies: List[float] = []
-    for layer, costs in tables.node_costs.items():
-        workspace = tables.node_workspace.get(layer, {})
-        energy = tables.node_energy.get(layer, {})
-        for name, cost in costs.items():
-            times.append(cost)
-            workspaces.append(workspace.get(name, 0.0))
-            energies.append(energy.get(name, 0.0))
-    return tuple(_normalizer(np.array(values)) for values in (times, workspaces, energies))
-
-
-def _scalarized_tables(
-    context: SelectionContext,
-    weights: Tuple[float, float, float],
-    scales: Tuple[float, float, float],
-):
-    """Tables whose node and edge costs are normalized weighted sums.
-
-    ``scales`` are the context's :func:`_scalarization_scales`.
-    """
-    tables = context.tables
-    w_time, w_mem, w_energy = weights
-    time_scale, mem_scale, energy_scale = scales
-
-    def scal(weight: float, value: float, scale: float) -> float:
-        # 0 * inf is NaN; an objective with zero weight contributes nothing.
-        return 0.0 if weight == 0.0 else weight * value / scale
-
-    node_costs = {}
-    for layer, costs in tables.node_costs.items():
-        workspace = tables.node_workspace.get(layer, {})
-        energy = tables.node_energy.get(layer, {})
-        node_costs[layer] = {
-            name: (
-                scal(w_time, cost, time_scale)
-                + scal(w_mem, workspace.get(name, 0.0), mem_scale)
-                + scal(w_energy, energy.get(name, 0.0), energy_scale)
-            )
-            for name, cost in costs.items()
-        }
-    dt_costs = {}
-    for shape, pairs in tables.dt_costs.items():
-        scaled = {}
-        energies = tables.dt_energy.get(shape, {})
-        for pair, cost in pairs.items():
-            if cost == float("inf"):
-                # No conversion chain: illegal under every weighting.
-                scaled[pair] = float("inf")
-            else:
-                scaled[pair] = scal(w_time, cost, time_scale) + scal(
-                    w_energy, energies.get(pair, 0.0), energy_scale
-                )
-        dt_costs[shape] = scaled
-    return dataclasses.replace(tables, node_costs=node_costs, dt_costs=dt_costs)
 
 
 def _workspace_floor(context: SelectionContext) -> float:
@@ -502,18 +428,28 @@ def solve_under_workspace_cap(
     return plan
 
 
-def _plan_signature(plan: NetworkPlan) -> tuple:
-    """A plan's decision identity: its precision plus every layer's primitive
-    or adopted layout.
+def _signature(
+    dtype: str, conv_primitives: Dict[str, str], wildcard_layouts: Dict[str, Layout]
+) -> tuple:
+    """A candidate's decision identity: its precision plus every layer's
+    primitive or adopted layout.
 
     The dtype is part of the identity: an int8 plan making the same per-layer
     choices as the fp32 plan is a *different* plan (different costs, different
     accuracy), so cross-precision candidates must never dedup each other.
     """
-    return (plan.dtype,) + tuple(
-        (name, decision.primitive or decision.output_layout.name)
-        for name, decision in sorted(plan.layer_decisions.items())
-    )
+    layouts = {name: layout.name for name, layout in wildcard_layouts.items()}
+    return (dtype, frozenset(conv_primitives.items()), frozenset(layouts.items()))
+
+
+def _plan_signature(plan: NetworkPlan) -> tuple:
+    """:func:`_signature` of a plan's choices."""
+    wildcard_layouts = {
+        name: decision.output_layout
+        for name, decision in plan.layer_decisions.items()
+        if decision.primitive is None
+    }
+    return _signature(plan.dtype, plan.conv_selections(), wildcard_layouts)
 
 
 def build_frontier(
@@ -545,13 +481,22 @@ def build_frontier(
     CostVector().satisfies(constraints)
     started = time.perf_counter()
 
-    candidates: List[Tuple[NetworkPlan, str]] = []
+    # Every candidate is deduplicated by decision signature (first generator
+    # wins) and evaluated exactly.
+    seen: Set[tuple] = set()
+    unique: List[FrontierPoint] = []
+
+    def admit(plan: NetworkPlan, generator: str) -> None:
+        signature = _plan_signature(plan)
+        if signature not in seen:
+            seen.add(signature)
+            unique.append(FrontierPoint(plan=plan, vector=plan.cost_vector(), generator=generator))
 
     # 1. Seed strategies, the scalar PBQP plan first.
     strategies = applicable_strategies(context, include_frameworks=False)
     strategies.sort(key=lambda strategy: (strategy.name != "pbqp"))
     for strategy in strategies:
-        candidates.append((strategy.build_plan(context), f"strategy:{strategy.name}"))
+        admit(strategy.build_plan(context), f"strategy:{strategy.name}")
 
     # 1b. Cross-precision PBQP plans (deterministic dtype order).
     selector = PBQPSelector()
@@ -561,7 +506,7 @@ def build_frontier(
             continue
         plan = selector.select(other)
         plan.metadata["generator"] = f"dtype:{dtype_name}"
-        candidates.append((plan, f"dtype:{dtype_name}"))
+        admit(plan, f"dtype:{dtype_name}")
 
     # 2. Epsilon-constraint sweep over peak-workspace caps.
     levels = workspace_levels(context)
@@ -580,23 +525,11 @@ def build_frontier(
     # primitive: skipped.
     caps = [cap for cap in caps if cap >= levels[0]]
 
-    # 3. Weighted scalarization solves, batched with the caps in one solve.
-    for plan in _solve_variants(context, caps, scalarization_weights):
+    # 3. Weighted scalarization solves, batched with the caps in one solve;
+    # a slice repeating an earlier candidate comes back as None.
+    for plan in _solve_variants(context, caps, scalarization_weights, seen):
         if plan is not None:
-            candidates.append((plan, plan.metadata["generator"]))
-
-    # Deduplicate by decision signature (first generator wins) and evaluate
-    # every surviving candidate exactly.
-    seen: Dict[tuple, int] = {}
-    unique: List[FrontierPoint] = []
-    for plan, generator in candidates:
-        signature = _plan_signature(plan)
-        if signature in seen:
-            continue
-        seen[signature] = len(unique)
-        unique.append(
-            FrontierPoint(plan=plan, vector=plan.cost_vector(), generator=generator)
-        )
+            admit(plan, plan.metadata["generator"])
 
     front_indices = _pareto_front([point.vector for point in unique])
     points = [unique[i] for i in front_indices]

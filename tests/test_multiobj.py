@@ -26,9 +26,6 @@ from repro.multiobj.frontier import (
     SCALARIZATION_WEIGHTS,
     Frontier,
     _FrontierVariants,
-    _scalarization_scales,
-    _scalarized_tables,
-    _workspace_gated_tables,
     build_frontier,
     solve_under_workspace_cap,
     workspace_levels,
@@ -41,6 +38,8 @@ from repro.multiobj.pareto import (
 )
 from repro.multiobj.vector import CostVector
 from repro.pbqp.solver import InfeasibleProblemError
+
+from frontier_tables import scalarization_scales, scalarized_tables, workspace_gated_tables
 
 
 class TestCostVector:
@@ -162,6 +161,13 @@ class TestFrontier:
         """Acceptance: fixed seed => byte-identical frontier output."""
         again = build_frontier(context, seed=0)
         assert again.to_json() == frontier.to_json()
+
+    def test_format_carries_no_wall_clock(self, context, frontier):
+        """The text is deterministic: the build time stays on the object."""
+        slower = dataclasses.replace(frontier, solve_seconds=frontier.solve_seconds + 1.0)
+        assert slower.format() == frontier.format()
+        assert build_frontier(context, seed=0).format() == frontier.format()
+        assert frontier.solve_seconds > 0.0
 
     def test_json_round_trip_is_byte_identical(self, frontier, dt_graph):
         import json
@@ -376,20 +382,21 @@ def _reference_solve(context, tables, label):
     return plan
 
 
-def _reference_solve_variants(context, caps, weights):
+def _reference_solve_variants(context, caps, weights, known=frozenset()):
     """Every cap through pruned tables, every weight triple through
-    scalarized tables, one solve each."""
+    scalarized tables, one solve each.  Every slice is finalized, ``known``
+    or not: build_frontier drops the repeats."""
     plans = []
     for cap in caps:
-        gated = _workspace_gated_tables(context, cap)
+        gated = workspace_gated_tables(context, cap)
         plans.append(
             None if gated is None else _reference_solve(context, gated, f"cap:{int(cap)}")
         )
-    scales = _scalarization_scales(context.tables)
+    scales = scalarization_scales(context.tables)
     for triple in weights:
         label = "weights:" + "/".join(f"{w:g}" for w in triple)
         plans.append(
-            _reference_solve(context, _scalarized_tables(context, triple, scales), label)
+            _reference_solve(context, scalarized_tables(context, triple, scales), label)
         )
     return plans
 
@@ -450,6 +457,46 @@ class TestBatchedFrontierIdentity:
         assert solve_under_workspace_cap(context, levels[0] - 1.0) is None
 
 
+class TestCandidateDedup:
+    """A slice repeating an earlier candidate is dropped before legalization."""
+
+    @pytest.mark.parametrize("model", ["alexnet", "resnet18"])
+    def test_repeated_variants_are_never_finalized(self, session, model, monkeypatch):
+        context = session.context_for(model, "intel-haswell")
+        dtype_contexts = {
+            dtype: session.context_for(model, "intel-haswell", dtype=dtype) for dtype in DTYPES
+        }
+        finalized = []
+        earlier = []
+
+        def counting_finalize(*args, **kwargs):
+            plan = finalize_plan(*args, **kwargs)
+            finalized.append(frontier_module._plan_signature(plan))
+            return plan
+
+        solve_variants = frontier_module._solve_variants
+
+        def recording_solve(context, caps, weights, known=frozenset()):
+            earlier.extend(known)
+            unfiltered = [plan for plan in solve_variants(context, caps, weights) if plan]
+            finalized.clear()
+            plans = solve_variants(context, caps, weights, known)
+            # The top cap and the pure time weighting select the scalar PBQP
+            # plan, a seed: one slice repeats another and a known candidate.
+            assert len(finalized) < len(unfiltered) < len(caps) + len(weights)
+            return plans
+
+        monkeypatch.setattr(frontier_module, "finalize_plan", counting_finalize)
+        monkeypatch.setattr(frontier_module, "_solve_variants", recording_solve)
+        frontier = build_frontier(context, dtype_contexts=dtype_contexts)
+
+        # Every seed and precision candidate was known to the batched solve,
+        # and each of its finalize_plan calls made a new candidate.
+        assert len(earlier) == len(set(earlier)) == frontier.candidates_evaluated - len(finalized)
+        assert len(set(finalized)) == len(finalized)
+        assert not set(finalized) & set(earlier)
+
+
 class TestBatchedEncoding:
     """Slices of the frontier's batched encoding against the dict tables."""
 
@@ -463,9 +510,9 @@ class TestBatchedEncoding:
         selector = PBQPSelector()
         weights = list(SCALARIZATION_WEIGHTS)
         graph, _ = selector.build_pbqp(context, _FrontierVariants([], weights))
-        scales = _scalarization_scales(context.tables)
+        scales = scalarization_scales(context.tables)
         for k, triple in enumerate(weights):
-            tables = _scalarized_tables(context, triple, scales)
+            tables = scalarized_tables(context, triple, scales)
             reference, _ = selector.build_pbqp(dataclasses.replace(context, tables=tables))
             _assert_slice_bytes(graph.slice(k), reference)
 

@@ -10,7 +10,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.plan_verifier import _deduped_edge_total
 from repro.api import Session
 from repro.core.baselines import (
     family_greedy_plan,
@@ -19,24 +22,37 @@ from repro.core.baselines import (
     sum2d_plan,
 )
 from repro.core.frameworks import armcl_like_plan, caffe_like_plan, mkldnn_like_plan
-from repro.core.legalize import finalize_plan, fixed_layouts, follow_producer_layouts
+from repro.core.legalize import (
+    IllegalPlanError,
+    finalize_plan,
+    fixed_layouts,
+    follow_producer_layouts,
+)
 from repro.core.selector import PBQPEncoding, PBQPSelector
 from repro.cost.analytical import AnalyticalCostModel
 from repro.cost.platform import PLATFORMS
+from repro.cost.serialize import plan_to_dict
 from repro.graph.layer import LayerKind
+from repro.graph.scenario import DTYPES
+from repro.layouts.dt_graph import DTPath
 from repro.layouts.layout import CHW
-from repro.models import MODEL_BUILDERS, build_model
+from repro.models import (
+    MODEL_BUILDERS,
+    build_alexnet,
+    build_mobilenet_v1,
+    build_model,
+    build_resnet18,
+)
 from repro.multiobj.frontier import (
     SCALARIZATION_WEIGHTS,
     _FrontierVariants,
-    _scalarization_scales,
-    _scalarized_tables,
-    _workspace_gated_tables,
     build_frontier,
     workspace_levels,
 )
 from repro.pbqp.graph import PBQPGraph
 from repro.primitives.base import PrimitiveFamily
+
+from frontier_tables import scalarization_scales, scalarized_tables, workspace_gated_tables
 
 
 @pytest.fixture(scope="module")
@@ -260,7 +276,7 @@ class TestEncoderBitIdentity:
         levels = workspace_levels(context)
         caps = sorted({levels[0], levels[len(levels) // 3], levels[2 * len(levels) // 3]})
         for cap in caps:
-            gated = _workspace_gated_tables(context, cap)
+            gated = workspace_gated_tables(context, cap)
             assert gated is not None
             _assert_same_encoding(dataclasses.replace(context, tables=gated))
 
@@ -268,9 +284,9 @@ class TestEncoderBitIdentity:
     @pytest.mark.parametrize("model", ["googlenet", "resnet18", "mobilenet_v2"])
     def test_scalarized_tables(self, model, platform):
         context = _zoo_context(model, platform)
-        scales = _scalarization_scales(context.tables)
+        scales = scalarization_scales(context.tables)
         for weights in SCALARIZATION_WEIGHTS:
-            tables = _scalarized_tables(context, weights, scales)
+            tables = scalarized_tables(context, weights, scales)
             _assert_same_encoding(dataclasses.replace(context, tables=tables))
 
     def test_infinite_conversion_cost(self):
@@ -338,7 +354,7 @@ class TestEncoderBitIdentity:
     def test_replaced_context_never_sees_its_parents_encoding(self):
         context = _zoo_context("resnet18", "arm-cortex-a57")
         parent = context.encoding()
-        gated = _workspace_gated_tables(context, workspace_levels(context)[0])
+        gated = workspace_gated_tables(context, workspace_levels(context)[0])
         child = dataclasses.replace(context, tables=gated)
         assert child.encoding() is not parent
         assert child.encoding().time.size < parent.time.size
@@ -502,6 +518,43 @@ class TestBaselines:
         # conv1 is strided, which the kn2 family cannot implement.
         assert plan.conv_selections()["conv1"] == "sum2d"
 
+    @pytest.mark.parametrize("platform", PAPER_PLATFORMS)
+    @pytest.mark.parametrize("model", ["googlenet", "resnet18"])
+    def test_family_greedy_matches_the_applicable_primitives_in_library_order(
+        self, model, platform
+    ):
+        """The family's candidates are the applicable primitives in library
+        order, also from tables whose keys are sorted as a stored table's
+        are: ties break as ``library.applicable`` would order them."""
+        context = _zoo_context(model, platform)
+        tables, library = context.tables, context.library
+        resorted = dataclasses.replace(
+            context,
+            tables=dataclasses.replace(
+                tables,
+                node_costs={
+                    layer: dict(sorted(costs.items()))
+                    for layer, costs in tables.node_costs.items()
+                },
+            ),
+        )
+        for family in PrimitiveFamily:
+            expected = {}
+            for layer in context.network.conv_layers():
+                costs = tables.node_costs[layer.name]
+                candidates = {
+                    primitive.name: costs[primitive.name]
+                    for primitive in library.applicable(
+                        tables.scenarios[layer.name], family=family, platform=context.platform
+                    )
+                }
+                best = min(candidates, key=candidates.get, default="sum2d")
+                beats = best != "sum2d" and candidates[best] < costs["sum2d"]
+                expected[layer.name] = best if beats else "sum2d"
+            for candidate_context in (context, resorted):
+                plan = family_greedy_plan(candidate_context, family)
+                assert plan.conv_selections() == expected, family
+
     def test_greedy_ignore_dt_picks_per_layer_minimum(self, intel_context):
         plan = greedy_ignore_dt_plan(intel_context)
         tables = intel_context.tables
@@ -548,6 +601,140 @@ class TestLegalization:
         pbqp = PBQPSelector().select(intel_context)
         assert pbqp.speedup_over(base) > 1.0
         assert base.speedup_over(base) == pytest.approx(1.0)
+
+
+#: Small zoo builds whose contexts the legalization differential test draws from.
+SMALL_ZOO = (
+    build_alexnet,
+    functools.partial(build_resnet18, input_size=64, base_width=8),
+    functools.partial(build_mobilenet_v1, input_size=64, width_multiplier=0.125),
+)
+
+
+@pytest.fixture(scope="module")
+def small_zoo_contexts():
+    session = Session()
+    return [
+        session.context_for(build(), PLATFORMS["intel-haswell"], dtype=dtype)
+        for build in SMALL_ZOO
+        for dtype in DTYPES
+    ]
+
+
+def _draw_legalization_case(data, contexts):
+    """A small zoo context, random per-layer choices, and some layout pairs
+    made unreachable at every shape: up to two the choices convert across
+    and up to one at random."""
+    context = data.draw(st.sampled_from(contexts))
+    network, library = context.network, context.library
+    layouts = {layout.name: layout for layout in context.dt_graph.layouts}
+    layouts.setdefault(CHW.name, CHW)
+    names = sorted(layouts)
+    conv_primitives, wildcard_layouts = {}, {}
+    for layer in network.topological_order():
+        if layer.is_convolution:
+            options = sorted(context.tables.node_costs[layer.name])
+            conv_primitives[layer.name] = data.draw(st.sampled_from(options))
+        else:
+            wildcard_layouts[layer.name] = layouts[data.draw(st.sampled_from(names))]
+
+    def layout(name, end):
+        if name in wildcard_layouts:
+            return wildcard_layouts[name].name
+        return getattr(library.get(conv_primitives[name]), end).name
+
+    used = {
+        (layout(edge.producer, "output_layout"), layout(edge.consumer, "input_layout"))
+        for edge in network.edges()
+    }
+    converted = sorted(pair for pair in used if pair[0] != pair[1])
+    pairs = [(src, dst) for src in names for dst in names if src != dst]
+    broken = data.draw(st.sets(st.sampled_from(pairs), max_size=1))
+    if converted:
+        broken |= data.draw(st.sets(st.sampled_from(converted), max_size=2))
+    if broken:
+        tables = context.tables
+        dt_paths = {
+            shape: {
+                pair: DTPath(path.source, path.target, math.inf, None)
+                if pair in broken
+                else path
+                for pair, path in paths.items()
+            }
+            for shape, paths in tables.dt_paths.items()
+        }
+        context = dataclasses.replace(
+            context, tables=dataclasses.replace(tables, dt_paths=dt_paths)
+        )
+    return context, conv_primitives, wildcard_layouts
+
+
+class TestLegalizationDifferential:
+    """finalize_plan against a direct reading of the network and tables."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_choices(self, small_zoo_contexts, data):
+        context, conv_primitives, wildcard_layouts = _draw_legalization_case(
+            data, small_zoo_contexts
+        )
+        network, tables, library = context.network, context.tables, context.library
+        inputs, outputs = {}, {}
+        for layer in network.layers():
+            if layer.is_convolution:
+                primitive = library.get(conv_primitives[layer.name])
+                inputs[layer.name], outputs[layer.name] = (
+                    primitive.input_layout,
+                    primitive.output_layout,
+                )
+            else:
+                inputs[layer.name] = outputs[layer.name] = wildcard_layouts[layer.name]
+        edges = network.edges()
+        illegal = any(
+            not tables.dt_paths[tables.shapes[edge.producer]][
+                outputs[edge.producer].name, inputs[edge.consumer].name
+            ].reachable
+            for edge in edges
+        )
+        if illegal:
+            with pytest.raises(IllegalPlanError):
+                finalize_plan(context, "random", conv_primitives, wildcard_layouts)
+            return
+        plan = finalize_plan(context, "random", conv_primitives, wildcard_layouts)
+
+        assert list(plan.layer_decisions) == [layer.name for layer in network.topological_order()]
+        assert plan.conv_selections() == conv_primitives
+        assert {
+            name: decision.output_layout
+            for name, decision in plan.layer_decisions.items()
+            if decision.primitive is None
+        } == wildcard_layouts
+        assert [
+            (edge.producer, edge.consumer, edge.source_layout, edge.target_layout)
+            for edge in plan.edge_decisions
+        ] == [
+            (edge.producer, edge.consumer, outputs[edge.producer], inputs[edge.consumer])
+            for edge in edges
+        ]
+
+        document = plan_to_dict(plan)
+        node_time = sum(
+            tables.node_costs[name][primitive] for name, primitive in conv_primitives.items()
+        )
+        node_energy = sum(
+            tables.node_energy.get(name, {}).get(primitive, 0.0)
+            for name, primitive in conv_primitives.items()
+        )
+        assert math.isclose(
+            plan.total_cost,
+            node_time + _deduped_edge_total(document["edges"], "cost"),
+            rel_tol=1e-12,
+        )
+        assert math.isclose(
+            plan.energy_proxy_j,
+            node_energy + _deduped_edge_total(document["edges"], "energy_j"),
+            rel_tol=1e-12,
+        )
 
 
 class TestFrameworkEmulations:
