@@ -11,7 +11,9 @@ continues.  ``cold_tables_ms`` is the median of ``TABLE_ROUNDS``
 :func:`~repro.cost.tables.build_cost_tables` calls for the same network on
 intel-haswell: the part of a cold plan that profiling is.  ``warm_encode_ms``
 is the median of ``ENCODE_ROUNDS`` :meth:`~repro.core.selector.PBQPSelector.build_pbqp`
-calls on the warm context: what a warm plan pays to encode.
+calls on the warm context: what a warm plan pays to encode.  ``warm_solve_ms``
+is the median of ``SOLVE_ROUNDS`` :meth:`~repro.pbqp.solver.PBQPSolver.solve`
+calls on the warm context's graph: what a warm plan pays to solve.
 """
 
 import statistics
@@ -30,6 +32,8 @@ MODEL = "alexnet" if SMOKE else "googlenet"
 TABLE_ROUNDS = 5
 #: Warm encodes timed; ``warm_encode_ms`` is their median.
 ENCODE_ROUNDS = 5
+#: Warm solves timed; ``warm_solve_ms`` is their median.
+SOLVE_ROUNDS = 5
 
 
 def test_engine_cache_reuses_cost_tables(benchmark, library, intel):
@@ -66,10 +70,18 @@ def test_engine_cache_reuses_cost_tables(benchmark, library, intel):
         selector.build_pbqp(context)
         encode_seconds.append(time.perf_counter() - start)
     warm_encode_seconds = statistics.median(encode_seconds)
+    graph, _ = selector.build_pbqp(context)
+    solve_seconds = []
+    for _ in range(SOLVE_ROUNDS):
+        start = time.perf_counter()
+        selector.solver.solve(graph)
+        solve_seconds.append(time.perf_counter() - start)
+    warm_solve_seconds = statistics.median(solve_seconds)
     record_metric("engine_cache", "cold_select_ms", cold_seconds * 1e3)
     record_metric("engine_cache", "cold_tables_ms", cold_tables_seconds * 1e3)
     record_metric("engine_cache", "warm_select_ms", warm_seconds * 1e3)
     record_metric("engine_cache", "warm_encode_ms", warm_encode_seconds * 1e3)
+    record_metric("engine_cache", "warm_solve_ms", warm_solve_seconds * 1e3)
     record_metric("engine_cache", "warm_speedup_x", cold_seconds / warm_seconds)
     emit(
         "Session context cache — profile once, select many\n"
@@ -77,6 +89,7 @@ def test_engine_cache_reuses_cost_tables(benchmark, library, intel):
         f"warm select (cached tables):     {warm_seconds * 1e3:10.2f} ms\n"
         f"cost-table build (median of {TABLE_ROUNDS}): {cold_tables_seconds * 1e3:6.2f} ms\n"
         f"warm encode (median of {ENCODE_ROUNDS}):     {warm_encode_seconds * 1e3:6.2f} ms\n"
+        f"warm solve (median of {SOLVE_ROUNDS}):      {warm_solve_seconds * 1e3:6.2f} ms\n"
         f"speedup from cached cost tables: {cold_seconds / warm_seconds:10.2f}x\n"
         f"cache: {info.contexts} context(s), {info.hits} hits, {info.misses} miss(es)"
     )

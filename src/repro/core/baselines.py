@@ -75,19 +75,18 @@ def local_optimal_plan(context: SelectionContext) -> NetworkPlan:
     are ever needed; each layer independently picks the fastest primitive
     that both consumes and produces CHW.
     """
-    tables = context.tables
+    # Library order, as in family_greedy_plan: min() keeps the first of
+    # equal costs, and a stored table's keys are sorted.
+    canonical = [
+        primitive.name
+        for primitive in context.library
+        if primitive.input_layout == CHW and primitive.output_layout == CHW
+    ]
     conv_primitives: Dict[str, str] = {}
     for layer in context.network.conv_layers():
-        costs = tables.node_costs[layer.name]
-        canonical = {
-            name: cost
-            for name, cost in costs.items()
-            if context.library.get(name).input_layout == CHW
-            and context.library.get(name).output_layout == CHW
-        }
-        if not canonical:
-            canonical = {SUM2D_PRIMITIVE: costs[SUM2D_PRIMITIVE]}
-        conv_primitives[layer.name] = min(canonical, key=canonical.get)
+        costs = context.tables.node_costs[layer.name]
+        candidates = [name for name in canonical if name in costs] or [SUM2D_PRIMITIVE]
+        conv_primitives[layer.name] = min(candidates, key=costs.__getitem__)
     wildcard = fixed_layouts(context, CHW)
     return finalize_plan(context, "local_optimal", conv_primitives, wildcard)
 
@@ -100,9 +99,14 @@ def greedy_ignore_dt_plan(context: SelectionContext) -> NetworkPlan:
     transformation costs yields an instantiation that performs only marginally
     better than the baseline" — generalized to the whole library.
     """
-    conv_primitives = {
-        layer.name: context.tables.cheapest_primitive(layer.name)[0]
-        for layer in context.network.conv_layers()
-    }
+    # The fastest of each layer's priced primitives, the first in library
+    # order among equal costs (a stored table's keys are sorted).
+    names = context.library.names()
+    conv_primitives: Dict[str, str] = {}
+    for layer in context.network.conv_layers():
+        costs = context.tables.node_costs[layer.name]
+        conv_primitives[layer.name] = min(
+            (name for name in names if name in costs), key=costs.__getitem__
+        )
     wildcard = follow_producer_layouts(context, conv_primitives)
     return finalize_plan(context, "greedy_ignore_dt", conv_primitives, wildcard)

@@ -94,12 +94,6 @@ class CostTables:
         """
         return self.node_workspace.get(layer, {}).get(primitive, 0.0)
 
-    def cheapest_primitive(self, layer: str) -> Tuple[str, float]:
-        """The fastest primitive for a layer, considered in isolation."""
-        costs = self.node_costs[layer]
-        name = min(costs, key=costs.get)
-        return name, costs[name]
-
     def conversion_cost(self, shape: Shape, source: Layout, target: Layout) -> float:
         """Cheapest conversion cost between two layouts at a tensor shape."""
         return self.dt_costs[shape][(source.name, target.name)]

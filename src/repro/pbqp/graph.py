@@ -26,9 +26,12 @@ carrying the class's minimum node cost, which is exact (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.pbqp.schedule import ScheduleSlot
 
 
 class ClassGroups(NamedTuple):
@@ -184,11 +187,11 @@ class PBQPEdge:
 class PBQPGraph:
     """A mutable PBQP instance.
 
-    Nodes are identified by the integer ids returned from :meth:`add_node`.
-    Adding an edge between two nodes that are already connected accumulates
-    (adds) the cost matrices, which is the standard PBQP convention and is
-    what the selection encoder relies on when several cost contributions land
-    on the same DNN edge.
+    Nodes are identified by the integer ids returned from :meth:`add_node`:
+    ``0, 1, 2, ...`` in the order they are added.  Adding an edge between two
+    nodes that are already connected accumulates (adds) the cost matrices,
+    which is the standard PBQP convention and is what the selection encoder
+    relies on when several cost contributions land on the same DNN edge.
 
     ``batch`` is ``None`` for an ordinary instance, or the number ``K`` of
     cost variants every node vector and edge matrix carries on a leading axis.
@@ -201,7 +204,11 @@ class PBQPGraph:
         self._nodes: Dict[int, PBQPNode] = {}
         self._edges: Dict[Tuple[int, int], PBQPEdge] = {}
         self._adjacency: Dict[int, set] = {}
-        self._next_id = 0
+        #: Where the solver keeps this graph's reduction schedule between
+        #: solves: a slot every graph of one encoding shares, or ``None`` to
+        #: derive the schedule on every solve.  Adding a node or a new edge
+        #: changes the topology, so it detaches the graph from its slot.
+        self.schedule_slot: Optional["ScheduleSlot"] = None
 
     # -- construction ---------------------------------------------------------
 
@@ -224,8 +231,8 @@ class PBQPGraph:
             raise ValueError(
                 f"node costs have shape {costs.shape}; the graph's batch is {self.batch}"
             )
-        node_id = self._next_id
-        self._next_id += 1
+        self.schedule_slot = None
+        node_id = len(self._nodes)
         node = PBQPNode(
             node_id=node_id,
             name=name if name is not None else f"n{node_id}",
@@ -265,6 +272,7 @@ class PBQPGraph:
         key = self._edge_key(u, v)
         existing = self._edges.get(key)
         if existing is None:
+            self.schedule_slot = None
             self._edges[key] = PBQPEdge(u=key[0], v=key[1], matrix=self._orient(u, v, matrix, key))
             self._adjacency[u].add(v)
             self._adjacency[v].add(u)
@@ -281,8 +289,7 @@ class PBQPGraph:
     ) -> int:
         """:meth:`add_node` for a caller that has already checked its parts:
         no shape check, no copy of ``costs``, no regrouping of ``classes``."""
-        node_id = self._next_id
-        self._next_id += 1
+        node_id = len(self._nodes)
         self._nodes[node_id] = PBQPNode._trusted(
             node_id, name, costs, labels, classes, class_groups
         )
@@ -310,26 +317,6 @@ class PBQPGraph:
     def _orient(u: int, v: int, matrix: np.ndarray, key: Tuple[int, int]) -> np.ndarray:
         return matrix if (u, v) == key else np.swapaxes(matrix, -1, -2)
 
-    # -- removal (used by the solver's reductions) ------------------------------
-
-    def remove_node(self, node_id: int) -> None:
-        """Remove a node and all its incident edges."""
-        if node_id not in self._nodes:
-            raise KeyError(f"no node {node_id}")
-        for neighbor in list(self._adjacency[node_id]):
-            self.remove_edge(node_id, neighbor)
-        del self._adjacency[node_id]
-        del self._nodes[node_id]
-
-    def remove_edge(self, u: int, v: int) -> None:
-        """Remove the edge between ``u`` and ``v``."""
-        key = self._edge_key(u, v)
-        if key not in self._edges:
-            raise KeyError(f"no edge between {u} and {v}")
-        del self._edges[key]
-        self._adjacency[u].discard(v)
-        self._adjacency[v].discard(u)
-
     # -- queries ----------------------------------------------------------------
 
     @property
@@ -344,9 +331,6 @@ class PBQPGraph:
     def num_edges(self) -> int:
         return len(self._edges)
 
-    def has_node(self, node_id: int) -> bool:
-        return node_id in self._nodes
-
     def node(self, node_id: int) -> PBQPNode:
         return self._nodes[node_id]
 
@@ -355,9 +339,6 @@ class PBQPGraph:
 
     def edges(self) -> List[PBQPEdge]:
         return list(self._edges.values())
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return self._edge_key(u, v) in self._edges
 
     def edge(self, u: int, v: int) -> PBQPEdge:
         return self._edges[self._edge_key(u, v)]
@@ -403,21 +384,14 @@ class PBQPGraph:
         """Deep copy of the instance (node ids are preserved)."""
         return self._rebuild(self.batch, lambda array: array)
 
-    def working_copy(self) -> "PBQPGraph":
-        """A copy for the solver to reduce: node costs are copied, because
-        reductions fold into them in place; edge matrices are shared, because
-        reductions only ever replace a matrix, never write into one."""
-        return self._rebuild(self.batch, lambda array: array, share_edges=True)
-
     def slice(self, index: int) -> "PBQPGraph":
         """Slice ``index`` of a batched graph as an ordinary instance."""
         if self.batch is None:
             raise ValueError("only a batched graph has slices")
         return self._rebuild(None, lambda array: array[index])
 
-    def _rebuild(self, batch: Optional[int], take, share_edges: bool = False) -> "PBQPGraph":
+    def _rebuild(self, batch: Optional[int], take) -> "PBQPGraph":
         clone = PBQPGraph(batch)
-        clone._next_id = self._next_id
         for node_id, node in self._nodes.items():
             clone._nodes[node_id] = PBQPNode._trusted(
                 node_id,
@@ -429,11 +403,7 @@ class PBQPGraph:
             )
             clone._adjacency[node_id] = set(self._adjacency[node_id])
         for key, edge in self._edges.items():
-            clone._edges[key] = (
-                PBQPEdge._trusted(edge.u, edge.v, edge.matrix)
-                if share_edges
-                else PBQPEdge(u=edge.u, v=edge.v, matrix=take(edge.matrix))
-            )
+            clone._edges[key] = PBQPEdge(u=edge.u, v=edge.v, matrix=take(edge.matrix))
         return clone
 
     def __repr__(self) -> str:

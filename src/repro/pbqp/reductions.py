@@ -16,11 +16,13 @@ Eckstein:
   neighbors' cost vectors.  RN does not preserve optimality, which is why the
   solver prefers exhaustive search on small irreducible cores.
 
-Each application returns a *record* carrying everything back-propagation
-needs to recover the removed node's optimal alternative once its neighbors
-have been decided.  The solver reduces a working copy whose edge matrices it
-shares with the caller's graph; reductions replace matrices and never write
-into them.
+The solver does not decide here which node goes next: it replays its
+topology's schedule (see :mod:`repro.pbqp.schedule`), and each step names
+the node, its neighbors and the edge slots involved.  The functions below
+fold that step into a :class:`WorkingCosts`, the solve's flat table of node
+vectors and edge matrices; nothing mutates the graph.  Each returns a
+*record* carrying everything back-propagation needs to recover the removed
+node's optimal alternative once its neighbors have been decided.
 
 **Batch axis.**  Every function works unchanged on a batched graph (see
 :class:`~repro.pbqp.graph.PBQPGraph`): costs carry a leading axis of ``K``
@@ -52,11 +54,11 @@ keeping a full edge matrix alive until the end of the solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.pbqp.graph import ClassGroups, PBQPGraph, PBQPNode
+from repro.pbqp.graph import ClassGroups, PBQPGraph
 
 #: Largest number of entries one R2 fold chunk holds (slices x chunk
 #: alternatives x neighbor alternatives x neighbor alternatives).
@@ -68,15 +70,15 @@ Choice = Union[int, np.ndarray]
 
 def _pick(array: np.ndarray, index: Choice) -> np.ndarray:
     """``array[..., index]``, with a batched index choosing per slice."""
-    if np.ndim(index) == 0:
-        return array[..., index]
-    shaped = np.reshape(index, (-1,) + (1,) * (array.ndim - 1))
-    return np.take_along_axis(array, shaped, axis=-1)[..., 0]
+    if isinstance(index, np.ndarray) and index.ndim:
+        middle = (slice(None),) * (array.ndim - 2)
+        return array[(np.arange(index.shape[0]),) + middle + (index,)]
+    return array[..., index]
 
 
 def _choice(indices: np.ndarray) -> Choice:
     """An argmin result as an ``int``, or one index per slice."""
-    return int(indices) if np.ndim(indices) == 0 else indices
+    return indices if isinstance(indices, np.ndarray) and indices.ndim else int(indices)
 
 
 def _row_map(groups: Optional[ClassGroups]) -> Optional[np.ndarray]:
@@ -95,12 +97,11 @@ def _class_view(
     return matrix
 
 
-def _class_costs(node: PBQPNode) -> np.ndarray:
-    """The node's minimum cost in each class (its costs without classes)."""
-    groups = node.class_groups
+def _class_costs(costs: np.ndarray, groups: Optional[ClassGroups]) -> np.ndarray:
+    """A node's minimum cost in each class (its costs without classes)."""
     if groups is None:
-        return node.costs
-    return np.minimum.reduceat(node.costs[..., groups.order], groups.starts, axis=-1)
+        return costs
+    return np.minimum.reduceat(costs[..., groups.order], groups.starts, axis=-1)
 
 
 def _expand(array: np.ndarray, row_of: Optional[np.ndarray]) -> np.ndarray:
@@ -126,7 +127,7 @@ class R0Record(ReductionRecord):
     costs: np.ndarray = None
 
     def back_propagate(self, assignment: Dict[int, Choice]) -> Choice:
-        return _choice(np.argmin(self.costs, axis=-1))
+        return _choice(self.costs.argmin(axis=-1))
 
 
 @dataclass
@@ -171,7 +172,7 @@ class R2Record(ReductionRecord):
             + self._column(self.matrix_u, self.column_of_u, assignment[self.neighbor_u])
             + self._column(self.matrix_v, self.column_of_v, assignment[self.neighbor_v])
         )
-        return _choice(np.argmin(combined, axis=-1))
+        return _choice(combined.argmin(axis=-1))
 
     def _column(
         self, matrix: np.ndarray, column_of: Optional[np.ndarray], index: Choice
@@ -192,37 +193,55 @@ class RNRecord(ReductionRecord):
         return self.chosen
 
 
+class WorkingCosts:
+    """The arrays one solve folds, indexed as its schedule names them.
+
+    ``costs[n]`` is a copy of node ``n``'s cost vector, because R1 and RN
+    fold into it in place, and ``matrices[slot]`` the matrix of the edge in
+    that slot, oriented from the edge's lower node id to its higher one
+    (``None`` before an R2 fold creates the edge and after a reduction
+    removes it).  The matrices start as the graph's own: reductions replace
+    matrices and never write into them.  A removed node's arrays are never
+    written again, so records hold them without copying.
+    """
+
+    __slots__ = ("costs", "groups", "matrices")
+
+    def __init__(self, graph: PBQPGraph, slot_count: int) -> None:
+        nodes = graph.nodes()
+        self.costs = [node.costs.copy() for node in nodes]
+        self.groups = [node.class_groups for node in nodes]
+        self.matrices: List[Any] = [edge.matrix for edge in graph.edges()]
+        self.matrices.extend([None] * (slot_count - len(self.matrices)))
+
+    def matrix(self, slot: int, source: int, target: int) -> np.ndarray:
+        """The matrix in ``slot``, oriented from ``source`` to ``target``."""
+        matrix = self.matrices[slot]
+        return matrix if source < target else np.swapaxes(matrix, -1, -2)
+
+
 # ---------------------------------------------------------------------------
-# Reduction applications (they mutate the working graph).  A removed node's
-# arrays are never mutated again, so records hold them without copying.
+# Reduction applications.  Each removes ``node`` from the working costs: it
+# folds the node into its neighbors and drops the matrices of its edges.
 # ---------------------------------------------------------------------------
 
 
-def apply_r0(graph: PBQPGraph, node_id: int) -> R0Record:
-    """Apply R0 to an isolated node and remove it from the graph."""
-    if graph.degree(node_id) != 0:
-        raise ValueError(f"R0 requires an isolated node, {node_id} has degree {graph.degree(node_id)}")
-    node = graph.node(node_id)
-    record = R0Record(node_id=node_id, costs=node.costs)
-    graph.remove_node(node_id)
-    return record
+def apply_r0(work: WorkingCosts, node: int) -> R0Record:
+    """Apply R0 to an isolated node."""
+    return R0Record(node_id=node, costs=work.costs[node])
 
 
-def apply_r1(graph: PBQPGraph, node_id: int) -> R1Record:
+def apply_r1(work: WorkingCosts, node: int, neighbor: int, slot: int) -> R1Record:
     """Apply R1 to a degree-1 node, folding its costs into its neighbor."""
-    if graph.degree(node_id) != 1:
-        raise ValueError(f"R1 requires a degree-1 node, {node_id} has degree {graph.degree(node_id)}")
-    (neighbor,) = graph.neighbors(node_id)
-    columns = graph.node(neighbor).class_groups
-    matrix = _class_view(graph.edge_matrix(node_id, neighbor), None, columns)
+    columns = work.groups[neighbor]
+    matrix = _class_view(work.matrix(slot, node, neighbor), None, columns)
     # For every alternative j of the neighbor, the removed node contributes the
     # best achievable cost min_i (c[i] + M[i, j]).
-    combined = graph.node(node_id).costs[..., :, None] + matrix
-    choices = _expand(np.argmin(combined, axis=-2), _row_map(columns))
-    record = R1Record(node_id=node_id, neighbor=neighbor, choices=choices)
-    graph.node(neighbor).costs += _expand(np.min(combined, axis=-2), _row_map(columns))
-    graph.remove_node(node_id)
-    return record
+    combined = work.costs[node][..., :, None] + matrix
+    choices = _expand(combined.argmin(axis=-2), _row_map(columns))
+    work.costs[neighbor] += _expand(combined.min(axis=-2), _row_map(columns))
+    work.matrices[slot] = None
+    return R1Record(node_id=node, neighbor=neighbor, choices=choices)
 
 
 def _r2_delta(costs: np.ndarray, matrix_u: np.ndarray, matrix_v: np.ndarray) -> np.ndarray:
@@ -231,12 +250,11 @@ def _r2_delta(costs: np.ndarray, matrix_u: np.ndarray, matrix_v: np.ndarray) -> 
     step = max(1, FOLD_CHUNK_ENTRIES // per_alternative)
     chunks = (slice(start, start + step) for start in range(0, costs.shape[-1], step))
     parts = (
-        np.min(
+        (
             costs[..., chunk, None, None]
             + matrix_u[..., chunk, :, None]
-            + matrix_v[..., chunk, None, :],
-            axis=-3,
-        )
+            + matrix_v[..., chunk, None, :]
+        ).min(axis=-3)
         for chunk in chunks
     )
     delta = next(parts)
@@ -245,54 +263,60 @@ def _r2_delta(costs: np.ndarray, matrix_u: np.ndarray, matrix_v: np.ndarray) -> 
     return delta
 
 
-def apply_r2(graph: PBQPGraph, node_id: int) -> R2Record:
-    """Apply R2 to a degree-2 node, folding it onto the edge between its neighbors."""
-    if graph.degree(node_id) != 2:
-        raise ValueError(f"R2 requires a degree-2 node, {node_id} has degree {graph.degree(node_id)}")
-    neighbor_u, neighbor_v = graph.neighbors(node_id)
-    node = graph.node(node_id)
-    columns_u = graph.node(neighbor_u).class_groups
-    columns_v = graph.node(neighbor_v).class_groups
-    matrix_u = _class_view(graph.edge_matrix(node_id, neighbor_u), node.class_groups, columns_u)
-    matrix_v = _class_view(graph.edge_matrix(node_id, neighbor_v), node.class_groups, columns_v)
+def apply_r2(
+    work: WorkingCosts,
+    node: int,
+    neighbor_u: int,
+    neighbor_v: int,
+    slot_u: int,
+    slot_v: int,
+    fold: int,
+    merges: bool,
+) -> R2Record:
+    """Apply R2 to a degree-2 node, folding it onto the edge between its
+    neighbors (``neighbor_u < neighbor_v``): onto the matrix in ``fold`` when
+    ``merges``, else into a new one there."""
+    groups = work.groups[node]
+    columns_u, columns_v = work.groups[neighbor_u], work.groups[neighbor_v]
+    matrix_u = _class_view(work.matrix(slot_u, node, neighbor_u), groups, columns_u)
+    matrix_v = _class_view(work.matrix(slot_v, node, neighbor_v), groups, columns_v)
+    costs = work.costs[node]
     record = R2Record(
-        node_id=node_id,
-        costs=node.costs,
+        node_id=node,
+        costs=costs,
         neighbor_u=neighbor_u,
         neighbor_v=neighbor_v,
         matrix_u=matrix_u,
         matrix_v=matrix_v,
-        row_of=_row_map(node.class_groups),
+        row_of=_row_map(groups),
         column_of_u=_row_map(columns_u),
         column_of_v=_row_map(columns_v),
     )
-    delta = _r2_delta(_class_costs(node), matrix_u, matrix_v)
+    delta = _r2_delta(_class_costs(costs, groups), matrix_u, matrix_v)
     if columns_u is not None:
         delta = delta[..., columns_u.row_of, :]
-    graph.remove_node(node_id)
-    graph.add_edge(neighbor_u, neighbor_v, _expand(delta, _row_map(columns_v)))
+    delta = _expand(delta, _row_map(columns_v))
+    work.matrices[fold] = work.matrices[fold] + delta if merges else delta
+    work.matrices[slot_u] = work.matrices[slot_v] = None
     return record
 
 
-def apply_rn(graph: PBQPGraph, node_id: int) -> RNRecord:
+def apply_rn(
+    work: WorkingCosts, node: int, neighbors: Sequence[int], slots: Sequence[int]
+) -> RNRecord:
     """Apply the RN heuristic: commit a locally good alternative and fold it away.
 
     The heuristic chooses the alternative minimizing the node cost plus, for
     every incident edge, the best-case edge cost (the row minimum).  The
     chosen row of every incident edge matrix is then added to the neighbor's
-    cost vector, and the node is removed.  A batched graph commits one
-    alternative per slice.
+    cost vector.  A batched graph commits one alternative per slice.
     """
-    neighbors = graph.neighbors(node_id)
-    node = graph.node(node_id)
-    heuristic = node.costs.copy()
-    matrices = {}
-    for neighbor in neighbors:
-        matrix = graph.edge_matrix(node_id, neighbor)
-        matrices[neighbor] = matrix
-        heuristic = heuristic + np.min(matrix, axis=-1)
-    chosen = _choice(np.argmin(heuristic, axis=-1))
-    for neighbor in neighbors:
-        graph.node(neighbor).costs += _pick(np.swapaxes(matrices[neighbor], -1, -2), chosen)
-    graph.remove_node(node_id)
-    return RNRecord(node_id=node_id, chosen=chosen)
+    matrices = [work.matrix(slot, node, neighbor) for neighbor, slot in zip(neighbors, slots)]
+    heuristic = work.costs[node].copy()
+    for matrix in matrices:
+        heuristic = heuristic + matrix.min(axis=-1)
+    chosen = _choice(heuristic.argmin(axis=-1))
+    for neighbor, slot, matrix in zip(neighbors, slots, matrices):
+        work.costs[neighbor] += _pick(np.swapaxes(matrix, -1, -2), chosen)
+        work.matrices[slot] = None
+    return RNRecord(node_id=node, chosen=chosen)

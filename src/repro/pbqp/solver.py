@@ -17,15 +17,24 @@ The paper reports that the solver found (and proved) the optimal solution for
 every network in under one second; on the networks in this reproduction the
 irreducible core is empty or tiny, so the same holds here.
 
-**The schedule depends only on topology.**  :meth:`PBQPSolver._reduce` picks
-R0, R1 or R2 from node degrees in node-id order, and RN picks the
-highest-degree node; no cost value steers which node goes next.  Instances
-that share a topology and differ only in their costs therefore share one
-reduction schedule.  A graph with a batch axis (``K`` cost variants over one
-topology, see :class:`~repro.pbqp.graph.PBQPGraph`) is solved in one pass:
-every reduction folds all ``K`` slices at once, exact core search runs per
-slice, and back-propagation decides one alternative per slice.  Each slice
-sees exactly the float operations a solve of that slice alone performs (see
+**A solve replays its topology's schedule.**  R0, R1 or R2 go by node
+degree in node-id order, and RN takes the highest-degree node; no cost value
+steers which node goes next.  So a solve first takes the graph's
+:class:`~repro.pbqp.schedule.Schedule`, derived from its topology alone,
+then replays it over one copy of the node costs and a flat edge table
+(:class:`~repro.pbqp.reductions.WorkingCosts`): :meth:`PBQPSolver._reduce`
+replays a run of R0-R2 steps, the exact core search starts where the
+schedule's core begins, and the RN heuristic replays the steps after it.
+Every graph one :class:`~repro.core.selector.PBQPEncoding` builds shares its
+topology and a :class:`~repro.pbqp.schedule.ScheduleSlot`, so an encoding
+derives its schedule once; a hand-built graph derives one per solve.
+
+Instances that share a topology share a schedule, so a graph with a batch
+axis (``K`` cost variants over one topology, see
+:class:`~repro.pbqp.graph.PBQPGraph`) is solved in one pass: every reduction
+folds all ``K`` slices at once, exact core search runs per slice, and
+back-propagation decides one alternative per slice.  Each slice sees exactly
+the float operations a solve of that slice alone performs (see
 :mod:`repro.pbqp.reductions`), so its assignment and cost are identical.  The
 multi-objective frontier uses this to solve every workspace cap and
 scalarisation of a context in one batched solve.
@@ -46,11 +55,13 @@ from repro.pbqp.graph import PBQPGraph
 from repro.pbqp.reductions import (
     Choice,
     ReductionRecord,
+    WorkingCosts,
     apply_r0,
     apply_r1,
     apply_r2,
     apply_rn,
 )
+from repro.pbqp.schedule import R1, R2, RN, Schedule, derive_schedule
 from repro.pbqp.solution import PBQPSolution
 
 logger = logging.getLogger(__name__)
@@ -94,6 +105,24 @@ def _log_rn_fallback(core_nodes: int, core_size: int, limit: int) -> None:
         core_size,
         limit,
     )
+
+
+def _schedule_of(graph: PBQPGraph) -> Schedule:
+    """The graph's reduction schedule: its topology's kept one when the graph
+    shares a :class:`~repro.pbqp.schedule.ScheduleSlot`, else a fresh one."""
+    slot = graph.schedule_slot
+    if slot is None:
+        return derive_schedule(graph)
+    schedule = slot.schedule
+    if schedule is None:
+        # Two threads may each derive one; they are equal.
+        schedule = slot.schedule = derive_schedule(graph)
+    return schedule
+
+
+#: An edge of an irreducible core: its endpoints and its matrix, oriented
+#: from ``u`` to ``v``.
+CoreEdge = Tuple[int, int, np.ndarray]
 
 
 class InfeasibleProblemError(ValueError):
@@ -157,27 +186,35 @@ class PBQPSolver:
         _count_solve()
         stats = SolverStats()
         start = time.perf_counter()
-        work = graph.working_copy()
+        schedule = _schedule_of(graph)
+        work = WorkingCosts(graph, schedule.slot_count)
+        steps, links = schedule.steps.tolist(), schedule.links.tolist()
         stack: List[ReductionRecord] = []
         optimal = True
         batch = graph.batch
         infeasible = [False] * (batch or 1)
 
-        self._reduce(work, stack, stats)
+        self._reduce(work, steps[: schedule.core_start], links, stack, stats)
 
         assignment: Mapping[int, Choice] = {}
-        if work.num_nodes > 0:
-            stats.core_nodes = work.num_nodes
-            core_size = math.prod(node.degree_of_freedom for node in work.nodes())
-            if core_size <= self.exact_core_limit:
+        if schedule.core_nodes.size:
+            stats.core_nodes = schedule.core_nodes.size
+            if schedule.core_size <= self.exact_core_limit:
+                nodes = schedule.core_nodes.tolist()
+                costs = {nid: work.costs[nid] for nid in nodes}
+                edges = [
+                    (u, v, work.matrices[slot]) for slot, u, v in schedule.core_edges.tolist()
+                ]
                 if batch is None:
-                    assignment = self._solve_core_exact(work, stats)
+                    assignment = self._solve_core_exact(nodes, costs, edges, stats)
                 else:
-                    assignment, infeasible = self._solve_core_slices(work, batch, stats)
+                    assignment, infeasible = self._solve_core_slices(
+                        nodes, costs, edges, batch, stats
+                    )
             else:
                 optimal = False
-                _log_rn_fallback(work.num_nodes, core_size, self.exact_core_limit)
-                self._solve_core_heuristic(work, stack, stats)
+                _log_rn_fallback(stats.core_nodes, schedule.core_size, self.exact_core_limit)
+                self._solve_core_heuristic(work, steps[schedule.core_start :], links, stack, stats)
 
         full_assignment = self._back_propagate(assignment, stack)
         if batch is not None:
@@ -208,55 +245,73 @@ class PBQPSolver:
             )
         return PBQPSolution(assignment=plain, cost=cost, optimal=optimal)
 
-    # -- reduction loop -----------------------------------------------------------
+    # -- schedule replay ------------------------------------------------------------
 
-    def _reduce(self, work: PBQPGraph, stack: List[ReductionRecord], stats: SolverStats) -> None:
-        """Apply R0/R1/R2 until no node of degree <= 2 remains."""
-        progress = True
-        while progress:
-            progress = False
-            for node_id in work.node_ids:
-                if not work.has_node(node_id):
-                    continue
-                degree = work.degree(node_id)
-                if degree == 0:
-                    stack.append(apply_r0(work, node_id))
-                    stats.r0_count += 1
-                    progress = True
-                elif degree == 1:
-                    stack.append(apply_r1(work, node_id))
-                    stats.r1_count += 1
-                    progress = True
-                elif degree == 2:
-                    stack.append(apply_r2(work, node_id))
-                    stats.r2_count += 1
-                    progress = True
+    def _reduce(
+        self,
+        work: WorkingCosts,
+        steps: List[List[int]],
+        links: List[List[int]],
+        stack: List[ReductionRecord],
+        stats: SolverStats,
+    ) -> None:
+        """Replay a run of R0/R1/R2 steps (rows of :attr:`Schedule.steps`)."""
+        for kind, node, first, _, fold, merges in steps:
+            if kind == R2:
+                (neighbor_u, slot_u), (neighbor_v, slot_v) = links[first : first + 2]
+                stack.append(
+                    apply_r2(
+                        work, node, neighbor_u, neighbor_v, slot_u, slot_v, fold, bool(merges)
+                    )
+                )
+                stats.r2_count += 1
+            elif kind == R1:
+                stack.append(apply_r1(work, node, *links[first]))
+                stats.r1_count += 1
+            else:
+                stack.append(apply_r0(work, node))
+                stats.r0_count += 1
 
     def _solve_core_heuristic(
-        self, work: PBQPGraph, stack: List[ReductionRecord], stats: SolverStats
+        self,
+        work: WorkingCosts,
+        steps: List[List[int]],
+        links: List[List[int]],
+        stack: List[ReductionRecord],
+        stats: SolverStats,
     ) -> None:
-        """Reduce the remaining core with RN steps interleaved with R0-R2."""
-        while work.num_nodes > 0:
-            node_id = max(work.node_ids, key=work.degree)
-            stack.append(apply_rn(work, node_id))
+        """Replay the core's steps: each RN step, then the R0-R2 steps it unlocks."""
+        starts = [index for index, step in enumerate(steps) if step[0] == RN]
+        for begin, end in zip(starts, starts[1:] + [len(steps)]):
+            _, node, first, stop, _, _ = steps[begin]
+            neighbors, slots = zip(*links[first:stop])
+            stack.append(apply_rn(work, node, neighbors, slots))
             stats.rn_count += 1
-            self._reduce(work, stack, stats)
+            self._reduce(work, steps[begin + 1 : end], links, stack, stats)
 
     # -- exact core search ----------------------------------------------------------
 
     def _solve_core_slices(
-        self, core: PBQPGraph, batch: int, stats: SolverStats
+        self,
+        nodes: List[int],
+        costs: Mapping[int, np.ndarray],
+        edges: List[CoreEdge],
+        batch: int,
+        stats: SolverStats,
     ) -> Tuple[Dict[int, np.ndarray], List[bool]]:
         """Exact core search on every slice of a batched core.
 
         Returns one index per slice for every core node, and which slices are
         infeasible (their indices are placeholders).
         """
-        assignment = {nid: np.zeros(batch, dtype=np.intp) for nid in core.node_ids}
+        assignment = {nid: np.zeros(batch, dtype=np.intp) for nid in nodes}
         infeasible = [False] * batch
         for k in range(batch):
+            sliced = {nid: costs[nid][k] for nid in nodes}
             try:
-                chosen = self._solve_core_exact(core.slice(k), stats)
+                chosen = self._solve_core_exact(
+                    nodes, sliced, [(u, v, matrix[k]) for u, v, matrix in edges], stats
+                )
             except InfeasibleProblemError:
                 infeasible[k] = True
                 continue
@@ -264,51 +319,61 @@ class PBQPSolver:
                 assignment[nid][k] = index
         return assignment, infeasible
 
-    def _solve_core_exact(self, core: PBQPGraph, stats: SolverStats) -> Dict[int, int]:
+    def _solve_core_exact(
+        self,
+        nodes: List[int],
+        costs: Mapping[int, np.ndarray],
+        edges: List[CoreEdge],
+        stats: SolverStats,
+    ) -> Dict[int, int]:
         """Depth-first branch-and-bound over the irreducible core.
 
-        Nodes are ordered by decreasing degree so that edge costs become
-        concrete early and the bound is tight.  The lower bound for the
-        remaining nodes is the sum of their minimum node costs plus, for every
-        edge with at least one undecided endpoint, the minimum compatible
-        entry of its cost matrix.  Raises :class:`InfeasibleProblemError` when
-        no assignment of the core has a finite cost.
+        Nodes are ordered by decreasing degree (ties in id order) so that
+        edge costs become concrete early and the bound is tight.  The lower
+        bound for the remaining nodes is the sum of their minimum node costs
+        plus, for every edge with at least one undecided endpoint, the
+        minimum compatible entry of its cost matrix.  Raises
+        :class:`InfeasibleProblemError` when no assignment of the core has a
+        finite cost.
         """
-        node_order = sorted(core.node_ids, key=core.degree, reverse=True)
-        edges = core.edges()
+        degree = dict.fromkeys(nodes, 0)
+        for u, v, _ in edges:
+            degree[u] += 1
+            degree[v] += 1
+        node_order = sorted(nodes, key=degree.__getitem__, reverse=True)
 
         best_cost = math.inf
         best_assignment: Dict[int, int] = {}
         current: Dict[int, int] = {}
 
         # Precompute per-node minimum costs for bounding.
-        node_min = {nid: float(np.min(core.node(nid).costs)) for nid in core.node_ids}
+        node_min = {nid: float(np.min(costs[nid])) for nid in nodes}
 
         def lower_bound(partial_cost: float, depth: int) -> float:
             bound = partial_cost
             undecided = node_order[depth:]
             for nid in undecided:
                 bound += node_min[nid]
-            for edge in edges:
-                u_decided = edge.u in current
-                v_decided = edge.v in current
+            for u, v, matrix in edges:
+                u_decided = u in current
+                v_decided = v in current
                 if u_decided and v_decided:
                     continue
                 if u_decided:
-                    bound += float(np.min(edge.matrix[current[edge.u], :]))
+                    bound += float(np.min(matrix[current[u], :]))
                 elif v_decided:
-                    bound += float(np.min(edge.matrix[:, current[edge.v]]))
+                    bound += float(np.min(matrix[:, current[v]]))
                 else:
-                    bound += float(np.min(edge.matrix))
+                    bound += float(np.min(matrix))
             return bound
 
         def partial_cost() -> float:
             total = 0.0
             for nid, idx in current.items():
-                total += float(core.node(nid).costs[idx])
-            for edge in edges:
-                if edge.u in current and edge.v in current:
-                    total += float(edge.matrix[current[edge.u], current[edge.v]])
+                total += float(costs[nid][idx])
+            for u, v, matrix in edges:
+                if u in current and v in current:
+                    total += float(matrix[current[u], current[v]])
             return total
 
         def search(depth: int) -> None:
@@ -321,10 +386,9 @@ class PBQPSolver:
                     best_assignment = dict(current)
                 return
             node_id = node_order[depth]
-            node = core.node(node_id)
             # Order the alternatives by their node cost so good solutions are
             # found early and pruning kicks in sooner.
-            order = np.argsort(node.costs)
+            order = np.argsort(costs[node_id])
             for index in order:
                 current[node_id] = int(index)
                 stats.core_assignments_explored += 1

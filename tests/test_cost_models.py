@@ -213,12 +213,6 @@ class TestCostTables:
         shape = next(iter(tables.dt_costs))
         assert tables.conversion_cost(shape, CHW, CHW) == 0.0
 
-    def test_cheapest_primitive(self, tiny_network, library, dt_graph, intel_cost_model):
-        tables = build_cost_tables(tiny_network, library, dt_graph, intel_cost_model)
-        name, cost = tables.cheapest_primitive("conv1")
-        assert cost == min(tables.node_costs["conv1"].values())
-        assert tables.primitive_cost("conv1", name) == cost
-
     def test_multithreaded_tables_not_slower(
         self, tiny_network, library, dt_graph, intel_cost_model
     ):

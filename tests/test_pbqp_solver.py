@@ -8,10 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Session
+from repro.core.selector import PBQPSelector
+from repro.cost.serialize import plan_to_dict
 from repro.pbqp import reductions, solver as solver_module
 from repro.pbqp.bruteforce import brute_force_solve
 from repro.pbqp.graph import PBQPGraph
-from repro.pbqp.reductions import apply_r0, apply_r1, apply_r2, apply_rn
+from repro.pbqp.reductions import WorkingCosts, apply_r0, apply_r1, apply_r2, apply_rn
+from repro.pbqp.schedule import R0, R1, R2, RN, derive_schedule
 from repro.pbqp.solution import PBQPSolution
 from repro.pbqp.solver import InfeasibleProblemError, PBQPSolver
 
@@ -32,31 +36,41 @@ def random_graph(rng, num_nodes, edge_probability=0.5, max_alternatives=4):
     return graph
 
 
+def working_costs(graph):
+    """What a solve of ``graph`` folds."""
+    return WorkingCosts(graph, derive_schedule(graph).slot_count)
+
+
 class TestReductions:
     def test_r0_picks_minimum(self):
         graph = PBQPGraph()
         node = graph.add_node([5.0, 2.0, 7.0])
-        record = apply_r0(graph, node)
-        assert graph.num_nodes == 0
+        record = apply_r0(working_costs(graph), node)
         assert record.back_propagate({}) == 1
 
-    def test_r0_requires_isolated_node(self):
+    def test_schedule_goes_by_degree_in_id_order(self):
+        # Reductions go by degree in id order: 0 (degree 1) folds into 1,
+        # which is then isolated, as 2 is from the start.
         graph = PBQPGraph()
         a = graph.add_node([1.0])
         b = graph.add_node([1.0])
+        graph.add_node([1.0])
         graph.add_edge(a, b, [[0.0]])
-        with pytest.raises(ValueError):
-            apply_r0(graph, a)
+        steps = derive_schedule(graph).steps
+        assert steps[:, :2].tolist() == [[R1, 0], [R0, 1], [R0, 2]]
 
     def test_r1_folds_costs_into_neighbor(self):
         graph = PBQPGraph()
         leaf = graph.add_node([1.0, 4.0])
         hub = graph.add_node([0.0, 0.0])
         graph.add_edge(leaf, hub, [[0.0, 10.0], [10.0, 0.0]])
-        record = apply_r1(graph, leaf)
+        work = working_costs(graph)
+        record = apply_r1(work, leaf, hub, 0)
         # For hub alternative 0 the best leaf choice is 0 (1 + 0); for hub
         # alternative 1 it is 1 (4 + 0).
-        np.testing.assert_allclose(graph.node(hub).costs, [1.0, 4.0])
+        np.testing.assert_allclose(work.costs[hub], [1.0, 4.0])
+        np.testing.assert_allclose(graph.node(hub).costs, [0.0, 0.0])
+        assert work.matrices == [None]
         assert record.back_propagate({hub: 0}) == 0
         assert record.back_propagate({hub: 1}) == 1
 
@@ -67,12 +81,14 @@ class TestReductions:
         right = graph.add_node([0.0, 0.0])
         graph.add_edge(middle, left, [[0.0, 3.0], [1.0, 0.0]])
         graph.add_edge(middle, right, [[0.0, 2.0], [4.0, 0.0]])
-        record = apply_r2(graph, middle)
-        assert graph.has_edge(left, right)
-        delta = graph.edge_matrix(left, right)
+        schedule = derive_schedule(graph)
+        assert schedule.steps[0].tolist() == [R2, middle, 0, 2, 2, 0]
+        work = working_costs(graph)
+        record = apply_r2(work, middle, left, right, 0, 1, 2, False)
+        assert work.matrices[:2] == [None, None]
         # delta[jl, jr] = min_i(c[i] + Ml[i, jl] + Mr[i, jr])
         expected = np.array([[0.0, 2.0], [3.0, 5.0]])
-        np.testing.assert_allclose(delta, expected)
+        np.testing.assert_allclose(work.matrices[2], expected)
         assert record.back_propagate({left: 0, right: 0}) == 0
 
     def test_rn_commits_and_folds(self):
@@ -81,11 +97,13 @@ class TestReductions:
         spokes = [graph.add_node([0.0, 0.0]) for _ in range(3)]
         for spoke in spokes:
             graph.add_edge(center, spoke, [[0.0, 1.0], [2.0, 3.0]])
-        record = apply_rn(graph, center)
+        work = working_costs(graph)
+        record = apply_rn(work, center, spokes, [0, 1, 2])
         assert record.chosen == 0
-        assert center not in graph.node_ids
+        assert work.matrices == [None] * 3
         for spoke in spokes:
-            np.testing.assert_allclose(graph.node(spoke).costs, [0.0, 1.0])
+            np.testing.assert_allclose(work.costs[spoke], [0.0, 1.0])
+
 
 
 class TestSolverSmallInstances:
@@ -308,7 +326,14 @@ TOPOLOGIES = {"tree": tree_pairs, "series_parallel": series_parallel_pairs, "den
 
 
 def random_batched_graph(
-    rng, pairs, num_nodes, batch, max_alternatives=4, inf_probability=0.1, classes=True
+    rng,
+    pairs,
+    num_nodes,
+    batch,
+    max_alternatives=4,
+    inf_probability=0.1,
+    classes=True,
+    min_alternatives=1,
 ):
     """A batched instance built like :func:`random_graph`, with ``inf`` entries
     and declared duplicate-row classes.
@@ -325,7 +350,7 @@ def random_batched_graph(
     graph = PBQPGraph(batch=batch)
     class_of = []
     for index in range(num_nodes):
-        size = int(rng.integers(1, max_alternatives + 1))
+        size = int(rng.integers(min_alternatives, max_alternatives + 1))
         ids = rng.integers(0, max(1, size - 1), size=size) if classes else np.arange(size)
         class_of.append(ids)
         graph.add_node(draw((batch, size)), name=f"n{index}", classes=ids if classes else None)
@@ -436,6 +461,195 @@ class TestBatchedFold:
         with pytest.raises(ValueError):
             graph.slice(0)
         assert isinstance(PBQPSolver().solve(graph), PBQPSolution)
+
+
+# ---------------------------------------------------------------------------
+# The schedule replay: what a solve derives from topology alone and replays.
+# ---------------------------------------------------------------------------
+
+
+def two_tree_pairs(rng, num_nodes):
+    """Triangles glued along edges: every node after the second joins both
+    ends of an existing edge, so every R2 folds onto an existing edge."""
+    pairs = [(0, 1)]
+    for w in range(2, num_nodes):
+        u, v = pairs[int(rng.integers(0, len(pairs)))]
+        pairs.extend([(u, w), (v, w)])
+    return pairs
+
+
+def parallel_path_pairs(rng, num_nodes):
+    """Paths of one middle node between two hubs (the last two nodes),
+    which may also share an edge: the first middle's R2 fold creates or
+    merges the hub edge, every later one merges."""
+    hubs = (num_nodes - 2, num_nodes - 1)
+    pairs = [(middle, hub) for middle in range(num_nodes - 2) for hub in hubs]
+    return pairs + ([hubs] if rng.random() < 0.5 else [])
+
+
+def cycle_pairs(rng, num_nodes):
+    """A ring: each R2 centre was a neighbor of the one before it."""
+    return [(i, (i + 1) % num_nodes) for i in range(num_nodes)]
+
+
+def core_with_tails_pairs(rng, num_nodes):
+    """A dense core on the first five nodes (or fewer) with paths, rings and
+    pendants hanging off it, so RN steps unlock R0-R2 steps."""
+    core = min(5, num_nodes)
+    pairs = [(i, j) for i in range(core) for j in range(i + 1, core) if rng.random() < 0.9]
+    for w in range(core, num_nodes):
+        u = int(rng.integers(0, w))
+        pairs.append((u, w))
+        if rng.random() < 0.4:
+            pairs.append((int(rng.integers(0, core)), w))
+    return sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+
+
+REPLAY_TOPOLOGIES = {
+    "two_tree": two_tree_pairs,
+    "parallel_paths": parallel_path_pairs,
+    "cycle": cycle_pairs,
+    "core_with_tails": core_with_tails_pairs,
+    **TOPOLOGIES,
+}
+
+replay_cases = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(sorted(REPLAY_TOPOLOGIES)),
+    st.integers(3, 9),
+    st.integers(1, 3),
+)
+
+
+def replay_graph(case, **options):
+    seed, topology, num_nodes, batch = case
+    rng = np.random.default_rng(seed)
+    pairs = REPLAY_TOPOLOGIES[topology](rng, num_nodes)
+    return random_batched_graph(rng, pairs, num_nodes, batch, **options), rng
+
+
+def assert_matches_slices_and_brute_force(graph):
+    with pytest.MonkeyPatch.context() as patch:
+        batched, stats = assert_batched_matches_slices(graph, patch)
+    for k, solution in enumerate(batched):
+        oracle = brute_force_solve(graph.slice(k))
+        if solution is None:
+            assert oracle.cost == math.inf
+        else:
+            assert solution.optimal
+            assert solution.cost == pytest.approx(oracle.cost, rel=1e-12)
+    return stats
+
+
+class TestScheduleReplay:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        topology=st.sampled_from(["two_tree", "parallel_paths"]),
+        num_nodes=st.integers(4, 8),
+        batch=st.integers(1, 3),
+    )
+    def test_r2_folds_onto_an_existing_edge(self, seed, topology, num_nodes, batch):
+        graph, _ = replay_graph((seed, topology, num_nodes, batch))
+        steps = derive_schedule(graph).steps
+        r2 = steps[steps[:, 0] == R2]
+        assert r2[:, 5].any()  # some fold merges onto an existing edge
+        assert_matches_slices_and_brute_force(graph)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_nodes=st.integers(4, 8), batch=st.integers(1, 3))
+    def test_classed_node_is_an_r2_centre_and_a_neighbor(self, seed, num_nodes, batch):
+        graph, _ = replay_graph(
+            (seed, "cycle", num_nodes, batch), min_alternatives=3, max_alternatives=5
+        )
+        assert all(node.class_groups is not None for node in graph.nodes())
+        schedule = derive_schedule(graph)
+        first, second = schedule.steps[:2].tolist()
+        assert first[0] == second[0] == R2
+        assert second[1] in schedule.links[first[2] : first[3], 0]
+        stats = assert_matches_slices_and_brute_force(graph)
+        assert stats.r2_count > 1 and stats.core_nodes == 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_nodes=st.integers(7, 11), batch=st.integers(1, 3))
+    def test_rn_interleaves_with_reductions(self, seed, num_nodes, batch):
+        graph, _ = replay_graph(
+            (seed, "core_with_tails", num_nodes, batch), max_alternatives=3, inf_probability=0.0
+        )
+        schedule = derive_schedule(graph)
+        kinds = schedule.steps[schedule.core_start :, 0].tolist()
+        assert kinds and kinds[0] == RN and any(kind != RN for kind in kinds)
+        with pytest.MonkeyPatch.context() as patch:
+            batched, stats = assert_batched_matches_slices(graph, patch, exact_core_limit=1)
+        assert stats.rn_count == kinds.count(RN)
+        assert stats.total_reductions() == len(schedule.steps)
+        for k, solution in enumerate(batched):
+            assert not solution.optimal
+            assert solution.cost == graph.slice(k).solution_cost(solution.assignment)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=replay_cases, data=st.data())
+    def test_an_infeasible_slice_is_none_and_leaves_the_others(self, case, data):
+        seed, topology, num_nodes, _ = case
+        graph, rng = replay_graph((seed, topology, num_nodes, 3), inf_probability=0.0)
+        feasible = slice_solutions(graph)
+        node = data.draw(st.integers(0, num_nodes - 1))
+        graph.node(node).costs[1, :] = math.inf
+        with pytest.MonkeyPatch.context() as patch:
+            batched, _ = assert_batched_matches_slices(graph, patch)
+        assert batched[1] is None
+        for k in (0, 2):
+            assert batched[k].assignment == feasible[k].assignment
+            assert batched[k].cost == feasible[k].cost
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=replay_cases, batched=st.booleans(), exact_core_limit=st.sampled_from([1, 10**6]))
+    def test_solve_leaves_the_graph_unchanged(self, case, batched, exact_core_limit):
+        graph, _ = replay_graph(case)
+        if not batched:
+            graph = graph.slice(0)
+        nodes = [(node, node.costs, node.costs.copy()) for node in graph.nodes()]
+        edges = [(edge, edge.matrix, edge.matrix.copy()) for edge in graph.edges()]
+        try:
+            PBQPSolver(exact_core_limit).solve(graph)
+        except InfeasibleProblemError:
+            pass
+        assert [node for node, _, _ in nodes] == graph.nodes()
+        assert [edge for edge, _, _ in edges] == graph.edges()
+        for node, costs, values in nodes:
+            assert node.costs is costs
+            np.testing.assert_array_equal(costs, values)
+        for edge, matrix, values in edges:
+            assert edge.matrix is matrix
+            np.testing.assert_array_equal(matrix, values)
+
+
+def test_an_encoding_derives_its_schedule_once(monkeypatch, library, intel):
+    calls = []
+    derive = solver_module.derive_schedule
+    monkeypatch.setattr(
+        solver_module, "derive_schedule", lambda graph: calls.append(graph) or derive(graph)
+    )
+    context = Session(library=library).context_for("googlenet", intel)
+    selector = PBQPSelector()
+    plans = [plan_to_dict(selector.select(context)) for _ in range(3)]
+    assert plans[0] == plans[1] == plans[2]
+    encoding = context.encoding()
+    costs = (np.stack([encoding.time] * 2), np.stack([encoding.dt_time] * 2))
+    batched, _ = encoding.graph(*costs, batch=2)
+    solutions = PBQPSolver().solve(batched)
+    assert solutions[0] == solutions[1]
+    assert len(calls) == 1
+
+    # A graph whose topology changes after encoding, and a hand-built graph,
+    # derive theirs on every solve.
+    graph, _ = selector.build_pbqp(context)
+    graph.add_node([0.0])
+    PBQPSolver().solve(graph)
+    hand_built = random_graph(np.random.default_rng(0), 5)
+    PBQPSolver().solve(hand_built)
+    PBQPSolver().solve(hand_built)
+    assert len(calls) == 4
 
 
 class TestRNFallbackLogging:

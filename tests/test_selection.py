@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import itertools
+import json
 import math
 import operator
 import threading
@@ -557,9 +558,28 @@ class TestBaselines:
 
     def test_greedy_ignore_dt_picks_per_layer_minimum(self, intel_context):
         plan = greedy_ignore_dt_plan(intel_context)
-        tables = intel_context.tables
+        names = intel_context.library.names()
         for layer, primitive in plan.conv_selections().items():
-            assert primitive == tables.cheapest_primitive(layer)[0]
+            costs = intel_context.tables.node_costs[layer]
+            cheapest = [name for name in names if costs.get(name) == min(costs.values())]
+            assert primitive == cheapest[0]
+
+    @pytest.mark.parametrize("model", ["googlenet", "resnet18"])
+    def test_per_layer_baselines_are_the_same_cold_and_store_warm(self, model, tmp_path):
+        """A stored table's keys come back sorted; ties between equally fast
+        primitives still break in library order, as a cold build inserts
+        them, so a store-warm session plans the same documents."""
+        strategies = (greedy_ignore_dt_plan, local_optimal_plan)
+        documents = []
+        for _ in range(2):
+            context = Session(cache_dir=tmp_path).context_for(model, PLATFORMS["intel-haswell"])
+            documents.append(
+                [json.dumps(plan_to_dict(build(context)), sort_keys=True) for build in strategies]
+            )
+        cold, warm = documents
+        warm_costs = next(iter(context.tables.node_costs.values()))
+        assert list(warm_costs) == sorted(warm_costs)  # read back from the store
+        assert warm == cold
 
     def test_greedy_conv_cost_lower_but_total_not_better_than_pbqp(self, intel_context):
         greedy = greedy_ignore_dt_plan(intel_context)
