@@ -493,10 +493,12 @@ def cycle_pairs(rng, num_nodes):
 
 
 def core_with_tails_pairs(rng, num_nodes):
-    """A dense core on the first five nodes (or fewer) with paths, rings and
-    pendants hanging off it, so RN steps unlock R0-R2 steps."""
+    """A complete core on the first five nodes (or fewer) with paths, rings and
+    pendants hanging off it, so RN steps unlock R0-R2 steps.  Each tail has at
+    most two earlier neighbors, so R0-R2 fold every tail without taking a core
+    node below degree four: an RN step always starts the core."""
     core = min(5, num_nodes)
-    pairs = [(i, j) for i in range(core) for j in range(i + 1, core) if rng.random() < 0.9]
+    pairs = [(i, j) for i in range(core) for j in range(i + 1, core)]
     for w in range(core, num_nodes):
         u = int(rng.integers(0, w))
         pairs.append((u, w))
