@@ -20,7 +20,7 @@
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Iterable, Mapping
 
 from repro.core.legalize import finalize_plan, fixed_layouts, follow_producer_layouts
 from repro.core.plan import NetworkPlan
@@ -30,6 +30,17 @@ from repro.primitives.base import PrimitiveFamily
 
 #: Name of the baseline primitive used by the SUM2D strategy.
 SUM2D_PRIMITIVE = "sum2d"
+
+
+def _fastest(costs: Mapping[str, float], names: Iterable[str]) -> str:
+    """The cheapest of ``names`` that ``costs`` prices (SUM2D if none).
+
+    Among equal costs the first in ``names`` wins, so callers pass names in
+    library order, the order a cold build inserts: a stored table's keys are
+    sorted, and a tie must break the same way cold and store-warm.
+    """
+    priced = (name for name in names if name in costs)
+    return min(priced, key=costs.__getitem__, default=SUM2D_PRIMITIVE)
 
 
 def sum2d_plan(context: SelectionContext) -> NetworkPlan:
@@ -47,23 +58,16 @@ def family_greedy_plan(context: SelectionContext, family: PrimitiveFamily) -> Ne
     keeps SUM2D.  Layout conversions are not considered during selection and
     are inserted (and paid for) afterwards.
     """
-    tables = context.tables
     # The tables price every applicable primitive of a layer, so the family's
-    # candidates are its members the tables hold.  Library order, whatever
-    # the tables' order (a stored table's keys are sorted): min() keeps the
-    # first of equal costs.
+    # candidates are its members the tables hold.
     members = [primitive.name for primitive in context.library.by_family(family)]
     conv_primitives: Dict[str, str] = {}
     for layer in context.network.conv_layers():
-        costs = tables.node_costs[layer.name]
-        sum2d_cost = costs[SUM2D_PRIMITIVE]
-        candidates = {name: costs[name] for name in members if name in costs}
-        if candidates:
-            best_name = min(candidates, key=candidates.get)
-            if candidates[best_name] < sum2d_cost:
-                conv_primitives[layer.name] = best_name
-                continue
-        conv_primitives[layer.name] = SUM2D_PRIMITIVE
+        costs = context.tables.node_costs[layer.name]
+        best = _fastest(costs, members)
+        conv_primitives[layer.name] = (
+            best if costs[best] < costs[SUM2D_PRIMITIVE] else SUM2D_PRIMITIVE
+        )
     wildcard = follow_producer_layouts(context, conv_primitives)
     return finalize_plan(context, family.value, conv_primitives, wildcard)
 
@@ -75,18 +79,15 @@ def local_optimal_plan(context: SelectionContext) -> NetworkPlan:
     are ever needed; each layer independently picks the fastest primitive
     that both consumes and produces CHW.
     """
-    # Library order, as in family_greedy_plan: min() keeps the first of
-    # equal costs, and a stored table's keys are sorted.
     canonical = [
         primitive.name
         for primitive in context.library
         if primitive.input_layout == CHW and primitive.output_layout == CHW
     ]
-    conv_primitives: Dict[str, str] = {}
-    for layer in context.network.conv_layers():
-        costs = context.tables.node_costs[layer.name]
-        candidates = [name for name in canonical if name in costs] or [SUM2D_PRIMITIVE]
-        conv_primitives[layer.name] = min(candidates, key=costs.__getitem__)
+    conv_primitives = {
+        layer.name: _fastest(context.tables.node_costs[layer.name], canonical)
+        for layer in context.network.conv_layers()
+    }
     wildcard = fixed_layouts(context, CHW)
     return finalize_plan(context, "local_optimal", conv_primitives, wildcard)
 
@@ -99,14 +100,10 @@ def greedy_ignore_dt_plan(context: SelectionContext) -> NetworkPlan:
     transformation costs yields an instantiation that performs only marginally
     better than the baseline" — generalized to the whole library.
     """
-    # The fastest of each layer's priced primitives, the first in library
-    # order among equal costs (a stored table's keys are sorted).
     names = context.library.names()
-    conv_primitives: Dict[str, str] = {}
-    for layer in context.network.conv_layers():
-        costs = context.tables.node_costs[layer.name]
-        conv_primitives[layer.name] = min(
-            (name for name in names if name in costs), key=costs.__getitem__
-        )
+    conv_primitives = {
+        layer.name: _fastest(context.tables.node_costs[layer.name], names)
+        for layer in context.network.conv_layers()
+    }
     wildcard = follow_producer_layouts(context, conv_primitives)
     return finalize_plan(context, "greedy_ignore_dt", conv_primitives, wildcard)

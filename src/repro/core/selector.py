@@ -45,9 +45,9 @@ fixed left-to-right order (``0.0 + a + b + ...``), never a matrix product
 bit-identical to the per-cell formulation.  The encoding lives and dies with
 its context (the Session keeps contexts in a bounded LRU); a context with
 other tables is a new context, with a new encoding.  Every graph an encoding
-builds has one topology, so the encoding also keeps the reduction schedule
-the first solve derives, and later solves only replay it (see
-:mod:`repro.pbqp.solver`).
+builds has one topology, so the encoding derives its reduction schedule from
+the first graph and hands it to every later one, whose solves only replay it
+(see :mod:`repro.pbqp.solver`).
 
 Every convolution node declares its alternatives' **layout classes**: two
 primitives reading and writing the same (input, output) layout pair have
@@ -80,7 +80,7 @@ from repro.graph.network import Network
 from repro.layouts.dt_graph import DTGraph
 from repro.layouts.layout import CHW, Layout
 from repro.pbqp.graph import ClassGroups, PBQPGraph, group_classes
-from repro.pbqp.schedule import ScheduleSlot
+from repro.pbqp.schedule import Schedule, derive_schedule
 from repro.pbqp.solution import PBQPSolution
 from repro.pbqp.solver import PBQPSolver
 from repro.primitives.registry import PrimitiveLibrary
@@ -358,8 +358,9 @@ class PBQPEncoding:
         self.dt_time = _frozen(self._dense(tables.dt_costs, None))
         self._workspace: Optional[np.ndarray] = None
         self._objectives: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        #: The reduction schedule every graph of the encoding shares.
-        self._schedule = ScheduleSlot()
+        #: The reduction schedule every graph of the encoding shares, derived
+        #: from the first one.
+        self._schedule: Optional[Schedule] = None
 
     @staticmethod
     def _primitives(
@@ -501,7 +502,10 @@ class PBQPEncoding:
                 if batch is not None:
                     compatibility = np.broadcast_to(compatibility, lead + compatibility.shape)
                 graph._insert_edge(consumer, aux, compatibility)
-        graph.schedule_slot = self._schedule
+        if self._schedule is None:
+            # Two threads may each derive one; they are equal.
+            self._schedule = derive_schedule(graph)
+        graph.schedule = self._schedule
         return graph, dict(zip(range(self._layers), self._node_names))
 
 

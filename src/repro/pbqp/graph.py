@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tu
 import numpy as np
 
 if TYPE_CHECKING:
-    from repro.pbqp.schedule import ScheduleSlot
+    from repro.pbqp.schedule import Schedule
 
 
 class ClassGroups(NamedTuple):
@@ -204,11 +204,11 @@ class PBQPGraph:
         self._nodes: Dict[int, PBQPNode] = {}
         self._edges: Dict[Tuple[int, int], PBQPEdge] = {}
         self._adjacency: Dict[int, set] = {}
-        #: Where the solver keeps this graph's reduction schedule between
-        #: solves: a slot every graph of one encoding shares, or ``None`` to
-        #: derive the schedule on every solve.  Adding a node or a new edge
-        #: changes the topology, so it detaches the graph from its slot.
-        self.schedule_slot: Optional["ScheduleSlot"] = None
+        #: The reduction schedule of this graph's topology when its builder
+        #: keeps one (every graph of one encoding shares it), or ``None`` to
+        #: derive it on every solve.  Adding a node or a new edge changes the
+        #: topology, so it clears the schedule.
+        self.schedule: Optional["Schedule"] = None
 
     # -- construction ---------------------------------------------------------
 
@@ -231,7 +231,7 @@ class PBQPGraph:
             raise ValueError(
                 f"node costs have shape {costs.shape}; the graph's batch is {self.batch}"
             )
-        self.schedule_slot = None
+        self.schedule = None
         node_id = len(self._nodes)
         node = PBQPNode(
             node_id=node_id,
@@ -272,7 +272,7 @@ class PBQPGraph:
         key = self._edge_key(u, v)
         existing = self._edges.get(key)
         if existing is None:
-            self.schedule_slot = None
+            self.schedule = None
             self._edges[key] = PBQPEdge(u=key[0], v=key[1], matrix=self._orient(u, v, matrix, key))
             self._adjacency[u].add(v)
             self._adjacency[v].add(u)

@@ -17,7 +17,7 @@ as it lives.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple
 
 import numpy as np
 
@@ -49,16 +49,6 @@ class Schedule(NamedTuple):
     core_size: int
     #: How many slots the edges take, the graph's and the folds' together.
     slot_count: int
-
-
-class ScheduleSlot:
-    """Where the graphs of one topology keep its schedule: the first solve
-    derives it, later solves replay it."""
-
-    __slots__ = ("schedule",)
-
-    def __init__(self) -> None:
-        self.schedule: Optional[Schedule] = None
 
 
 def derive_schedule(graph: PBQPGraph) -> Schedule:

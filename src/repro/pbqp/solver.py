@@ -26,8 +26,9 @@ then replays it over one copy of the node costs and a flat edge table
 replays a run of R0-R2 steps, the exact core search starts where the
 schedule's core begins, and the RN heuristic replays the steps after it.
 Every graph one :class:`~repro.core.selector.PBQPEncoding` builds shares its
-topology and a :class:`~repro.pbqp.schedule.ScheduleSlot`, so an encoding
-derives its schedule once; a hand-built graph derives one per solve.
+topology and carries the schedule the encoding derived from the first one
+(:attr:`~repro.pbqp.graph.PBQPGraph.schedule`); a hand-built graph derives
+one per solve.
 
 Instances that share a topology share a schedule, so a graph with a batch
 axis (``K`` cost variants over one topology, see
@@ -107,24 +108,6 @@ def _log_rn_fallback(core_nodes: int, core_size: int, limit: int) -> None:
     )
 
 
-def _schedule_of(graph: PBQPGraph) -> Schedule:
-    """The graph's reduction schedule: its topology's kept one when the graph
-    shares a :class:`~repro.pbqp.schedule.ScheduleSlot`, else a fresh one."""
-    slot = graph.schedule_slot
-    if slot is None:
-        return derive_schedule(graph)
-    schedule = slot.schedule
-    if schedule is None:
-        # Two threads may each derive one; they are equal.
-        schedule = slot.schedule = derive_schedule(graph)
-    return schedule
-
-
-#: An edge of an irreducible core: its endpoints and its matrix, oriented
-#: from ``u`` to ``v``.
-CoreEdge = Tuple[int, int, np.ndarray]
-
-
 class InfeasibleProblemError(ValueError):
     """The PBQP instance has no finite-cost assignment.
 
@@ -186,7 +169,7 @@ class PBQPSolver:
         _count_solve()
         stats = SolverStats()
         start = time.perf_counter()
-        schedule = _schedule_of(graph)
+        schedule = graph.schedule or derive_schedule(graph)
         work = WorkingCosts(graph, schedule.slot_count)
         steps, links = schedule.steps.tolist(), schedule.links.tolist()
         stack: List[ReductionRecord] = []
@@ -200,17 +183,10 @@ class PBQPSolver:
         if schedule.core_nodes.size:
             stats.core_nodes = schedule.core_nodes.size
             if schedule.core_size <= self.exact_core_limit:
-                nodes = schedule.core_nodes.tolist()
-                costs = {nid: work.costs[nid] for nid in nodes}
-                edges = [
-                    (u, v, work.matrices[slot]) for slot, u, v in schedule.core_edges.tolist()
-                ]
                 if batch is None:
-                    assignment = self._solve_core_exact(nodes, costs, edges, stats)
+                    assignment = self._solve_core_exact(work, schedule, stats)
                 else:
-                    assignment, infeasible = self._solve_core_slices(
-                        nodes, costs, edges, batch, stats
-                    )
+                    assignment, infeasible = self._solve_core_slices(work, schedule, batch, stats)
             else:
                 optimal = False
                 _log_rn_fallback(stats.core_nodes, schedule.core_size, self.exact_core_limit)
@@ -292,26 +268,18 @@ class PBQPSolver:
     # -- exact core search ----------------------------------------------------------
 
     def _solve_core_slices(
-        self,
-        nodes: List[int],
-        costs: Mapping[int, np.ndarray],
-        edges: List[CoreEdge],
-        batch: int,
-        stats: SolverStats,
+        self, work: WorkingCosts, schedule: Schedule, batch: int, stats: SolverStats
     ) -> Tuple[Dict[int, np.ndarray], List[bool]]:
         """Exact core search on every slice of a batched core.
 
         Returns one index per slice for every core node, and which slices are
         infeasible (their indices are placeholders).
         """
-        assignment = {nid: np.zeros(batch, dtype=np.intp) for nid in nodes}
+        assignment = {nid: np.zeros(batch, dtype=np.intp) for nid in schedule.core_nodes.tolist()}
         infeasible = [False] * batch
         for k in range(batch):
-            sliced = {nid: costs[nid][k] for nid in nodes}
             try:
-                chosen = self._solve_core_exact(
-                    nodes, sliced, [(u, v, matrix[k]) for u, v, matrix in edges], stats
-                )
+                chosen = self._solve_core_exact(work, schedule, stats, k)
             except InfeasibleProblemError:
                 infeasible[k] = True
                 continue
@@ -320,13 +288,10 @@ class PBQPSolver:
         return assignment, infeasible
 
     def _solve_core_exact(
-        self,
-        nodes: List[int],
-        costs: Mapping[int, np.ndarray],
-        edges: List[CoreEdge],
-        stats: SolverStats,
+        self, work: WorkingCosts, schedule: Schedule, stats: SolverStats, k: Optional[int] = None
     ) -> Dict[int, int]:
-        """Depth-first branch-and-bound over the irreducible core.
+        """Depth-first branch-and-bound over the schedule's irreducible core
+        (its slice ``k`` in a batched solve).
 
         Nodes are ordered by decreasing degree (ties in id order) so that
         edge costs become concrete early and the bound is tight.  The lower
@@ -336,6 +301,12 @@ class PBQPSolver:
         :class:`InfeasibleProblemError` when no assignment of the core has a
         finite cost.
         """
+        def take(array: np.ndarray) -> np.ndarray:
+            return array if k is None else array[k]
+
+        nodes = schedule.core_nodes.tolist()
+        costs = {nid: take(work.costs[nid]) for nid in nodes}
+        edges = [(u, v, take(work.matrices[slot])) for slot, u, v in schedule.core_edges.tolist()]
         degree = dict.fromkeys(nodes, 0)
         for u, v, _ in edges:
             degree[u] += 1

@@ -109,8 +109,15 @@ class TestEvaluation:
         clone = graph.copy()
         clone.node(a).costs[0] = 99.0
         clone.edge(a, b).matrix[0, 0] = 99.0
+        c = clone.add_node([0.0])
+        clone.add_edge(a, c, [[0.0], [0.0], [0.0]])
         assert graph.node(a).costs[0] == 8.0
         assert graph.edge(a, b).matrix[0, 0] == 0.0
+        assert graph.num_nodes == 2
+        assert graph.num_edges == 1
+        assert graph.degree(a) == 1
+        assert clone.num_edges == 2
+        assert clone.degree(a) == 2
 
     def test_infinite_costs_supported(self):
         graph = PBQPGraph()

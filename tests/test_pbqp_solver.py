@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Session
+from repro.core import selector as selector_module
 from repro.core.selector import PBQPSelector
 from repro.cost.serialize import plan_to_dict
 from repro.pbqp import reductions, solver as solver_module
@@ -575,8 +576,12 @@ class TestScheduleReplay:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), num_nodes=st.integers(7, 11), batch=st.integers(1, 3))
     def test_rn_interleaves_with_reductions(self, seed, num_nodes, batch):
+        # Two alternatives or more per node, so the core exceeds exact_core_limit=1.
         graph, _ = replay_graph(
-            (seed, "core_with_tails", num_nodes, batch), max_alternatives=3, inf_probability=0.0
+            (seed, "core_with_tails", num_nodes, batch),
+            min_alternatives=2,
+            max_alternatives=3,
+            inf_probability=0.0,
         )
         schedule = derive_schedule(graph)
         kinds = schedule.steps[schedule.core_start :, 0].tolist()
@@ -629,9 +634,10 @@ class TestScheduleReplay:
 def test_an_encoding_derives_its_schedule_once(monkeypatch, library, intel):
     calls = []
     derive = solver_module.derive_schedule
-    monkeypatch.setattr(
-        solver_module, "derive_schedule", lambda graph: calls.append(graph) or derive(graph)
-    )
+    for module in (solver_module, selector_module):
+        monkeypatch.setattr(
+            module, "derive_schedule", lambda graph: calls.append(graph) or derive(graph)
+        )
     context = Session(library=library).context_for("googlenet", intel)
     selector = PBQPSelector()
     plans = [plan_to_dict(selector.select(context)) for _ in range(3)]
